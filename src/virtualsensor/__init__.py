@@ -9,7 +9,6 @@ city generator for desk-scale experiments.
 from .dataset import (
     Dataset,
     FeatureSchema,
-    HourlyFrame,
     SensorLocation,
     StandardizationStats,
     default_schema,
@@ -33,7 +32,7 @@ from .pipeline import (
     train,
     transfer,
 )
-from .sage import AggregatorKind, InitScheme, SageConfig, rollout, sage_forward
+from .sage import AggregatorKind, InitScheme, SageConfig
 from .synthgen import CityConfig, generate_city, lag_autocorr
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "Dataset",
     "EvalReport",
     "FeatureSchema",
-    "HourlyFrame",
     "InitScheme",
     "SageConfig",
     "SampleBudget",
@@ -66,8 +64,6 @@ __all__ = [
     "load_dataset",
     "nrmse",
     "rmse",
-    "rollout",
-    "sage_forward",
     "sample_neighborhood",
     "standardize",
     "train",

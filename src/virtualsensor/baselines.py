@@ -5,7 +5,7 @@ aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -13,15 +13,41 @@ from .errors import SchemaError
 from .nncore import Var, dropout, glorot_uniform
 
 
+class _FlatConfig:
+    """Model-kind hooks shared by the baseline configs: JSON (de)serialization
+    of flat dataclass fields (lists come back as tuples)."""
+
+    trains_by_gradient = True
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
+def _rows(feats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The graph-free baselines see only each node's own feature row."""
+    return np.nan_to_num(feats[nodes], nan=0.0)
+
+
 # ---------------------------------------------------------------------------
 # MLP: 2 dense layers, dropout(0.5), 2 more dense layers.
 
 
 @dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(_FlatConfig):
     hidden: tuple[int, int, int] = (64, 64, 32)
     dropout: float = 0.5
     seed: int = 0
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return init_mlp_params(self, in_dim, rng)
+
+    def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                rng: np.random.Generator) -> Var:
+        return mlp_forward_batch(pvars, self, _rows(feats, nodes), mode=mode, rng=rng)
 
 
 def init_mlp_params(cfg: MlpConfig, in_dim: int, rng: np.random.Generator) -> dict:
@@ -53,12 +79,19 @@ def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "e
 
 
 @dataclass(frozen=True)
-class CnnConfig:
+class CnnConfig(_FlatConfig):
     channels: int = 8
     kernel: int = 3
     dense_hidden: int = 32
     dropout: float = 0.5
     seed: int = 0
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return init_cnn_params(self, in_dim, rng)
+
+    def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                rng: np.random.Generator) -> Var:
+        return cnn_forward_batch(pvars, self, _rows(feats, nodes), mode=mode, rng=rng)
 
 
 def init_cnn_params(cfg: CnnConfig, in_dim: int, rng: np.random.Generator) -> dict:
@@ -115,11 +148,20 @@ def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "e
 
 
 @dataclass(frozen=True)
-class GbtConfig:
+class GbtConfig(_FlatConfig):
     n_trees: int = 100
     max_depth: int = 4
     learning_rate: float = 0.1
     min_leaf: int = 1
+
+    trains_by_gradient = False  # fitted in one pass by `fit`; no parameter checkpoint
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "GbtModel":
+        return gbt_fit(x, y, self)
+
+    def predict(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                rng: np.random.Generator) -> Var:
+        return Var(gbt_predict(model, _rows(feats, nodes)))
 
 
 @dataclass

@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .pipeline import (
     train,
     transfer,
 )
-from .sage import AggregatorKind, InitScheme, SageConfig
+from .sage import AggregatorKind, InitScheme
 from .synthgen import CityConfig, generate_city
 
 
@@ -81,10 +81,18 @@ def _load_raw(data_dir):
 
 
 def _model_config(args, kind: str):
+    """The kind's default config; --aggregator applies where the kind has one."""
     cfg = DEFAULT_MODEL_CONFIGS[kind]()
-    if kind == "sage" and getattr(args, "aggregator", None):
+    if getattr(args, "aggregator", None) and hasattr(cfg, "aggregator"):
         cfg = replace(cfg, aggregator=AggregatorKind(args.aggregator))
     return cfg
+
+
+def _require_checkpointable(kind: str) -> None:
+    if not DEFAULT_MODEL_CONFIGS[kind].trains_by_gradient:
+        raise VirtualSensorError(
+            f"{kind} has no parameter checkpoint; run `eval --model {kind}` instead"
+        )
 
 
 def cmd_synth(args) -> int:
@@ -117,10 +125,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     started = time.monotonic()
-    if args.model == "gbt":
-        raise VirtualSensorError(
-            "gbt has no parameter checkpoint; run `eval --model gbt` instead"
-        )
+    _require_checkpointable(args.model)
     raw = _load_raw(args.data)
     prepared, stats = standardize(fill_prev_no2(raw))
     g = build_knn_graph(raw.locations, k=args.k)
@@ -139,6 +144,7 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     started = time.monotonic()
+    _require_checkpointable(args.model)
     source_raw = _load_raw(args.source)
     target_raw = _load_raw(args.target)
     source_ds, _ = standardize(fill_prev_no2(source_raw))
@@ -357,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     def add_train_flags(p):
-        p.add_argument("--model", choices=("sage", "mlp", "cnn", "gbt"), default="sage")
+        p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS),
+                       default=TrainConfig.model)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epochs", type=int, default=50)
         p.add_argument("--lr", type=float, default=1e-3)
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="leave-one-location-out evaluation")
     p.add_argument("--data")
     p.add_argument("--ckpt")
-    p.add_argument("--model", choices=("sage", "mlp", "cnn", "gbt"))
+    p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=1e-3)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Sequence
 
@@ -141,19 +141,6 @@ class StandardizationStats:
     def transform_column(self, index: int, value):
         return (value - self.mean[index]) / self.std[index]
 
-    def inverse_column(self, index: int, value):
-        return value * self.std[index] + self.mean[index]
-
-
-@dataclass(frozen=True)
-class HourlyFrame:
-    """Per-hour snapshot over all sensors."""
-
-    timestamp: datetime
-    features: np.ndarray  # [n_sensors, n_features]
-    target_no2: np.ndarray  # [n_sensors]
-    present: np.ndarray  # [n_sensors] bool
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -198,13 +185,6 @@ class Dataset:
     @property
     def timestamps(self) -> list[datetime]:
         return [self.timestamp(t) for t in range(self.n_frames)]
-
-    @property
-    def frames(self) -> list[HourlyFrame]:
-        return [
-            HourlyFrame(self.timestamp(t), self.features[t], self.targets[t], self.present[t])
-            for t in range(self.n_frames)
-        ]
 
     def sensor_index(self, sensor_id: str) -> int:
         for i, loc in enumerate(self.locations):
@@ -396,12 +376,6 @@ def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
     if ds.stats is not None:
         raise SchemaError("dataset is already standardized")
     return replace(ds, features=stats.transform(ds.features), stats=stats)
-
-
-def unstandardize(ds: Dataset) -> Dataset:
-    if ds.stats is None:
-        raise SchemaError("dataset carries no standardization stats")
-    return replace(ds, features=ds.stats.inverse(ds.features), stats=None)
 
 
 def fill_prev_no2(ds: Dataset) -> Dataset:

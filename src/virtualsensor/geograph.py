@@ -83,13 +83,6 @@ class SpatialGraph:
                 best = max(best, max(dist.values()))
         return best
 
-    def edge_list_dump(self) -> str:
-        """Debug dump: one `u v length_m` line per undirected edge."""
-        lines = []
-        for (u, v), length in sorted(self.edge_lengths.items()):
-            lines.append(f"{u} {v} {length:.3f}")
-        return "\n".join(lines)
-
 
 def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialGraph:
     """Symmetrized k-nearest-neighbor graph over haversine distances.

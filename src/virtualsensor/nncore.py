@@ -1,5 +1,5 @@
 """Dense numerical core: a small reverse-mode autodiff over float64 numpy
-arrays, dense layers, activations, inverted dropout, MSE loss, Adam, and a
+arrays, activations, Glorot initialization, inverted dropout, MSE loss, Adam, and a
 finite-difference gradient checker.
 
 Every parameter is a 2-D array (vectors are stored as [1, n]) so the
@@ -229,18 +229,6 @@ class Var:
         return Var(y, (self,), bwd)
 
 
-def relu(x):
-    return Var._lift(x).relu()
-
-
-def leaky_relu(x, slope: float = 0.2):
-    return Var._lift(x).leaky_relu(slope)
-
-
-def sigmoid(x):
-    return Var._lift(x).sigmoid()
-
-
 def wrap_params(params: dict) -> dict:
     """Wrap a name->ndarray parameter dict into autodiff leaves."""
     return {name: Var(value) for name, value in params.items()}
@@ -260,33 +248,6 @@ def collect_grads(leaves: dict) -> dict:
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-@dataclass
-class DenseLayer:
-    """Affine layer y = xW + b."""
-
-    W: np.ndarray  # [in, out]
-    b: np.ndarray  # [1, out]
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, fan_in: int, fan_out: int) -> "DenseLayer":
-        return cls(W=glorot_uniform(rng, fan_in, fan_out), b=np.zeros((1, fan_out)))
-
-
-def dense_forward(layer: DenseLayer, x) -> Var:
-    x = Var._lift(x)
-    if x.shape[-1] != layer.W.shape[0]:
-        raise SchemaError(
-            f"dense input width {x.shape[-1]} != layer fan-in {layer.W.shape[0]}"
-        )
-    return x @ Var(layer.W) + Var(layer.b)
-
-
-def dense(x: Var, W: Var, b: Var) -> Var:
-    if x.shape[-1] != W.shape[0]:
-        raise SchemaError(f"dense input width {x.shape[-1]} != fan-in {W.shape[0]}")
-    return x @ W + b
 
 
 def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None,

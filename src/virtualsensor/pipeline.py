@@ -1,31 +1,18 @@
-"""Training loops, transfer learning, leave-one-location-out evaluation,
-error metrics, improvement tables, and checkpoint persistence."""
+"""The model-kind table, training loops, the closed-loop rollout loop,
+transfer learning, leave-one-location-out evaluation, error metrics,
+improvement tables, and checkpoint persistence."""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
-import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .baselines import (
-    CnnConfig,
-    GbtConfig,
-    GbtModel,
-    MlpConfig,
-    cnn_forward_batch,
-    gbt_fit,
-    gbt_predict,
-    init_cnn_params,
-    init_mlp_params,
-    mlp_forward_batch,
-)
+from .baselines import CnnConfig, GbtConfig, GbtModel, MlpConfig
 from .dataset import (
     Dataset,
     FeatureSchema,
@@ -35,19 +22,9 @@ from .dataset import (
     standardize,
 )
 from .errors import CheckpointError, SchemaError
-from .geograph import SampleBudget, SpatialGraph
-from .nncore import AdamState, Var, adam_step, collect_grads, mse_loss, wrap_params
-from .sage import (
-    AggregatorKind,
-    InitScheme,
-    SageConfig,
-    frame_features,
-    init_sage_params,
-    make_training_rows,
-    resolve_init,
-    sage_forward_batch,
-    sample_batch,
-)
+from .geograph import SpatialGraph
+from .nncore import AdamState, adam_step, collect_grads, mse_loss, wrap_params
+from .sage import InitScheme, SageConfig, frame_features, make_training_rows, resolve_init
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 1
@@ -103,12 +80,12 @@ class TrainConfig:
     patience: int = 10  # early stop on validation MSE
     val_fraction: float = 0.1  # chronological tail of training frames
     seed: int = 0
-    model: str = "sage"  # sage | mlp | cnn | gbt
+    model: str = "sage"  # a key of DEFAULT_MODEL_CONFIGS
 
     def __post_init__(self):
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
-        if self.model not in ("sage", "mlp", "cnn", "gbt"):
+        if self.model not in DEFAULT_MODEL_CONFIGS:
             raise SchemaError(f"unknown model kind {self.model!r}")
 
 
@@ -124,6 +101,10 @@ class TransferConfig:
             raise SchemaError("fine-tune lr must not exceed pretrain lr")
 
 
+# The one place that knows the model kinds: kind -> config class. Each class
+# carries its kind's hooks: `predict(params, g, feats, nodes, mode, rng)` for
+# one frame, `to_dict` / `from_dict`, and `trains_by_gradient`; gradient kinds
+# add `init_params(in_dim, rng)`, the others `fit(x, y)`.
 DEFAULT_MODEL_CONFIGS = {
     "sage": SageConfig,
     "mlp": MlpConfig,
@@ -138,41 +119,6 @@ class TrainedModel:
     model_config: object
     params: dict | GbtModel
     history: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# Model adapters: one uniform per-frame prediction surface
-
-
-def predict_frame(trained_kind: str, model_cfg, params_or_pvars, g: SpatialGraph,
-                  feats: np.ndarray, nodes, mode: str, rng: np.random.Generator):
-    """Predict NO2 for `nodes` given one frame's feature matrix.
-
-    For neural kinds `params_or_pvars` must be autodiff-wrapped; for gbt it
-    is the fitted GbtModel and the return value is a plain array.
-    """
-    nodes = np.asarray(list(nodes), dtype=int)
-    if trained_kind == "sage":
-        batch = sample_batch(g, nodes, model_cfg.budget, rng)
-        return sage_forward_batch(params_or_pvars, model_cfg, feats, batch, mode=mode, rng=rng)
-    rows = np.nan_to_num(feats[nodes], nan=0.0)
-    if trained_kind == "mlp":
-        return mlp_forward_batch(params_or_pvars, model_cfg, rows, mode=mode, rng=rng)
-    if trained_kind == "cnn":
-        return cnn_forward_batch(params_or_pvars, model_cfg, rows, mode=mode, rng=rng)
-    if trained_kind == "gbt":
-        return gbt_predict(params_or_pvars, rows)
-    raise SchemaError(f"unknown model kind {trained_kind!r}")
-
-
-def init_model_params(kind: str, model_cfg, in_dim: int, rng: np.random.Generator) -> dict:
-    if kind == "sage":
-        return init_sage_params(model_cfg, in_dim, rng)
-    if kind == "mlp":
-        return init_mlp_params(model_cfg, in_dim, rng)
-    if kind == "cnn":
-        return init_cnn_params(model_cfg, in_dim, rng)
-    raise SchemaError(f"no trainable parameters for model kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +148,23 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         raise SchemaError("train expects a standardized dataset")
     if model_cfg is None:
         model_cfg = DEFAULT_MODEL_CONFIGS[cfg.model]()
+    elif not isinstance(model_cfg, DEFAULT_MODEL_CONFIGS[cfg.model]):
+        raise SchemaError(f"{type(model_cfg).__name__} is not a {cfg.model!r} model config")
 
-    if cfg.model == "gbt":
+    if not model_cfg.trains_by_gradient:
         rows = make_training_rows(ds, g)
         if not rows:
             raise SchemaError("no training rows")
         x = np.nan_to_num(np.stack([r.features for r in rows]), nan=0.0)
         y = np.array([r.target for r in rows])
-        model = gbt_fit(x, y, model_cfg)
-        return TrainedModel("gbt", model_cfg, model, {"train": model.train_mse})
+        model = model_cfg.fit(x, y)
+        return TrainedModel(cfg.model, model_cfg, model, {"train": model.train_mse})
 
     rng = np.random.default_rng(cfg.seed)
     params = (
         {k: v.copy() for k, v in init_params.items()}
         if init_params is not None
-        else init_model_params(cfg.model, model_cfg, ds.schema.width, rng)
+        else model_cfg.init_params(ds.schema.width, rng)
     )
     adam = AdamState(lr=cfg.lr)
 
@@ -235,8 +183,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         total, count = 0.0, 0
         for t in frame_list:
             nodes = groups[t]
-            out = predict_frame(cfg.model, model_cfg, wrap_params(params), g,
-                                feats_all[t], nodes, "eval", rng)
+            out = model_cfg.predict(wrap_params(params), g, feats_all[t], nodes, "eval", rng)
             total += float(np.sum((out.value - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
@@ -252,8 +199,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         for t in order:
             nodes = groups[t]
             pvars = wrap_params(params)
-            pred = predict_frame(cfg.model, model_cfg, pvars, g, feats_all[t],
-                                 nodes, "train", rng)
+            pred = model_cfg.predict(pvars, g, feats_all[t], nodes, "train", rng)
             loss = mse_loss(pred, targets[t, nodes])
             if not np.isfinite(loss.value):
                 raise SchemaError(f"non-finite training loss at frame {t}")
@@ -309,29 +255,35 @@ def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph,
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop prediction (works for every model kind)
+# Closed-loop prediction: the one rollout loop, for every model kind
 
 
 def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
                         target_node: int, init: InitScheme,
                         rng: np.random.Generator | None = None) -> np.ndarray:
-    """Autoregressive rollout for one node, frames t = 1..T-1, in ug/m3."""
+    """Autoregressive rollout for one node, frames t = 1..T-1, in ug/m3.
+
+    The target's autoregressive slot holds the init value at t=1 and the
+    model's own previous prediction afterwards; monitored neighbors keep
+    their actual readings.
+    """
+    if not 0 <= target_node < ds.n_sensors:
+        raise SchemaError(f"unknown node index {target_node}")
     if ds.stats is None:
         raise SchemaError("closed_loop_predict needs a standardized dataset")
     if rng is None:
         rng = np.random.default_rng(0)
+    model_cfg = trained.model_config
+    params = wrap_params(trained.params) if model_cfg.trains_by_gradient else trained.params
+    nodes = np.array([target_node])
     ar = ds.schema.prev_no2_index
-    runner = trained.params if trained.kind == "gbt" else wrap_params(trained.params)
     prev = resolve_init(init, ds, target_node)
     preds = np.empty(ds.n_frames - 1)
     for t in range(1, ds.n_frames):
         feats = frame_features(ds, t)
         feats[target_node, ar] = ds.stats.transform_column(ar, prev)
-        out = predict_frame(trained.kind, trained.model_config, runner, g, feats,
-                            [target_node], "eval", rng)
-        value = float(out.value[0]) if isinstance(out, Var) else float(out[0])
-        preds[t - 1] = value
-        prev = value
+        out = model_cfg.predict(params, g, feats, nodes, "eval", rng)
+        prev = preds[t - 1] = float(out.value[0])
     return preds
 
 
@@ -416,8 +368,8 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
     """Train on all sensors but one, roll out on the excluded one, repeat.
 
     `ds_raw` must be unstandardized; each fold computes its own stats with
-    the held-out sensor's targets censored. Folds may run concurrently
-    (capped by VS_THREADS); results merge in ascending sensor-id order.
+    the held-out sensor's targets censored. Folds run one after another in
+    sensor order; the report lists locations in ascending sensor-id order.
     """
     if ds_raw.stats is not None:
         raise SchemaError("leave_one_out expects an unstandardized dataset")
@@ -426,20 +378,9 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
     if model_cfg is None:
         model_cfg = DEFAULT_MODEL_CONFIGS[cfg.model]()
 
-    folds = list(range(ds_raw.n_sensors))
-    max_workers = int(os.environ.get("VS_THREADS", len(folds)) or 1)
-
-    def run(holdout):
-        return _run_fold(ds_raw, g, cfg, model_cfg, init_params, holdout)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, folds))
-    else:
-        results = [run(h) for h in folds]
-
     per_location = {}
-    for holdout, result in zip(folds, results):
+    for holdout in range(ds_raw.n_sensors):
+        result = _run_fold(ds_raw, g, cfg, model_cfg, init_params, holdout)
         if result is None:
             continue
         pred, actual, _trained = result
@@ -477,38 +418,9 @@ def improvement_table(base: EvalReport, new: EvalReport) -> dict[str, float]:
 # Config (de)serialization and checkpoints
 
 
-def model_config_to_dict(kind: str, model_cfg) -> dict:
-    if kind == "sage":
-        return {
-            "aggregator": model_cfg.aggregator.value,
-            "hidden": list(model_cfg.hidden),
-            "budget": list(model_cfg.budget.per_hop),
-            "dropout": model_cfg.dropout,
-            "seed": model_cfg.seed,
-        }
-    return asdict(model_cfg)
-
-
-def model_config_from_dict(kind: str, data: dict):
-    if kind == "sage":
-        return SageConfig(
-            aggregator=AggregatorKind(data["aggregator"]),
-            hidden=tuple(data["hidden"]),
-            budget=SampleBudget(tuple(data["budget"])),
-            dropout=data["dropout"],
-            seed=data["seed"],
-        )
-    cls = {"mlp": MlpConfig, "cnn": CnnConfig, "gbt": GbtConfig}[kind]
-    data = dict(data)
-    for key in ("hidden", "freeze"):
-        if isinstance(data.get(key), list):
-            data[key] = tuple(data[key])
-    return cls(**data)
-
-
 def config_hash(cfg: TrainConfig, model_cfg) -> str:
     blob = json.dumps(
-        {"train": asdict(cfg), "model": model_config_to_dict(cfg.model, model_cfg)},
+        {"train": asdict(cfg), "model": model_cfg.to_dict()},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -534,7 +446,7 @@ def save_checkpoint(path, params: dict, stats: StandardizationStats,
     config = {
         "model": train_cfg.model,
         "train": asdict(train_cfg),
-        "model_config": model_config_to_dict(train_cfg.model, model_cfg),
+        "model_config": model_cfg.to_dict(),
     }
     config_bytes = json.dumps(config, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -579,6 +491,26 @@ def load_checkpoint(path, schema: FeatureSchema | None = None):
     stats = StandardizationStats(
         mean=blocks.pop("stats.mean")[0], std=blocks.pop("stats.std")[0]
     )
-    train_cfg = TrainConfig(**config["train"])
-    model_cfg = model_config_from_dict(config["model"], config["model_config"])
+    train_cfg, model_cfg = _decode_config(config)
     return blocks, stats, train_cfg, model_cfg
+
+
+def _decode_config(config: dict):
+    """(TrainConfig, model config) from a checkpoint's JSON config; the model
+    kind is decoded through DEFAULT_MODEL_CONFIGS."""
+    kind = config.get("model")
+    cls = DEFAULT_MODEL_CONFIGS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise CheckpointError(f"checkpoint names unknown model kind {kind!r}")
+    if not cls.trains_by_gradient:
+        raise CheckpointError(f"model kind {kind!r} has no parameter checkpoint")
+    try:
+        train_cfg = TrainConfig(**config["train"])
+        if train_cfg.model != kind:
+            raise CheckpointError(
+                f"checkpoint model kind {kind!r} disagrees with train.model {train_cfg.model!r}"
+            )
+        model_cfg = cls.from_dict(config["model_config"])
+    except (AttributeError, KeyError, TypeError, ValueError, SchemaError) as exc:
+        raise CheckpointError(f"bad {kind} checkpoint config: {exc}") from exc
+    return train_cfg, model_cfg

@@ -1,6 +1,8 @@
 """GraphSAGE virtual-sensor model: four neighbor aggregators, a two-layer
-sampled forward pass, teacher-forced training-row assembly, and closed-loop
-autoregressive rollout for unmonitored nodes.
+sampled forward pass (`sample_batch` then `sage_forward_batch`), the model
+kind's hooks on `SageConfig`, teacher-forced training-row assembly, and the
+rollout helpers (`InitScheme`, `resolve_init`, `frame_features`) that
+`pipeline.closed_loop_predict` uses.
 """
 
 from __future__ import annotations
@@ -33,11 +35,40 @@ class SageConfig:
     dropout: float = 0.5
     seed: int = 0
 
+    trains_by_gradient = True
+
     def __post_init__(self):
         if any(h <= 0 for h in self.hidden):
             raise SchemaError("hidden dims must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return init_sage_params(self, in_dim, rng)
+
+    def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
+                mode: str, rng: np.random.Generator) -> Var:
+        batch = sample_batch(g, nodes, self.budget, rng)
+        return sage_forward_batch(pvars, self, feats, batch, mode=mode, rng=rng)
+
+    def to_dict(self) -> dict:
+        return {
+            "aggregator": self.aggregator.value,
+            "hidden": list(self.hidden),
+            "budget": list(self.budget.per_hop),
+            "dropout": self.dropout,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "SageConfig":
+        return cls(
+            aggregator=AggregatorKind(data["aggregator"]),
+            hidden=tuple(data["hidden"]),
+            budget=SampleBudget(tuple(data["budget"])),
+            dropout=data["dropout"],
+            seed=data["seed"],
+        )
 
 
 @dataclass(frozen=True)
@@ -251,14 +282,6 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     return out.reshape(out.shape[0])
 
 
-def sage_forward(params: dict, cfg: SageConfig, g: SpatialGraph, node_feats: np.ndarray,
-                 node: int, rng: np.random.Generator, mode: str = "eval") -> float:
-    """Predict NO2 at one node; convenience wrapper over the batch pass."""
-    batch = sample_batch(g, [node], cfg.budget, rng)
-    out = sage_forward_batch(wrap_params(params), cfg, node_feats, batch, mode=mode, rng=rng)
-    return float(out.value[0])
-
-
 @dataclass(frozen=True)
 class TrainingRow:
     frame: int
@@ -303,32 +326,3 @@ def resolve_init(init: InitScheme, ds: Dataset, target_node: int) -> float:
             raise SchemaError("actual_first init: node has no observed values")
         return float(col[np.argmax(ok)])
     raise SchemaError(f"unknown init scheme {init.kind!r}")
-
-
-def rollout(params: dict, cfg: SageConfig, g: SpatialGraph, ds: Dataset,
-            target_node: int, init: InitScheme,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Closed-loop prediction series for one node, frames t = 1..T-1.
-
-    The target's autoregressive slot holds the init value at t=1 and the
-    model's own previous prediction afterwards; monitored neighbors keep
-    their actual readings. Predictions are in ug/m3.
-    """
-    if not 0 <= target_node < ds.n_sensors:
-        raise SchemaError(f"unknown node index {target_node}")
-    if ds.stats is None:
-        raise SchemaError("rollout needs a standardized dataset")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    ar = ds.schema.prev_no2_index
-    pvars = wrap_params(params)
-    prev = resolve_init(init, ds, target_node)
-    preds = np.empty(ds.n_frames - 1)
-    for t in range(1, ds.n_frames):
-        feats = frame_features(ds, t)
-        feats[target_node, ar] = ds.stats.transform_column(ar, prev)
-        batch = sample_batch(g, [target_node], cfg.budget, rng)
-        pred = float(sage_forward_batch(pvars, cfg, feats, batch, mode="eval").value[0])
-        preds[t - 1] = pred
-        prev = pred
-    return preds

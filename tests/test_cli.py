@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from virtualsensor.cli import main
+from virtualsensor.cli import build_parser, main
+from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS
 
 
 def run(*argv):
@@ -78,6 +79,23 @@ def test_train_rejects_gbt(tmp_path, workspace, capsys):
                "--model", "gbt")
     assert code == 1
     assert "gbt" in capsys.readouterr().err
+
+
+def test_transfer_rejects_gbt(tmp_path, workspace, capsys):
+    _, data, _ = workspace
+    out = tmp_path / "x.vsck"
+    code = run("transfer", "--source", str(data), "--target", str(data),
+               "--out", str(out), "--model", "gbt", "--epochs", "1")
+    assert code == 1
+    assert "gbt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "transfer", "eval"])
+def test_model_choices_are_the_model_table(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    model = next(a for a in sub.choices[command]._actions if a.dest == "model")
+    assert list(model.choices) == list(DEFAULT_MODEL_CONFIGS)
 
 
 def test_train_missing_data_dir(tmp_path, capsys):
@@ -182,6 +200,34 @@ def test_predict_unknown_location(tmp_path, workspace, capsys):
     code = run("predict", "--data", str(data), "--ckpt", str(ckpt),
                "--location", "S99", "--out", str(tmp_path / "p.csv"))
     assert code == 1
+
+
+@pytest.fixture(scope="module")
+def mlp_checkpoint(workspace):
+    root, data, _ = workspace
+    ckpt = root / "mlp.vsck"
+    assert run("train", "--data", str(data), "--out", str(ckpt), "--model", "mlp",
+               "--epochs", "1", "--seed", "0") == 0
+    return ckpt.read_bytes()
+
+
+@pytest.mark.parametrize("new_kind,count", [
+    (b"cnn", 1), (b"gbt", 1), (b"xyz", 1),  # top-level "model" only
+    (b"cnn", -1), (b"gbt", -1), (b"xyz", -1),  # train.model too
+])
+def test_predict_edited_checkpoint_kind(tmp_path, workspace, mlp_checkpoint, capsys,
+                                        new_kind, count):
+    _, data, _ = workspace
+    edited = mlp_checkpoint.replace(b'"model": "mlp"', b'"model": "' + new_kind + b'"', count)
+    assert edited != mlp_checkpoint and len(edited) == len(mlp_checkpoint)
+    ckpt = tmp_path / "edited.vsck"
+    ckpt.write_bytes(edited)
+    code = run("predict", "--data", str(data), "--ckpt", str(ckpt),
+               "--location", "S00", "--out", str(tmp_path / "p.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------- plot

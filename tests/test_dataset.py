@@ -25,7 +25,6 @@ from virtualsensor.dataset import (
     apply_standardization,
     load_locations,
     parse_hour_timestamp,
-    unstandardize,
     write_locations_csv,
     write_readings_csv,
 )
@@ -286,8 +285,8 @@ def test_standardize_round_trip():
     targets = rng.uniform(5, 50, size=(20, 3))
     ds = make_dataset(targets, features=rng.normal(0, 5, size=(20, 3, 19)))
     std_ds, stats = standardize(ds)
-    back = unstandardize(std_ds)
-    assert np.allclose(back.features, ds.features, atol=1e-9)
+    back = stats.inverse(std_ds.features)
+    assert np.allclose(back, ds.features, atol=1e-9)
     # targets untouched throughout
     assert np.array_equal(std_ds.targets, ds.targets)
 
@@ -304,7 +303,9 @@ def test_standardize_twice_refused():
 def test_stats_column_transforms_match_full_transform():
     stats = StandardizationStats(mean=np.arange(19.0), std=np.arange(1.0, 20.0))
     assert stats.transform_column(18, 40.0) == pytest.approx((40.0 - 18.0) / 19.0)
-    assert stats.inverse_column(18, stats.transform_column(18, 40.0)) == pytest.approx(40.0)
+    row = np.full(19, 40.0)
+    assert stats.transform(row)[18] == stats.transform_column(18, 40.0)
+    assert stats.inverse(stats.transform(row))[18] == pytest.approx(40.0)
 
 
 @given(
@@ -317,9 +318,9 @@ def test_standardize_round_trip_property(values, col):
     features = np.zeros((T, 1, 19))
     features[:, 0, col] = values
     ds = make_dataset(np.ones((T, 1)), features=features)
-    std_ds, _ = standardize(ds)
-    back = unstandardize(std_ds)
-    assert np.allclose(back.features[:, 0, col], values, atol=1e-6)
+    std_ds, stats = standardize(ds)
+    back = stats.inverse(std_ds.features)
+    assert np.allclose(back[:, 0, col], values, atol=1e-6)
 
 
 # ---------------------------------------------------------------- autoregressive fill
@@ -459,10 +460,3 @@ def test_sensor_index_lookup():
     with pytest.raises(SchemaError):
         ds.sensor_index("nope")
 
-
-def test_frames_view_matches_arrays():
-    ds = make_dataset(np.arange(6.0).reshape(3, 2))
-    frames = ds.frames
-    assert len(frames) == 3
-    assert frames[1].timestamp == ds.timestamp(1)
-    assert np.array_equal(frames[2].target_no2, ds.targets[2])

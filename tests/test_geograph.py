@@ -121,7 +121,7 @@ def test_build_knn_deterministic():
     a = build_knn_graph(locs, k=3)
     b = build_knn_graph(locs, k=3)
     assert a.adjacency == b.adjacency
-    assert a.edge_list_dump() == b.edge_list_dump()
+    assert a.edge_lengths == b.edge_lengths
 
 
 def test_build_knn_duplicate_coordinates_warns():

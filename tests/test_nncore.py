@@ -10,18 +10,13 @@ from hypothesis import strategies as st
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import (
     AdamState,
-    DenseLayer,
     Var,
     adam_step,
     collect_grads,
-    dense,
-    dense_forward,
     dropout,
     glorot_uniform,
     grad_check,
     mse_loss,
-    relu,
-    sigmoid,
     wrap_params,
 )
 
@@ -133,20 +128,6 @@ def test_exp_grad_matches_value(a, b):
 
 
 # ---------------------------------------------------------------- layers
-
-
-def test_dense_forward_example():
-    layer = DenseLayer(W=np.array([[1.0, 0.0], [0.0, 2.0]]), b=np.array([[1.0, -1.0]]))
-    out = dense_forward(layer, np.array([[3.0, 4.0]]))
-    assert np.allclose(out.value, [[4.0, 7.0]])
-
-
-def test_dense_shape_mismatch():
-    layer = DenseLayer(W=np.zeros((3, 2)), b=np.zeros((1, 2)))
-    with pytest.raises(SchemaError):
-        dense_forward(layer, np.zeros((1, 4)))
-    with pytest.raises(SchemaError):
-        dense(Var(np.zeros((1, 4))), Var(np.zeros((3, 2))), Var(np.zeros((1, 2))))
 
 
 def test_glorot_uniform_bounds():
@@ -297,7 +278,7 @@ def test_grad_check_clean_function():
     y = rng.normal(size=(6, 1))
 
     def f(p):
-        h = relu(Var(x) @ p["w1"] + p["b1"])
+        h = (Var(x) @ p["w1"] + p["b1"]).relu()
         return mse_loss(h @ p["w2"], y)
 
     assert grad_check(f, params) < 1e-6

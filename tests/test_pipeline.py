@@ -1,7 +1,7 @@
 """Training/evaluation pipeline: metrics, training loops, transfer,
 leave-one-location-out, reports, and checkpoint persistence."""
 
-import os
+import json
 from datetime import datetime, timezone
 
 import numpy as np
@@ -32,18 +32,19 @@ from virtualsensor import (
     train,
     transfer,
 )
-from virtualsensor.baselines import GbtConfig, MlpConfig
+from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
 from virtualsensor.errors import CheckpointError, SchemaError
+from virtualsensor.geograph import SampleBudget
 from virtualsensor.pipeline import (
+    DEFAULT_MODEL_CONFIGS,
     config_hash,
     fold_dataset,
     improvement_table,
     load_checkpoint,
-    model_config_from_dict,
-    model_config_to_dict,
     save_checkpoint,
     schema_hash,
 )
+from virtualsensor.sage import AggregatorKind
 
 UTC = timezone.utc
 
@@ -164,15 +165,18 @@ def test_train_seed_changes_outcome():
 
 def test_train_zero_lr_keeps_params_at_init():
     _, prepared, _, g = prepared_city()
-    from virtualsensor.pipeline import init_model_params
-
     cfg = TrainConfig(epochs=2, patience=2, lr=0.0, seed=0, val_fraction=0.0)
     model_cfg = SageConfig()
-    init = init_model_params("sage", model_cfg, prepared.schema.width,
-                             np.random.default_rng(cfg.seed))
+    init = model_cfg.init_params(prepared.schema.width, np.random.default_rng(cfg.seed))
     trained = train(prepared, g, cfg, model_cfg)
     for name in init:
         assert np.allclose(trained.params[name], init[name]), name
+
+
+def test_train_rejects_config_of_another_kind():
+    _, prepared, _, g = prepared_city()
+    with pytest.raises(SchemaError, match="MlpConfig"):
+        train(prepared, g, TrainConfig(epochs=1, model="sage"), MlpConfig())
 
 
 def test_train_loss_decreases():
@@ -340,22 +344,6 @@ def test_leave_one_out_never_reads_holdout_targets():
     assert rows and all(r.node != holdout for r in rows)
 
 
-def test_leave_one_out_thread_cap_equivalence():
-    ds = tiny_city(n_hours=80)
-    g = build_knn_graph(ds.locations, k=3)
-    cfg = TrainConfig(epochs=1, seed=3)
-    os.environ["VS_THREADS"] = "1"
-    try:
-        serial = leave_one_out(ds, g, cfg)
-    finally:
-        os.environ["VS_THREADS"] = "4"
-    try:
-        threaded = leave_one_out(ds, g, cfg)
-    finally:
-        del os.environ["VS_THREADS"]
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_leave_one_out_transfer_flag():
     ds = tiny_city(n_hours=80)
     g = build_knn_graph(ds.locations, k=3)
@@ -381,8 +369,6 @@ def sample_report():
 
 
 def test_report_json_round_trip():
-    import json
-
     rep = sample_report()
     back = EvalReport.from_dict(json.loads(rep.to_json()))
     assert back.to_json() == rep.to_json()
@@ -482,6 +468,28 @@ def test_checkpoint_rejects_schema_mismatch(tmp_path):
         load_checkpoint(path, schema=FeatureSchema(tuple(cols)))
 
 
+@pytest.mark.parametrize("old,new,count,match", [
+    # top-level "model" only
+    (b'"model": "sage"', b'"model": "mlp" ', 1, "disagrees with train.model"),
+    (b'"model": "sage"', b'"model": "gbt" ', 1, "no parameter checkpoint"),
+    (b'"model": "sage"', b'"model": "xyz" ', 1, "unknown model kind"),
+    # train.model too
+    (b'"model": "sage"', b'"model": "mlp" ', -1, "bad mlp checkpoint config"),
+    (b'"model": "sage"', b'"model": "xyz" ', -1, "unknown model kind"),
+    # a model_config the kind's class rejects
+    (b'"mean_pool"', b'"mean_poox"', 1, "bad sage checkpoint config"),
+])
+def test_checkpoint_rejects_edited_model_kind(tmp_path, old, new, count, match):
+    model, stats, cfg = trained_for_checkpoint()
+    path = tmp_path / "model.vsck"
+    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    data = path.read_bytes()
+    assert old in data and len(old) == len(new)  # config length field stays valid
+    path.write_bytes(data.replace(old, new, count))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_schema_hash_stable_and_sensitive():
     a = schema_hash(default_schema())
     assert a == schema_hash(default_schema())
@@ -495,14 +503,30 @@ def test_schema_hash_stable_and_sensitive():
 # ---------------------------------------------------------------- config codecs
 
 
+NON_DEFAULT_SAGE = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, budget=SampleBudget((4, 2)),
+                              hidden=(8, 16), dropout=0.25, seed=7)
+
+
 @pytest.mark.parametrize("kind,cfg", [
-    ("sage", SageConfig()),
-    ("mlp", MlpConfig()),
-    ("gbt", GbtConfig()),
+    *((kind, cls()) for kind, cls in DEFAULT_MODEL_CONFIGS.items()),
+    ("sage", NON_DEFAULT_SAGE),
 ])
 def test_model_config_round_trip(kind, cfg):
-    data = model_config_to_dict(kind, cfg)
-    assert model_config_from_dict(kind, data) == cfg
+    data = json.loads(json.dumps(cfg.to_dict()))  # as stored in a checkpoint
+    assert DEFAULT_MODEL_CONFIGS[kind].from_dict(data) == cfg
+
+
+# Pinned values: config_hash lands in every report's metadata, and the same
+# serialized config is written into checkpoints, so neither may drift.
+@pytest.mark.parametrize("kind,cfg,want", [
+    ("sage", SageConfig(), "b333ed1d07c05bf2"),
+    ("sage", NON_DEFAULT_SAGE, "5566d5acc3cac680"),
+    ("mlp", MlpConfig(), "0f5f2f908c587dfe"),
+    ("cnn", CnnConfig(), "f0ae48b2ec9efd1c"),
+    ("gbt", GbtConfig(), "265652df11f7daa5"),
+])
+def test_config_hash_is_stable(kind, cfg, want):
+    assert config_hash(TrainConfig(model=kind), cfg) == want
 
 
 def test_config_hash_changes_with_settings():

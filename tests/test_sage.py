@@ -1,5 +1,5 @@
 """Graph model: aggregator algebra, batched forward pass, and closed-loop
-autoregressive rollout."""
+autoregressive rollout through `closed_loop_predict`."""
 
 import itertools
 from datetime import datetime, timezone
@@ -16,13 +16,13 @@ from virtualsensor import (
     SensorLocation,
     SpatialGraph,
     default_schema,
+    closed_loop_predict,
     fill_prev_no2,
-    rollout,
-    sage_forward,
     standardize,
 )
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import grad_check, mse_loss, wrap_params
+from virtualsensor.pipeline import TrainedModel
 from virtualsensor.sage import (
     aggregate,
     attention_weights,
@@ -41,6 +41,18 @@ UTC = timezone.utc
 def params_for(kind, d=6, hidden=(4, 4), seed=0):
     cfg = SageConfig(aggregator=kind, hidden=hidden, dropout=0.0, seed=seed)
     return cfg, init_sage_params(cfg, d, np.random.default_rng(seed))
+
+
+def forward_one(params, cfg, g, feats, node, rng):
+    """Sampled forward pass for a single node, as a float."""
+    batch = sample_batch(g, [node], cfg.budget, rng)
+    return float(sage_forward_batch(wrap_params(params), cfg, feats, batch).value[0])
+
+
+def closed_loop(params, cfg, g, ds, node, init):
+    """The sage model's closed-loop series for one node, rng seeded with 0."""
+    return closed_loop_predict(TrainedModel("sage", cfg, params), g, ds, node, init,
+                               rng=np.random.default_rng(0))
 
 
 def triangle_graph(n=3):
@@ -224,8 +236,8 @@ def test_forward_eval_deterministic(kind):
     cfg, params = params_for(kind, d=19)
     g = triangle_graph()
     feats = np.random.default_rng(0).normal(size=(3, 19))
-    a = sage_forward(params, cfg, g, feats, 0, np.random.default_rng(1))
-    b = sage_forward(params, cfg, g, feats, 0, np.random.default_rng(1))
+    a = forward_one(params, cfg, g, feats, 0, np.random.default_rng(1))
+    b = forward_one(params, cfg, g, feats, 0, np.random.default_rng(1))
     assert a == b
     assert np.isfinite(a)
 
@@ -236,7 +248,7 @@ def test_forward_rejects_nonfinite_features():
     feats = np.zeros((3, 19))
     feats[1, 4] = np.nan
     with pytest.raises(SchemaError):
-        sage_forward(params, cfg, g, feats, 0, np.random.default_rng(0))
+        forward_one(params, cfg, g, feats, 0, np.random.default_rng(0))
 
 
 def test_forward_batch_matches_single():
@@ -246,7 +258,7 @@ def test_forward_batch_matches_single():
     batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(0))
     out = sage_forward_batch(wrap_params(params), cfg, feats, batch).value
     for node in range(3):
-        single = sage_forward(params, cfg, g, feats, node, np.random.default_rng(0))
+        single = forward_one(params, cfg, g, feats, node, np.random.default_rng(0))
         assert out[node] == pytest.approx(single, rel=1e-12)
 
 
@@ -315,13 +327,13 @@ def test_resolve_init_actual_first_needs_observations():
         resolve_init(InitScheme.actual_first(), ds, 0)
 
 
-# ---------------------------------------------------------------- rollout
+# ---------------------------------------------------------------- rollout (closed_loop_predict)
 
 
 def test_rollout_shape_and_finiteness():
     ds = small_dataset(T=20, n=3, censor=0)
     cfg, params = params_for(AggregatorKind.MEAN_POOL, d=19)
-    preds = rollout(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(25.0))
+    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(25.0))
     assert preds.shape == (19,)
     assert np.all(np.isfinite(preds))
 
@@ -333,11 +345,11 @@ def test_rollout_first_step_matches_manual_forward():
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     g = triangle_graph()
     init = 30.0
-    preds = rollout(params, cfg, g, ds, 1, InitScheme.fixed(init))
+    preds = closed_loop(params, cfg, g, ds, 1, InitScheme.fixed(init))
     ar = ds.schema.prev_no2_index
     feats = frame_features(ds, 1)
     feats[1, ar] = ds.stats.transform_column(ar, init)
-    manual = sage_forward(params, cfg, g, feats, 1, np.random.default_rng(0))
+    manual = forward_one(params, cfg, g, feats, 1, np.random.default_rng(0))
     assert preds[0] == pytest.approx(manual, rel=1e-12)
 
 
@@ -347,13 +359,13 @@ def test_rollout_feeds_back_own_prediction():
     ds = small_dataset(T=15, n=3)
     cfg, params = params_for(AggregatorKind.MEAN_POOL, d=19)
     g = triangle_graph()
-    a = rollout(params, cfg, g, ds, 2, InitScheme.fixed(20.0))
+    a = closed_loop(params, cfg, g, ds, 2, InitScheme.fixed(20.0))
     poisoned = ds.targets.copy()
     poisoned[:, 2] = np.nan  # NaN tracer: any read would poison the output
     from dataclasses import replace
 
     ds2 = replace(ds, targets=poisoned)
-    b = rollout(params, cfg, g, ds2, 2, InitScheme.fixed(20.0))
+    b = closed_loop(params, cfg, g, ds2, 2, InitScheme.fixed(20.0))
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(b))
 
@@ -366,7 +378,7 @@ def test_rollout_constant_model_fixed_point():
     params = {k: np.zeros_like(v) for k, v in params.items()}
     params["head.b"] = np.array([[7.25]])
     ds = small_dataset(T=12, n=3)
-    preds = rollout(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(99.0))
+    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(99.0))
     assert np.allclose(preds, 7.25)
 
 
@@ -377,11 +389,11 @@ def test_rollout_requires_standardized_dataset():
     raw = replace(ds, stats=None)
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     with pytest.raises(SchemaError):
-        rollout(params, cfg, triangle_graph(), raw, 0, InitScheme.fixed(1.0))
+        closed_loop(params, cfg, triangle_graph(), raw, 0, InitScheme.fixed(1.0))
 
 
 def test_rollout_node_index_check():
     ds = small_dataset(T=8, n=3)
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     with pytest.raises(SchemaError):
-        rollout(params, cfg, triangle_graph(), ds, 7, InitScheme.fixed(1.0))
+        closed_loop(params, cfg, triangle_graph(), ds, 7, InitScheme.fixed(1.0))
