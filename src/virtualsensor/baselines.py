@@ -1,7 +1,7 @@
 """Non-graph comparator models: MLP, 1-D CNN, and least-squares gradient
-boosted regression trees. The neural baselines consume the same standardized
-feature rows as the graph model, so the comparison isolates neighbor
-aggregation."""
+boosted regression trees. Each baseline sees only the node's own row of the
+same standardized, finite features the graph model reads, so the comparison
+isolates neighbor aggregation."""
 
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ class _FlatConfig:
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
-def _rows(feats: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """The graph-free baselines see only each node's own feature row."""
-    return np.nan_to_num(feats[nodes], nan=0.0)
-
-
 # ---------------------------------------------------------------------------
 # MLP: 2 dense layers, dropout(0.5), 2 more dense layers.
 
@@ -47,7 +42,7 @@ class MlpConfig(_FlatConfig):
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator) -> Var:
-        return mlp_forward_batch(pvars, self, _rows(feats, nodes), mode=mode, rng=rng)
+        return mlp_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
 
 
 def init_mlp_params(cfg: MlpConfig, in_dim: int, rng: np.random.Generator) -> dict:
@@ -91,7 +86,7 @@ class CnnConfig(_FlatConfig):
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator) -> Var:
-        return cnn_forward_batch(pvars, self, _rows(feats, nodes), mode=mode, rng=rng)
+        return cnn_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
 
 
 def init_cnn_params(cfg: CnnConfig, in_dim: int, rng: np.random.Generator) -> dict:
@@ -161,7 +156,7 @@ class GbtConfig(_FlatConfig):
 
     def predict(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator) -> Var:
-        return Var(gbt_predict(model, _rows(feats, nodes)))
+        return Var(gbt_predict(model, feats[nodes]))
 
 
 @dataclass

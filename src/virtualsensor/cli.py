@@ -244,7 +244,10 @@ def _parse_init(text: str) -> InitScheme:
     if text == "mean":
         return InitScheme.dataset_mean()
     if text.startswith("fixed:"):
-        return InitScheme.fixed(float(text.split(":", 1)[1]))
+        try:
+            return InitScheme.fixed(float(text.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise VirtualSensorError(f"bad --init value {text!r} (actual|mean|fixed:VALUE)")
 
 

@@ -54,8 +54,10 @@ class SensorLocation:
             raise SchemaError(f"sensor {self.id!r}: lat {self.lat} outside [-90, 90]")
         if not -180.0 <= self.lon <= 180.0:
             raise SchemaError(f"sensor {self.id!r}: lon {self.lon} outside [-180, 180]")
-        if self.dist_road < 0:
-            raise SchemaError(f"sensor {self.id!r}: dist_road {self.dist_road} is negative")
+        if not (math.isfinite(self.dist_road) and self.dist_road >= 0):
+            raise SchemaError(
+                f"sensor {self.id!r}: dist_road {self.dist_road} is not a finite, non-negative distance"
+            )
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,8 @@ def load_locations(path) -> tuple[SensorLocation, ...]:
 def load_dataset(locations_path, readings_path) -> Dataset:
     """Read the locations/readings CSV pair into a dense-timeline Dataset.
 
-    Absent (sensor, hour) rows become present=False entries with NaN
+    Every numeric field must be finite (ParseError otherwise). Absent
+    (sensor, hour) rows become present=False entries with NaN
     satellite/meteorological features; time and static columns are always
     populated.
     """
@@ -279,11 +282,15 @@ def load_dataset(locations_path, readings_path) -> Dataset:
                 )
             seen.add(key)
             try:
-                no2 = float(row["no2_ugm3"])
-                values = [float(row[c]) for c in READING_FEATURE_COLUMNS]
+                values = [float(row[c]) for c in READINGS_HEADER[2:]]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{readings_path} line {line_no}: malformed row") from exc
-            rows.append((ts, index_of[sensor_id], no2, values))
+            bad = [c for c, v in zip(READINGS_HEADER[2:], values) if not math.isfinite(v)]
+            if bad:
+                raise ParseError(
+                    f"{readings_path} line {line_no}: {bad[0]} {row[bad[0]]!r} is not finite"
+                )
+            rows.append((ts, index_of[sensor_id], values[0], values[1:]))
 
     if not rows:
         raise ParseError(f"{readings_path}: no readings")

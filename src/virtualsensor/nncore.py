@@ -294,10 +294,11 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
-    """One Adam update, in place over the parameter dict."""
+    """One Adam update, in place over the parameter dict, of the parameters
+    named in `grads`; the others keep their values."""
     state.step += 1
     t = state.step
-    for name in sorted(params):
+    for name in sorted(grads):
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise SchemaError(f"non-finite gradient for parameter {name!r}")

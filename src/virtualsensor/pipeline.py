@@ -1,6 +1,7 @@
-"""The model-kind table, training loops, the closed-loop rollout loop,
-transfer learning, leave-one-location-out evaluation, error metrics,
-improvement tables, and checkpoint persistence."""
+"""The model-kind table, the finite model inputs and training rows every kind
+reads, training, the closed-loop rollout loop, transfer learning,
+leave-one-location-out evaluation, error metrics, improvement tables, and
+checkpoint persistence."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .dataset import (
 from .errors import CheckpointError, SchemaError
 from .geograph import SpatialGraph
 from .nncore import AdamState, adam_step, collect_grads, mse_loss, wrap_params
-from .sage import InitScheme, SageConfig, frame_features, make_training_rows, resolve_init
+from .sage import InitScheme, SageConfig, resolve_init
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 1
@@ -125,39 +126,49 @@ class TrainedModel:
 # Training
 
 
-def _frame_groups(ds: Dataset) -> dict[int, np.ndarray]:
-    """Present (finite-target) node lists per frame t >= 1."""
-    groups = {}
+def _model_inputs(ds: Dataset, g: SpatialGraph) -> np.ndarray:
+    """The finite [T, n, d] feature array every model reads.
+
+    Each non-finite entry becomes 0.0, the standardized column mean; the
+    loaders reject non-finite readings, so these are the NaNs of absent
+    rows. `ds` must be standardized and `g` must have one node per sensor.
+    """
+    if ds.stats is None:
+        raise SchemaError("models expect a standardized dataset")
+    if g.n_nodes != ds.n_sensors:
+        raise SchemaError(f"graph has {g.n_nodes} nodes for {ds.n_sensors} sensors")
+    return np.nan_to_num(ds.features, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _training_rows(ds: Dataset) -> np.ndarray:
+    """[T, n] mask of the teacher-forced training rows: a present sensor with
+    a finite target at a frame t >= 1 (frame 0 has no previous hour)."""
     ok = ds.present & np.isfinite(ds.targets)
-    for t in range(1, ds.n_frames):
-        nodes = np.flatnonzero(ok[t])
-        if nodes.size:
-            groups[t] = nodes
-    return groups
+    ok[0] = False
+    return ok
 
 
 def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
-          init_params: dict | None = None) -> TrainedModel:
+          init_params: dict | None = None, freeze: tuple[str, ...] = ()) -> TrainedModel:
     """Teacher-forced training on a standardized, prev-filled dataset.
 
     Rows are grouped by frame (all present nodes of a frame form one batch);
     frames are shuffled per epoch. Validation uses the chronological last
     `val_fraction` of frames; early stopping restores the best parameters.
+    Parameters whose names start with a `freeze` prefix keep their initial
+    values.
     """
-    if ds.stats is None:
-        raise SchemaError("train expects a standardized dataset")
+    feats = _model_inputs(ds, g)
     if model_cfg is None:
         model_cfg = DEFAULT_MODEL_CONFIGS[cfg.model]()
     elif not isinstance(model_cfg, DEFAULT_MODEL_CONFIGS[cfg.model]):
         raise SchemaError(f"{type(model_cfg).__name__} is not a {cfg.model!r} model config")
+    rows = _training_rows(ds)
 
     if not model_cfg.trains_by_gradient:
-        rows = make_training_rows(ds, g)
-        if not rows:
+        if not rows.any():
             raise SchemaError("no training rows")
-        x = np.nan_to_num(np.stack([r.features for r in rows]), nan=0.0)
-        y = np.array([r.target for r in rows])
-        model = model_cfg.fit(x, y)
+        model = model_cfg.fit(feats[rows], ds.targets[rows])
         return TrainedModel(cfg.model, model_cfg, model, {"train": model.train_mse})
 
     rng = np.random.default_rng(cfg.seed)
@@ -168,29 +179,28 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
     )
     adam = AdamState(lr=cfg.lr)
 
-    groups = _frame_groups(ds)
+    groups = {t: np.flatnonzero(rows[t]) for t in range(ds.n_frames) if rows[t].any()}
     frames = sorted(groups)
     if not frames:
         raise SchemaError("no training frames")
     n_val = int(len(frames) * cfg.val_fraction)
     train_frames = frames[: len(frames) - n_val] if n_val else frames
     val_frames = frames[len(frames) - n_val :] if n_val else []
-
-    feats_all = np.nan_to_num(ds.features, nan=0.0)
     targets = ds.targets
 
     def evaluate(frame_list) -> float:
         total, count = 0.0, 0
         for t in frame_list:
             nodes = groups[t]
-            out = model_cfg.predict(wrap_params(params), g, feats_all[t], nodes, "eval", rng)
+            out = model_cfg.predict(wrap_params(params), g, feats[t], nodes, "eval", rng)
             total += float(np.sum((out.value - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
 
     history = {"train": [], "val": []}
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    # Without validation frames the final parameters are the result.
+    best_params = {k: v.copy() for k, v in params.items()} if val_frames else params
     bad_epochs = 0
 
     for _epoch in range(cfg.epochs):
@@ -199,12 +209,13 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         for t in order:
             nodes = groups[t]
             pvars = wrap_params(params)
-            pred = model_cfg.predict(pvars, g, feats_all[t], nodes, "train", rng)
+            pred = model_cfg.predict(pvars, g, feats[t], nodes, "train", rng)
             loss = mse_loss(pred, targets[t, nodes])
             if not np.isfinite(loss.value):
                 raise SchemaError(f"non-finite training loss at frame {t}")
             loss.backward()
-            adam_step(params, collect_grads(pvars), adam)
+            grads = collect_grads(pvars)
+            adam_step(params, {k: v for k, v in grads.items() if not k.startswith(freeze)}, adam)
             total += float(loss.value) * nodes.size
             count += nodes.size
         history["train"].append(total / max(count, 1))
@@ -220,18 +231,15 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
                 bad_epochs += 1
                 if bad_epochs >= cfg.patience:
                     break
-        else:
-            best_params = {k: v.copy() for k, v in params.items()}
 
-    if not val_frames:
-        best_params = params
     return TrainedModel(cfg.model, model_cfg, best_params, history)
 
 
 def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph, SpatialGraph],
              tcfg: TransferConfig, model_cfg=None) -> TrainedModel:
-    """Pretrain on the source city, then fine-tune every layer on the target
-    at the (lower) fine-tune learning rate with a fresh optimizer."""
+    """Pretrain on the source city, then fine-tune every layer that no
+    `tcfg.freeze` prefix names on the target, at the (lower) fine-tune
+    learning rate with a fresh optimizer."""
     if source_ds.schema.names != target_ds.schema.names:
         raise SchemaError("source/target feature schemas differ")
     g_src, g_tgt = graphs
@@ -241,17 +249,8 @@ def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph,
     ft_cfg = replace(
         tcfg.source, epochs=tcfg.finetune_epochs, lr=tcfg.finetune_lr
     )
-    if tcfg.freeze:
-        frozen = {
-            k: v.copy()
-            for k, v in pretrained.params.items()
-            if any(k.startswith(p) for p in tcfg.freeze)
-        }
-    tuned = train(target_ds, g_tgt, ft_cfg, pretrained.model_config,
-                  init_params=pretrained.params)
-    if tcfg.freeze:
-        tuned.params.update(frozen)
-    return tuned
+    return train(target_ds, g_tgt, ft_cfg, pretrained.model_config,
+                 init_params=pretrained.params, freeze=tcfg.freeze)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +268,7 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     """
     if not 0 <= target_node < ds.n_sensors:
         raise SchemaError(f"unknown node index {target_node}")
-    if ds.stats is None:
-        raise SchemaError("closed_loop_predict needs a standardized dataset")
+    feats_all = _model_inputs(ds, g)
     if rng is None:
         rng = np.random.default_rng(0)
     model_cfg = trained.model_config
@@ -280,7 +278,7 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     prev = resolve_init(init, ds, target_node)
     preds = np.empty(ds.n_frames - 1)
     for t in range(1, ds.n_frames):
-        feats = frame_features(ds, t)
+        feats = feats_all[t].copy()
         feats[target_node, ar] = ds.stats.transform_column(ar, prev)
         out = model_cfg.predict(params, g, feats, nodes, "eval", rng)
         prev = preds[t - 1] = float(out.value[0])
@@ -466,38 +464,69 @@ def save_checkpoint(path, params: dict, stats: StandardizationStats,
 
 
 def load_checkpoint(path, schema: FeatureSchema | None = None):
-    """Returns (params, stats, train_cfg, model_cfg); refuses mismatched
-    versions or schema hashes."""
+    """Returns (params, stats, train_cfg, model_cfg).
+
+    Anything `save_checkpoint` would not have written for `schema` raises
+    CheckpointError: another version or schema hash, short or trailing
+    bytes, an undecodable config, non-finite values, or blocks whose names
+    and shapes differ from the config's parameters plus the stats.
+    """
     schema = schema or default_schema()
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError("bad checkpoint magic")
-        (version,) = struct.unpack("<H", fh.read(2))
+        data = fh.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointError("bad checkpoint magic")
+    try:
+        version, stored_hash, config_len = struct.unpack_from("<HQI", data, 4)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (stored_hash,) = struct.unpack("<Q", fh.read(8))
         if stored_hash != schema_hash(schema):
             raise CheckpointError("checkpoint schema hash does not match")
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config = json.loads(fh.read(config_len).decode())
-        (n_blocks,) = struct.unpack("<I", fh.read(4))
+        pos = 18 + config_len
+        config = json.loads(data[18:pos].decode())
+        (n_blocks,) = struct.unpack_from("<I", data, pos)
+        pos += 4
         blocks = {}
         for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            blocks[name] = data.reshape(rows, cols).copy()
-    stats = StandardizationStats(
-        mean=blocks.pop("stats.mean")[0], std=blocks.pop("stats.std")[0]
-    )
+            (name_len,) = struct.unpack_from("<H", data, pos)
+            name = data[pos + 2 : pos + 2 + name_len].decode()
+            rows, cols = struct.unpack_from("<II", data, pos + 2 + name_len)
+            pos += 10 + name_len
+            if rows * cols * 8 > len(data) - pos:
+                raise CheckpointError("checkpoint is truncated")
+            arr = np.frombuffer(data, "<f8", rows * cols, pos).reshape(rows, cols)
+            blocks[name] = arr.copy()
+            pos += arr.nbytes
+    except (struct.error, ValueError) as exc:  # short read, bad UTF-8 or JSON
+        raise CheckpointError(f"checkpoint is truncated or corrupt: {exc}") from exc
+    if pos != len(data):
+        raise CheckpointError(f"{len(data) - pos} trailing bytes after the checkpoint")
+    if not all(np.all(np.isfinite(arr)) for arr in blocks.values()):
+        raise CheckpointError("checkpoint holds non-finite values")
+
     train_cfg, model_cfg = _decode_config(config)
+    try:
+        expected = model_cfg.init_params(schema.width, np.random.default_rng(0))
+    except (TypeError, ValueError, SchemaError) as exc:
+        raise CheckpointError(f"bad {train_cfg.model} checkpoint config: {exc}") from exc
+    shapes = {name: arr.shape for name, arr in expected.items()}
+    shapes["stats.mean"] = shapes["stats.std"] = (1, schema.width)
+    if {name: arr.shape for name, arr in blocks.items()} != shapes:
+        raise CheckpointError(f"checkpoint blocks do not fit its {train_cfg.model} config")
+    try:
+        stats = StandardizationStats(
+            mean=blocks.pop("stats.mean")[0], std=blocks.pop("stats.std")[0]
+        )
+    except SchemaError as exc:
+        raise CheckpointError(f"bad checkpoint stats: {exc}") from exc
     return blocks, stats, train_cfg, model_cfg
 
 
-def _decode_config(config: dict):
+def _decode_config(config):
     """(TrainConfig, model config) from a checkpoint's JSON config; the model
     kind is decoded through DEFAULT_MODEL_CONFIGS."""
+    if not isinstance(config, dict):
+        raise CheckpointError("checkpoint config is not a JSON object")
     kind = config.get("model")
     cls = DEFAULT_MODEL_CONFIGS.get(kind) if isinstance(kind, str) else None
     if cls is None:

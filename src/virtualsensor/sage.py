@@ -1,13 +1,14 @@
-"""GraphSAGE virtual-sensor model: four neighbor aggregators, a two-layer
-sampled forward pass (`sample_batch` then `sage_forward_batch`), the model
-kind's hooks on `SageConfig`, teacher-forced training-row assembly, and the
-rollout helpers (`InitScheme`, `resolve_init`, `frame_features`) that
-`pipeline.closed_loop_predict` uses.
+"""GraphSAGE virtual-sensor model: four neighbor aggregators computed by one
+pooling function (`aggregate` and `attention_weights` are views of it), a
+two-layer sampled forward pass (`sample_batch` then `sage_forward_batch`),
+the model kind's hooks on `SageConfig`, and the rollout-start seeding
+(`InitScheme`, `resolve_init`) that `pipeline.closed_loop_predict` uses.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,10 @@ class InitScheme:
 
     @classmethod
     def fixed(cls, value: float):
-        return cls("fixed", float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise SchemaError(f"fixed init value {value} is not finite")
+        return cls("fixed", value)
 
     @classmethod
     def dataset_mean(cls):
@@ -120,66 +124,70 @@ def _masked_mean(x: Var, mask: np.ndarray) -> Var:
     return (x * Var(mask[..., None])).sum(axis=-2) / Var(count)
 
 
-def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x: Var,
-                   neigh_x: Var, mask: np.ndarray) -> Var:
-    """The W_neigh-side contribution to a layer's pre-activation.
+def _attention(p: dict, layer: int, self_x: Var, neigh_x: Var,
+               mask: np.ndarray) -> tuple[Var, Var]:
+    """Attentional softmax weights `alpha` [..., K, 1] over the projected
+    neighbors `nj` [..., K, h]; padded slots and empty rows get alpha = 0."""
+    w = p[f"l{layer}.w_neigh"]
+    h = w.shape[-1]
+    attn = p[f"l{layer}.attn"]
+    a_self = attn.slice_axis(1, 0, h).reshape(h, 1)
+    a_neigh = attn.slice_axis(1, h, 2 * h).reshape(h, 1)
+    sp = self_x @ w  # [..., h]
+    nj = neigh_x @ w  # [..., K, h]
+    e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
+    # Moderate downshift keeps padded slots out of the stabilizing max
+    # without overflowing exp; the mask multiply makes them exactly zero.
+    e = (e_self + nj @ a_neigh).leaky_relu(0.2) + Var((mask[..., None] - 1.0) * 50.0)
+    stabilizer = np.max(e.value, axis=-2, keepdims=True)
+    ex = (e - Var(stabilizer)).exp() * Var(mask[..., None])
+    # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
+    # disturb the sum-to-one property, large enough that its square
+    # stays normal in the backward divide.
+    total = ex.sum(axis=-2, keepdims=True) + 1e-30
+    return ex / total, nj
+
+
+def _pool(kind: AggregatorKind, p: dict, layer: int, self_x: Var, neigh_x: Var,
+          mask: np.ndarray) -> Var:
+    """The aggregated neighbor vector, before the W_neigh projection of the
+    mean and pooling kinds.
 
     `neigh_x` has shape [..., K, d_in] with `mask` [..., K]; padded slots
     contribute nothing, and an empty neighborhood yields a zero vector.
+    MEAN averages the raw neighbors, ATTENTIONAL sums its projected
+    neighbors weighted by `_attention`, and MEAN_POOL / MAX_POOL pool their
+    sigmoid transforms.
     """
     if kind is AggregatorKind.MEAN:
-        return _masked_mean(neigh_x, mask) @ p[f"l{layer}.w_neigh"]
-    if kind in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
-        z = (neigh_x @ p[f"l{layer}.w_pool"] + p[f"l{layer}.b_pool"]).sigmoid()
-        if kind is AggregatorKind.MEAN_POOL:
-            pooled = _masked_mean(z, mask)
-        else:
-            shifted = z * Var(mask[..., None]) + Var((mask[..., None] - 1.0) * _MASK_NEG)
-            has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
-            pooled = shifted.max(axis=-2) * Var(has_any)
-        return pooled @ p[f"l{layer}.w_neigh"]
+        return _masked_mean(neigh_x, mask)
     if kind is AggregatorKind.ATTENTIONAL:
-        w = p[f"l{layer}.w_neigh"]
-        h = w.shape[-1]
-        attn = p[f"l{layer}.attn"]
-        a_self = attn.slice_axis(1, 0, h).reshape(h, 1)
-        a_neigh = attn.slice_axis(1, h, 2 * h).reshape(h, 1)
-        sp = self_x @ w  # [..., h]
-        nj = neigh_x @ w  # [..., K, h]
-        e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
-        # Moderate downshift keeps padded slots out of the stabilizing max
-        # without overflowing exp; the mask multiply makes them exactly zero.
-        e = (e_self + nj @ a_neigh).leaky_relu(0.2) + Var((mask[..., None] - 1.0) * 50.0)
-        stabilizer = np.max(e.value, axis=-2, keepdims=True)
-        ex = (e - Var(stabilizer)).exp() * Var(mask[..., None])
-        # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
-        # disturb the sum-to-one property, large enough that its square
-        # stays normal in the backward divide.
-        total = ex.sum(axis=-2, keepdims=True) + 1e-30
-        alpha = ex / total
+        alpha, nj = _attention(p, layer, self_x, neigh_x, mask)
         return (alpha * nj).sum(axis=-2)
-    raise SchemaError(f"unknown aggregator {kind}")  # pragma: no cover
+    z = (neigh_x @ p[f"l{layer}.w_pool"] + p[f"l{layer}.b_pool"]).sigmoid()
+    if kind is AggregatorKind.MEAN_POOL:
+        return _masked_mean(z, mask)
+    shifted = z * Var(mask[..., None]) + Var((mask[..., None] - 1.0) * _MASK_NEG)
+    has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
+    return shifted.max(axis=-2) * Var(has_any)
+
+
+def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x: Var,
+                   neigh_x: Var, mask: np.ndarray) -> Var:
+    """The W_neigh-side contribution to a layer's pre-activation."""
+    pooled = _pool(kind, p, layer, self_x, neigh_x, mask)
+    if kind is AggregatorKind.ATTENTIONAL:
+        return pooled  # already in the projected space
+    return pooled @ p[f"l{layer}.w_neigh"]
 
 
 def attention_weights(p: dict, layer: int, kind: AggregatorKind, self_x: np.ndarray,
                       neigh_x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Expose the attentional softmax weights for inspection/testing."""
+    """The attentional softmax weights [..., K] of the forward pass, for inspection."""
     if kind is not AggregatorKind.ATTENTIONAL:
         raise SchemaError("attention weights only exist for the attentional aggregator")
-    pv = wrap_params(p)
-    w = pv[f"l{layer}.w_neigh"]
-    h = w.shape[-1]
-    attn = pv[f"l{layer}.attn"]
-    a_self = attn.slice_axis(1, 0, h).reshape(h, 1)
-    a_neigh = attn.slice_axis(1, h, 2 * h).reshape(h, 1)
-    sp = Var(self_x) @ w
-    nj = Var(neigh_x) @ w
-    e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
-    e = (e_self + nj @ a_neigh).leaky_relu(0.2)
-    shifted = e.value + (mask[..., None] - 1.0) * 50.0
-    stab = np.max(shifted, axis=-2, keepdims=True)
-    ex = np.exp(shifted - stab) * mask[..., None]
-    return (ex / (ex.sum(axis=-2, keepdims=True) + 1e-300))[..., 0]
+    alpha, _ = _attention(wrap_params(p), layer, Var(self_x), Var(neigh_x), mask)
+    return alpha.value[..., 0]
 
 
 def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
@@ -193,25 +201,14 @@ def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
     """
     neigh = np.asarray(neigh_feats, dtype=np.float64)
     d = self_feat.shape[-1]
-    k = 0 if neigh.size == 0 else neigh.shape[0]
-    if k == 0:
-        if kind is AggregatorKind.MEAN:
-            return np.zeros(d)
-        if kind in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
-            return np.zeros(params[f"l{layer}.w_pool"].shape[1])
-        return np.zeros(params[f"l{layer}.w_neigh"].shape[1])
-    if neigh.shape[-1] != d:
+    if neigh.size == 0:  # one masked-out slot
+        neigh, mask = np.zeros((1, d)), np.zeros((1, 1))
+    elif neigh.shape[-1] != d:
         raise SchemaError("neighbor feature width mismatch")
-    mask = np.ones((1, k))
-    pv = wrap_params(params)
-    if kind is AggregatorKind.MEAN:
-        return _masked_mean(Var(neigh[None]), mask).value[0]
-    if kind in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
-        z = (Var(neigh[None]) @ pv[f"l{layer}.w_pool"] + pv[f"l{layer}.b_pool"]).sigmoid()
-        if kind is AggregatorKind.MEAN_POOL:
-            return _masked_mean(z, mask).value[0]
-        return z.max(axis=-2).value[0]
-    return _neighbor_term(kind, pv, layer, Var(self_feat[None]), Var(neigh[None]), mask).value[0]
+    else:
+        mask = np.ones((1, neigh.shape[0]))
+    pooled = _pool(kind, wrap_params(params), layer, Var(self_feat[None]), Var(neigh[None]), mask)
+    return pooled.value[0]
 
 
 @dataclass(frozen=True)
@@ -280,36 +277,6 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
 
     out = h2 @ pvars["head.w"] + pvars["head.b"]  # [B, 1]
     return out.reshape(out.shape[0])
-
-
-@dataclass(frozen=True)
-class TrainingRow:
-    frame: int
-    node: int
-    features: np.ndarray
-    target: float
-
-
-def make_training_rows(ds: Dataset, g: SpatialGraph) -> list[TrainingRow]:
-    """One teacher-forced row per (present sensor, frame t >= 1).
-
-    The autoregressive slot already carries the actual previous NO2 (or the
-    same-hour fallback) courtesy of fill_prev_no2.
-    """
-    if g.n_nodes != ds.n_sensors:
-        raise SchemaError("graph size does not match sensor count")
-    rows = []
-    for t in range(1, ds.n_frames):
-        for s in range(ds.n_sensors):
-            if ds.present[t, s] and np.isfinite(ds.targets[t, s]):
-                rows.append(TrainingRow(t, s, ds.features[t, s], float(ds.targets[t, s])))
-    return rows
-
-
-def frame_features(ds: Dataset, t: int) -> np.ndarray:
-    """Finite feature matrix for frame t; absent entries fall back to the
-    (standardized) column mean of zero."""
-    return np.nan_to_num(ds.features[t], nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def resolve_init(init: InitScheme, ds: Dataset, target_node: int) -> float:

@@ -202,6 +202,54 @@ def test_predict_unknown_location(tmp_path, workspace, capsys):
     assert code == 1
 
 
+def _edit_csv(tmp_path, data, name, row, column, value):
+    """A copy of the data dir whose `name` CSV has one field replaced."""
+    out = tmp_path / "edited"
+    out.mkdir()
+    for csv_name in ("locations.csv", "readings.csv"):
+        lines = (data / csv_name).read_text().splitlines()
+        if csv_name == name:
+            fields = lines[row].split(",")
+            fields[lines[0].split(",").index(column)] = value
+            lines[row] = ",".join(fields)
+        (out / csv_name).write_text("\n".join(lines) + "\n")
+    return out
+
+
+# Each case maps (tmp_path, data dir, checkpoint) to predict's
+# (data dir, checkpoint, extra flags).
+MALFORMED_PREDICT_INPUTS = {
+    "truncated-checkpoint": lambda tmp, data, ckpt: (
+        data, _write(tmp / "t.vsck", ckpt.read_bytes()[:-5]), []),
+    "checkpoint-trailing-bytes": lambda tmp, data, ckpt: (
+        data, _write(tmp / "t.vsck", ckpt.read_bytes() + b"junk"), []),
+    "nan-reading": lambda tmp, data, ckpt: (
+        _edit_csv(tmp, data, "readings.csv", 5, "no2_ugm3", "nan"), ckpt, []),
+    "nan-dist-road": lambda tmp, data, ckpt: (
+        _edit_csv(tmp, data, "locations.csv", 2, "dist_road_m", "nan"), ckpt, []),
+    "unknown-location": lambda tmp, data, ckpt: (data, ckpt, ["--location", "S99"]),
+    "bad-init": lambda tmp, data, ckpt: (data, ckpt, ["--init", "fixed:abc"]),
+    "nan-init": lambda tmp, data, ckpt: (data, ckpt, ["--init", "fixed:nan"]),
+}
+
+
+def _write(path, raw: bytes):
+    path.write_bytes(raw)
+    return path
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_PREDICT_INPUTS))
+def test_predict_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
+    _, data, ckpt = workspace
+    data, ckpt, extra = MALFORMED_PREDICT_INPUTS[case](tmp_path, data, ckpt)
+    code = run("predict", "--data", str(data), "--ckpt", str(ckpt),
+               "--location", "S00", "--out", str(tmp_path / "p.csv"), *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def mlp_checkpoint(workspace):
     root, data, _ = workspace

@@ -86,6 +86,9 @@ def test_sensor_location_validation():
         SensorLocation("a", 0.0, 200.0, 1.0)
     with pytest.raises(SchemaError):
         SensorLocation("a", 0.0, 0.0, -1.0)
+    for dist in (math.nan, math.inf):
+        with pytest.raises(SchemaError, match="dist_road"):
+            SensorLocation("a", 0.0, 0.0, dist)
 
 
 # ---------------------------------------------------------------- time encoding
@@ -211,6 +214,29 @@ def test_load_dataset_malformed_value_reports_line(tmp_path):
     )
     with pytest.raises(ParseError, match="line 3"):
         load_dataset(lp, rp)
+
+
+@pytest.mark.parametrize("row,column", [
+    (f"2021-06-01T01:00:00Z,A,nan,{FEAT_TAIL}", "no2_ugm3"),
+    (f"2021-06-01T01:00:00Z,A,30.0,{FEAT_TAIL.replace('4.5', 'inf')}", "wind_gust_ms"),
+    (f"2021-06-01T01:00:00Z,A,30.0,{FEAT_TAIL.replace('50.0', '-Infinity')}",
+     "cloud_cover_pct"),
+])
+def test_load_dataset_nonfinite_value_reports_line(tmp_path, row, column):
+    lp, rp = write_pair(
+        tmp_path,
+        "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\n",
+        READINGS_HEAD + f"2021-06-01T00:00:00Z,A,30.0,{FEAT_TAIL}\n" + row + "\n",
+    )
+    with pytest.raises(ParseError, match=f"line 3: {column}"):
+        load_dataset(lp, rp)
+
+
+def test_load_locations_nonfinite_dist_road(tmp_path):
+    lp = tmp_path / "locations.csv"
+    lp.write_text("sensor_id,lat,lon,dist_road_m\nA,51.0,-2.0,nan\n")
+    with pytest.raises(SchemaError, match="dist_road"):
+        load_locations(lp)
 
 
 def test_load_locations_missing_column(tmp_path):

@@ -234,6 +234,16 @@ def test_adam_zero_lr_is_noop():
     assert params["w"][0, 0] == 5.0
 
 
+def test_adam_updates_only_params_with_grads():
+    params = {"w": np.array([[1.0]]), "frozen": np.array([[2.0]])}
+    state = AdamState(lr=0.1)
+    for _ in range(3):
+        params, state = adam_step(params, {"w": np.array([[0.5]])}, state)
+    assert params["frozen"][0, 0] == 2.0
+    assert params["w"][0, 0] == pytest.approx(0.7, abs=1e-7)
+    assert set(state.m) == {"w"}
+
+
 def test_adam_rejects_nonfinite_grad():
     params = {"w": np.zeros((1, 1)), "b": np.zeros((1, 1))}
     grads = {"w": np.zeros((1, 1)), "b": np.array([[np.nan]])}

@@ -2,6 +2,7 @@
 leave-one-location-out, reports, and checkpoint persistence."""
 
 import json
+import struct
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,8 +36,11 @@ from virtualsensor import (
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
 from virtualsensor.errors import CheckpointError, SchemaError
 from virtualsensor.geograph import SampleBudget
+from virtualsensor.nncore import wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
+    _model_inputs,
+    _training_rows,
     config_hash,
     fold_dataset,
     improvement_table,
@@ -244,6 +248,30 @@ def test_transfer_freeze_keeps_layers():
             assert np.array_equal(out.params[name], pre.params[name]), name
 
 
+def test_transfer_freeze_holds_during_finetuning():
+    # Frozen layers never move, so the returned parameters are exactly the
+    # ones that scored the best validation MSE during fine-tuning.
+    _, src, _, g_src = prepared_city(seed=1, n_hours=150, n_sensors=6)
+    _, tgt, _, g_tgt = prepared_city(seed=2)
+    source = TrainConfig(epochs=2, patience=2, seed=0, model="mlp")
+    tcfg = TransferConfig(source=source, finetune_epochs=3, finetune_lr=1e-3,
+                          freeze=("fc1.", "fc3."))
+    out = transfer(src, tgt, (g_src, g_tgt), tcfg)
+
+    rows = _training_rows(tgt)
+    frames = [t for t in range(tgt.n_frames) if rows[t].any()]
+    val_frames = frames[len(frames) - int(len(frames) * source.val_fraction):]
+    feats = _model_inputs(tgt, g_tgt)
+    pvars = wrap_params(out.params)
+    total, count = 0.0, 0
+    for t in val_frames:
+        nodes = np.flatnonzero(rows[t])
+        pred = out.model_config.predict(pvars, g_tgt, feats[t], nodes, "eval", None)
+        total += float(np.sum((pred.value - tgt.targets[t, nodes]) ** 2))
+        count += nodes.size
+    assert total / count == pytest.approx(min(out.history["val"]), rel=1e-12, abs=0.0)
+
+
 def test_transfer_lr_ordering_enforced():
     with pytest.raises(SchemaError):
         TransferConfig(source=TrainConfig(lr=1e-4), finetune_lr=1e-3)
@@ -321,8 +349,7 @@ def test_leave_one_out_never_reads_holdout_targets():
     # otherwise only by the metric computation.
     from dataclasses import replace as dc_replace
 
-    from virtualsensor.pipeline import _run_fold
-    from virtualsensor.sage import make_training_rows
+    from virtualsensor.pipeline import _run_fold, _training_rows
 
     ds = tiny_city(n_hours=60)
     g = build_knn_graph(ds.locations, k=3)
@@ -340,8 +367,8 @@ def test_leave_one_out_never_reads_holdout_targets():
     # and the censored training set physically contains no holdout rows
     censored = fold_dataset(ds, holdout)
     prepared, _ = standardize(fill_prev_no2(censored))
-    rows = make_training_rows(prepared, g)
-    assert rows and all(r.node != holdout for r in rows)
+    rows = _training_rows(prepared)
+    assert rows.any() and not rows[:, holdout].any()
 
 
 def test_leave_one_out_transfer_flag():
@@ -488,6 +515,111 @@ def test_checkpoint_rejects_edited_model_kind(tmp_path, old, new, count, match):
     path.write_bytes(data.replace(old, new, count))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """A real sage checkpoint, as bytes."""
+    model, stats, cfg = trained_for_checkpoint()
+    path = tmp_path_factory.mktemp("ckpt") / "model.vsck"
+    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    return path.read_bytes()
+
+
+def split_checkpoint(data: bytes) -> tuple[bytes, dict]:
+    """(config JSON bytes, name -> 2-D array) of a well-formed checkpoint."""
+    (config_len,) = struct.unpack_from("<I", data, 14)
+    pos = 18 + config_len
+    (n_blocks,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    blocks = {}
+    for _ in range(n_blocks):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2 : pos + 2 + name_len].decode()
+        rows, cols = struct.unpack_from("<II", data, pos + 2 + name_len)
+        pos += 2 + name_len + 8
+        blocks[name] = np.frombuffer(data, "<f8", rows * cols, pos).reshape(rows, cols)
+        pos += rows * cols * 8
+    return data[18 : 18 + config_len], blocks
+
+
+def join_checkpoint(header: bytes, config: bytes, blocks: dict) -> bytes:
+    """The checkpoint layout around arbitrary contents (no validation)."""
+    out = [header, struct.pack("<I", len(config)), config, struct.pack("<I", len(blocks))]
+    for name, arr in blocks.items():
+        out += [struct.pack("<H", len(name.encode())), name.encode(),
+                struct.pack("<II", *arr.shape), np.ascontiguousarray(arr, "<f8").tobytes()]
+    return b"".join(out)
+
+
+def edit_blocks(data: bytes, edit) -> bytes:
+    config, blocks = split_checkpoint(data)
+    blocks = {k: v.copy() for k, v in blocks.items()}
+    edit(blocks)
+    return join_checkpoint(data[:14], config, blocks)
+
+
+def edit_config(data: bytes, edit) -> bytes:
+    config, blocks = split_checkpoint(data)
+    return join_checkpoint(data[:14], edit(config), blocks)
+
+
+def _set(blocks, name, value):
+    blocks[name] = value
+
+
+MALFORMED_CHECKPOINTS = {
+    "first-100-bytes": lambda d: d[:100],
+    "half": lambda d: d[: len(d) // 2],
+    "5-bytes-short": lambda d: d[:-5],
+    "trailing-bytes": lambda d: d + b"junk",
+    "huge-block": lambda d: d.replace(b"head.b" + struct.pack("<II", 1, 1),
+                                      b"head.b" + struct.pack("<II", 2**32 - 1, 2**32 - 1)),
+    "bad-utf8-config": lambda d: edit_config(d, lambda c: b"\xff" + c[1:]),
+    "bad-json-config": lambda d: edit_config(d, lambda c: b"}" + c[1:]),
+    "config-not-object": lambda d: edit_config(d, lambda c: b"[1, 2]"),
+    "missing-stats": lambda d: edit_blocks(d, lambda b: b.pop("stats.std")),
+    "stats-width": lambda d: edit_blocks(
+        d, lambda b: _set(b, "stats.mean", b["stats.mean"][:, :-1])),
+    "nonfinite-stats": lambda d: edit_blocks(
+        d, lambda b: _set(b, "stats.std", np.full_like(b["stats.std"], np.inf))),
+    "zero-std": lambda d: edit_blocks(
+        d, lambda b: _set(b, "stats.std", np.zeros_like(b["stats.std"]))),
+    "nonfinite-param": lambda d: edit_blocks(
+        d, lambda b: _set(b, "head.b", np.array([[np.nan]]))),
+    "param-shape": lambda d: edit_blocks(d, lambda b: _set(b, "head.w", b["head.w"][:-1])),
+    "param-missing": lambda d: edit_blocks(d, lambda b: b.pop("l2.w_self")),
+    "param-extra": lambda d: edit_blocks(d, lambda b: _set(b, "l3.w_self", np.ones((2, 2)))),
+}
+
+
+def test_checkpoint_split_join_round_trip(checkpoint_bytes):
+    assert edit_blocks(checkpoint_bytes, lambda b: None) == checkpoint_bytes
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_file(tmp_path, checkpoint_bytes, case):
+    path = tmp_path / "bad.vsck"
+    path.write_bytes(MALFORMED_CHECKPOINTS[case](checkpoint_bytes))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@given(data=st.data())
+@settings(max_examples=1000, deadline=None)
+def test_checkpoint_truncations_and_byte_flips(tmp_path_factory, checkpoint_bytes, data):
+    raw = bytearray(checkpoint_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        raw[pos] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+    path = tmp_path_factory.getbasetemp() / "fuzz.vsck"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 
 def test_schema_hash_stable_and_sensitive():

@@ -22,13 +22,18 @@ from virtualsensor import (
 )
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import grad_check, mse_loss, wrap_params
-from virtualsensor.pipeline import TrainedModel
+from virtualsensor.pipeline import (
+    DEFAULT_MODEL_CONFIGS,
+    TrainConfig,
+    TrainedModel,
+    _model_inputs,
+    _training_rows,
+    train,
+)
 from virtualsensor.sage import (
     aggregate,
     attention_weights,
-    frame_features,
     init_sage_params,
-    make_training_rows,
     resolve_init,
     sage_forward_batch,
     sample_batch,
@@ -134,7 +139,9 @@ def test_aggregator_empty_neighborhood_zero_vector(kind):
     _, params = params_for(kind)
     out = aggregate(kind, rng.normal(size=6), [], params)
     assert np.allclose(out, 0.0)
-    assert out.ndim == 1
+    # the width of a non-empty result: input dim for mean, hidden dim otherwise
+    assert out.shape == aggregate(kind, rng.normal(size=6), rng.normal(size=(2, 6)), params).shape
+    assert out.shape == ((6,) if kind is AggregatorKind.MEAN else (4,))
 
 
 def test_mean_aggregator_is_plain_average():
@@ -289,25 +296,34 @@ def test_forward_gradients_finite_difference(kind):
 # ---------------------------------------------------------------- training rows
 
 
-def test_make_training_rows_skips_frame_zero_and_absent():
+def test_training_rows_skip_frame_zero_and_absent():
     ds = small_dataset(T=5, n=3, censor=2)
-    g = triangle_graph()
-    rows = make_training_rows(ds, g)
-    assert all(r.frame >= 1 for r in rows)
-    assert all(r.node != 2 for r in rows)  # censored sensor contributes nothing
-    assert len(rows) == 4 * 2
+    rows = _training_rows(ds)
+    assert not rows[0].any()
+    assert not rows[:, 2].any()  # censored sensor contributes nothing
+    assert rows.sum() == 4 * 2
 
 
-def test_make_training_rows_graph_size_check():
+@pytest.mark.parametrize("kind", list(DEFAULT_MODEL_CONFIGS))
+def test_graph_size_check(kind):
     ds = small_dataset(T=4, n=3)
-    with pytest.raises(SchemaError):
-        make_training_rows(ds, triangle_graph(4))
+    cfg = TrainConfig(epochs=1, model=kind)
+    with pytest.raises(SchemaError, match="graph has 4 nodes for 3 sensors"):
+        train(ds, triangle_graph(4), cfg)
+    trained = train(ds, triangle_graph(3), cfg)
+    with pytest.raises(SchemaError, match="graph has 4 nodes for 3 sensors"):
+        closed_loop_predict(trained, triangle_graph(4), ds, 0, InitScheme.fixed(1.0))
 
 
-def test_frame_features_finite():
+def test_model_inputs_finite():
+    # Every non-finite feature becomes the standardized column mean 0.0.
     ds = small_dataset(T=4, n=3, censor=1)
-    for t in range(ds.n_frames):
-        assert np.all(np.isfinite(frame_features(ds, t)))
+    ds.features[:, 1, :11] = np.nan  # the absent sensor's readings
+    ds.features[2, 0, 3] = -np.inf
+    feats = _model_inputs(ds, triangle_graph())
+    bad = ~np.isfinite(ds.features)
+    assert np.all(feats[bad] == 0.0)
+    assert np.array_equal(feats[~bad], ds.features[~bad])
 
 
 # ---------------------------------------------------------------- init schemes
@@ -319,6 +335,12 @@ def test_resolve_init_variants():
     obs = ds.targets[ds.present]
     assert resolve_init(InitScheme.dataset_mean(), ds, 0) == pytest.approx(obs.mean())
     assert resolve_init(InitScheme.actual_first(), ds, 1) == ds.targets[0, 1]
+
+
+def test_fixed_init_must_be_finite():
+    for value in (np.nan, np.inf):
+        with pytest.raises(SchemaError, match="not finite"):
+            InitScheme.fixed(value)
 
 
 def test_resolve_init_actual_first_needs_observations():
@@ -347,7 +369,7 @@ def test_rollout_first_step_matches_manual_forward():
     init = 30.0
     preds = closed_loop(params, cfg, g, ds, 1, InitScheme.fixed(init))
     ar = ds.schema.prev_no2_index
-    feats = frame_features(ds, 1)
+    feats = ds.features[1].copy()
     feats[1, ar] = ds.stats.transform_column(ar, init)
     manual = forward_one(params, cfg, g, feats, 1, np.random.default_rng(0))
     assert preds[0] == pytest.approx(manual, rel=1e-12)
