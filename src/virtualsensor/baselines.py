@@ -38,32 +38,24 @@ class MlpConfig(_FlatConfig):
     seed: int = 0
 
     def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return init_mlp_params(self, in_dim, rng)
+        dims = [in_dim, *self.hidden, 1]
+        params = {}
+        for i, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
+            params[f"fc{i}.w"] = glorot_uniform(rng, a, b)
+            params[f"fc{i}.b"] = np.zeros((1, b))
+        return params
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator) -> Var:
         return mlp_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
 
 
-def init_mlp_params(cfg: MlpConfig, in_dim: int, rng: np.random.Generator) -> dict:
-    dims = [in_dim, *cfg.hidden, 1]
-    params = {}
-    for i, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
-        params[f"fc{i}.w"] = glorot_uniform(rng, a, b)
-        params[f"fc{i}.b"] = np.zeros((1, b))
-    return params
-
-
 def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None,
-                      dropout_mask: np.ndarray | None = None) -> Var:
+                      rng: np.random.Generator | None = None) -> Var:
     h = Var(x)
     h = (h @ pvars["fc1.w"] + pvars["fc1.b"]).relu()
     h = (h @ pvars["fc2.w"] + pvars["fc2.b"]).relu()
-    if dropout_mask is not None:
-        h = dropout(h, cfg.dropout, "train", mask=dropout_mask)
-    else:
-        h = dropout(h, cfg.dropout, mode, rng=rng)
+    h = dropout(h, cfg.dropout, mode, rng=rng)
     h = (h @ pvars["fc3.w"] + pvars["fc3.b"]).relu()
     out = h @ pvars["fc4.w"] + pvars["fc4.b"]
     return out.reshape(out.shape[0])
@@ -82,28 +74,23 @@ class CnnConfig(_FlatConfig):
     seed: int = 0
 
     def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return init_cnn_params(self, in_dim, rng)
+        if self.kernel > in_dim:
+            raise SchemaError("convolution kernel wider than the feature vector")
+        c = self.channels
+        return {
+            "conv1.w": glorot_uniform(rng, self.kernel * 1, c),
+            "conv1.b": np.zeros((1, c)),
+            "conv2.w": glorot_uniform(rng, self.kernel * c, c),
+            "conv2.b": np.zeros((1, c)),
+            "fc1.w": glorot_uniform(rng, in_dim * c, self.dense_hidden),
+            "fc1.b": np.zeros((1, self.dense_hidden)),
+            "fc2.w": glorot_uniform(rng, self.dense_hidden, 1),
+            "fc2.b": np.zeros((1, 1)),
+        }
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator) -> Var:
         return cnn_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
-
-
-def init_cnn_params(cfg: CnnConfig, in_dim: int, rng: np.random.Generator) -> dict:
-    if cfg.kernel > in_dim:
-        raise SchemaError("convolution kernel wider than the feature vector")
-    c = cfg.channels
-    params = {
-        "conv1.w": glorot_uniform(rng, cfg.kernel * 1, c),
-        "conv1.b": np.zeros((1, c)),
-        "conv2.w": glorot_uniform(rng, cfg.kernel * c, c),
-        "conv2.b": np.zeros((1, c)),
-        "fc1.w": glorot_uniform(rng, in_dim * c, cfg.dense_hidden),
-        "fc1.b": np.zeros((1, cfg.dense_hidden)),
-        "fc2.w": glorot_uniform(rng, cfg.dense_hidden, 1),
-        "fc2.b": np.zeros((1, 1)),
-    }
-    return params
 
 
 def _conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
@@ -122,16 +109,12 @@ def _conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
 
 
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None,
-                      dropout_mask: np.ndarray | None = None) -> Var:
+                      rng: np.random.Generator | None = None) -> Var:
     n, d = x.shape
     h = Var(x.reshape(n, d, 1))
     h = _conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1).relu()
     h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
-    if dropout_mask is not None:
-        h = dropout(h, cfg.dropout, "train", mask=dropout_mask)
-    else:
-        h = dropout(h, cfg.dropout, mode, rng=rng)
+    h = dropout(h, cfg.dropout, mode, rng=rng)
     h = h.relu().reshape(n, d * cfg.channels)
     h = (h @ pvars["fc1.w"] + pvars["fc1.b"]).relu()
     out = h @ pvars["fc2.w"] + pvars["fc2.b"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,14 +27,13 @@ from .dataset import (
     write_locations_csv,
     write_readings_csv,
 )
-from .errors import VirtualSensorError
+from .errors import ParseError, SchemaError, VirtualSensorError
 from .geograph import build_knn_graph
 from .pipeline import (
     DEFAULT_MODEL_CONFIGS,
     EvalReport,
     TrainConfig,
     TransferConfig,
-    TrainedModel,
     closed_loop_predict,
     improvement_table,
     leave_one_out,
@@ -117,22 +117,21 @@ def cmd_synth(args) -> int:
 
 
 def _train_config(args) -> TrainConfig:
+    # eval leaves --seed unset so that a checkpoint's seed can stand.
     return TrainConfig(
         epochs=args.epochs, lr=args.lr, patience=args.patience,
-        seed=args.seed, model=args.model,
+        seed=TrainConfig.seed if args.seed is None else args.seed, model=args.model,
     )
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     _require_checkpointable(args.model)
-    raw = _load_raw(args.data)
-    prepared, stats = standardize(fill_prev_no2(raw))
-    g = build_knn_graph(raw.locations, k=args.k)
     cfg = _train_config(args)
-    model_cfg = _model_config(args, args.model)
-    trained = train(prepared, g, cfg, model_cfg)
-    save_checkpoint(args.out, trained.params, stats, cfg, model_cfg)
+    raw = _load_raw(args.data)
+    prepared, _ = standardize(fill_prev_no2(raw))
+    g = build_knn_graph(raw.locations, k=args.k)
+    save_checkpoint(args.out, train(prepared, g, cfg, _model_config(args, args.model)))
     loc_path, read_path = _data_paths(args.data)
     _write_manifest(
         str(args.out) + ".manifest.json", "train",
@@ -148,7 +147,7 @@ def cmd_transfer(args) -> int:
     source_raw = _load_raw(args.source)
     target_raw = _load_raw(args.target)
     source_ds, _ = standardize(fill_prev_no2(source_raw))
-    target_ds, target_stats = standardize(fill_prev_no2(target_raw))
+    target_ds, _ = standardize(fill_prev_no2(target_raw))
     g_src = build_knn_graph(source_raw.locations, k=args.k)
     g_tgt = build_knn_graph(target_raw.locations, k=args.k)
     base_cfg = _train_config(args)
@@ -156,10 +155,8 @@ def cmd_transfer(args) -> int:
         source=base_cfg, finetune_epochs=args.finetune_epochs,
         finetune_lr=args.finetune_lr,
     )
-    model_cfg = _model_config(args, args.model)
-    tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, model_cfg)
-    ft_cfg = replace(base_cfg, epochs=max(args.finetune_epochs, 1), lr=args.finetune_lr)
-    save_checkpoint(args.out, tuned.params, target_stats, ft_cfg, model_cfg)
+    tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, _model_config(args, args.model))
+    save_checkpoint(args.out, tuned)
     inputs = [*_data_paths(args.source), *_data_paths(args.target)]
     _write_manifest(
         str(args.out) + ".manifest.json", "transfer",
@@ -170,14 +167,24 @@ def cmd_transfer(args) -> int:
     return 0
 
 
+def _load_report(path) -> EvalReport:
+    """An `eval` report.json; a file that is not one raises an error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # undecodable UTF-8 or JSON
+        raise ParseError(f"{path}: not a JSON report ({exc})") from exc
+    try:
+        return EvalReport.from_dict(data)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     started = time.monotonic()
     if args.compare:
         base_path, new_path = args.compare
-        with open(base_path, encoding="utf-8") as fh:
-            base = EvalReport.from_dict(json.load(fh))
-        with open(new_path, encoding="utf-8") as fh:
-            new = EvalReport.from_dict(json.load(fh))
+        base, new = _load_report(base_path), _load_report(new_path)
         table = improvement_table(base, new)
         lines = ["model,rmse,nrmse,grad_rmse"]
         for label, report in (("base", base), ("new", new)):
@@ -208,18 +215,16 @@ def cmd_eval(args) -> int:
     g = build_knn_graph(raw.locations, k=args.k)
     init_params = None
     if args.ckpt:
-        params, _stats, cfg, model_cfg = load_checkpoint(args.ckpt)
+        trained = load_checkpoint(args.ckpt)
+        cfg, model_cfg = trained.train_cfg, trained.model_config
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.finetune_from_ckpt:
-            init_params = params
+            init_params = trained.params
     else:
         if not args.model:
             raise VirtualSensorError("eval needs --ckpt or --model")
-        cfg = TrainConfig(
-            epochs=args.epochs, lr=args.lr, patience=args.patience,
-            seed=args.seed if args.seed is not None else 0, model=args.model,
-        )
+        cfg = _train_config(args)
         model_cfg = _model_config(args, args.model)
     report = leave_one_out(raw, g, cfg, model_cfg, init_params=init_params)
     os.makedirs(args.out, exist_ok=True)
@@ -254,14 +259,13 @@ def _parse_init(text: str) -> InitScheme:
 def cmd_predict(args) -> int:
     started = time.monotonic()
     raw = _load_raw(args.data)
-    params, stats, cfg, model_cfg = load_checkpoint(args.ckpt)
-    prepared = apply_standardization(fill_prev_no2(raw), stats)
+    trained = load_checkpoint(args.ckpt)
+    seed = trained.train_cfg.seed
+    prepared = apply_standardization(fill_prev_no2(raw), trained.stats)
     g = build_knn_graph(raw.locations, k=args.k)
     node = raw.sensor_index(args.location)
-    trained = TrainedModel(cfg.model, model_cfg, params)
     preds = closed_loop_predict(
-        trained, g, prepared, node, _parse_init(args.init),
-        rng=np.random.default_rng(cfg.seed),
+        trained, g, prepared, node, _parse_init(args.init), rng=np.random.default_rng(seed),
     )
     preds = np.clip(preds, 0.0, None)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -272,7 +276,7 @@ def cmd_predict(args) -> int:
     _write_manifest(
         str(args.out) + ".manifest.json", "predict",
         {"location": args.location, "init": args.init, "k": args.k},
-        [cfg.seed], [*_data_paths(args.data), args.ckpt], [args.out], started,
+        [seed], [*_data_paths(args.data), args.ckpt], [args.out], started,
     )
     return 0
 
@@ -318,13 +322,22 @@ def cmd_plot(args) -> int:
     with open(args.pred, encoding="utf-8") as fh:
         lines = fh.read().strip().splitlines()[1:]
     pred_by_ts = {}
-    for line in lines:
-        ts, value = line.split(",")
-        pred_by_ts[ts] = float(value)
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.split(",")
+        try:
+            value = float(fields[1]) if len(fields) == 2 else math.nan
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"{args.pred} line {line_no}: expected 'timestamp,finite value'")
+        pred_by_ts[fields[0]] = value
 
     start_t = 1
     if args.start:
-        start_dt = datetime.fromisoformat(args.start.replace("Z", "+00:00"))
+        try:
+            start_dt = datetime.fromisoformat(args.start.replace("Z", "+00:00"))
+        except ValueError as exc:
+            raise VirtualSensorError(f"bad --start value {args.start!r} (ISO-8601 time)") from exc
         if start_dt.tzinfo is None:
             start_dt = start_dt.replace(tzinfo=timezone.utc)
         start_t = max(1, int((start_dt - raw.start).total_seconds() // 3600))
@@ -368,10 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_train_flags(p):
         p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS),
                        default=TrainConfig.model)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, default=50)
-        p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--patience", type=int, default=10)
+        p.add_argument("--seed", type=int, default=TrainConfig.seed)
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+        p.add_argument("--lr", type=float, default=TrainConfig.lr)
+        p.add_argument("--patience", type=int, default=TrainConfig.patience)
         p.add_argument("--aggregator", choices=[a.value for a in AggregatorKind])
         p.add_argument("--k", type=int, default=3, help="k-NN graph degree")
 
@@ -393,13 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="leave-one-location-out evaluation")
     p.add_argument("--data")
     p.add_argument("--ckpt")
-    p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--aggregator", choices=[a.value for a in AggregatorKind])
-    p.add_argument("--k", type=int, default=3)
+    add_train_flags(p)
+    # No default kind or seed: with --ckpt both come from the checkpoint,
+    # and a given --seed overrides its seed.
+    p.set_defaults(model=None, seed=None)
     p.add_argument("--finetune-from-ckpt", action="store_true",
                    help="seed each fold's training from the checkpoint parameters")
     p.add_argument("--compare", nargs=2, metavar=("BASE.json", "NEW.json"))

@@ -250,11 +250,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None,
-            mask: np.ndarray | None = None) -> Var:
+def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None) -> Var:
     """Inverted dropout: zero with probability `rate` in train mode, scale
-    survivors by 1/(1-rate); identity in eval mode. A frozen `mask` may be
-    supplied for gradient checks."""
+    survivors by 1/(1-rate); identity in eval mode. The mask is drawn from
+    `rng`, so a freshly seeded generator draws the same mask every call."""
     x = Var._lift(x)
     if not 0.0 <= rate < 1.0:
         raise SchemaError(f"dropout rate {rate} outside [0, 1)")
@@ -262,10 +261,9 @@ def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None,
         return x
     if mode != "train":
         raise SchemaError(f"unknown dropout mode {mode!r}")
-    if mask is None:
-        if rng is None:
-            raise SchemaError("train-mode dropout needs an rng or a frozen mask")
-        mask = (rng.random(x.shape) >= rate).astype(np.float64)
+    if rng is None:
+        raise SchemaError("train-mode dropout needs an rng")
+    mask = (rng.random(x.shape) >= rate).astype(np.float64)
     return x * Var(mask / (1.0 - rate))
 
 
@@ -321,8 +319,9 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
     """Compare reverse-mode gradients of `f` against central differences.
 
     `f` maps a name->Var dict to a scalar Var and must be deterministic
-    (freeze dropout masks and sampling before calling). Returns the max
-    relative error with denominator max(|analytic|, |numeric|, 1e-8).
+    (sample before calling; draw dropout masks from a generator seeded afresh
+    inside `f`). Returns the max relative error with denominator
+    max(|analytic|, |numeric|, 1e-8).
     """
     leaves = wrap_params(params)
     out = f(leaves)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -29,6 +30,7 @@ from .sage import InitScheme, SageConfig, resolve_init
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 1
+METRICS = ("rmse", "nrmse", "grad_rmse")  # every report's per-location metrics
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +88,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
+        if not 0.0 <= self.lr < math.inf:
+            raise SchemaError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise SchemaError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if self.model not in DEFAULT_MODEL_CONFIGS:
             raise SchemaError(f"unknown model kind {self.model!r}")
 
@@ -116,9 +122,16 @@ DEFAULT_MODEL_CONFIGS = {
 
 @dataclass
 class TrainedModel:
-    kind: str
+    """The one record of a trained model, as `train` returns it and a
+    checkpoint stores it: the TrainConfig it was trained with (its `model` is
+    the kind), the model config, the parameters (a GbtModel for gbt), the
+    standardization stats of the data it was fitted to, and the per-epoch
+    loss history (empty once loaded from a checkpoint)."""
+
+    train_cfg: TrainConfig
     model_config: object
     params: dict | GbtModel
+    stats: StandardizationStats
     history: dict = field(default_factory=dict)
 
 
@@ -169,7 +182,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         if not rows.any():
             raise SchemaError("no training rows")
         model = model_cfg.fit(feats[rows], ds.targets[rows])
-        return TrainedModel(cfg.model, model_cfg, model, {"train": model.train_mse})
+        return TrainedModel(cfg, model_cfg, model, ds.stats, {"train": model.train_mse})
 
     rng = np.random.default_rng(cfg.seed)
     params = (
@@ -232,14 +245,15 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
                 if bad_epochs >= cfg.patience:
                     break
 
-    return TrainedModel(cfg.model, model_cfg, best_params, history)
+    return TrainedModel(cfg, model_cfg, best_params, ds.stats, history)
 
 
 def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph, SpatialGraph],
              tcfg: TransferConfig, model_cfg=None) -> TrainedModel:
     """Pretrain on the source city, then fine-tune every layer that no
     `tcfg.freeze` prefix names on the target, at the (lower) fine-tune
-    learning rate with a fresh optimizer."""
+    learning rate with a fresh optimizer. With no fine-tune epochs the
+    pretrained model, source config and source stats included, is returned."""
     if source_ds.schema.names != target_ds.schema.names:
         raise SchemaError("source/target feature schemas differ")
     g_src, g_tgt = graphs
@@ -315,12 +329,27 @@ class EvalReport:
         )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
+    def from_dict(cls, data) -> "EvalReport":
+        """Inverse of `to_dict`; a missing or wrongly typed field raises SchemaError."""
+        if not isinstance(data, dict):
+            raise SchemaError("report is not a JSON object")
+        per_location, averages = data.get("per_location"), data.get("averages")
+        metadata = data.get("metadata", {})
+        if not isinstance(data.get("model"), str):
+            raise SchemaError("report 'model' must be a string")
+        if not (isinstance(per_location, dict)
+                and all(isinstance(v, dict) for v in per_location.values())):
+            raise SchemaError("report 'per_location' must map locations to metric objects")
+        if not (isinstance(averages, dict)
+                and all(isinstance(averages.get(m), (int, float)) for m in METRICS)):
+            raise SchemaError(f"report 'averages' must hold a number for each of {METRICS}")
+        if not isinstance(metadata, dict):
+            raise SchemaError("report 'metadata' must be an object")
         return cls(
             model=data["model"],
-            per_location={k: dict(v) for k, v in data["per_location"].items()},
-            averages=dict(data["averages"]),
-            metadata=dict(data.get("metadata", {})),
+            per_location={k: dict(v) for k, v in per_location.items()},
+            averages=dict(averages),
+            metadata=dict(metadata),
         )
 
 
@@ -393,7 +422,7 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
     ordered = dict(sorted(per_location.items()))
     averages = {
         metric: float(np.mean([entry[metric] for entry in ordered.values()]))
-        for metric in ("rmse", "nrmse", "grad_rmse")
+        for metric in METRICS
     }
     metadata = {
         "model": cfg.model,
@@ -408,7 +437,7 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
 def improvement_table(base: EvalReport, new: EvalReport) -> dict[str, float]:
     return {
         metric: improvement(base.averages[metric], new.averages[metric])
-        for metric in ("rmse", "nrmse", "grad_rmse")
+        for metric in METRICS
     }
 
 
@@ -429,15 +458,16 @@ def schema_hash(schema: FeatureSchema) -> int:
     return struct.unpack("<Q", digest[:8])[0]
 
 
-def save_checkpoint(path, params: dict, stats: StandardizationStats,
-                    train_cfg: TrainConfig, model_cfg,
-                    schema: FeatureSchema | None = None) -> None:
-    """Binary checkpoint: magic, version, schema hash, canonical-JSON config,
-    then named little-endian float64 parameter blocks."""
-    schema = schema or default_schema()
-    blocks = dict(params)
-    blocks["stats.mean"] = stats.mean.reshape(1, -1)
-    blocks["stats.std"] = stats.std.reshape(1, -1)
+def save_checkpoint(path, trained: TrainedModel) -> None:
+    """Write `trained` as a binary checkpoint: magic, version, schema hash,
+    canonical-JSON config, then named little-endian float64 blocks (the
+    parameters and the stats). Only gradient-trained kinds have one."""
+    train_cfg, model_cfg = trained.train_cfg, trained.model_config
+    if not model_cfg.trains_by_gradient:
+        raise CheckpointError(f"model kind {train_cfg.model!r} has no parameter checkpoint")
+    blocks = dict(trained.params)
+    blocks["stats.mean"] = trained.stats.mean.reshape(1, -1)
+    blocks["stats.std"] = trained.stats.std.reshape(1, -1)
     for name, arr in blocks.items():
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"refusing to save non-finite parameter {name!r}")
@@ -450,7 +480,7 @@ def save_checkpoint(path, params: dict, stats: StandardizationStats,
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", schema_hash(schema)))
+        fh.write(struct.pack("<Q", schema_hash(default_schema())))
         fh.write(struct.pack("<I", len(config_bytes)))
         fh.write(config_bytes)
         fh.write(struct.pack("<I", len(blocks)))
@@ -463,15 +493,15 @@ def save_checkpoint(path, params: dict, stats: StandardizationStats,
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path, schema: FeatureSchema | None = None):
-    """Returns (params, stats, train_cfg, model_cfg).
+def load_checkpoint(path) -> TrainedModel:
+    """The TrainedModel `save_checkpoint` wrote, with an empty history.
 
-    Anything `save_checkpoint` would not have written for `schema` raises
+    Anything `save_checkpoint` would not have written raises
     CheckpointError: another version or schema hash, short or trailing
     bytes, an undecodable config, non-finite values, or blocks whose names
     and shapes differ from the config's parameters plus the stats.
     """
-    schema = schema or default_schema()
+    schema = default_schema()
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -519,7 +549,7 @@ def load_checkpoint(path, schema: FeatureSchema | None = None):
         )
     except SchemaError as exc:
         raise CheckpointError(f"bad checkpoint stats: {exc}") from exc
-    return blocks, stats, train_cfg, model_cfg
+    return TrainedModel(train_cfg, model_cfg, blocks, stats)
 
 
 def _decode_config(config):

@@ -45,7 +45,26 @@ class SageConfig:
             raise SchemaError("dropout must lie in [0, 1)")
 
     def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return init_sage_params(self, in_dim, rng)
+        """All trainable weights, keyed by layer; every array is 2-D."""
+        params = {}
+        d_prev = in_dim
+        for layer, h in enumerate(self.hidden, start=1):
+            params[f"l{layer}.w_self"] = glorot_uniform(rng, d_prev, h)
+            if self.aggregator is AggregatorKind.MEAN:
+                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
+            elif self.aggregator in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
+                params[f"l{layer}.w_pool"] = glorot_uniform(rng, d_prev, h)
+                params[f"l{layer}.b_pool"] = np.zeros((1, h))
+                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, h, h)
+            elif self.aggregator is AggregatorKind.ATTENTIONAL:
+                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
+                params[f"l{layer}.attn"] = glorot_uniform(rng, 1, 2 * h)
+            else:  # pragma: no cover
+                raise SchemaError(f"unknown aggregator {self.aggregator}")
+            d_prev = h
+        params["head.w"] = glorot_uniform(rng, d_prev, 1)
+        params["head.b"] = np.zeros((1, 1))
+        return params
 
     def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
                 mode: str, rng: np.random.Generator) -> Var:
@@ -93,29 +112,6 @@ class InitScheme:
     @classmethod
     def dataset_mean(cls):
         return cls("dataset_mean")
-
-
-def init_sage_params(cfg: SageConfig, in_dim: int, rng: np.random.Generator) -> dict:
-    """All trainable weights, keyed by layer; every array is 2-D."""
-    params = {}
-    d_prev = in_dim
-    for layer, h in enumerate(cfg.hidden, start=1):
-        params[f"l{layer}.w_self"] = glorot_uniform(rng, d_prev, h)
-        if cfg.aggregator is AggregatorKind.MEAN:
-            params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
-        elif cfg.aggregator in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
-            params[f"l{layer}.w_pool"] = glorot_uniform(rng, d_prev, h)
-            params[f"l{layer}.b_pool"] = np.zeros((1, h))
-            params[f"l{layer}.w_neigh"] = glorot_uniform(rng, h, h)
-        elif cfg.aggregator is AggregatorKind.ATTENTIONAL:
-            params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
-            params[f"l{layer}.attn"] = glorot_uniform(rng, 1, 2 * h)
-        else:  # pragma: no cover
-            raise SchemaError(f"unknown aggregator {cfg.aggregator}")
-        d_prev = h
-    params["head.w"] = glorot_uniform(rng, d_prev, 1)
-    params["head.b"] = np.zeros((1, 1))
-    return params
 
 
 def _masked_mean(x: Var, mask: np.ndarray) -> Var:
@@ -243,8 +239,7 @@ def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
                        batch: NeighborhoodBatch, mode: str = "eval",
-                       rng: np.random.Generator | None = None,
-                       dropout_masks: dict | None = None) -> Var:
+                       rng: np.random.Generator | None = None) -> Var:
     """Two-layer sampled forward pass for a batch of target nodes.
 
     `feats` is the finite [n_nodes, d] feature matrix for one frame (or one
@@ -258,22 +253,17 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     x1 = Var(feats[batch.idx1])  # [B, k1, d]
     x2 = Var(feats[batch.idx2])  # [B, k1, k2, d]
 
-    def drop(x: Var, name: str) -> Var:
-        if dropout_masks is not None:
-            return dropout(x, cfg.dropout, "train", mask=dropout_masks[name])
-        return dropout(x, cfg.dropout, mode, rng=rng)
-
     # Layer 1: refresh hop-1 nodes from their hop-2 samples, and the target
     # from its hop-1 samples.
     pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, batch.mask2)
-    h1_u = drop(pre_u, "l1_u").relu()  # [B, k1, h1]
+    h1_u = dropout(pre_u, cfg.dropout, mode, rng).relu()  # [B, k1, h1]
     pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
-    h1_v = drop(pre_v, "l1_v").relu()  # [B, h1]
+    h1_v = dropout(pre_v, cfg.dropout, mode, rng).relu()  # [B, h1]
 
     # Layer 2: combine the target's refreshed state with its refreshed hop-1
     # neighborhood.
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = drop(pre2, "l2").relu()  # [B, h2]
+    h2 = dropout(pre2, cfg.dropout, mode, rng).relu()  # [B, h2]
 
     out = h2 @ pvars["head.w"] + pvars["head.b"]  # [B, 1]
     return out.reshape(out.shape[0])

@@ -37,6 +37,8 @@ class CityConfig:
     def __post_init__(self):
         if self.n_sensors < 2:
             raise SchemaError("need at least 2 sensors")
+        if self.n_hours < 1:
+            raise SchemaError("need at least 1 hour")
         if not 0.0 < self.lag1_target < 1.0:
             raise SchemaError("lag1_target must lie in (0, 1)")
         lat_lo, lat_hi, lon_lo, lon_hi = self.bbox

@@ -39,7 +39,6 @@ from virtualsensor.sage import (
     SageConfig,
     aggregate,
     attention_weights,
-    init_sage_params,
     sage_forward_batch,
     sample_batch,
 )
@@ -113,45 +112,35 @@ def test_criterion_03_gradient_correctness():
 
         for kind in AggregatorKind:
             cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5, seed=seed)
-            params = init_sage_params(cfg, 5, rng)
+            params = cfg.init_params(5, rng)
             params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
             adj = tuple(tuple(v for v in range(4) if v != u) for u in range(4))
             from virtualsensor.geograph import SpatialGraph
 
             g = SpatialGraph(n_nodes=4, adjacency=adj)
             batch = sample_batch(g, [0, 1, 2, 3], cfg.budget, rng)
-            masks = {
-                "l1_u": (rng.random((4, 3, 3)) >= 0.5).astype(float),
-                "l1_v": (rng.random((4, 3)) >= 0.5).astype(float),
-                "l2": (rng.random((4, 3)) >= 0.5).astype(float),
-            }
 
-            def f(p, cfg=cfg, batch=batch, masks=masks):
-                return mse_loss(sage_forward_batch(p, cfg, x, batch, dropout_masks=masks), y)
+            # A freshly seeded generator draws the same dropout masks each call.
+            def f(p, cfg=cfg, batch=batch):
+                out = sage_forward_batch(p, cfg, x, batch, mode="train",
+                                         rng=np.random.default_rng(7))
+                return mse_loss(out, y)
 
             worst = max(worst, grad_check(f, params))
 
-        from virtualsensor.baselines import (
-            CnnConfig,
-            cnn_forward_batch,
-            init_cnn_params,
-            init_mlp_params,
-            mlp_forward_batch,
-        )
+        from virtualsensor.baselines import CnnConfig, cnn_forward_batch, mlp_forward_batch
 
         mcfg = MlpConfig(hidden=(4, 4, 3))
-        mp = init_mlp_params(mcfg, 5, rng)
+        mp = mcfg.init_params(5, rng)
         mp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in mp.items()}
-        mmask = (rng.random((4, 4)) >= 0.5).astype(float)
-        worst = max(worst, grad_check(
-            lambda p: mse_loss(mlp_forward_batch(p, mcfg, x, dropout_mask=mmask), y), mp))
+        worst = max(worst, grad_check(lambda p: mse_loss(mlp_forward_batch(
+            p, mcfg, x, mode="train", rng=np.random.default_rng(7)), y), mp))
 
         ccfg = CnnConfig(channels=2, kernel=3, dense_hidden=3)
-        cp = init_cnn_params(ccfg, 5, rng)
+        cp = ccfg.init_params(5, rng)
         cp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in cp.items()}
-        cmask = (rng.random((4, 5, 2)) >= 0.5).astype(float)
-        worst = max(worst, grad_check(
-            lambda p: mse_loss(cnn_forward_batch(p, ccfg, x, dropout_mask=cmask), y), cp))
+        worst = max(worst, grad_check(lambda p: mse_loss(cnn_forward_batch(
+            p, ccfg, x, mode="train", rng=np.random.default_rng(7)), y), cp))
 
     elapsed = time.monotonic() - started
     ok = worst < 1e-4 and elapsed < 30.0
@@ -165,7 +154,7 @@ def test_criterion_04_aggregator_properties():
     ok = True
     for kind in AggregatorKind:
         cfg = SageConfig(aggregator=kind, hidden=(4, 4), dropout=0.0)
-        params = init_sage_params(cfg, 6, np.random.default_rng(1))
+        params = cfg.init_params(6, np.random.default_rng(1))
         self_feat = rng.normal(size=6)
         neighbors = [rng.normal(size=6) for _ in range(5)]
         base = aggregate(kind, self_feat, neighbors, params)
@@ -175,7 +164,7 @@ def test_criterion_04_aggregator_properties():
         ok &= bool(np.allclose(aggregate(kind, self_feat, [], params), 0.0))
 
     acfg = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, hidden=(4, 4))
-    ap = init_sage_params(acfg, 6, np.random.default_rng(2))
+    ap = acfg.init_params(6, np.random.default_rng(2))
     alpha = attention_weights(ap, 1, AggregatorKind.ATTENTIONAL,
                               rng.normal(size=(2, 6)), rng.normal(size=(2, 5, 6)),
                               np.ones((2, 5)))

@@ -13,8 +13,6 @@ from virtualsensor.baselines import (
     cnn_forward_batch,
     gbt_fit,
     gbt_predict,
-    init_cnn_params,
-    init_mlp_params,
     mlp_forward_batch,
 )
 from virtualsensor.errors import SchemaError
@@ -26,7 +24,7 @@ from virtualsensor.nncore import grad_check, mse_loss, wrap_params
 
 def test_mlp_param_shapes():
     cfg = MlpConfig(hidden=(64, 64, 32))
-    p = init_mlp_params(cfg, 19, np.random.default_rng(0))
+    p = cfg.init_params(19, np.random.default_rng(0))
     assert p["fc1.w"].shape == (19, 64)
     assert p["fc2.w"].shape == (64, 64)
     assert p["fc3.w"].shape == (64, 32)
@@ -36,7 +34,7 @@ def test_mlp_param_shapes():
 
 def test_mlp_eval_deterministic():
     cfg = MlpConfig()
-    p = init_mlp_params(cfg, 19, np.random.default_rng(0))
+    p = cfg.init_params(19, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(4, 19))
     a = mlp_forward_batch(wrap_params(p), cfg, x).value
     b = mlp_forward_batch(wrap_params(p), cfg, x).value
@@ -46,7 +44,7 @@ def test_mlp_eval_deterministic():
 
 def test_mlp_dropout_only_in_train_mode():
     cfg = MlpConfig()
-    p = init_mlp_params(cfg, 10, np.random.default_rng(0))
+    p = cfg.init_params(10, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(8, 10))
     ev = mlp_forward_batch(wrap_params(p), cfg, x, mode="eval").value
     tr = mlp_forward_batch(wrap_params(p), cfg, x, mode="train",
@@ -57,14 +55,14 @@ def test_mlp_dropout_only_in_train_mode():
 def test_mlp_gradients():
     cfg = MlpConfig(hidden=(5, 5, 4))
     rng = np.random.default_rng(0)
-    p = init_mlp_params(cfg, 6, rng)
+    p = cfg.init_params(6, rng)
     p = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in p.items()}
     x = rng.normal(size=(7, 6))
     y = rng.normal(size=7)
-    mask = (rng.random((7, 5)) >= 0.5).astype(float)
 
-    def f(pv):
-        return mse_loss(mlp_forward_batch(pv, cfg, x, dropout_mask=mask), y)
+    def f(pv):  # a freshly seeded generator draws the same dropout mask each call
+        return mse_loss(mlp_forward_batch(pv, cfg, x, mode="train",
+                                          rng=np.random.default_rng(7)), y)
 
     assert grad_check(f, p) < 1e-4
 
@@ -74,7 +72,7 @@ def test_mlp_gradients():
 
 def test_cnn_param_shapes():
     cfg = CnnConfig(channels=8, kernel=3, dense_hidden=32)
-    p = init_cnn_params(cfg, 19, np.random.default_rng(0))
+    p = cfg.init_params(19, np.random.default_rng(0))
     assert p["conv1.w"].shape == (3, 8)  # kernel taps stacked over 1 input channel
     assert p["conv2.w"].shape == (24, 8)
     assert p["fc1.w"].shape == (19 * 8, 32)
@@ -83,12 +81,12 @@ def test_cnn_param_shapes():
 
 def test_cnn_kernel_wider_than_input_rejected():
     with pytest.raises(SchemaError):
-        init_cnn_params(CnnConfig(kernel=25), 19, np.random.default_rng(0))
+        CnnConfig(kernel=25).init_params(19, np.random.default_rng(0))
 
 
 def test_cnn_eval_deterministic():
     cfg = CnnConfig()
-    p = init_cnn_params(cfg, 19, np.random.default_rng(0))
+    p = cfg.init_params(19, np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(5, 19))
     a = cnn_forward_batch(wrap_params(p), cfg, x).value
     b = cnn_forward_batch(wrap_params(p), cfg, x).value
@@ -100,7 +98,7 @@ def test_cnn_convolution_is_translation_local():
     # Zero conv weights except the center tap identity: the network's first
     # conv layer then passes features straight through.
     cfg = CnnConfig(channels=1, kernel=3, dense_hidden=2)
-    p = init_cnn_params(cfg, 4, np.random.default_rng(0))
+    p = cfg.init_params(4, np.random.default_rng(0))
     p["conv1.w"] = np.array([[0.0], [1.0], [0.0]])  # taps: left, center, right
     p["conv1.b"] = np.zeros((1, 1))
     p["conv2.w"] = np.array([[0.0], [1.0], [0.0]])
@@ -118,14 +116,14 @@ def test_cnn_convolution_is_translation_local():
 def test_cnn_gradients():
     cfg = CnnConfig(channels=3, kernel=3, dense_hidden=4)
     rng = np.random.default_rng(0)
-    p = init_cnn_params(cfg, 6, rng)
+    p = cfg.init_params(6, rng)
     p = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in p.items()}
     x = rng.normal(size=(4, 6))
     y = rng.normal(size=4)
-    mask = (rng.random((4, 6, 3)) >= 0.5).astype(float)
 
-    def f(pv):
-        return mse_loss(cnn_forward_batch(pv, cfg, x, dropout_mask=mask), y)
+    def f(pv):  # a freshly seeded generator draws the same dropout mask each call
+        return mse_loss(cnn_forward_batch(pv, cfg, x, mode="train",
+                                          rng=np.random.default_rng(7)), y)
 
     assert grad_check(f, p) < 1e-4
 

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from virtualsensor import fill_prev_no2, load_dataset, standardize
 from virtualsensor.cli import build_parser, main
-from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS
+from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint
 
 
 def run(*argv):
@@ -89,6 +90,27 @@ def test_transfer_rejects_gbt(tmp_path, workspace, capsys):
     assert code == 1
     assert "gbt" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("finetune_epochs", [0, 2])
+def test_transfer_checkpoint_records_returned_model(tmp_path, workspace, finetune_epochs):
+    # With no fine-tuning, transfer returns the pretrained model: its config
+    # and the source stats its weights were fitted to.
+    _, source, _ = workspace
+    target, out = tmp_path / "target", tmp_path / "t.vsck"
+    assert run("synth", "--sensors", "3", "--hours", "60", "--seed", "5",
+               "--out", str(target)) == 0
+    assert run("transfer", "--source", str(source), "--target", str(target),
+               "--out", str(out), "--epochs", "1", "--finetune-epochs", str(finetune_epochs),
+               "--finetune-lr", "1e-4") == 0
+    trained = load_checkpoint(out)
+    city = source if finetune_epochs == 0 else target
+    _, stats = standardize(fill_prev_no2(load_dataset(city / "locations.csv",
+                                                      city / "readings.csv")))
+    assert (trained.train_cfg.epochs, trained.train_cfg.lr) == (
+        (1, 1e-3) if finetune_epochs == 0 else (2, 1e-4))
+    assert np.array_equal(trained.stats.mean, stats.mean)
+    assert np.array_equal(trained.stats.std, stats.std)
 
 
 @pytest.mark.parametrize("command", ["train", "transfer", "eval"])
@@ -276,6 +298,73 @@ def test_predict_edited_checkpoint_kind(tmp_path, workspace, mlp_checkpoint, cap
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def _report(path, **edits):
+    """A valid report file, with top-level fields replaced."""
+    data = {"model": "sage", "per_location": {},
+            "averages": {"rmse": 10.0, "nrmse": 0.5, "grad_rmse": 5.0}, "metadata": {}}
+    data.update(edits)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _preds(path, *rows):
+    return _write_text(path, "timestamp,predicted_no2_ugm3\n" + "".join(r + "\n" for r in rows))
+
+
+def _plot(tmp, data, pred_rows, *extra):
+    return ["plot", "--data", str(data), "--pred", _preds(tmp / "p.csv", *pred_rows),
+            "--location", "S00", "--out", str(tmp / "x.svg"), *extra]
+
+
+TS = "2019-01-01T02:00:00Z"
+
+# Each case maps (tmp_path, data dir) to (argv, a text the error line holds).
+MALFORMED_CLI_INPUTS = {
+    "compare-not-json": lambda tmp, data: (
+        ["eval", "--compare", _write_text(tmp / "b.json", "not json"), _report(tmp / "n.json")],
+        "b.json"),
+    "compare-not-object": lambda tmp, data: (
+        ["eval", "--compare", _report(tmp / "b.json"), _write_text(tmp / "n.json", "[1]")],
+        "n.json"),
+    "compare-no-per-location": lambda tmp, data: (
+        ["eval", "--compare", _report(tmp / "b.json", per_location=None), _report(tmp / "n.json")],
+        "per_location"),
+    "compare-average-not-number": lambda tmp, data: (
+        ["eval", "--compare", _report(tmp / "b.json"),
+         _report(tmp / "n.json", averages={"rmse": "x", "nrmse": 0.5, "grad_rmse": 5.0})],
+        "averages"),
+    "plot-one-field": lambda tmp, data: (_plot(tmp, data, [TS]), "line 2"),
+    "plot-three-fields": lambda tmp, data: (_plot(tmp, data, [f"{TS},1.0", f"{TS},1.0,2.0"]),
+                                            "line 3"),
+    "plot-not-a-number": lambda tmp, data: (_plot(tmp, data, [f"{TS},abc"]), "line 2"),
+    "plot-nan": lambda tmp, data: (_plot(tmp, data, [f"{TS},nan"]), "line 2"),
+    "plot-bad-start": lambda tmp, data: (
+        _plot(tmp, data, [f"{TS},1.0"], "--start", "notadate"), "--start"),
+    "synth-zero-hours": lambda tmp, data: (
+        ["synth", "--hours", "0", "--out", str(tmp / "c")], "hour"),
+    "train-negative-lr": lambda tmp, data: (
+        ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--lr", "-1"], "lr"),
+    "train-nan-lr": lambda tmp, data: (
+        ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--lr", "nan"], "lr"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CLI_INPUTS))
+def test_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
+    _, data, _ = workspace
+    argv, named = MALFORMED_CLI_INPUTS[case](tmp_path, data)
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
 
 
 # ---------------------------------------------------------------- plot

@@ -170,12 +170,15 @@ def test_dropout_monte_carlo_mean_preserved():
 
 
 def test_dropout_frozen_mask():
-    x = Var(np.ones((2, 2)))
-    mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = dropout(x, 0.5, "train", mask=mask)
-    assert np.allclose(out.value, [[2.0, 0.0], [0.0, 2.0]])
+    # A freshly seeded generator freezes the mask: value and gradient are
+    # mask / (1 - rate) for the mask that seed draws.
+    x = Var(np.ones((3, 4)))
+    out = dropout(x, 0.25, "train", np.random.default_rng(7))
+    mask = (np.random.default_rng(7).random((3, 4)) >= 0.25).astype(np.float64)
+    assert 0 < mask.sum() < mask.size
+    assert np.array_equal(out.value, mask / 0.75)
     out.sum().backward()
-    assert np.allclose(x.grad, [[2.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(x.grad, mask / 0.75)
 
 
 def test_dropout_validation():
@@ -184,7 +187,7 @@ def test_dropout_validation():
     with pytest.raises(SchemaError):
         dropout(np.ones(3), 0.5, "predict", np.random.default_rng(0))
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "train")  # no rng, no mask
+        dropout(np.ones(3), 0.5, "train")  # no rng
 
 
 # ---------------------------------------------------------------- loss

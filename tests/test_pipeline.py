@@ -3,6 +3,7 @@ leave-one-location-out, reports, and checkpoint persistence."""
 
 import json
 import struct
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_train_requires_standardized_dataset():
 def test_train_sage_runs_and_records_history():
     _, prepared, _, g = prepared_city()
     model = train(prepared, g, FAST)
-    assert model.kind == "sage"
+    assert model.train_cfg is FAST and model.stats is prepared.stats
     assert len(model.history["train"]) == 2
     assert len(model.history["val"]) == 2
     assert all(np.isfinite(v) for v in model.history["train"])
@@ -177,6 +178,16 @@ def test_train_zero_lr_keeps_params_at_init():
         assert np.allclose(trained.params[name], init[name]), name
 
 
+@pytest.mark.parametrize("bad", [
+    {"lr": -1.0}, {"lr": float("nan")}, {"lr": float("inf")},
+    {"val_fraction": 1.0}, {"val_fraction": -0.1}, {"val_fraction": float("nan")},
+    {"epochs": 0}, {"patience": 0}, {"model": "xyz"},
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_train_config_rejects_bad_values(bad):
+    with pytest.raises(SchemaError):
+        TrainConfig(**bad)
+
+
 def test_train_rejects_config_of_another_kind():
     _, prepared, _, g = prepared_city()
     with pytest.raises(SchemaError, match="MlpConfig"):
@@ -193,7 +204,7 @@ def test_train_loss_decreases():
 def test_train_baselines(kind):
     _, prepared, _, g = prepared_city()
     model = train(prepared, g, TrainConfig(epochs=2, patience=2, model=kind))
-    assert model.kind == kind
+    assert model.train_cfg.model == kind and model.stats is prepared.stats
     assert model.history["train"]
 
 
@@ -401,6 +412,24 @@ def test_report_json_round_trip():
     assert back.to_json() == rep.to_json()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("model", ...), ("model", 3),
+    ("per_location", ...), ("per_location", []), ("per_location", {"A": 1.0}),
+    ("averages", ...), ("averages", {"rmse": 15.0, "nrmse": 0.6}),
+    ("averages", {"rmse": "15", "nrmse": 0.6, "grad_rmse": 6.0}),
+    ("metadata", []),
+], ids=["no-model", "model-int", "no-per-location", "per-location-list",
+        "location-not-object", "no-averages", "average-missing", "average-str", "metadata-list"])
+def test_report_from_dict_rejects_malformed(key, value):
+    data = json.loads(sample_report().to_json())
+    if value is ...:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(SchemaError, match=key):
+        EvalReport.from_dict(data)
+
+
 def test_report_csv_format():
     lines = sample_report().to_csv().strip().split("\n")
     assert lines[0] == "model,rmse,nrmse,grad_rmse"
@@ -420,51 +449,58 @@ def test_improvement_table_published_numbers():
 
 
 def trained_for_checkpoint():
-    _, prepared, stats, g = prepared_city()
-    cfg = TrainConfig(epochs=1, seed=0)
-    model = train(prepared, g, cfg)
-    return model, stats, cfg
+    _, prepared, _, g = prepared_city()
+    return train(prepared, g, TrainConfig(epochs=1, seed=0))
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
-    params, stats2, cfg2, model_cfg2 = load_checkpoint(path)
-    assert set(params) == set(model.params)
-    for name in params:
-        assert np.array_equal(params[name], np.atleast_2d(model.params[name]))
-    assert np.array_equal(stats2.mean, stats.mean)
-    assert np.array_equal(stats2.std, stats.std)
-    assert cfg2 == cfg
-    assert model_cfg2 == model.model_config
+    save_checkpoint(path, model)
+    back = load_checkpoint(path)
+    assert set(back.params) == set(model.params)
+    for name in back.params:
+        assert np.array_equal(back.params[name], np.atleast_2d(model.params[name]))
+    assert np.array_equal(back.stats.mean, model.stats.mean)
+    assert np.array_equal(back.stats.std, model.stats.std)
+    assert back.train_cfg == model.train_cfg
+    assert back.model_config == model.model_config
+    assert back.history == {}
 
 
 def test_checkpoint_save_idempotent(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     p1, p2 = tmp_path / "a.vsck", tmp_path / "b.vsck"
-    save_checkpoint(p1, model.params, stats, cfg, model.model_config)
-    save_checkpoint(p2, model.params, stats, cfg, model.model_config)
+    save_checkpoint(p1, model)
+    save_checkpoint(p2, model)
     assert p1.read_bytes() == p2.read_bytes()
     # load -> save again stays byte-identical
-    params, stats2, cfg2, mc2 = load_checkpoint(p1)
     p3 = tmp_path / "c.vsck"
-    save_checkpoint(p3, params, stats2, cfg2, mc2)
+    save_checkpoint(p3, load_checkpoint(p1))
     assert p3.read_bytes() == p1.read_bytes()
 
 
 def test_checkpoint_refuses_nan_params(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     bad = dict(model.params)
     bad["head.w"] = np.array([[np.nan]])
     with pytest.raises(CheckpointError):
-        save_checkpoint(tmp_path / "bad.vsck", bad, stats, cfg, model.model_config)
+        save_checkpoint(tmp_path / "bad.vsck", replace(model, params=bad))
+
+
+def test_checkpoint_refuses_gbt(tmp_path):
+    _, prepared, _, g = prepared_city()
+    model = train(prepared, g, TrainConfig(model="gbt"), GbtConfig(n_trees=2))
+    path = tmp_path / "gbt.vsck"
+    with pytest.raises(CheckpointError, match="no parameter checkpoint"):
+        save_checkpoint(path, model)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_tampered_magic(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    save_checkpoint(path, model)
     data = bytearray(path.read_bytes())
     data[0] ^= 0xFF
     path.write_bytes(bytes(data))
@@ -473,9 +509,9 @@ def test_checkpoint_rejects_tampered_magic(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    save_checkpoint(path, model)
     data = bytearray(path.read_bytes())
     data[4] = 99  # version field
     path.write_bytes(bytes(data))
@@ -484,15 +520,19 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
 
 
 def test_checkpoint_rejects_schema_mismatch(tmp_path):
-    model, stats, cfg = trained_for_checkpoint()
+    model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    save_checkpoint(path, model)
     from virtualsensor.dataset import FeatureSchema
 
+    # A checkpoint written for another feature layout carries its hash.
     cols = list(default_schema().columns)
     cols[0] = ("sat_no2_alt", "mol/m2", "satellite")
+    data = path.read_bytes()
+    path.write_bytes(data[:6] + struct.pack("<Q", schema_hash(FeatureSchema(tuple(cols))))
+                     + data[14:])
     with pytest.raises(CheckpointError, match="schema"):
-        load_checkpoint(path, schema=FeatureSchema(tuple(cols)))
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("old,new,count,match", [
@@ -507,9 +547,8 @@ def test_checkpoint_rejects_schema_mismatch(tmp_path):
     (b'"mean_pool"', b'"mean_poox"', 1, "bad sage checkpoint config"),
 ])
 def test_checkpoint_rejects_edited_model_kind(tmp_path, old, new, count, match):
-    model, stats, cfg = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    save_checkpoint(path, trained_for_checkpoint())
     data = path.read_bytes()
     assert old in data and len(old) == len(new)  # config length field stays valid
     path.write_bytes(data.replace(old, new, count))
@@ -520,9 +559,8 @@ def test_checkpoint_rejects_edited_model_kind(tmp_path, old, new, count, match):
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     """A real sage checkpoint, as bytes."""
-    model, stats, cfg = trained_for_checkpoint()
     path = tmp_path_factory.mktemp("ckpt") / "model.vsck"
-    save_checkpoint(path, model.params, stats, cfg, model.model_config)
+    save_checkpoint(path, trained_for_checkpoint())
     return path.read_bytes()
 
 

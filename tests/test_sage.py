@@ -33,7 +33,6 @@ from virtualsensor.pipeline import (
 from virtualsensor.sage import (
     aggregate,
     attention_weights,
-    init_sage_params,
     resolve_init,
     sage_forward_batch,
     sample_batch,
@@ -45,7 +44,7 @@ UTC = timezone.utc
 
 def params_for(kind, d=6, hidden=(4, 4), seed=0):
     cfg = SageConfig(aggregator=kind, hidden=hidden, dropout=0.0, seed=seed)
-    return cfg, init_sage_params(cfg, d, np.random.default_rng(seed))
+    return cfg, cfg.init_params(d, np.random.default_rng(seed))
 
 
 def forward_one(params, cfg, g, feats, node, rng):
@@ -56,8 +55,8 @@ def forward_one(params, cfg, g, feats, node, rng):
 
 def closed_loop(params, cfg, g, ds, node, init):
     """The sage model's closed-loop series for one node, rng seeded with 0."""
-    return closed_loop_predict(TrainedModel("sage", cfg, params), g, ds, node, init,
-                               rng=np.random.default_rng(0))
+    return closed_loop_predict(TrainedModel(TrainConfig(), cfg, params, ds.stats), g, ds,
+                               node, init, rng=np.random.default_rng(0))
 
 
 def triangle_graph(n=3):
@@ -273,21 +272,17 @@ def test_forward_batch_matches_single():
 def test_forward_gradients_finite_difference(kind):
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5, seed=0)
     rng = np.random.default_rng(0)
-    params = init_sage_params(cfg, 5, rng)
+    params = cfg.init_params(5, rng)
     # jitter away from the zero-bias relu kink where subgradients are ambiguous
     params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
     g = triangle_graph()
     feats = rng.normal(size=(3, 5))
     batch = sample_batch(g, [0, 1], cfg.budget, rng)
-    masks = {
-        "l1_u": (rng.random((2, 3, 3)) >= 0.5).astype(float),
-        "l1_v": (rng.random((2, 3)) >= 0.5).astype(float),
-        "l2": (rng.random((2, 3)) >= 0.5).astype(float),
-    }
     y = rng.normal(size=2)
 
-    def f(p):
-        out = sage_forward_batch(p, cfg, feats, batch, dropout_masks=masks)
+    def f(p):  # a freshly seeded generator draws the same dropout masks each call
+        out = sage_forward_batch(p, cfg, feats, batch, mode="train",
+                                 rng=np.random.default_rng(7))
         return mse_loss(out, y)
 
     assert grad_check(f, params) < 1e-4
@@ -396,7 +391,7 @@ def test_rollout_constant_model_fixed_point():
     # A model with zero weights predicts bias everywhere; feeding that back
     # keeps the series exactly constant.
     cfg = SageConfig(aggregator=AggregatorKind.MEAN, hidden=(4, 4), dropout=0.0)
-    params = init_sage_params(cfg, 19, np.random.default_rng(0))
+    params = cfg.init_params(19, np.random.default_rng(0))
     params = {k: np.zeros_like(v) for k, v in params.items()}
     params["head.b"] = np.array([[7.25]])
     ds = small_dataset(T=12, n=3)

@@ -33,6 +33,8 @@ def test_config_validation():
         CityConfig(bbox=(51.5, 51.4, -2.6, -2.5))
     with pytest.raises(SchemaError):
         CityConfig(spatial_length_scale=0.0)
+    with pytest.raises(SchemaError, match="hour"):
+        CityConfig(n_hours=0)
 
 
 # ---------------------------------------------------------------- determinism
