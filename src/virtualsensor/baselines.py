@@ -5,7 +5,9 @@ isolates neighbor aggregation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +136,14 @@ class GbtConfig(_FlatConfig):
 
     trains_by_gradient = False  # fitted in one pass by `fit`; no parameter checkpoint
 
+    def __post_init__(self):
+        if self.n_trees < 0 or self.max_depth < 0 or self.min_leaf < 1:
+            raise SchemaError(
+                "gbt needs n_trees >= 0, max_depth >= 0 and min_leaf >= 1, got "
+                f"{self.n_trees}, {self.max_depth} and {self.min_leaf}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise SchemaError(f"gbt learning_rate must be finite and >= 0, got {self.learning_rate}")
+
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GbtModel":
         return gbt_fit(x, y, self)
 
@@ -142,78 +152,85 @@ class GbtConfig(_FlatConfig):
         return Var(gbt_predict(model, feats[nodes]))
 
 
-@dataclass
-class TreeNode:
-    value: float
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+class Tree(NamedTuple):
+    """One regression tree as parallel arrays indexed by node, the layout of
+    scikit-learn's `Tree`. Node 0 is the root. Internal node i sends a row to
+    `left[i]` when `row[feature[i]] < threshold[i]` and to `right[i]`
+    otherwise. At a leaf, `feature`, `left` and `right` are -1 and `value[i]`
+    is the tree's prediction. `value` holds every node's mean residual over
+    the training rows that reached it."""
+
+    feature: np.ndarray  # int
+    threshold: np.ndarray
+    left: np.ndarray  # int
+    right: np.ndarray  # int
+    value: np.ndarray
 
 
 @dataclass
 class GbtModel:
     config: GbtConfig
     init_value: float
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
     train_mse: list[float] = field(default_factory=list)  # after each tree
 
 
 def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1):
-    """Exhaustive least-squares split search over all features.
+    """Exhaustive least-squares split search over all features at once
+    (exact greedy search: every midpoint between distinct neighbouring values).
 
     Returns (gain, feature, threshold) with gain measured as the reduction
-    in sum of squared errors, or None when no split helps.
+    in sum of squared errors, or None when no split gains more than 1e-12.
+    Each side keeps at least `min_leaf` rows. Ties go to the lowest feature,
+    then to the lowest split position in that feature's stable sort order.
     """
-    n, d = x.shape
+    n = len(y)
     total = y.sum()
     base = total * total / n
-    best = None
-    for j in range(d):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        for i in range(min_leaf - 1, n - min_leaf):
-            if xs[i] == xs[i + 1]:
-                continue
-            lcnt, rcnt = i + 1, n - i - 1
-            lsum = csum[i]
-            rsum = total - lsum
-            gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base
-            if gain > 1e-12 and (best is None or gain > best[0]):
-                best = (gain, j, 0.5 * (xs[i] + xs[i + 1]))
-    return best
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    csum = np.cumsum(y[order], axis=0)  # sequential, so equal to a per-column cumsum
+    pos = np.arange(min_leaf - 1, n - min_leaf)  # last row of the left side
+    if len(pos) == 0:
+        return None
+    lcnt = (pos + 1)[:, None]
+    rcnt = n - lcnt
+    lsum = csum[pos]
+    rsum = total - lsum
+    gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base  # [positions, features]
+    ok = (xs[pos] != xs[pos + 1]) & (gain > 1e-12)
+    if not ok.any():
+        return None
+    # argmax takes the first maximum, so scan feature-major for the tie rule.
+    j, k = divmod(int(np.argmax(np.where(ok, gain, -np.inf).T)), len(pos))
+    i = pos[k]
+    return gain[k, j], j, 0.5 * (xs[i, j] + xs[i + 1, j])
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, cfg: GbtConfig) -> TreeNode:
-    node = TreeNode(value=float(y.mean()))
-    if depth >= cfg.max_depth or len(y) < 2 * cfg.min_leaf:
-        return node
-    split = best_split(x, y, cfg.min_leaf)
-    if split is None:
-        return node
-    _, j, thr = split
-    mask = x[:, j] < thr
-    node.feature = j
-    node.threshold = thr
-    node.left = _grow_tree(x[mask], y[mask], depth + 1, cfg)
-    node.right = _grow_tree(x[~mask], y[~mask], depth + 1, cfg)
-    return node
-
-
-def _tree_predict(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x))
-    stack = [(node, np.arange(len(x)))]
+def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig) -> tuple[Tree, np.ndarray]:
+    """Grow one tree on (x, y), depth first; also return the value of the
+    leaf that each training row reached."""
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
+    fitted = np.empty(len(y))
+    stack = [(0, np.arange(len(y)), 0)]  # (node, its training rows, depth)
     while stack:
-        cur, idx = stack.pop()
-        if cur.feature < 0:
-            out[idx] = cur.value
+        node, rows, depth = stack.pop()
+        ys = y[rows]
+        value = nodes[node][4] = float(ys.mean())
+        split = None
+        if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_leaf:
+            split = best_split(x[rows], ys, cfg.min_leaf)
+        if split is None:
+            fitted[rows] = value
             continue
-        mask = x[idx, cur.feature] < cur.threshold
-        stack.append((cur.left, idx[mask]))
-        stack.append((cur.right, idx[~mask]))
-    return out
+        _, j, thr = split
+        mask = x[rows, j] < thr
+        lo, hi = len(nodes), len(nodes) + 1
+        nodes[node][:4] = j, float(thr), lo, hi
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        stack.append((hi, rows[~mask], depth + 1))
+        stack.append((lo, rows[mask], depth + 1))
+    return Tree(*(np.array(column) for column in zip(*nodes))), fitted
 
 
 def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtModel:
@@ -225,17 +242,24 @@ def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtMo
     model = GbtModel(config=cfg, init_value=float(y.mean()))
     pred = np.full(len(y), model.init_value)
     for _ in range(cfg.n_trees):
-        residual = y - pred
-        tree = _grow_tree(x, residual, 0, cfg)
+        tree, fitted = _grow_tree(x, y - pred, cfg)
         model.trees.append(tree)
-        pred = pred + cfg.learning_rate * _tree_predict(tree, x)
+        pred = pred + cfg.learning_rate * fitted
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
     return model
 
 
 def gbt_predict(model: GbtModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    pred = np.full(len(x), model.init_value)
-    for tree in model.trees:
-        pred = pred + model.config.learning_rate * _tree_predict(tree, x)
-    return pred
+    """Predict each row by walking it down every tree, adding
+    `learning_rate * leaf value` to `init_value` in tree order."""
+    lr = model.config.learning_rate
+    out = []
+    for row in np.atleast_2d(np.asarray(x, dtype=np.float64)).tolist():
+        pred = model.init_value
+        for feature, threshold, left, right, value in model.trees:
+            node = 0
+            while feature[node] >= 0:
+                node = left[node] if row[feature[node]] < threshold[node] else right[node]
+            pred = pred + lr * value[node]
+        out.append(pred)
+    return np.array(out, dtype=np.float64)

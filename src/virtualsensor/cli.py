@@ -116,12 +116,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# Flags that set the TrainConfig. eval leaves them unset (None), so that it
+# can tell them apart from a checkpoint's config; unset ones take the default.
+_TRAIN_CONFIG_FLAGS = ("model", "seed", "epochs", "lr", "patience")
+
+
 def _train_config(args) -> TrainConfig:
-    # eval leaves --seed unset so that a checkpoint's seed can stand.
-    return TrainConfig(
-        epochs=args.epochs, lr=args.lr, patience=args.patience,
-        seed=TrainConfig.seed if args.seed is None else args.seed, model=args.model,
-    )
+    given = {name: getattr(args, name) for name in _TRAIN_CONFIG_FLAGS}
+    return TrainConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_train(args) -> int:
@@ -211,10 +213,14 @@ def cmd_eval(args) -> int:
 
     if not args.data or not args.out:
         raise VirtualSensorError("eval needs --data and --out (or --compare)")
-    raw = _load_raw(args.data)
-    g = build_knn_graph(raw.locations, k=args.k)
     init_params = None
     if args.ckpt:
+        # Every fold retrains with the checkpoint's config; --seed may override its seed.
+        ignored = [f"--{name}" for name in ("model", "epochs", "lr", "patience", "aggregator")
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise VirtualSensorError(
+                f"eval --ckpt trains with the checkpoint's config; drop {', '.join(ignored)}")
         trained = load_checkpoint(args.ckpt)
         cfg, model_cfg = trained.train_cfg, trained.model_config
         if args.seed is not None:
@@ -226,6 +232,8 @@ def cmd_eval(args) -> int:
             raise VirtualSensorError("eval needs --ckpt or --model")
         cfg = _train_config(args)
         model_cfg = _model_config(args, args.model)
+    raw = _load_raw(args.data)
+    g = build_knn_graph(raw.locations, k=args.k)
     report = leave_one_out(raw, g, cfg, model_cfg, init_params=init_params)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
@@ -407,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--ckpt")
     add_train_flags(p)
-    # No default kind or seed: with --ckpt both come from the checkpoint,
-    # and a given --seed overrides its seed.
-    p.set_defaults(model=None, seed=None)
+    # No defaults: with --ckpt the config comes from the checkpoint (a given
+    # --seed overrides its seed, the other flags are rejected); without, unset
+    # flags take TrainConfig's defaults.
+    p.set_defaults(**dict.fromkeys(_TRAIN_CONFIG_FLAGS))
     p.add_argument("--finetune-from-ckpt", action="store_true",
                    help="seed each fold's training from the checkpoint parameters")
     p.add_argument("--compare", nargs=2, metavar=("BASE.json", "NEW.json"))

@@ -104,6 +104,10 @@ class TransferConfig:
     freeze: tuple[str, ...] = ()  # parameter-name prefixes left untouched
 
     def __post_init__(self):
+        if self.finetune_epochs < 0:
+            raise SchemaError(f"finetune_epochs must be >= 0, got {self.finetune_epochs}")
+        if not 0.0 <= self.finetune_lr < math.inf:
+            raise SchemaError(f"finetune_lr must be finite and >= 0, got {self.finetune_lr}")
         if self.finetune_lr > self.source.lr:
             raise SchemaError("fine-tune lr must not exceed pretrain lr")
 

@@ -194,7 +194,88 @@ def test_best_split_perfect_step():
     assert gain == pytest.approx(16.0)  # SSE drops from 16 to 0
 
 
+def _best_split_reference(x, y, min_leaf=1):
+    """The per-feature, per-row split scan that `best_split` vectorises; it
+    must agree with it bit for bit, ties included."""
+    n, d = x.shape
+    total = y.sum()
+    base = total * total / n
+    best = None
+    for j in range(d):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        for i in range(min_leaf - 1, n - min_leaf):
+            if xs[i] == xs[i + 1]:
+                continue
+            lcnt, rcnt = i + 1, n - i - 1
+            lsum = csum[i]
+            rsum = total - lsum
+            gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base
+            if gain > 1e-12 and (best is None or gain > best[0]):
+                best = (gain, j, 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_best_split_matches_reference_scan(seed, n, d, min_leaf):
+    # Coarse rounding makes equal feature values, equal gains and duplicate
+    # columns common, so the tie rule and the equal-neighbour skip are exercised.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 0)
+    x[:, rng.integers(d)] = x[:, 0]
+    y = np.round(rng.normal(size=n), 0)
+    got = best_split(x, y, min_leaf)
+    want = _best_split_reference(x, y, min_leaf)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (float(got[0]).hex(), got[1], float(got[2]).hex()) == (
+            float(want[0]).hex(), want[1], float(want[2]).hex())
+
+
 # ---------------------------------------------------------------- GBT boosting
+
+
+def test_gbt_pinned_bytes():
+    # Values computed with the recursive-tree implementation this one
+    # replaced; any change in split choice, leaf value or summation order
+    # moves them.
+    rng = np.random.default_rng(2024)
+    x = np.round(rng.normal(size=(64, 4)), 1)
+    y = x[:, 0] - 0.5 * x[:, 1] ** 2 + np.round(rng.normal(size=64), 1)
+    model = gbt_fit(x, y, GbtConfig(n_trees=8, max_depth=3, learning_rate=0.3, min_leaf=2))
+    assert [v.hex() for v in model.train_mse] == [
+        "0x1.7ddfa63c74fb6p+0", "0x1.189451989dc30p+0", "0x1.b28e7e46ebe74p-1",
+        "0x1.5b2530afbbd7ep-1", "0x1.2a3fceb3900f0p-1", "0x1.fd88dddfe5faap-2",
+        "0x1.c229b8b4066a0p-2", "0x1.a5fc01b9837bcp-2",
+    ]
+    xt = np.round(rng.normal(size=(4, 4)), 1)
+    batch = [float(v).hex() for v in gbt_predict(model, xt)]
+    assert batch == ["-0x1.12230d8c3e5dbp-2", "-0x1.cda9ceb9bdda0p-9",
+                     "0x1.1d4fe0dfebdfbp+0", "-0x1.2ce78828edb5bp+0"]
+    assert [float(v).hex() for v in gbt_predict(model, xt[0])] == batch[:1]
+
+
+@pytest.mark.parametrize("bad", [
+    {"min_leaf": 0}, {"max_depth": -1}, {"n_trees": -1}, {"learning_rate": -0.1},
+    {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+])
+def test_gbt_config_rejects_bad_values(bad):
+    with pytest.raises(SchemaError):
+        GbtConfig(**bad)
+
+
+def test_gbt_zero_trees_predicts_the_mean():
+    x = np.random.default_rng(0).normal(size=(6, 2))
+    y = np.arange(6.0)
+    model = gbt_fit(x, y, GbtConfig(n_trees=0, max_depth=0))
+    assert model.trees == [] and model.train_mse == []
+    assert np.array_equal(gbt_predict(model, x), np.full(6, 2.5))
 
 
 def test_gbt_training_mse_non_increasing():

@@ -152,6 +152,22 @@ def test_eval_gbt_without_checkpoint(tmp_path, workspace):
     assert report["model"] == "gbt"
 
 
+@pytest.mark.parametrize("flag", [
+    ["--model", "mlp"], ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"],
+    ["--aggregator", "max_pool"],
+])
+def test_eval_ckpt_rejects_the_flags_it_would_ignore(tmp_path, workspace, capsys, flag):
+    # With --ckpt every fold retrains with the checkpoint's own config.
+    _, data, ckpt = workspace
+    code = run("eval", "--data", str(data), "--ckpt", str(ckpt), "--out", str(tmp_path / "r"),
+               *flag)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert flag[0] in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_requires_ckpt_or_model(tmp_path, workspace, capsys):
     _, data, _ = workspace
     code = run("eval", "--data", str(data), "--out", str(tmp_path / "r"))
@@ -353,6 +369,9 @@ MALFORMED_CLI_INPUTS = {
         ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--lr", "-1"], "lr"),
     "train-nan-lr": lambda tmp, data: (
         ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--lr", "nan"], "lr"),
+    "transfer-negative-finetune-epochs": lambda tmp, data: (
+        ["transfer", "--source", str(data), "--target", str(data), "--out", str(tmp / "m.vsck"),
+         "--finetune-epochs", "-1"], "finetune_epochs"),
 }
 
 

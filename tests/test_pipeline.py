@@ -288,6 +288,16 @@ def test_transfer_lr_ordering_enforced():
         TransferConfig(source=TrainConfig(lr=1e-4), finetune_lr=1e-3)
 
 
+@pytest.mark.parametrize("bad", [
+    {"finetune_epochs": -1}, {"finetune_lr": -1e-4}, {"finetune_lr": float("nan")},
+    {"finetune_lr": float("inf")},
+])
+def test_transfer_config_rejects_bad_finetune_settings(bad):
+    # Checked before any pretraining runs, and for every finetune_epochs.
+    with pytest.raises(SchemaError, match="finetune"):
+        TransferConfig(source=TrainConfig(), **bad)
+
+
 def test_transfer_schema_mismatch_rejected():
     from dataclasses import replace as dc_replace
 
