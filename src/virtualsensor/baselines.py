@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SchemaError
-from .nncore import Var, dropout, glorot_uniform
+from .nncore import Var, affine, constant, dropout, glorot_uniform
 
 
 class _FlatConfig:
@@ -54,12 +54,11 @@ class MlpConfig(_FlatConfig):
 
 def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "eval",
                       rng: np.random.Generator | None = None) -> Var:
-    h = Var(x)
-    h = (h @ pvars["fc1.w"] + pvars["fc1.b"]).relu()
-    h = (h @ pvars["fc2.w"] + pvars["fc2.b"]).relu()
+    h = affine(x, pvars["fc1.w"], pvars["fc1.b"]).relu()
+    h = affine(h, pvars["fc2.w"], pvars["fc2.b"]).relu()
     h = dropout(h, cfg.dropout, mode, rng=rng)
-    h = (h @ pvars["fc3.w"] + pvars["fc3.b"]).relu()
-    out = h @ pvars["fc4.w"] + pvars["fc4.b"]
+    h = affine(h, pvars["fc3.w"], pvars["fc3.b"]).relu()
+    out = affine(h, pvars["fc4.w"], pvars["fc4.b"])
     return out.reshape(out.shape[0])
 
 
@@ -113,13 +112,13 @@ def _conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",
                       rng: np.random.Generator | None = None) -> Var:
     n, d = x.shape
-    h = Var(x.reshape(n, d, 1))
+    h = constant(x.reshape(n, d, 1))
     h = _conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1).relu()
     h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
     h = dropout(h, cfg.dropout, mode, rng=rng)
     h = h.relu().reshape(n, d * cfg.channels)
-    h = (h @ pvars["fc1.w"] + pvars["fc1.b"]).relu()
-    out = h @ pvars["fc2.w"] + pvars["fc2.b"]
+    h = affine(h, pvars["fc1.w"], pvars["fc1.b"]).relu()
+    out = affine(h, pvars["fc2.w"], pvars["fc2.b"])
     return out.reshape(n)
 
 

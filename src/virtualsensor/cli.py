@@ -230,6 +230,8 @@ def cmd_eval(args) -> int:
     else:
         if not args.model:
             raise VirtualSensorError("eval needs --ckpt or --model")
+        if args.finetune_from_ckpt:
+            raise VirtualSensorError("eval --finetune-from-ckpt needs --ckpt")
         cfg = _train_config(args)
         model_cfg = _model_config(args, args.model)
     raw = _load_raw(args.data)

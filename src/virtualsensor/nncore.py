@@ -1,9 +1,31 @@
 """Dense numerical core: a small reverse-mode autodiff over float64 numpy
-arrays, activations, Glorot initialization, inverted dropout, MSE loss, Adam, and a
-finite-difference gradient checker.
+arrays, activations, Glorot initialization, inverted dropout, MSE loss and
+Adam.
 
 Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
+
+Tape rules. A `Var` needs a gradient when it is a `wrap_params` leaf or a
+bare `Var(x)`; data (features, masks, counts, stabilizers, dropout masks)
+and every array an op lifts are constants (`constant`, `needs_grad=False`),
+and so is `wrap_params(params, needs_grad=False)`, the form validation and
+rollout use. An op over constants only returns a constant with no parents
+and no backward closure; otherwise its parents are only the operands that
+need a gradient, and its closure skips the products and reductions that
+would only feed a constant. `backward` sorts the nodes that need a gradient
+depth-first; pruning constant subtrees keeps the relative order of the
+rest, so gradients accumulate in the same order. Three fused nodes each
+replace a chain of ops, and their backward runs the chain's numpy calls in
+the chain's order: `affine` (`x @ w + b`), `masked_mean` (a masked sum over
+the neighbor axis divided by the clipped count) and `mse_loss`.
+
+Adam layout. `adam_step` concatenates the gradients of the names it gets,
+sorted, into one vector, checks them once for finiteness, updates the flat
+first and second moments held in `AdamState` (`m`/`v` hold each name's
+view of them), and writes the new parameters into one fresh flat buffer
+whose named views replace the `params` entries. Every step is elementwise
+in the per-name order of operations, so the result is bitwise the same as
+updating each parameter on its own.
 """
 
 from __future__ import annotations
@@ -18,6 +40,8 @@ from .errors import SchemaError
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -27,13 +51,19 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Var:
-    """Node in the reverse-mode graph; wraps a float64 ndarray."""
+    """Node in the reverse-mode graph; wraps a float64 ndarray.
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    `needs_grad` is False for constants. An op over constants only is a
+    constant itself, and a node's parents are only the operands that need a
+    gradient.
+    """
 
-    def __init__(self, value, parents=(), backward=None):
+    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
+
+    def __init__(self, value, parents=(), backward=None, needs_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self.needs_grad = needs_grad
         self._parents = parents
         self._backward = backward
 
@@ -45,23 +75,19 @@ class Var:
     def backward(self):
         if self.value.size != 1:
             raise SchemaError("backward() requires a scalar output")
-        topo, seen = [], set()
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:
+            cur, expanded = stack.pop()
+            if expanded:
+                topo.append(cur)
+                continue
+            if cur in seen:
+                continue
+            seen.add(cur)
+            stack.append((cur, True))
+            for p in cur._parents:
+                stack.append((p, False))
 
-        def visit(node):
-            stack = [(node, False)]
-            while stack:
-                cur, expanded = stack.pop()
-                if expanded:
-                    topo.append(cur)
-                    continue
-                if id(cur) in seen:
-                    continue
-                seen.add(id(cur))
-                stack.append((cur, True))
-                for p in cur._parents:
-                    stack.append((p, False))
-
-        visit(self)
         for node in topo:
             node.grad = None
         self.grad = np.ones_like(self.value)
@@ -75,20 +101,28 @@ class Var:
     # -- arithmetic --------------------------------------------------------
     @staticmethod
     def _lift(x) -> "Var":
-        return x if isinstance(x, Var) else Var(x)
+        return x if isinstance(x, Var) else constant(x)
 
     def __add__(self, other):
         other = Var._lift(other)
+        value = self.value + other.value
+        if not (self.needs_grad or other.needs_grad):
+            return constant(value)
 
         def bwd(g):
-            self._accumulate(_reduce_to(g, self.shape))
-            other._accumulate(_reduce_to(g, other.shape))
+            if self.needs_grad:
+                self._accumulate(_reduce_to(g, self.shape))
+            if other.needs_grad:
+                other._accumulate(_reduce_to(g, other.shape))
 
-        return Var(self.value + other.value, (self, other), bwd)
+        return Var(value, _graded(self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.needs_grad:
+            return constant(-self.value)
+
         def bwd(g):
             self._accumulate(-g)
 
@@ -102,49 +136,71 @@ class Var:
 
     def __mul__(self, other):
         other = Var._lift(other)
+        value = self.value * other.value
+        if not (self.needs_grad or other.needs_grad):
+            return constant(value)
 
         def bwd(g):
-            self._accumulate(_reduce_to(g * other.value, self.shape))
-            other._accumulate(_reduce_to(g * self.value, other.shape))
+            if self.needs_grad:
+                self._accumulate(_reduce_to(g * other.value, self.shape))
+            if other.needs_grad:
+                other._accumulate(_reduce_to(g * self.value, other.shape))
 
-        return Var(self.value * other.value, (self, other), bwd)
+        return Var(value, _graded(self, other), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Var._lift(other)
+        value = self.value / other.value
+        if not (self.needs_grad or other.needs_grad):
+            return constant(value)
 
         def bwd(g):
-            self._accumulate(_reduce_to(g / other.value, self.shape))
-            other._accumulate(
-                _reduce_to(-g * self.value / (other.value**2), other.shape)
-            )
+            if self.needs_grad:
+                self._accumulate(_reduce_to(g / other.value, self.shape))
+            if other.needs_grad:
+                other._accumulate(
+                    _reduce_to(-g * self.value / (other.value**2), other.shape)
+                )
 
-        return Var(self.value / other.value, (self, other), bwd)
+        return Var(value, _graded(self, other), bwd)
 
     def __matmul__(self, other):
         other = Var._lift(other)
+        value = np.matmul(self.value, other.value)
+        if not (self.needs_grad or other.needs_grad):
+            return constant(value)
 
         def bwd(g):
-            self._accumulate(
-                _reduce_to(np.matmul(g, np.swapaxes(other.value, -1, -2)), self.shape)
-            )
-            other._accumulate(
-                _reduce_to(np.matmul(np.swapaxes(self.value, -1, -2), g), other.shape)
-            )
+            if self.needs_grad:
+                self._accumulate(
+                    _reduce_to(np.matmul(g, np.swapaxes(other.value, -1, -2)), self.shape)
+                )
+            if other.needs_grad:
+                other._accumulate(
+                    _reduce_to(np.matmul(np.swapaxes(self.value, -1, -2), g), other.shape)
+                )
 
-        return Var(np.matmul(self.value, other.value), (self, other), bwd)
+        return Var(value, _graded(self, other), bwd)
 
     # -- shape ops ---------------------------------------------------------
     def reshape(self, *shape):
+        value = self.value.reshape(*shape)
+        if not self.needs_grad:
+            return constant(value)
         orig = self.shape
 
         def bwd(g):
             self._accumulate(g.reshape(orig))
 
-        return Var(self.value.reshape(*shape), (self,), bwd)
+        return Var(value, (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
+        value = self.value.sum(axis=axis, keepdims=keepdims)
+        if not self.needs_grad:
+            return constant(value)
+
         def bwd(g):
             if axis is None:
                 self._accumulate(np.broadcast_to(g, self.shape).copy())
@@ -153,13 +209,16 @@ class Var:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Var(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
+        return Var(value, (self,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         count = self.value.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) / float(count)
 
     def max(self, axis: int):
+        value = np.max(self.value, axis=axis)
+        if not self.needs_grad:
+            return constant(value)
         idx = np.argmax(self.value, axis=axis)
 
         def bwd(g):
@@ -169,11 +228,14 @@ class Var:
             )
             self._accumulate(out)
 
-        return Var(np.max(self.value, axis=axis), (self,), bwd)
+        return Var(value, (self,), bwd)
 
     def pad_axis(self, axis: int, before: int, after: int):
         pads = [(0, 0)] * self.value.ndim
         pads[axis] = (before, after)
+        value = np.pad(self.value, pads)
+        if not self.needs_grad:
+            return constant(value)
         sl = [slice(None)] * self.value.ndim
         sl[axis] = slice(before, before + self.shape[axis])
         sl = tuple(sl)
@@ -181,12 +243,14 @@ class Var:
         def bwd(g):
             self._accumulate(g[sl])
 
-        return Var(np.pad(self.value, pads), (self,), bwd)
+        return Var(value, (self,), bwd)
 
     def slice_axis(self, axis: int, start: int, stop: int):
         sl = [slice(None)] * self.value.ndim
         sl[axis] = slice(start, stop)
         sl = tuple(sl)
+        if not self.needs_grad:
+            return constant(self.value[sl])
 
         def bwd(g):
             out = np.zeros_like(self.value)
@@ -198,6 +262,8 @@ class Var:
     # -- nonlinearities ----------------------------------------------------
     def relu(self):
         mask = self.value > 0
+        if not self.needs_grad:
+            return constant(self.value * mask)
 
         def bwd(g):
             self._accumulate(g * mask)
@@ -206,6 +272,8 @@ class Var:
 
     def leaky_relu(self, slope: float = 0.2):
         factor = np.where(self.value > 0, 1.0, slope)
+        if not self.needs_grad:
+            return constant(self.value * factor)
 
         def bwd(g):
             self._accumulate(g * factor)
@@ -214,6 +282,8 @@ class Var:
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.value))
+        if not self.needs_grad:
+            return constant(y)
 
         def bwd(g):
             self._accumulate(g * y * (1.0 - y))
@@ -222,6 +292,8 @@ class Var:
 
     def exp(self):
         y = np.exp(self.value)
+        if not self.needs_grad:
+            return constant(y)
 
         def bwd(g):
             self._accumulate(g * y)
@@ -229,9 +301,61 @@ class Var:
         return Var(y, (self,), bwd)
 
 
-def wrap_params(params: dict) -> dict:
-    """Wrap a name->ndarray parameter dict into autodiff leaves."""
-    return {name: Var(value) for name, value in params.items()}
+def constant(value) -> Var:
+    """A Var that needs no gradient: data, masks, counts, lifted arrays."""
+    return Var(value, needs_grad=False)
+
+
+def _graded(*operands) -> tuple:
+    """The operands that need a gradient: a node's parents."""
+    return tuple(x for x in operands if x.needs_grad)
+
+
+# ---------------------------------------------------------------------------
+# Fused nodes: each is one tape node whose backward runs the numpy calls of
+# the chain of ops it replaces, in the same order, so gradients keep their bits.
+
+
+def affine(x, w: Var, b: Var) -> Var:
+    """`x @ w + b` as one node."""
+    x = Var._lift(x)
+    value = np.matmul(x.value, w.value) + b.value
+    if not (x.needs_grad or w.needs_grad or b.needs_grad):
+        return constant(value)
+
+    def bwd(g):
+        if b.needs_grad:
+            b._accumulate(_reduce_to(g, b.shape))
+        if x.needs_grad:
+            x._accumulate(_reduce_to(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.shape))
+        if w.needs_grad:
+            w._accumulate(_reduce_to(np.matmul(np.swapaxes(x.value, -1, -2), g), w.shape))
+
+    # Parents in operand order, so the backward sort visits them as it
+    # visited the matmul and add nodes this node replaces.
+    return Var(value, _graded(x, w, b), bwd)
+
+
+def masked_mean(x: Var, mask: np.ndarray) -> Var:
+    """Mean over the second-to-last axis, counting only mask==1 slots (at
+    least one), as one node."""
+    m = mask[..., None]
+    count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+    value = (x.value * m).sum(axis=-2) / count
+    if not x.needs_grad:
+        return constant(value)
+
+    def bwd(g):
+        x._accumulate(_reduce_to((g / count)[..., None, :] * m, x.shape))
+
+    return Var(value, (x,), bwd)
+
+
+def wrap_params(params: dict, needs_grad: bool = True) -> dict:
+    """Wrap a name->ndarray parameter dict into autodiff leaves; with
+    `needs_grad=False` they are constants and a forward pass over them
+    records no tape."""
+    return {name: Var(value, needs_grad=needs_grad) for name, value in params.items()}
 
 
 def collect_grads(leaves: dict) -> dict:
@@ -264,16 +388,30 @@ def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None) -
     if rng is None:
         raise SchemaError("train-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= rate).astype(np.float64)
-    return x * Var(mask / (1.0 - rate))
+    return x * (mask / (1.0 - rate))
 
 
 def mse_loss(pred, actual) -> Var:
+    """Mean squared error as one node."""
     pred = Var._lift(pred)
     actual = Var._lift(actual)
     if pred.shape != actual.shape:
         raise SchemaError(f"mse shapes disagree: {pred.shape} vs {actual.shape}")
-    diff = pred - actual
-    return (diff * diff).mean()
+    diff = pred.value + -actual.value
+    count = np.asarray(float(diff.size))
+    value = (diff * diff).sum() / count
+    if not (pred.needs_grad or actual.needs_grad):
+        return constant(value)
+
+    def bwd(g):
+        half = np.broadcast_to(g / count, diff.shape) * diff
+        g_diff = half + half  # d(diff * diff) reaches diff once per operand
+        if pred.needs_grad:
+            pred._accumulate(_reduce_to(g_diff, pred.shape))
+        if actual.needs_grad:
+            actual._accumulate(-_reduce_to(g_diff, actual.shape))
+
+    return Var(value, _graded(pred, actual), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +420,10 @@ def mse_loss(pred, actual) -> Var:
 
 @dataclass
 class AdamState:
+    """Adam hyperparameters and moments. The moments of the parameters
+    `adam_step` last updated live in two flat buffers laid out by `names`
+    (sorted); `m` and `v` map each name to its view of them."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -289,58 +431,62 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    names: tuple = field(default=(), init=False)
+    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+
+
+def _flat(arrays: list) -> np.ndarray:
+    """The arrays' elements, in order, as one new float64 vector."""
+    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
+
+
+def _views(flat: np.ndarray, names, shapes) -> dict:
+    """Named reshaped views of consecutive slices of `flat`."""
+    out, start = {}, 0
+    for name, shape in zip(names, shapes):
+        stop = start + math.prod(shape)
+        out[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return out
+
+
+def _relayout(state: AdamState, names: tuple, shapes: list) -> None:
+    """Lay the moments out for `names`, carrying over the moments of names
+    seen before (new names start at zero); moments of names left out stay
+    in `m`/`v` as they were."""
+    for key in ("m", "v"):
+        moments = getattr(state, key)
+        flat = _flat([moments[n] if n in moments else np.zeros(shape)
+                      for n, shape in zip(names, shapes)])
+        setattr(state, "flat_" + key, flat)
+        setattr(state, key, {**moments, **_views(flat, names, shapes)})
+    state.names = names
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
-    """One Adam update, in place over the parameter dict, of the parameters
-    named in `grads`; the others keep their values."""
+    """One Adam update of the parameters named in `grads`; the others keep
+    their values. The update runs once over the flat vector of those
+    parameters (sorted by name), and each updated `params` entry is rebound
+    to its view of the new flat parameter buffer."""
+    names = tuple(sorted(grads))
+    shapes = [np.shape(params[n]) for n in names]
+    g = _flat([grads[n] for n in names])
+    if g.size != sum(math.prod(shape) for shape in shapes):
+        raise SchemaError("gradient sizes differ from their parameters")
+    if not np.isfinite(g).all():
+        bad = next(n for n in names if not np.isfinite(grads[n]).all())
+        raise SchemaError(f"non-finite gradient for parameter {bad!r}")
+    if names != state.names:
+        _relayout(state, names, shapes)
     state.step += 1
     t = state.step
-    for name in sorted(grads):
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise SchemaError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1**t)
-        v_hat = state.v[name] / (1 - state.beta2**t)
-        params[name] = params[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.flat_m, state.flat_v
+    m[...] = state.beta1 * m + (1 - state.beta1) * g
+    v[...] = state.beta2 * v + (1 - state.beta2) * g * g
+    m_hat = m / (1 - state.beta1**t)
+    v_hat = v / (1 - state.beta2**t)
+    flat = _flat([params[n] for n in names])
+    flat = flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    params.update(_views(flat, names, shapes))
     return params, state
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-
-
-def grad_check(f, params: dict, h: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of `f` against central differences.
-
-    `f` maps a name->Var dict to a scalar Var and must be deterministic
-    (sample before calling; draw dropout masks from a generator seeded afresh
-    inside `f`). Returns the max relative error with denominator
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    leaves = wrap_params(params)
-    out = f(leaves)
-    out.backward()
-    analytic = collect_grads(leaves)
-
-    worst = 0.0
-    for name in sorted(params):
-        base = params[name]
-        flat = base.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(f(wrap_params(params)).value)
-            flat[i] = orig - h
-            down = float(f(wrap_params(params)).value)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = float(analytic[name].reshape(-1)[i])
-            denom = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
-    return worst

@@ -209,7 +209,8 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         total, count = 0.0, 0
         for t in frame_list:
             nodes = groups[t]
-            out = model_cfg.predict(wrap_params(params), g, feats[t], nodes, "eval", rng)
+            out = model_cfg.predict(wrap_params(params, needs_grad=False), g, feats[t], nodes,
+                                    "eval", rng)
             total += float(np.sum((out.value - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
@@ -290,7 +291,8 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     if rng is None:
         rng = np.random.default_rng(0)
     model_cfg = trained.model_config
-    params = wrap_params(trained.params) if model_cfg.trains_by_gradient else trained.params
+    params = (wrap_params(trained.params, needs_grad=False) if model_cfg.trains_by_gradient
+              else trained.params)
     nodes = np.array([target_node])
     ar = ds.schema.prev_no2_index
     prev = resolve_init(init, ds, target_node)

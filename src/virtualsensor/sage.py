@@ -1,8 +1,8 @@
 """GraphSAGE virtual-sensor model: four neighbor aggregators computed by one
-pooling function (`aggregate` and `attention_weights` are views of it), a
-two-layer sampled forward pass (`sample_batch` then `sage_forward_batch`),
-the model kind's hooks on `SageConfig`, and the rollout-start seeding
-(`InitScheme`, `resolve_init`) that `pipeline.closed_loop_predict` uses.
+pooling function (`_pool`), a two-layer sampled forward pass (`sample_batch`
+then `sage_forward_batch`), the model kind's hooks on `SageConfig`, and the
+rollout-start seeding (`InitScheme`, `resolve_init`) that
+`pipeline.closed_loop_predict` uses.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import SchemaError
 from .geograph import SampleBudget, SpatialGraph, sample_neighborhood
-from .nncore import Var, dropout, glorot_uniform, wrap_params
+from .nncore import Var, affine, constant, dropout, glorot_uniform, masked_mean
 
 _MASK_NEG = 1e30  # additive shift that excludes padded slots from max()
 
@@ -114,12 +114,6 @@ class InitScheme:
         return cls("dataset_mean")
 
 
-def _masked_mean(x: Var, mask: np.ndarray) -> Var:
-    """Mean over the second-to-last axis, counting only mask==1 slots."""
-    count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-    return (x * Var(mask[..., None])).sum(axis=-2) / Var(count)
-
-
 def _attention(p: dict, layer: int, self_x: Var, neigh_x: Var,
                mask: np.ndarray) -> tuple[Var, Var]:
     """Attentional softmax weights `alpha` [..., K, 1] over the projected
@@ -134,9 +128,9 @@ def _attention(p: dict, layer: int, self_x: Var, neigh_x: Var,
     e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
     # Moderate downshift keeps padded slots out of the stabilizing max
     # without overflowing exp; the mask multiply makes them exactly zero.
-    e = (e_self + nj @ a_neigh).leaky_relu(0.2) + Var((mask[..., None] - 1.0) * 50.0)
+    e = (e_self + nj @ a_neigh).leaky_relu(0.2) + (mask[..., None] - 1.0) * 50.0
     stabilizer = np.max(e.value, axis=-2, keepdims=True)
-    ex = (e - Var(stabilizer)).exp() * Var(mask[..., None])
+    ex = (e - stabilizer).exp() * mask[..., None]
     # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
     # disturb the sum-to-one property, large enough that its square
     # stays normal in the backward divide.
@@ -156,16 +150,16 @@ def _pool(kind: AggregatorKind, p: dict, layer: int, self_x: Var, neigh_x: Var,
     sigmoid transforms.
     """
     if kind is AggregatorKind.MEAN:
-        return _masked_mean(neigh_x, mask)
+        return masked_mean(neigh_x, mask)
     if kind is AggregatorKind.ATTENTIONAL:
         alpha, nj = _attention(p, layer, self_x, neigh_x, mask)
         return (alpha * nj).sum(axis=-2)
-    z = (neigh_x @ p[f"l{layer}.w_pool"] + p[f"l{layer}.b_pool"]).sigmoid()
+    z = affine(neigh_x, p[f"l{layer}.w_pool"], p[f"l{layer}.b_pool"]).sigmoid()
     if kind is AggregatorKind.MEAN_POOL:
-        return _masked_mean(z, mask)
-    shifted = z * Var(mask[..., None]) + Var((mask[..., None] - 1.0) * _MASK_NEG)
+        return masked_mean(z, mask)
+    shifted = z * mask[..., None] + (mask[..., None] - 1.0) * _MASK_NEG
     has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
-    return shifted.max(axis=-2) * Var(has_any)
+    return shifted.max(axis=-2) * has_any
 
 
 def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x: Var,
@@ -175,36 +169,6 @@ def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x: Var,
     if kind is AggregatorKind.ATTENTIONAL:
         return pooled  # already in the projected space
     return pooled @ p[f"l{layer}.w_neigh"]
-
-
-def attention_weights(p: dict, layer: int, kind: AggregatorKind, self_x: np.ndarray,
-                      neigh_x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The attentional softmax weights [..., K] of the forward pass, for inspection."""
-    if kind is not AggregatorKind.ATTENTIONAL:
-        raise SchemaError("attention weights only exist for the attentional aggregator")
-    alpha, _ = _attention(wrap_params(p), layer, Var(self_x), Var(neigh_x), mask)
-    return alpha.value[..., 0]
-
-
-def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
-              neigh_feats: list[np.ndarray] | np.ndarray, params: dict,
-              layer: int = 1) -> np.ndarray:
-    """Raw aggregation of a neighbor set (no self/combination step).
-
-    Mean returns the input-dim mean; the pooling aggregators return the
-    pooled transformed vector; attentional returns the softmax-weighted sum
-    of projected neighbors. Empty sets yield the aggregator's zero vector.
-    """
-    neigh = np.asarray(neigh_feats, dtype=np.float64)
-    d = self_feat.shape[-1]
-    if neigh.size == 0:  # one masked-out slot
-        neigh, mask = np.zeros((1, d)), np.zeros((1, 1))
-    elif neigh.shape[-1] != d:
-        raise SchemaError("neighbor feature width mismatch")
-    else:
-        mask = np.ones((1, neigh.shape[0]))
-    pooled = _pool(kind, wrap_params(params), layer, Var(self_feat[None]), Var(neigh[None]), mask)
-    return pooled.value[0]
 
 
 @dataclass(frozen=True)
@@ -220,21 +184,27 @@ class NeighborhoodBatch:
 
 def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
                  rng: np.random.Generator) -> NeighborhoodBatch:
+    """Sample every target's neighborhood in order and pad each hop to its
+    budget; padded slots hold index 0 and mask 0."""
     nodes = np.asarray(list(nodes), dtype=int)
     b, k1, k2 = len(nodes), budget[0], budget[1]
-    idx1 = np.zeros((b, k1), dtype=int)
-    mask1 = np.zeros((b, k1))
-    idx2 = np.zeros((b, k1, k2), dtype=int)
-    mask2 = np.zeros((b, k1, k2))
-    for row, v in enumerate(nodes):
-        hop1, hop2 = sample_neighborhood(g, int(v), budget, rng)
-        for i, u in enumerate(hop1):
-            idx1[row, i] = u
-            mask1[row, i] = 1.0
-            for j, w in enumerate(hop2[i]):
-                idx2[row, i, j] = w
-                mask2[row, i, j] = 1.0
-    return NeighborhoodBatch(nodes, idx1, mask1, idx2, mask2)
+    idx1, mask1, idx2, mask2 = [], [], [], []
+    for v in nodes.tolist():
+        hop1, hop2 = sample_neighborhood(g, v, budget, rng)
+        pad1 = k1 - len(hop1)
+        idx1 += hop1 + [0] * pad1
+        mask1 += [1.0] * len(hop1) + [0.0] * pad1
+        for hop in hop2 + [[]] * pad1:
+            pad2 = k2 - len(hop)
+            idx2 += hop + [0] * pad2
+            mask2 += [1.0] * len(hop) + [0.0] * pad2
+    return NeighborhoodBatch(
+        nodes,
+        np.array(idx1, dtype=int).reshape(b, k1),
+        np.array(mask1).reshape(b, k1),
+        np.array(idx2, dtype=int).reshape(b, k1, k2),
+        np.array(mask2).reshape(b, k1, k2),
+    )
 
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
@@ -249,9 +219,9 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     kind = cfg.aggregator
     if not np.all(np.isfinite(feats)):
         raise SchemaError("forward pass requires finite node features")
-    xv = Var(feats[batch.nodes])  # [B, d]
-    x1 = Var(feats[batch.idx1])  # [B, k1, d]
-    x2 = Var(feats[batch.idx2])  # [B, k1, k2, d]
+    xv = constant(feats[batch.nodes])  # [B, d]
+    x1 = constant(feats[batch.idx1])  # [B, k1, d]
+    x2 = constant(feats[batch.idx2])  # [B, k1, k2, d]
 
     # Layer 1: refresh hop-1 nodes from their hop-2 samples, and the target
     # from its hop-1 samples.
@@ -265,7 +235,7 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
     h2 = dropout(pre2, cfg.dropout, mode, rng).relu()  # [B, h2]
 
-    out = h2 @ pvars["head.w"] + pvars["head.b"]  # [B, 1]
+    out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])
 
 

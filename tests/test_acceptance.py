@@ -32,16 +32,16 @@ from virtualsensor import (
 )
 from virtualsensor.baselines import GbtConfig, MlpConfig, best_split, gbt_fit
 from virtualsensor.cli import main as cli_main
-from virtualsensor.nncore import grad_check, mse_loss
+from virtualsensor.nncore import mse_loss
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, _run_fold
 from virtualsensor.sage import (
     AggregatorKind,
     SageConfig,
-    aggregate,
-    attention_weights,
     sage_forward_batch,
     sample_batch,
 )
+
+from probes import aggregate, attention_weights, grad_check
 
 # Published leave-one-out averages (rmse, nrmse, grad_rmse) per model.
 PUBLISHED = {

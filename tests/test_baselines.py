@@ -16,7 +16,9 @@ from virtualsensor.baselines import (
     mlp_forward_batch,
 )
 from virtualsensor.errors import SchemaError
-from virtualsensor.nncore import grad_check, mse_loss, wrap_params
+from virtualsensor.nncore import mse_loss, wrap_params
+
+from probes import grad_check
 
 
 # ---------------------------------------------------------------- MLP

@@ -372,6 +372,9 @@ MALFORMED_CLI_INPUTS = {
     "transfer-negative-finetune-epochs": lambda tmp, data: (
         ["transfer", "--source", str(data), "--target", str(data), "--out", str(tmp / "m.vsck"),
          "--finetune-epochs", "-1"], "finetune_epochs"),
+    "eval-finetune-without-ckpt": lambda tmp, data: (
+        ["eval", "--data", str(data), "--model", "mlp", "--epochs", "1", "--finetune-from-ckpt",
+         "--out", str(tmp / "rep")], "--finetune-from-ckpt"),
 }
 
 

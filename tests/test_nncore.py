@@ -12,13 +12,17 @@ from virtualsensor.nncore import (
     AdamState,
     Var,
     adam_step,
+    affine,
     collect_grads,
+    constant,
     dropout,
     glorot_uniform,
-    grad_check,
+    masked_mean,
     mse_loss,
     wrap_params,
 )
+
+from probes import grad_check
 
 
 # ---------------------------------------------------------------- Var basics
@@ -125,6 +129,83 @@ def test_exp_grad_matches_value(a, b):
     out = x.exp().sum()
     out.backward()
     assert np.allclose(x.grad, np.exp([a, b]), rtol=1e-12)
+
+
+# ---------------------------------------------------------------- tape rules
+
+
+def _tape(out):
+    """Every node reachable from `out` through recorded parents."""
+    seen, stack = [], [out]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in seen):
+            continue
+        seen.append(node)
+        stack.extend(node._parents)
+    return seen
+
+
+def test_constants_record_no_tape():
+    a, b = constant(np.ones((2, 3))), constant(np.full((3, 1), 2.0))
+    outs = [a + 1.0, a * b.reshape(1, 3), (a @ b).relu(), a.sum(axis=0), -a, a.exp(),
+            a.sigmoid(), a.max(axis=1), a.pad_axis(1, 1, 1), a.slice_axis(1, 0, 2),
+            a.leaky_relu(), a / 2.0, affine(a, b, constant(np.ones((1, 1)))),
+            masked_mean(a.reshape(1, 2, 3), np.ones((1, 2))), mse_loss(a, a * 2.0)]
+    for out in outs:
+        assert not out.needs_grad and out._parents == () and out._backward is None
+
+
+def test_bare_var_and_leaves_need_grad():
+    assert Var(np.ones(2)).needs_grad
+    assert all(v.needs_grad for v in wrap_params({"w": np.ones((1, 1))}).values())
+    assert not any(v.needs_grad for v in wrap_params({"w": np.ones((1, 1))},
+                                                     needs_grad=False).values())
+
+
+def test_parents_are_only_operands_that_need_grad():
+    w = Var(np.ones((3, 1)))
+    x = constant(np.ones((2, 3)))
+    out = x @ w
+    assert out._parents == (w,)
+    assert affine(x, w, constant(np.zeros((1, 1))))._parents == (w,)
+
+
+def test_backward_leaves_constants_without_grad():
+    rng = np.random.default_rng(0)
+    x = constant(rng.normal(size=(4, 3)))
+    w, b = Var(rng.normal(size=(3, 1))), Var(np.zeros((1, 1)))
+    mask = constant(np.array([[1.0], [0.0], [1.0], [1.0]]))
+    y = rng.normal(size=4)
+    loss = mse_loss((affine(x, w, b) * mask).reshape(4), y)
+    loss.backward()
+    assert x.grad is None and mask.grad is None
+    assert w.grad is not None and b.grad is not None
+    assert all(node.needs_grad for node in _tape(loss))
+
+
+def test_fused_nodes_match_their_op_chains():
+    # Each fused node's value and gradients equal the chain of ops it replaces.
+    rng = np.random.default_rng(3)
+    x0, w0, b0 = rng.normal(size=(2, 4, 3)), rng.normal(size=(3, 5)), rng.normal(size=(1, 5))
+    mask = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    y = rng.normal(size=(2, 5))
+
+    def run(fused):
+        x, w, b = Var(x0), Var(w0), Var(b0)
+        if fused:
+            h = masked_mean(affine(x, w, b).sigmoid(), mask)
+            loss = mse_loss(h, y)
+        else:
+            count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+            h = ((x @ w + b).sigmoid() * Var(mask[..., None])).sum(axis=-2) / Var(count)
+            diff = h - y
+            loss = (diff * diff).mean()
+        loss.backward()
+        return [loss.value, x.grad, w.grad, b.grad]
+
+    for a, b in zip(run(True), run(False)):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- layers
@@ -275,6 +356,67 @@ def test_adam_state_persistence_matters():
         return params["w"][0, 0]
 
     assert run(False) != pytest.approx(run(True), abs=1e-9)
+
+
+def _adam_per_name(params, grads, state):
+    """The per-name Adam loop the flat update replaced (state: step, m, v)."""
+    state["step"] += 1
+    t = state["step"]
+    for name in sorted(grads):
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise SchemaError(f"non-finite gradient for parameter {name!r}")
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(params[name])
+            state["v"][name] = np.zeros_like(params[name])
+        state["m"][name] = 0.9 * state["m"][name] + (1 - 0.9) * g
+        state["v"][name] = 0.999 * state["v"][name] + (1 - 0.999) * g * g
+        m_hat = state["m"][name] / (1 - 0.9**t)
+        v_hat = state["v"][name] / (1 - 0.999**t)
+        params[name] = params[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_flat_adam_matches_per_name_loop(seed, n_steps):
+    rng = np.random.default_rng(seed)
+    shapes = {"a.w": (3, 2), "b": (1, 4), "c.w": (2, 2), "d": (1, 1)}
+    start = {k: rng.normal(size=s) for k, s in shapes.items()}
+    flat, ref = dict(start), {k: v.copy() for k, v in start.items()}
+    state, ref_state = AdamState(lr=0.01), {"step": 0, "m": {}, "v": {}}
+    for _ in range(n_steps):
+        # A random subset of names moves each step, as under freeze.
+        names = [k for k in shapes if rng.random() < 0.7] or ["b"]
+        grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-3, 3) for k in names}
+        flat, state = adam_step(flat, grads, state)
+        ref = _adam_per_name(ref, grads, ref_state)
+        for k in shapes:
+            assert flat[k].shape == shapes[k]
+            assert np.array_equal(flat[k], ref[k]), k
+    assert set(state.m) == set(ref_state["m"])
+    for k in ref_state["m"]:
+        assert np.array_equal(state.m[k], ref_state["m"][k])
+        assert np.array_equal(state.v[k], ref_state["v"][k])
+
+
+@pytest.mark.parametrize("bad", [("a.w",), ("c.w", "d"), ("d",)])
+def test_flat_adam_names_the_first_nonfinite_gradient(bad):
+    params = {k: np.zeros((2, 2)) for k in ("a.w", "b", "c.w", "d")}
+    grads = {k: np.ones((2, 2)) for k in params}
+    for k in bad:
+        grads[k] = np.array([[1.0, np.inf], [np.nan, 1.0]])
+    with pytest.raises(SchemaError, match=repr(bad[0])):
+        adam_step(params, grads, AdamState())
+    assert all(np.array_equal(v, np.zeros((2, 2))) for v in params.values())
+
+
+def test_adam_rebinds_params_as_views_of_one_buffer():
+    params = {"w": np.ones((2, 3)), "b": np.zeros((1, 3)), "frozen": np.ones((1, 1))}
+    frozen = params["frozen"]
+    params, _ = adam_step(params, {"w": np.ones((2, 3)), "b": np.ones((1, 3))}, AdamState())
+    assert params["w"].base is not None and params["w"].base is params["b"].base
+    assert params["frozen"] is frozen
 
 
 # ---------------------------------------------------------------- grad check

@@ -21,7 +21,7 @@ from virtualsensor import (
     standardize,
 )
 from virtualsensor.errors import SchemaError
-from virtualsensor.nncore import grad_check, mse_loss, wrap_params
+from virtualsensor.nncore import mse_loss, wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
     TrainConfig,
@@ -31,12 +31,12 @@ from virtualsensor.pipeline import (
     train,
 )
 from virtualsensor.sage import (
-    aggregate,
-    attention_weights,
     resolve_init,
     sage_forward_batch,
     sample_batch,
 )
+
+from probes import aggregate, attention_weights, grad_check
 
 ALL_KINDS = list(AggregatorKind)
 UTC = timezone.utc
@@ -266,6 +266,53 @@ def test_forward_batch_matches_single():
     for node in range(3):
         single = forward_one(params, cfg, g, feats, node, np.random.default_rng(0))
         assert out[node] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_forward_over_constant_params_records_no_tape(kind):
+    cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
+    params = cfg.init_params(5, np.random.default_rng(0))
+    g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
+    batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
+    for mode in ("eval", "train"):
+        out = sage_forward_batch(wrap_params(params, needs_grad=False), cfg, feats, batch,
+                                 mode=mode, rng=np.random.default_rng(3))
+        assert not out.needs_grad and out._parents == () and out._backward is None
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_training_backward_leaves_data_without_grad(kind, monkeypatch):
+    # Features, masks, counts and dropout masks are constants: none is on the
+    # tape, none receives a gradient, and the tape's leaves are the parameters.
+    import virtualsensor.nncore as nncore
+    import virtualsensor.sage as sage
+
+    made = []
+
+    def recording_constant(value):
+        made.append(nncore.constant(value))
+        return made[-1]
+
+    monkeypatch.setattr(sage, "constant", recording_constant)
+    cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
+    params = cfg.init_params(5, np.random.default_rng(0))
+    g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
+    batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
+    pvars = wrap_params(params)
+    out = sage_forward_batch(pvars, cfg, feats, batch, mode="train", rng=np.random.default_rng(3))
+    loss = mse_loss(out, np.ones(3))
+    loss.backward()
+    assert len(made) == 3 and all(v.grad is None for v in made)
+    tape, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in tape:
+            tape[id(node)] = node
+            stack.extend(node._parents)
+    assert all(node.needs_grad for node in tape.values())
+    leaves = {i for i, node in tape.items() if not node._parents}
+    assert leaves == {id(v) for v in pvars.values()}
+    assert all(v.grad is not None for v in pvars.values())
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
