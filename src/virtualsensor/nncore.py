@@ -308,7 +308,7 @@ def constant(value) -> Var:
 
 def _graded(*operands) -> tuple:
     """The operands that need a gradient: a node's parents."""
-    return tuple(x for x in operands if x.needs_grad)
+    return tuple([x for x in operands if x.needs_grad])
 
 
 # ---------------------------------------------------------------------------
