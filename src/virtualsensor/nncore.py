@@ -211,10 +211,6 @@ class Var:
 
         return Var(value, (self,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        count = self.value.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
-
     def max(self, axis: int):
         value = np.max(self.value, axis=axis)
         if not self.needs_grad:
@@ -420,9 +416,10 @@ def mse_loss(pred, actual) -> Var:
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters and moments. The moments of the parameters
-    `adam_step` last updated live in two flat buffers laid out by `names`
-    (sorted); `m` and `v` map each name to its view of them."""
+    """Adam hyperparameters and state. `adam_step` keeps the parameters it
+    updates, sorted by name (`names`), and their first and second moments as
+    the three rows of one flat buffer; `p`, `m` and `v` map each name to its
+    view of a row."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -431,9 +428,9 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    p: dict = field(default_factory=dict, init=False)
     names: tuple = field(default=(), init=False)
-    flat_m: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
-    flat_v: np.ndarray = field(default_factory=lambda: np.zeros(0), init=False)
+    flat: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), init=False)
 
 
 def _flat(arrays: list) -> np.ndarray:
@@ -441,52 +438,63 @@ def _flat(arrays: list) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
 
 
-def _views(flat: np.ndarray, names, shapes) -> dict:
-    """Named reshaped views of consecutive slices of `flat`."""
+def _views(row: np.ndarray, names, shapes) -> dict:
+    """Named reshaped views of consecutive slices of `row`."""
     out, start = {}, 0
     for name, shape in zip(names, shapes):
         stop = start + math.prod(shape)
-        out[name] = flat[start:stop].reshape(shape)
+        out[name] = row[start:stop].reshape(shape)
         start = stop
     return out
 
 
-def _relayout(state: AdamState, names: tuple, shapes: list) -> None:
-    """Lay the moments out for `names`, carrying over the moments of names
-    seen before (new names start at zero); moments of names left out stay
-    in `m`/`v` as they were."""
-    for key in ("m", "v"):
-        moments = getattr(state, key)
-        flat = _flat([moments[n] if n in moments else np.zeros(shape)
-                      for n, shape in zip(names, shapes)])
-        setattr(state, "flat_" + key, flat)
-        setattr(state, key, {**moments, **_views(flat, names, shapes)})
-    state.names = names
+def _relayout(state: AdamState, names: tuple, params: dict) -> None:
+    """Lay the state out for `names`. Moments carry over for names seen
+    before and start at zero for new ones; the moments of names left out
+    stay in `m`/`v` as they were. `adam_step` copies the parameters in."""
+    shapes = [np.shape(params[n]) for n in names]
+    flat = np.zeros((3, sum(math.prod(shape) for shape in shapes)))
+    state.p = _views(flat[0], names, shapes)
+    for row, key in ((1, "m"), (2, "v")):
+        old = getattr(state, key)
+        views = _views(flat[row], names, shapes)
+        for n in names:
+            if n in old:
+                views[n][...] = old[n]
+        setattr(state, key, {**old, **views})
+    state.names, state.flat = names, flat
 
 
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One Adam update of the parameters named in `grads`; the others keep
     their values. The update runs once over the flat vector of those
-    parameters (sorted by name), and each updated `params` entry is rebound
-    to its view of the new flat parameter buffer."""
+    parameters, sorted by name: each updated `params` entry becomes its view
+    of that vector, which later steps update in place. Arrays passed in are
+    copied, never written."""
     names = tuple(sorted(grads))
-    shapes = [np.shape(params[n]) for n in names]
+    if names != state.names:
+        _relayout(state, names, params)
+    p, m, v = state.flat
     g = _flat([grads[n] for n in names])
-    if g.size != sum(math.prod(shape) for shape in shapes):
+    if g.size != p.size:
         raise SchemaError("gradient sizes differ from their parameters")
     if not np.isfinite(g).all():
         bad = next(n for n in names if not np.isfinite(grads[n]).all())
         raise SchemaError(f"non-finite gradient for parameter {bad!r}")
-    if names != state.names:
-        _relayout(state, names, shapes)
+    for n in names:
+        if params[n] is not state.p[n]:
+            state.p[n][...] = params[n]
+            params[n] = state.p[n]
     state.step += 1
     t = state.step
-    m, v = state.flat_m, state.flat_v
-    m[...] = state.beta1 * m + (1 - state.beta1) * g
-    v[...] = state.beta2 * v + (1 - state.beta2) * g * g
+    # In place, with the operands of b1 * m + (1 - b1) * g,
+    # b2 * v + (1 - b2) * g * g and p - lr * m_hat / (sqrt(v_hat) + eps):
+    # every elementwise operation rounds as in a per-name update.
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    v += (1 - state.beta2) * g * g
     m_hat = m / (1 - state.beta1**t)
     v_hat = v / (1 - state.beta2**t)
-    flat = _flat([params[n] for n in names])
-    flat = flat - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    params.update(_views(flat, names, shapes))
+    p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state

@@ -86,12 +86,6 @@ def test_var_max_axis_routes_gradient_to_argmax():
     assert np.allclose(x.grad, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
-def test_var_mean_grad():
-    x = Var(np.arange(6.0).reshape(2, 3))
-    x.mean().backward()
-    assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
-
-
 def test_var_reshape_and_slice_grads():
     x = Var(np.arange(8.0).reshape(2, 4))
     out = x.reshape(4, 2).slice_axis(0, 1, 3).sum()
@@ -200,7 +194,7 @@ def test_fused_nodes_match_their_op_chains():
             count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
             h = ((x @ w + b).sigmoid() * Var(mask[..., None])).sum(axis=-2) / Var(count)
             diff = h - y
-            loss = (diff * diff).mean()
+            loss = (diff * diff).sum() / float(diff.value.size)
         loss.backward()
         return [loss.value, x.grad, w.grad, b.grad]
 
