@@ -282,8 +282,9 @@ def test_forward_over_constant_params_records_no_tape(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_training_backward_leaves_data_without_grad(kind, monkeypatch):
-    # Features, masks, counts and dropout masks are constants: none is on the
-    # tape, none receives a gradient, and the tape's leaves are the parameters.
+    # The gathered features are constants and receive no gradient; every
+    # node on the tape needs one, and its leaves are exactly the parameters,
+    # so no mask, count or dropout mask is on it.
     import virtualsensor.nncore as nncore
     import virtualsensor.sage as sage
 
