@@ -137,9 +137,9 @@ def sample_neighborhood(
     """
     if not 0 <= node < g.n_nodes:
         raise SchemaError(f"node index {node} out of range")
-    hop1 = _sample(g.adjacency[node], budget[0], rng)
-    hop2 = [_sample(g.adjacency[u], budget[1], rng) for u in hop1]
-    return hop1, hop2
+    adjacency, k2 = g.adjacency, budget[1]
+    hop1 = _sample(adjacency[node], budget[0], rng)
+    return hop1, [_sample(adjacency[u], k2, rng) for u in hop1]
 
 
 def _sample(neighbors: tuple[int, ...], budget: int, rng: np.random.Generator) -> list[int]:
@@ -148,4 +148,4 @@ def _sample(neighbors: tuple[int, ...], budget: int, rng: np.random.Generator) -
     if len(neighbors) <= budget:
         return list(neighbors)
     picked = rng.choice(len(neighbors), size=budget, replace=False)
-    return [neighbors[i] for i in picked]
+    return [neighbors[i] for i in picked.tolist()]
