@@ -19,13 +19,15 @@ replace a chain of ops, and their backward runs the chain's numpy calls in
 the chain's order: `affine` (`x @ w + b`), `masked_mean` (a masked sum over
 the neighbor axis divided by the clipped count) and `mse_loss`.
 
-Adam layout. `adam_step` concatenates the gradients of the names it gets,
-sorted, into one vector, checks them once for finiteness, updates the flat
-first and second moments held in `AdamState` (`m`/`v` hold each name's
-view of them), and writes the new parameters into one fresh flat buffer
-whose named views replace the `params` entries. Every step is elementwise
-in the per-name order of operations, so the result is bitwise the same as
-updating each parameter on its own.
+Adam layout. `AdamState.flat` is one [3, n] float64 buffer whose rows hold
+the parameters `adam_step` updates, their first moments and their second
+moments, each row laid out by parameter name in sorted order; `p`, `m` and
+`v` map each name to its view of a row. `adam_step` copies in any parameter
+array that is not already its view and rebinds the `params` entry to the
+view, concatenates the gradients into one vector, checks it once for
+finiteness, and then updates the three rows in place. Every operation is
+elementwise, with the operands of the per-name update, so the result is
+bitwise the same as updating each parameter on its own.
 """
 
 from __future__ import annotations
@@ -175,11 +177,11 @@ class Var:
         def bwd(g):
             if self.needs_grad:
                 self._accumulate(
-                    _reduce_to(np.matmul(g, np.swapaxes(other.value, -1, -2)), self.shape)
+                    _reduce_to(np.matmul(g, other.value.swapaxes(-1, -2)), self.shape)
                 )
             if other.needs_grad:
                 other._accumulate(
-                    _reduce_to(np.matmul(np.swapaxes(self.value, -1, -2), g), other.shape)
+                    _reduce_to(np.matmul(self.value.swapaxes(-1, -2), g), other.shape)
                 )
 
         return Var(value, _graded(self, other), bwd)
@@ -323,9 +325,9 @@ def affine(x, w: Var, b: Var) -> Var:
         if b.needs_grad:
             b._accumulate(_reduce_to(g, b.shape))
         if x.needs_grad:
-            x._accumulate(_reduce_to(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.shape))
+            x._accumulate(_reduce_to(np.matmul(g, w.value.swapaxes(-1, -2)), x.shape))
         if w.needs_grad:
-            w._accumulate(_reduce_to(np.matmul(np.swapaxes(x.value, -1, -2), g), w.shape))
+            w._accumulate(_reduce_to(np.matmul(x.value.swapaxes(-1, -2), g), w.shape))
 
     # Parents in operand order, so the backward sort visits them as it
     # visited the matmul and add nodes this node replaces.
@@ -433,11 +435,6 @@ class AdamState:
     flat: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), init=False)
 
 
-def _flat(arrays: list) -> np.ndarray:
-    """The arrays' elements, in order, as one new float64 vector."""
-    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
-
-
 def _views(row: np.ndarray, names, shapes) -> dict:
     """Named reshaped views of consecutive slices of `row`."""
     out, start = {}, 0
@@ -475,7 +472,7 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     if names != state.names:
         _relayout(state, names, params)
     p, m, v = state.flat
-    g = _flat([grads[n] for n in names])
+    g = np.concatenate([grads[n].ravel() for n in names]) if names else np.zeros(0)
     if g.size != p.size:
         raise SchemaError("gradient sizes differ from their parameters")
     if not np.isfinite(g).all():

@@ -217,7 +217,7 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     predicted NO2 in ug/m3 as a Var of shape [B].
     """
     kind = cfg.aggregator
-    if not np.all(np.isfinite(feats)):
+    if not np.isfinite(feats).all():
         raise SchemaError("forward pass requires finite node features")
     xv = constant(feats[batch.nodes])  # [B, d]
     x1 = constant(feats[batch.idx1])  # [B, k1, d]

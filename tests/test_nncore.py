@@ -405,12 +405,19 @@ def test_flat_adam_names_the_first_nonfinite_gradient(bad):
     assert all(np.array_equal(v, np.zeros((2, 2))) for v in params.values())
 
 
-def test_adam_rebinds_params_as_views_of_one_buffer():
-    params = {"w": np.ones((2, 3)), "b": np.zeros((1, 3)), "frozen": np.ones((1, 1))}
-    frozen = params["frozen"]
-    params, _ = adam_step(params, {"w": np.ones((2, 3)), "b": np.ones((1, 3))}, AdamState())
+def test_adam_keeps_params_as_views_of_one_buffer():
+    given = {"w": np.ones((2, 3)), "b": np.zeros((1, 3)), "frozen": np.ones((1, 1))}
+    params = dict(given)
+    grads = {"w": np.ones((2, 3)), "b": np.ones((1, 3))}
+    state = AdamState()
+    params, state = adam_step(params, grads, state)
+    first = dict(params)
     assert params["w"].base is not None and params["w"].base is params["b"].base
-    assert params["frozen"] is frozen
+    assert params["frozen"] is given["frozen"]
+    params, state = adam_step(params, grads, state)
+    assert params["w"] is first["w"] and params["b"] is first["b"]  # updated in place
+    assert np.array_equal(given["w"], np.ones((2, 3)))  # arrays passed in are never written
+    assert np.array_equal(given["b"], np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------- grad check
