@@ -107,9 +107,6 @@ class Var:
 
     def __add__(self, other):
         other = Var._lift(other)
-        value = self.value + other.value
-        if not (self.needs_grad or other.needs_grad):
-            return constant(value)
 
         def bwd(g):
             if self.needs_grad:
@@ -117,18 +114,15 @@ class Var:
             if other.needs_grad:
                 other._accumulate(_reduce_to(g, other.shape))
 
-        return Var(value, _graded(self, other), bwd)
+        return _node(self.value + other.value, (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.needs_grad:
-            return constant(-self.value)
-
         def bwd(g):
             self._accumulate(-g)
 
-        return Var(-self.value, (self,), bwd)
+        return _node(-self.value, (self,), bwd)
 
     def __sub__(self, other):
         return self + (-Var._lift(other))
@@ -138,9 +132,6 @@ class Var:
 
     def __mul__(self, other):
         other = Var._lift(other)
-        value = self.value * other.value
-        if not (self.needs_grad or other.needs_grad):
-            return constant(value)
 
         def bwd(g):
             if self.needs_grad:
@@ -148,15 +139,12 @@ class Var:
             if other.needs_grad:
                 other._accumulate(_reduce_to(g * self.value, other.shape))
 
-        return Var(value, _graded(self, other), bwd)
+        return _node(self.value * other.value, (self, other), bwd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Var._lift(other)
-        value = self.value / other.value
-        if not (self.needs_grad or other.needs_grad):
-            return constant(value)
 
         def bwd(g):
             if self.needs_grad:
@@ -166,13 +154,10 @@ class Var:
                     _reduce_to(-g * self.value / (other.value**2), other.shape)
                 )
 
-        return Var(value, _graded(self, other), bwd)
+        return _node(self.value / other.value, (self, other), bwd)
 
     def __matmul__(self, other):
         other = Var._lift(other)
-        value = np.matmul(self.value, other.value)
-        if not (self.needs_grad or other.needs_grad):
-            return constant(value)
 
         def bwd(g):
             if self.needs_grad:
@@ -184,25 +169,18 @@ class Var:
                     _reduce_to(np.matmul(self.value.swapaxes(-1, -2), g), other.shape)
                 )
 
-        return Var(value, _graded(self, other), bwd)
+        return _node(np.matmul(self.value, other.value), (self, other), bwd)
 
     # -- shape ops ---------------------------------------------------------
     def reshape(self, *shape):
-        value = self.value.reshape(*shape)
-        if not self.needs_grad:
-            return constant(value)
         orig = self.shape
 
         def bwd(g):
             self._accumulate(g.reshape(orig))
 
-        return Var(value, (self,), bwd)
+        return _node(self.value.reshape(*shape), (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
-        value = self.value.sum(axis=axis, keepdims=keepdims)
-        if not self.needs_grad:
-            return constant(value)
-
         def bwd(g):
             if axis is None:
                 self._accumulate(np.broadcast_to(g, self.shape).copy())
@@ -211,29 +189,22 @@ class Var:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Var(value, (self,), bwd)
+        return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def max(self, axis: int):
-        value = np.max(self.value, axis=axis)
-        if not self.needs_grad:
-            return constant(value)
-        idx = np.argmax(self.value, axis=axis)
-
         def bwd(g):
+            idx = np.argmax(self.value, axis=axis)
             out = np.zeros_like(self.value)
             np.put_along_axis(
                 out, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
             )
             self._accumulate(out)
 
-        return Var(value, (self,), bwd)
+        return _node(np.max(self.value, axis=axis), (self,), bwd)
 
     def pad_axis(self, axis: int, before: int, after: int):
         pads = [(0, 0)] * self.value.ndim
         pads[axis] = (before, after)
-        value = np.pad(self.value, pads)
-        if not self.needs_grad:
-            return constant(value)
         sl = [slice(None)] * self.value.ndim
         sl[axis] = slice(before, before + self.shape[axis])
         sl = tuple(sl)
@@ -241,62 +212,52 @@ class Var:
         def bwd(g):
             self._accumulate(g[sl])
 
-        return Var(value, (self,), bwd)
+        return _node(np.pad(self.value, pads), (self,), bwd)
 
     def slice_axis(self, axis: int, start: int, stop: int):
         sl = [slice(None)] * self.value.ndim
         sl[axis] = slice(start, stop)
         sl = tuple(sl)
-        if not self.needs_grad:
-            return constant(self.value[sl])
 
         def bwd(g):
             out = np.zeros_like(self.value)
             out[sl] = g
             self._accumulate(out)
 
-        return Var(self.value[sl], (self,), bwd)
+        return _node(self.value[sl], (self,), bwd)
 
     # -- nonlinearities ----------------------------------------------------
     def relu(self):
         mask = self.value > 0
-        if not self.needs_grad:
-            return constant(self.value * mask)
 
         def bwd(g):
             self._accumulate(g * mask)
 
-        return Var(self.value * mask, (self,), bwd)
+        return _node(self.value * mask, (self,), bwd)
 
     def leaky_relu(self, slope: float = 0.2):
         factor = np.where(self.value > 0, 1.0, slope)
-        if not self.needs_grad:
-            return constant(self.value * factor)
 
         def bwd(g):
             self._accumulate(g * factor)
 
-        return Var(self.value * factor, (self,), bwd)
+        return _node(self.value * factor, (self,), bwd)
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.value))
-        if not self.needs_grad:
-            return constant(y)
 
         def bwd(g):
             self._accumulate(g * y * (1.0 - y))
 
-        return Var(y, (self,), bwd)
+        return _node(y, (self,), bwd)
 
     def exp(self):
         y = np.exp(self.value)
-        if not self.needs_grad:
-            return constant(y)
 
         def bwd(g):
             self._accumulate(g * y)
 
-        return Var(y, (self,), bwd)
+        return _node(y, (self,), bwd)
 
 
 def constant(value) -> Var:
@@ -304,9 +265,12 @@ def constant(value) -> Var:
     return Var(value, needs_grad=False)
 
 
-def _graded(*operands) -> tuple:
-    """The operands that need a gradient: a node's parents."""
-    return tuple([x for x in operands if x.needs_grad])
+def _node(value, operands: tuple, backward) -> Var:
+    """An op's result: a tape node whose parents are the operands that need
+    a gradient, or, when none does, a constant that keeps no parents and no
+    closure."""
+    parents = tuple([x for x in operands if x.needs_grad])
+    return Var(value, parents, backward) if parents else constant(value)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +281,6 @@ def _graded(*operands) -> tuple:
 def affine(x, w: Var, b: Var) -> Var:
     """`x @ w + b` as one node."""
     x = Var._lift(x)
-    value = np.matmul(x.value, w.value) + b.value
-    if not (x.needs_grad or w.needs_grad or b.needs_grad):
-        return constant(value)
 
     def bwd(g):
         if b.needs_grad:
@@ -331,7 +292,7 @@ def affine(x, w: Var, b: Var) -> Var:
 
     # Parents in operand order, so the backward sort visits them as it
     # visited the matmul and add nodes this node replaces.
-    return Var(value, _graded(x, w, b), bwd)
+    return _node(np.matmul(x.value, w.value) + b.value, (x, w, b), bwd)
 
 
 def masked_mean(x: Var, mask: np.ndarray) -> Var:
@@ -339,14 +300,11 @@ def masked_mean(x: Var, mask: np.ndarray) -> Var:
     least one), as one node."""
     m = mask[..., None]
     count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-    value = (x.value * m).sum(axis=-2) / count
-    if not x.needs_grad:
-        return constant(value)
 
     def bwd(g):
         x._accumulate(_reduce_to((g / count)[..., None, :] * m, x.shape))
 
-    return Var(value, (x,), bwd)
+    return _node((x.value * m).sum(axis=-2) / count, (x,), bwd)
 
 
 def wrap_params(params: dict, needs_grad: bool = True) -> dict:
@@ -397,9 +355,6 @@ def mse_loss(pred, actual) -> Var:
         raise SchemaError(f"mse shapes disagree: {pred.shape} vs {actual.shape}")
     diff = pred.value + -actual.value
     count = np.asarray(float(diff.size))
-    value = (diff * diff).sum() / count
-    if not (pred.needs_grad or actual.needs_grad):
-        return constant(value)
 
     def bwd(g):
         half = np.broadcast_to(g / count, diff.shape) * diff
@@ -409,7 +364,7 @@ def mse_loss(pred, actual) -> Var:
         if actual.needs_grad:
             actual._accumulate(-_reduce_to(g_diff, actual.shape))
 
-    return Var(value, _graded(pred, actual), bwd)
+    return _node((diff * diff).sum() / count, (pred, actual), bwd)
 
 
 # ---------------------------------------------------------------------------
