@@ -1,7 +1,8 @@
 """Test-side probes of the model internals: a finite-difference gradient
-checker over the autodiff tape, and the raw aggregation and attentional
-weights of one neighbor set, computed by `sage._pool` and `sage._attention`
-exactly as the forward pass computes them."""
+checker over the autodiff tape, the nodes a tape records, and the raw
+aggregation and attentional weights of one neighbor set, computed by
+`sage._pool` and `sage._attention` exactly as the forward pass computes
+them."""
 
 import numpy as np
 
@@ -39,6 +40,18 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)
     return worst
+
+
+def tape_nodes(out) -> list:
+    """Every node reachable from `out` through recorded parents, once each."""
+    nodes, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
 
 
 def attention_weights(p: dict, layer: int, kind: AggregatorKind, self_x: np.ndarray,

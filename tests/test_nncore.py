@@ -22,7 +22,7 @@ from virtualsensor.nncore import (
     wrap_params,
 )
 
-from probes import grad_check
+from probes import grad_check, tape_nodes
 
 
 # ---------------------------------------------------------------- Var basics
@@ -128,18 +128,6 @@ def test_exp_grad_matches_value(a, b):
 # ---------------------------------------------------------------- tape rules
 
 
-def _tape(out):
-    """Every node reachable from `out` through recorded parents."""
-    seen, stack = [], [out]
-    while stack:
-        node = stack.pop()
-        if any(node is s for s in seen):
-            continue
-        seen.append(node)
-        stack.extend(node._parents)
-    return seen
-
-
 def test_constants_record_no_tape():
     a, b = constant(np.ones((2, 3))), constant(np.full((3, 1), 2.0))
     outs = [a + 1.0, a * b.reshape(1, 3), (a @ b).relu(), a.sum(axis=0), -a, a.exp(),
@@ -175,7 +163,7 @@ def test_backward_leaves_constants_without_grad():
     loss.backward()
     assert x.grad is None and mask.grad is None
     assert w.grad is not None and b.grad is not None
-    assert all(node.needs_grad for node in _tape(loss))
+    assert all(node.needs_grad for node in tape_nodes(loss))
 
 
 def test_fused_nodes_match_their_op_chains():

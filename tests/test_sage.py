@@ -36,7 +36,7 @@ from virtualsensor.sage import (
     sample_batch,
 )
 
-from probes import aggregate, attention_weights, grad_check
+from probes import aggregate, attention_weights, grad_check, tape_nodes
 
 ALL_KINDS = list(AggregatorKind)
 UTC = timezone.utc
@@ -304,15 +304,9 @@ def test_training_backward_leaves_data_without_grad(kind, monkeypatch):
     loss = mse_loss(out, np.ones(3))
     loss.backward()
     assert len(made) == 3 and all(v.grad is None for v in made)
-    tape, stack = {}, [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in tape:
-            tape[id(node)] = node
-            stack.extend(node._parents)
-    assert all(node.needs_grad for node in tape.values())
-    leaves = {i for i, node in tape.items() if not node._parents}
-    assert leaves == {id(v) for v in pvars.values()}
+    tape = tape_nodes(loss)
+    assert all(node.needs_grad for node in tape)
+    assert {id(node) for node in tape if not node._parents} == {id(v) for v in pvars.values()}
     assert all(v.grad is not None for v in pvars.values())
 
 
