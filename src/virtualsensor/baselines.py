@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SchemaError
-from .nncore import Var, affine, constant, dropout, glorot_uniform
+from .nncore import affine, dropout, glorot_uniform, pad_axis, relu, slice_axis
 
 
 class _FlatConfig:
@@ -48,16 +48,16 @@ class MlpConfig(_FlatConfig):
         return params
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator) -> Var:
+                rng: np.random.Generator):
         return mlp_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
 
 
 def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None) -> Var:
-    h = affine(x, pvars["fc1.w"], pvars["fc1.b"]).relu()
-    h = affine(h, pvars["fc2.w"], pvars["fc2.b"]).relu()
+                      rng: np.random.Generator | None = None):
+    h = relu(affine(x, pvars["fc1.w"], pvars["fc1.b"]))
+    h = relu(affine(h, pvars["fc2.w"], pvars["fc2.b"]))
     h = dropout(h, cfg.dropout, mode, rng=rng)
-    h = affine(h, pvars["fc3.w"], pvars["fc3.b"]).relu()
+    h = relu(affine(h, pvars["fc3.w"], pvars["fc3.b"]))
     out = affine(h, pvars["fc4.w"], pvars["fc4.b"])
     return out.reshape(out.shape[0])
 
@@ -90,34 +90,34 @@ class CnnConfig(_FlatConfig):
         }
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator) -> Var:
+                rng: np.random.Generator):
         return cnn_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
 
 
-def _conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
+def _conv1d(x, w, b, kernel: int, c_in: int):
     """Same-length stride-1 convolution; x is [B, L, c_in], w is
     [kernel*c_in, c_out] holding one [c_in, c_out] block per tap."""
     pad = kernel // 2
-    padded = x.pad_axis(1, pad, kernel - 1 - pad)
+    padded = pad_axis(x, 1, pad, kernel - 1 - pad)
     length = x.shape[1]
     out = None
     for j in range(kernel):
-        window = padded.slice_axis(1, j, j + length)  # [B, L, c_in]
-        tap = w.slice_axis(0, j * c_in, (j + 1) * c_in)  # [c_in, c_out]
+        window = slice_axis(padded, 1, j, j + length)  # [B, L, c_in]
+        tap = slice_axis(w, 0, j * c_in, (j + 1) * c_in)  # [c_in, c_out]
         term = window @ tap
         out = term if out is None else out + term
     return out + b
 
 
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None) -> Var:
+                      rng: np.random.Generator | None = None):
     n, d = x.shape
-    h = constant(x.reshape(n, d, 1))
-    h = _conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1).relu()
+    h = x.reshape(n, d, 1)
+    h = relu(_conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1))
     h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
     h = dropout(h, cfg.dropout, mode, rng=rng)
-    h = h.relu().reshape(n, d * cfg.channels)
-    h = affine(h, pvars["fc1.w"], pvars["fc1.b"]).relu()
+    h = relu(h).reshape(n, d * cfg.channels)
+    h = relu(affine(h, pvars["fc1.w"], pvars["fc1.b"]))
     out = affine(h, pvars["fc2.w"], pvars["fc2.b"])
     return out.reshape(n)
 
@@ -147,8 +147,8 @@ class GbtConfig(_FlatConfig):
         return gbt_fit(x, y, self)
 
     def predict(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator) -> Var:
-        return Var(gbt_predict(model, feats[nodes]))
+                rng: np.random.Generator) -> np.ndarray:
+        return gbt_predict(model, feats[nodes])
 
 
 class Tree(NamedTuple):

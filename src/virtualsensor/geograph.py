@@ -4,8 +4,7 @@ and per-hop neighborhood sampling."""
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +41,7 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class SpatialGraph:
-    """Undirected sensor adjacency with edge lengths in meters.
+    """Undirected sensor adjacency.
 
     Neighbor lists are sorted ascending; the structure is immutable after
     construction and safe for concurrent reads.
@@ -50,7 +49,6 @@ class SpatialGraph:
 
     n_nodes: int
     adjacency: tuple[tuple[int, ...], ...]
-    edge_lengths: dict = field(default_factory=dict)  # (min(u,v), max(u,v)) -> meters
 
     def __post_init__(self):
         if len(self.adjacency) != self.n_nodes:
@@ -66,22 +64,6 @@ class SpatialGraph:
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def diameter(self) -> int:
-        """Longest finite shortest-path length over all node pairs (BFS)."""
-        best = 0
-        for src in range(self.n_nodes):
-            dist = {src: 0}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for v in self.adjacency[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-            if dist:
-                best = max(best, max(dist.values()))
-        return best
 
 
 def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialGraph:
@@ -113,17 +95,11 @@ def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialG
             edges.add((min(u, v), max(u, v)))
 
     adj: list[set[int]] = [set() for _ in range(n)]
-    lengths = {}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-        lengths[(u, v)] = float(dist[u, v])
 
-    return SpatialGraph(
-        n_nodes=n,
-        adjacency=tuple(tuple(sorted(s)) for s in adj),
-        edge_lengths=lengths,
-    )
+    return SpatialGraph(n_nodes=n, adjacency=tuple(tuple(sorted(s)) for s in adj))
 
 
 def sample_neighborhood(

@@ -5,14 +5,21 @@ Adam.
 Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
 
-Tape rules. A `Var` needs a gradient when it is a `wrap_params` leaf or a
-bare `Var(x)`; data (features, masks, counts, stabilizers, dropout masks)
-and every array an op lifts are constants (`constant`, `needs_grad=False`),
-and so is `wrap_params(params, needs_grad=False)`, the form validation and
-rollout use. An op over constants only returns a constant with no parents
-and no backward closure; otherwise its parents are only the operands that
-need a gradient, and its closure skips the products and reductions that
-would only feed a constant. `backward` sorts the nodes that need a gradient
+Tape rules. The model forwards run on plain `np.ndarray`s and on `Var`s
+alike. When no operand is a `Var`, every op (the operators, `relu`,
+`leaky_relu`, `sigmoid`, `exp`, `slice_axis`, `pad_axis`, `affine`,
+`masked_mean` and `dropout`) returns a plain array computed by the same numpy
+expression as its tape form, so validation and rollout pass the stored
+parameter arrays in, build no `Var` and get the training forward's bits.
+`Var.__array_ufunc__` is None, so `ndarray <op> Var` falls through to the
+reflected operators, which lift the array to a constant exactly as
+`Var <op> ndarray` does. A `Var` needs a gradient when it is a `wrap_params`
+leaf or a bare `Var(x)`; a lifted array is a constant (`constant`,
+`needs_grad=False`). An op over constants only returns a constant with no
+parents and no backward closure; otherwise its parents are only the operands
+that need a gradient, and its closure skips the products and reductions that
+would only feed a constant. `mse_loss` lifts both operands and always
+returns a `Var`. `backward` sorts the nodes that need a gradient
 depth-first; pruning constant subtrees keeps the relative order of the
 rest, so gradients accumulate in the same order. Three fused nodes each
 replace a chain of ops, and their backward runs the chain's numpy calls in
@@ -61,6 +68,7 @@ class Var:
     """
 
     __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
+    __array_ufunc__ = None  # ndarray <op> Var calls Var's reflected operator
 
     def __init__(self, value, parents=(), backward=None, needs_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
@@ -156,6 +164,9 @@ class Var:
 
         return _node(self.value / other.value, (self, other), bwd)
 
+    def __rtruediv__(self, other):
+        return Var._lift(other) / self
+
     def __matmul__(self, other):
         other = Var._lift(other)
 
@@ -170,6 +181,9 @@ class Var:
                 )
 
         return _node(np.matmul(self.value, other.value), (self, other), bwd)
+
+    def __rmatmul__(self, other):
+        return Var._lift(other) @ self
 
     # -- shape ops ---------------------------------------------------------
     def reshape(self, *shape):
@@ -202,63 +216,6 @@ class Var:
 
         return _node(np.max(self.value, axis=axis), (self,), bwd)
 
-    def pad_axis(self, axis: int, before: int, after: int):
-        pads = [(0, 0)] * self.value.ndim
-        pads[axis] = (before, after)
-        sl = [slice(None)] * self.value.ndim
-        sl[axis] = slice(before, before + self.shape[axis])
-        sl = tuple(sl)
-
-        def bwd(g):
-            self._accumulate(g[sl])
-
-        return _node(np.pad(self.value, pads), (self,), bwd)
-
-    def slice_axis(self, axis: int, start: int, stop: int):
-        sl = [slice(None)] * self.value.ndim
-        sl[axis] = slice(start, stop)
-        sl = tuple(sl)
-
-        def bwd(g):
-            out = np.zeros_like(self.value)
-            out[sl] = g
-            self._accumulate(out)
-
-        return _node(self.value[sl], (self,), bwd)
-
-    # -- nonlinearities ----------------------------------------------------
-    def relu(self):
-        mask = self.value > 0
-
-        def bwd(g):
-            self._accumulate(g * mask)
-
-        return _node(self.value * mask, (self,), bwd)
-
-    def leaky_relu(self, slope: float = 0.2):
-        factor = np.where(self.value > 0, 1.0, slope)
-
-        def bwd(g):
-            self._accumulate(g * factor)
-
-        return _node(self.value * factor, (self,), bwd)
-
-    def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.value))
-
-        def bwd(g):
-            self._accumulate(g * y * (1.0 - y))
-
-        return _node(y, (self,), bwd)
-
-    def exp(self):
-        y = np.exp(self.value)
-
-        def bwd(g):
-            self._accumulate(g * y)
-
-        return _node(y, (self,), bwd)
-
 
 def constant(value) -> Var:
     """A Var that needs no gradient: data, masks, counts, lifted arrays."""
@@ -273,14 +230,112 @@ def _node(value, operands: tuple, backward) -> Var:
     return Var(value, parents, backward) if parents else constant(value)
 
 
+def value_of(x) -> np.ndarray:
+    """The array behind `x`: a Var's value, or `x` itself."""
+    return x.value if isinstance(x, Var) else x
+
+
+# ---------------------------------------------------------------------------
+# Ops that are not operators. Each computes its value from `value_of(x)`
+# with one numpy expression and returns it as it is when `x` is not a Var.
+
+
+def relu(x):
+    v = value_of(x)
+    mask = v > 0
+    y = v * mask
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        x._accumulate(g * mask)
+
+    return _node(y, (x,), bwd)
+
+
+def leaky_relu(x, slope: float = 0.2):
+    v = value_of(x)
+    factor = np.where(v > 0, 1.0, slope)
+    y = v * factor
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        x._accumulate(g * factor)
+
+    return _node(y, (x,), bwd)
+
+
+def sigmoid(x):
+    y = 1.0 / (1.0 + np.exp(-value_of(x)))
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        x._accumulate(g * y * (1.0 - y))
+
+    return _node(y, (x,), bwd)
+
+
+def exp(x):
+    y = np.exp(value_of(x))
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        x._accumulate(g * y)
+
+    return _node(y, (x,), bwd)
+
+
+def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    sl = [slice(None)] * ndim
+    sl[axis] = slice(start, stop)
+    return tuple(sl)
+
+
+def slice_axis(x, axis: int, start: int, stop: int):
+    """`x[start:stop]` along `axis`."""
+    v = value_of(x)
+    sl = _axis_slice(v.ndim, axis, start, stop)
+    y = v[sl]
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        out = np.zeros_like(v)
+        out[sl] = g
+        x._accumulate(out)
+
+    return _node(y, (x,), bwd)
+
+
+def pad_axis(x, axis: int, before: int, after: int):
+    """`x` with `before` and `after` zeros added along `axis`."""
+    v = value_of(x)
+    pads = [(0, 0)] * v.ndim
+    pads[axis] = (before, after)
+    y = np.pad(v, pads)
+    if not isinstance(x, Var):
+        return y
+    sl = _axis_slice(v.ndim, axis, before, before + v.shape[axis])
+
+    def bwd(g):
+        x._accumulate(g[sl])
+
+    return _node(y, (x,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # Fused nodes: each is one tape node whose backward runs the numpy calls of
 # the chain of ops it replaces, in the same order, so gradients keep their bits.
 
 
-def affine(x, w: Var, b: Var) -> Var:
+def affine(x, w, b):
     """`x @ w + b` as one node."""
-    x = Var._lift(x)
+    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
+        return np.matmul(x, w) + b
+    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
 
     def bwd(g):
         if b.needs_grad:
@@ -295,23 +350,25 @@ def affine(x, w: Var, b: Var) -> Var:
     return _node(np.matmul(x.value, w.value) + b.value, (x, w, b), bwd)
 
 
-def masked_mean(x: Var, mask: np.ndarray) -> Var:
+def masked_mean(x, mask: np.ndarray):
     """Mean over the second-to-last axis, counting only mask==1 slots (at
     least one), as one node."""
     m = mask[..., None]
     count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
+    y = (value_of(x) * m).sum(axis=-2) / count
+    if not isinstance(x, Var):
+        return y
 
     def bwd(g):
         x._accumulate(_reduce_to((g / count)[..., None, :] * m, x.shape))
 
-    return _node((x.value * m).sum(axis=-2) / count, (x,), bwd)
+    return _node(y, (x,), bwd)
 
 
-def wrap_params(params: dict, needs_grad: bool = True) -> dict:
-    """Wrap a name->ndarray parameter dict into autodiff leaves; with
-    `needs_grad=False` they are constants and a forward pass over them
-    records no tape."""
-    return {name: Var(value, needs_grad=needs_grad) for name, value in params.items()}
+def wrap_params(params: dict) -> dict:
+    """Wrap a name->ndarray parameter dict into autodiff leaves for training;
+    a forward pass over the plain arrays records no tape."""
+    return {name: Var(value) for name, value in params.items()}
 
 
 def collect_grads(leaves: dict) -> dict:
@@ -330,11 +387,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None) -> Var:
+def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None):
     """Inverted dropout: zero with probability `rate` in train mode, scale
     survivors by 1/(1-rate); identity in eval mode. The mask is drawn from
     `rng`, so a freshly seeded generator draws the same mask every call."""
-    x = Var._lift(x)
     if not 0.0 <= rate < 1.0:
         raise SchemaError(f"dropout rate {rate} outside [0, 1)")
     if mode == "eval" or rate == 0.0:

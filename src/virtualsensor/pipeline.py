@@ -115,7 +115,10 @@ class TransferConfig:
 # The one place that knows the model kinds: kind -> config class. Each class
 # carries its kind's hooks: `predict(params, g, feats, nodes, mode, rng)` for
 # one frame, `to_dict` / `from_dict`, and `trains_by_gradient`; gradient kinds
-# add `init_params(in_dim, rng)`, the others `fit(x, y)`.
+# add `init_params(in_dim, rng)`, the others `fit(x, y)`. On the stored
+# parameters `predict` returns the [len(nodes)] prediction array and builds
+# no tape, which is how validation and the rollout call it; training passes
+# `wrap_params` leaves and gets a tape node.
 DEFAULT_MODEL_CONFIGS = {
     "sage": SageConfig,
     "mlp": MlpConfig,
@@ -209,9 +212,8 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         total, count = 0.0, 0
         for t in frame_list:
             nodes = groups[t]
-            out = model_cfg.predict(wrap_params(params, needs_grad=False), g, feats[t], nodes,
-                                    "eval", rng)
-            total += float(np.sum((out.value - targets[t, nodes]) ** 2))
+            out = model_cfg.predict(params, g, feats[t], nodes, "eval", rng)
+            total += float(np.sum((out - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
 
@@ -291,8 +293,6 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     if rng is None:
         rng = np.random.default_rng(0)
     model_cfg = trained.model_config
-    params = (wrap_params(trained.params, needs_grad=False) if model_cfg.trains_by_gradient
-              else trained.params)
     nodes = np.array([target_node])
     ar = ds.schema.prev_no2_index
     prev = resolve_init(init, ds, target_node)
@@ -300,8 +300,8 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     for t in range(1, ds.n_frames):
         feats = feats_all[t].copy()
         feats[target_node, ar] = ds.stats.transform_column(ar, prev)
-        out = model_cfg.predict(params, g, feats, nodes, "eval", rng)
-        prev = preds[t - 1] = float(out.value[0])
+        out = model_cfg.predict(trained.params, g, feats, nodes, "eval", rng)
+        prev = preds[t - 1] = float(out[0])
     return preds
 
 

@@ -16,7 +16,18 @@ import numpy as np
 from .dataset import Dataset
 from .errors import SchemaError
 from .geograph import SampleBudget, SpatialGraph, sample_neighborhood
-from .nncore import Var, affine, constant, dropout, glorot_uniform, masked_mean
+from .nncore import (
+    affine,
+    dropout,
+    exp,
+    glorot_uniform,
+    leaky_relu,
+    masked_mean,
+    relu,
+    sigmoid,
+    slice_axis,
+    value_of,
+)
 
 _MASK_NEG = 1e30  # additive shift that excludes padded slots from max()
 
@@ -67,7 +78,7 @@ class SageConfig:
         return params
 
     def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
-                mode: str, rng: np.random.Generator) -> Var:
+                mode: str, rng: np.random.Generator):
         batch = sample_batch(g, nodes, self.budget, rng)
         return sage_forward_batch(pvars, self, feats, batch, mode=mode, rng=rng)
 
@@ -114,23 +125,22 @@ class InitScheme:
         return cls("dataset_mean")
 
 
-def _attention(p: dict, layer: int, self_x: Var, neigh_x: Var,
-               mask: np.ndarray) -> tuple[Var, Var]:
+def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     """Attentional softmax weights `alpha` [..., K, 1] over the projected
     neighbors `nj` [..., K, h]; padded slots and empty rows get alpha = 0."""
     w = p[f"l{layer}.w_neigh"]
     h = w.shape[-1]
     attn = p[f"l{layer}.attn"]
-    a_self = attn.slice_axis(1, 0, h).reshape(h, 1)
-    a_neigh = attn.slice_axis(1, h, 2 * h).reshape(h, 1)
+    a_self = slice_axis(attn, 1, 0, h).reshape(h, 1)
+    a_neigh = slice_axis(attn, 1, h, 2 * h).reshape(h, 1)
     sp = self_x @ w  # [..., h]
     nj = neigh_x @ w  # [..., K, h]
     e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
     # Moderate downshift keeps padded slots out of the stabilizing max
     # without overflowing exp; the mask multiply makes them exactly zero.
-    e = (e_self + nj @ a_neigh).leaky_relu(0.2) + (mask[..., None] - 1.0) * 50.0
-    stabilizer = np.max(e.value, axis=-2, keepdims=True)
-    ex = (e - stabilizer).exp() * mask[..., None]
+    e = leaky_relu(e_self + nj @ a_neigh, 0.2) + (mask[..., None] - 1.0) * 50.0
+    stabilizer = value_of(e).max(axis=-2, keepdims=True)
+    ex = exp(e - stabilizer) * mask[..., None]
     # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
     # disturb the sum-to-one property, large enough that its square
     # stays normal in the backward divide.
@@ -138,8 +148,7 @@ def _attention(p: dict, layer: int, self_x: Var, neigh_x: Var,
     return ex / total, nj
 
 
-def _pool(kind: AggregatorKind, p: dict, layer: int, self_x: Var, neigh_x: Var,
-          mask: np.ndarray) -> Var:
+def _pool(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x, mask: np.ndarray):
     """The aggregated neighbor vector, before the W_neigh projection of the
     mean and pooling kinds.
 
@@ -154,7 +163,7 @@ def _pool(kind: AggregatorKind, p: dict, layer: int, self_x: Var, neigh_x: Var,
     if kind is AggregatorKind.ATTENTIONAL:
         alpha, nj = _attention(p, layer, self_x, neigh_x, mask)
         return (alpha * nj).sum(axis=-2)
-    z = affine(neigh_x, p[f"l{layer}.w_pool"], p[f"l{layer}.b_pool"]).sigmoid()
+    z = sigmoid(affine(neigh_x, p[f"l{layer}.w_pool"], p[f"l{layer}.b_pool"]))
     if kind is AggregatorKind.MEAN_POOL:
         return masked_mean(z, mask)
     shifted = z * mask[..., None] + (mask[..., None] - 1.0) * _MASK_NEG
@@ -162,8 +171,8 @@ def _pool(kind: AggregatorKind, p: dict, layer: int, self_x: Var, neigh_x: Var,
     return shifted.max(axis=-2) * has_any
 
 
-def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x: Var,
-                   neigh_x: Var, mask: np.ndarray) -> Var:
+def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x,
+                   mask: np.ndarray):
     """The W_neigh-side contribution to a layer's pre-activation."""
     pooled = _pool(kind, p, layer, self_x, neigh_x, mask)
     if kind is AggregatorKind.ATTENTIONAL:
@@ -209,31 +218,32 @@ def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
                        batch: NeighborhoodBatch, mode: str = "eval",
-                       rng: np.random.Generator | None = None) -> Var:
+                       rng: np.random.Generator | None = None):
     """Two-layer sampled forward pass for a batch of target nodes.
 
     `feats` is the finite [n_nodes, d] feature matrix for one frame (or one
-    assembled state); `pvars` are autodiff-wrapped parameters. Returns the
-    predicted NO2 in ug/m3 as a Var of shape [B].
+    assembled state). Returns the predicted NO2 in ug/m3, shape [B]: a tape
+    node when `pvars` are `wrap_params` leaves, a plain array when they are
+    the parameter arrays themselves.
     """
     kind = cfg.aggregator
     if not np.isfinite(feats).all():
         raise SchemaError("forward pass requires finite node features")
-    xv = constant(feats[batch.nodes])  # [B, d]
-    x1 = constant(feats[batch.idx1])  # [B, k1, d]
-    x2 = constant(feats[batch.idx2])  # [B, k1, k2, d]
+    xv = feats[batch.nodes]  # [B, d]
+    x1 = feats[batch.idx1]  # [B, k1, d]
+    x2 = feats[batch.idx2]  # [B, k1, k2, d]
 
     # Layer 1: refresh hop-1 nodes from their hop-2 samples, and the target
     # from its hop-1 samples.
     pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, batch.mask2)
-    h1_u = dropout(pre_u, cfg.dropout, mode, rng).relu()  # [B, k1, h1]
+    h1_u = relu(dropout(pre_u, cfg.dropout, mode, rng))  # [B, k1, h1]
     pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
-    h1_v = dropout(pre_v, cfg.dropout, mode, rng).relu()  # [B, h1]
+    h1_v = relu(dropout(pre_v, cfg.dropout, mode, rng))  # [B, h1]
 
     # Layer 2: combine the target's refreshed state with its refreshed hop-1
     # neighborhood.
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = dropout(pre2, cfg.dropout, mode, rng).relu()  # [B, h2]
+    h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
 
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])

@@ -1,13 +1,16 @@
 """Test-side probes of the model internals: a finite-difference gradient
-checker over the autodiff tape, the nodes a tape records, and the raw
+checker over the autodiff tape, the nodes a tape records, a counter of the
+`Var`s a block constructs, and the raw
 aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
 them."""
 
+import contextlib
+
 import numpy as np
 
 from virtualsensor.errors import SchemaError
-from virtualsensor.nncore import collect_grads, constant, wrap_params
+from virtualsensor.nncore import Var, collect_grads, constant, wrap_params
 from virtualsensor.sage import AggregatorKind, _attention, _pool
 
 
@@ -31,15 +34,35 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(f(wrap_params(params, needs_grad=False)).value)
+            up = float(f(_constants(params)).value)
             flat[i] = orig - h
-            down = float(f(wrap_params(params, needs_grad=False)).value)
+            down = float(f(_constants(params)).value)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[name].reshape(-1)[i])
             denom = max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, abs(a - numeric) / denom)
     return worst
+
+
+def _constants(params: dict) -> dict:
+    return {name: constant(value) for name, value in params.items()}
+
+
+@contextlib.contextmanager
+def counting_vars():
+    """Collect every `Var` constructed inside the block."""
+    made, init = [], Var.__init__
+
+    def recording_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    Var.__init__ = recording_init
+    try:
+        yield made
+    finally:
+        Var.__init__ = init
 
 
 def tape_nodes(out) -> list:
@@ -59,9 +82,8 @@ def attention_weights(p: dict, layer: int, kind: AggregatorKind, self_x: np.ndar
     """The attentional softmax weights [..., K] of the forward pass."""
     if kind is not AggregatorKind.ATTENTIONAL:
         raise SchemaError("attention weights only exist for the attentional aggregator")
-    alpha, _ = _attention(wrap_params(p, needs_grad=False), layer, constant(self_x),
-                          constant(neigh_x), mask)
-    return alpha.value[..., 0]
+    alpha, _ = _attention(p, layer, self_x, neigh_x, mask)
+    return alpha[..., 0]
 
 
 def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
@@ -81,6 +103,4 @@ def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
         raise SchemaError("neighbor feature width mismatch")
     else:
         mask = np.ones((1, neigh.shape[0]))
-    pooled = _pool(kind, wrap_params(params, needs_grad=False), layer,
-                   constant(self_feat[None]), constant(neigh[None]), mask)
-    return pooled.value[0]
+    return _pool(kind, params, layer, self_feat[None], neigh[None], mask)[0]

@@ -1,6 +1,8 @@
-"""Autodiff core: operator gradients, layers, dropout, Adam, grad checking."""
+"""Autodiff core: operator gradients, plain-array ops, layers, dropout, Adam,
+grad checking."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,9 +18,15 @@ from virtualsensor.nncore import (
     collect_grads,
     constant,
     dropout,
+    exp,
     glorot_uniform,
+    leaky_relu,
     masked_mean,
     mse_loss,
+    pad_axis,
+    relu,
+    sigmoid,
+    slice_axis,
     wrap_params,
 )
 
@@ -66,14 +74,14 @@ def test_var_division_grads():
 
 def test_var_relu_kink():
     x = Var(np.array([-2.0, 0.0, 3.0]))
-    out = x.relu().sum()
+    out = relu(x).sum()
     out.backward()
     assert np.allclose(x.grad, [0.0, 0.0, 1.0])
 
 
 def test_var_sigmoid_value_and_grad():
     x = Var(np.array([0.0]))
-    out = x.sigmoid().sum()
+    out = sigmoid(x).sum()
     out.backward()
     assert out.value == pytest.approx(0.5)
     assert x.grad[0] == pytest.approx(0.25)
@@ -88,7 +96,7 @@ def test_var_max_axis_routes_gradient_to_argmax():
 
 def test_var_reshape_and_slice_grads():
     x = Var(np.arange(8.0).reshape(2, 4))
-    out = x.reshape(4, 2).slice_axis(0, 1, 3).sum()
+    out = slice_axis(x.reshape(4, 2), 0, 1, 3).sum()
     out.backward()
     want = np.zeros(8)
     want[2:6] = 1.0
@@ -97,7 +105,7 @@ def test_var_reshape_and_slice_grads():
 
 def test_var_pad_axis_grad():
     x = Var(np.ones((2, 2)))
-    out = x.pad_axis(1, 1, 2)
+    out = pad_axis(x, 1, 1, 2)
     assert out.shape == (2, 5)
     out.sum().backward()
     assert np.allclose(x.grad, np.ones((2, 2)))
@@ -120,7 +128,7 @@ def test_backward_requires_scalar():
 @settings(max_examples=60, deadline=None)
 def test_exp_grad_matches_value(a, b):
     x = Var(np.array([a, b]))
-    out = x.exp().sum()
+    out = exp(x).sum()
     out.backward()
     assert np.allclose(x.grad, np.exp([a, b]), rtol=1e-12)
 
@@ -128,21 +136,59 @@ def test_exp_grad_matches_value(a, b):
 # ---------------------------------------------------------------- tape rules
 
 
+def _every_op(a, b, c):
+    """Each op over a [2, 3] `a`, a [3, 1] `b` and a [1, 1] `c`."""
+    return [a + 1.0, a * b.reshape(1, 3), relu(a @ b), a.sum(axis=0), -a, exp(a),
+            sigmoid(a), a.max(axis=1), pad_axis(a, 1, 1, 1), slice_axis(a, 1, 0, 2),
+            leaky_relu(a), a / 2.0, affine(a, b, c), masked_mean(a.reshape(1, 2, 3),
+            np.array([[1.0, 0.0]])), 1.0 - a, 2.0 / a, a - c, dropout(a, 0.5, "eval"),
+            dropout(a, 0.5, "train", np.random.default_rng(0))]
+
+
 def test_constants_record_no_tape():
-    a, b = constant(np.ones((2, 3))), constant(np.full((3, 1), 2.0))
-    outs = [a + 1.0, a * b.reshape(1, 3), (a @ b).relu(), a.sum(axis=0), -a, a.exp(),
-            a.sigmoid(), a.max(axis=1), a.pad_axis(1, 1, 1), a.slice_axis(1, 0, 2),
-            a.leaky_relu(), a / 2.0, affine(a, b, constant(np.ones((1, 1)))),
-            masked_mean(a.reshape(1, 2, 3), np.ones((1, 2))), mse_loss(a, a * 2.0)]
-    for out in outs:
+    # Over constants every op is a constant with no tape; over plain arrays
+    # it is a plain array with the same bits.
+    rng = np.random.default_rng(4)
+    a, b, c = rng.normal(size=(2, 3)), rng.normal(size=(3, 1)), rng.normal(size=(1, 1))
+    lifted = _every_op(constant(a), constant(b), constant(c)) + [
+        mse_loss(constant(a), constant(a) * 2.0)]
+    for out in lifted:
         assert not out.needs_grad and out._parents == () and out._backward is None
+    for out, plain in zip(lifted, _every_op(a, b, c)):
+        assert type(plain) is np.ndarray
+        assert plain.dtype == out.value.dtype and plain.shape == out.value.shape
+        assert plain.tobytes() == out.value.tobytes()
 
 
 def test_bare_var_and_leaves_need_grad():
     assert Var(np.ones(2)).needs_grad
     assert all(v.needs_grad for v in wrap_params({"w": np.ones((1, 1))}).values())
-    assert not any(v.needs_grad for v in wrap_params({"w": np.ones((1, 1))},
-                                                     needs_grad=False).values())
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.matmul], ids=lambda op: op.__name__)
+def test_reflected_operators_match_the_lifted_form(op):
+    # `ndarray <op> Var` gives the value and gradient of `constant <op> Var`.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 3))
+    w0 = rng.normal(size=(3, 2)) if op is operator.matmul else rng.uniform(0.5, 2.0, (1, 3))
+    upstream = rng.normal(size=op(x, w0).shape)
+
+    def run(left):
+        w = Var(w0)
+        out = op(left, w)
+        assert isinstance(out, Var) and out.needs_grad
+        (out * upstream).sum().backward()
+        return [float(v).hex() for v in np.concatenate([out.value.ravel(), w.grad.ravel()])]
+
+    assert run(x) == run(constant(x))
+
+
+def test_ndarray_ufuncs_refuse_a_var():
+    # Var opts out of numpy's ufunc protocol, so a Var is never silently
+    # turned into an object array.
+    with pytest.raises(TypeError):
+        np.exp(Var(np.ones(2)))
 
 
 def test_parents_are_only_operands_that_need_grad():
@@ -176,11 +222,11 @@ def test_fused_nodes_match_their_op_chains():
     def run(fused):
         x, w, b = Var(x0), Var(w0), Var(b0)
         if fused:
-            h = masked_mean(affine(x, w, b).sigmoid(), mask)
+            h = masked_mean(sigmoid(affine(x, w, b)), mask)
             loss = mse_loss(h, y)
         else:
             count = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-            h = ((x @ w + b).sigmoid() * Var(mask[..., None])).sum(axis=-2) / Var(count)
+            h = (sigmoid(x @ w + b) * Var(mask[..., None])).sum(axis=-2) / Var(count)
             diff = h - y
             loss = (diff * diff).sum() / float(diff.value.size)
         loss.backward()
@@ -208,19 +254,20 @@ def test_glorot_uniform_bounds():
 def test_dropout_eval_is_identity():
     x = np.random.default_rng(0).normal(size=(10, 4))
     out = dropout(x, 0.5, "eval")
-    assert np.array_equal(out.value, x)
+    assert out is x
 
 
 def test_dropout_zero_rate_is_identity():
     x = np.ones((5, 5))
     out = dropout(x, 0.0, "train", np.random.default_rng(0))
-    assert np.array_equal(out.value, x)
+    assert out is x
 
 
 def test_dropout_train_scales_survivors():
     x = np.ones((4, 4))
     out = dropout(x, 0.5, "train", np.random.default_rng(1))
-    vals = np.unique(out.value)
+    assert type(out) is np.ndarray
+    vals = np.unique(out)
     assert set(vals) <= {0.0, 2.0}  # inverted dropout: survivors scaled by 2
 
 
@@ -229,7 +276,7 @@ def test_dropout_monte_carlo_mean_preserved():
     rng = np.random.default_rng(123)
     x = np.ones(100_000)
     out = dropout(x, 0.5, "train", rng)
-    assert 0.98 <= out.value.mean() <= 1.02
+    assert 0.98 <= out.mean() <= 1.02
 
 
 def test_dropout_frozen_mask():
@@ -422,8 +469,27 @@ def test_grad_check_clean_function():
     y = rng.normal(size=(6, 1))
 
     def f(p):
-        h = (Var(x) @ p["w1"] + p["b1"]).relu()
+        h = relu(Var(x) @ p["w1"] + p["b1"])
         return mse_loss(h @ p["w2"], y)
+
+    assert grad_check(f, params) < 1e-6
+
+
+def test_grad_check_through_reflected_operators():
+    # Arrays on the left of every operator, as in the model forwards.
+    rng = np.random.default_rng(1)
+    params = {
+        "w": rng.normal(size=(4, 3)),
+        "b": rng.normal(size=(1, 3)),
+        "s": rng.uniform(1.0, 2.0, size=(1, 3)),
+    }
+    x, c = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    y = rng.normal(size=(6, 3))
+
+    def f(p):
+        h = c - (x @ p["w"]) * 0.5
+        h = c * sigmoid(np.ones((1, 3)) + h) + p["b"]
+        return mse_loss(c / p["s"] - h, y)
 
     assert grad_check(f, params) < 1e-6
 

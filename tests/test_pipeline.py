@@ -51,6 +51,8 @@ from virtualsensor.pipeline import (
 )
 from virtualsensor.sage import AggregatorKind
 
+from probes import counting_vars
+
 UTC = timezone.utc
 
 
@@ -315,12 +317,15 @@ def test_transfer_schema_mismatch_rejected():
 # ---------------------------------------------------------------- rollout dispatch
 
 
-@pytest.mark.parametrize("kind,model_cfg", [
+ALL_KINDS = [
     ("sage", None),
     ("mlp", None),
     ("cnn", None),
     ("gbt", GbtConfig(n_trees=10)),
-])
+]
+
+
+@pytest.mark.parametrize("kind,model_cfg", ALL_KINDS)
 def test_closed_loop_predict_all_kinds(kind, model_cfg):
     _, prepared, _, g = prepared_city()
     cfg = TrainConfig(epochs=1, model=kind, seed=0)
@@ -328,6 +333,42 @@ def test_closed_loop_predict_all_kinds(kind, model_cfg):
     preds = closed_loop_predict(trained, g, prepared, 0, InitScheme.fixed(25.0))
     assert preds.shape == (prepared.n_frames - 1,)
     assert np.all(np.isfinite(preds))
+
+
+@pytest.mark.parametrize("kind,model_cfg", ALL_KINDS)
+def test_predict_hook_returns_an_array_on_stored_params(kind, model_cfg):
+    _, prepared, _, g = prepared_city()
+    trained = train(prepared, g, TrainConfig(epochs=1, model=kind, seed=0), model_cfg)
+    feats = _model_inputs(prepared, g)[5]
+    out = trained.model_config.predict(trained.params, g, feats, np.array([0, 2]), "eval",
+                                       np.random.default_rng(0))
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (2,)
+
+
+@pytest.mark.parametrize("kind,model_cfg", ALL_KINDS)
+def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
+    # Validation and the rollout run `predict` on the stored arrays; only
+    # the training steps build a tape.
+    cls = DEFAULT_MODEL_CONFIGS[kind]
+    predict, built = cls.predict, {"eval": [], "train": []}
+
+    def counted(self, params, g, feats, nodes, mode, rng):
+        with counting_vars() as made:
+            out = predict(self, params, g, feats, nodes, mode, rng)
+        built[mode].append(len(made))
+        return out
+
+    monkeypatch.setattr(cls, "predict", counted)
+    _, prepared, _, g = prepared_city()
+    trained = train(prepared, g, TrainConfig(epochs=2, model=kind, seed=0, val_fraction=0.2),
+                    model_cfg)
+    # gbt is fitted in one pass and validates nothing
+    assert len(built["eval"]) == 2 * 23 * cls.trains_by_gradient
+    assert not any(built["eval"])
+    assert all(built["train"]) and len(built["train"]) == 2 * 96 * cls.trains_by_gradient
+    with counting_vars() as made:
+        closed_loop_predict(trained, g, prepared, 0, InitScheme.fixed(25.0))
+    assert made == []
 
 
 # ---------------------------------------------------------------- leave-one-out
