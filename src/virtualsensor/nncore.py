@@ -241,6 +241,7 @@ def value_of(x) -> np.ndarray:
 
 
 def relu(x):
+    """max(x, 0), elementwise."""
     v = value_of(x)
     mask = v > 0
     y = v * mask
@@ -254,6 +255,7 @@ def relu(x):
 
 
 def leaky_relu(x, slope: float = 0.2):
+    """x where positive, `slope * x` elsewhere."""
     v = value_of(x)
     factor = np.where(v > 0, 1.0, slope)
     y = v * factor
@@ -267,6 +269,7 @@ def leaky_relu(x, slope: float = 0.2):
 
 
 def sigmoid(x):
+    """The logistic function, elementwise."""
     y = 1.0 / (1.0 + np.exp(-value_of(x)))
     if not isinstance(x, Var):
         return y
@@ -278,6 +281,7 @@ def sigmoid(x):
 
 
 def exp(x):
+    """e ** x, elementwise."""
     y = np.exp(value_of(x))
     if not isinstance(x, Var):
         return y

@@ -362,7 +362,8 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
     _, prepared, _, g = prepared_city()
     trained = train(prepared, g, TrainConfig(epochs=2, model=kind, seed=0, val_fraction=0.2),
                     model_cfg)
-    # gbt is fitted in one pass and validates nothing
+    # Two epochs over 119 frames: 23 validation and 96 training frames each;
+    # gbt is fitted in one pass and validates nothing.
     assert len(built["eval"]) == 2 * 23 * cls.trains_by_gradient
     assert not any(built["eval"])
     assert all(built["train"]) and len(built["train"]) == 2 * 96 * cls.trains_by_gradient
