@@ -329,8 +329,11 @@ def cmd_plot(args) -> int:
     started = time.monotonic()
     raw = _load_raw(args.data)
     node = raw.sensor_index(args.location)
-    with open(args.pred, encoding="utf-8") as fh:
-        lines = fh.read().strip().splitlines()[1:]
+    try:
+        with open(args.pred, encoding="utf-8") as fh:
+            lines = fh.read().strip().splitlines()[1:]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.pred}: not UTF-8 text ({exc.reason})") from exc
     pred_by_ts = {}
     for line_no, line in enumerate(lines, start=2):
         fields = line.split(",")

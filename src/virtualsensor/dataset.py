@@ -9,10 +9,14 @@ NO2 concentrations in ug/m3 and are never standardized.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -225,80 +229,131 @@ def parse_hour_timestamp(text: str, line_no: int) -> datetime:
     return ts
 
 
+@contextlib.contextmanager
+def _csv_rows(path, kind: str, required: Sequence[str]):
+    """Open a UTF-8 CSV file whose header names every `required` column.
+
+    Yields (column index by header name, csv reader). Iterate
+    `filter(None, reader)` to skip blank lines; `reader.line_num` is then the
+    physical line of the row just read. A header naming a column twice maps
+    it to the last one. Undecodable bytes and csv-level errors raise
+    ParseError naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            missing = set(required) - set(header)
+            if missing:
+                raise ParseError(f"{path}: {kind} header missing columns {sorted(missing)}")
+            yield {name: i for i, name in enumerate(header)}, reader
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path} line {reader.line_num}: {exc}") from exc
+
+
 def load_locations(path) -> tuple[SensorLocation, ...]:
     locations = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(LOCATIONS_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ParseError(f"{path}: locations header missing columns {sorted(missing)}")
-        for line_no, row in enumerate(reader, start=2):
+    with _csv_rows(path, "locations", LOCATIONS_HEADER) as (col, reader):
+        fields = itemgetter(*(col[c] for c in LOCATIONS_HEADER))
+        for row in filter(None, reader):
             try:
-                locations.append(
-                    SensorLocation(
-                        id=row["sensor_id"],
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]),
-                        dist_road=float(row["dist_road_m"]),
-                    )
+                sensor_id, lat, lon, dist_road = fields(row)
+                location = SensorLocation(
+                    id=sensor_id, lat=float(lat), lon=float(lon), dist_road=float(dist_road)
                 )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path} line {line_no}: malformed row") from exc
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path} line {reader.line_num}: malformed row") from exc
+            locations.append(location)
     if not locations:
         raise ParseError(f"{path}: no sensors")
     return tuple(locations)
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_HOUR = timedelta(hours=1)
+_READING_VALUES = READINGS_HEADER[2:]  # no2_ugm3, then the feature columns
+
+
+def _raise_first_nonfinite(readings_path, values: array, n_rows: int) -> None:
+    """ParseError for the first non-finite number among the first `n_rows` rows."""
+    width = len(_READING_VALUES)
+    bad = ~np.isfinite(np.frombuffer(values, count=n_rows * width))
+    if not bad.any():
+        return
+    row, j = divmod(int(bad.argmax()), width)
+    column = _READING_VALUES[j]
+    # The row's text was not kept; read the file again up to it.
+    with _csv_rows(readings_path, "readings", READINGS_HEADER) as (col, reader):
+        text = next(islice(filter(None, reader), row, None))[col[column]]
+        line_no = reader.line_num
+    raise ParseError(f"{readings_path} line {line_no}: {column} {text!r} is not finite")
+
+
 def load_dataset(locations_path, readings_path) -> Dataset:
     """Read the locations/readings CSV pair into a dense-timeline Dataset.
 
+    One streaming pass over readings.csv: each distinct timestamp text is
+    parsed once, and each row's 12 numbers go into one flat float buffer.
     Every numeric field must be finite (ParseError otherwise). Absent
     (sensor, hour) rows become present=False entries with NaN
     satellite/meteorological features; time and static columns are always
-    populated.
+    populated. The first bad row in file order decides the error, and errors
+    name the file's physical line.
     """
     locations = load_locations(locations_path)
     schema = default_schema()
+    n = len(locations)
     index_of = {loc.id: i for i, loc in enumerate(locations)}
 
-    rows = []  # (timestamp, sensor index, no2, feature values)
-    seen = set()
-    with open(readings_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(READINGS_HEADER) - set(reader.fieldnames or ())
-        if missing:
-            raise ParseError(f"{readings_path}: readings header missing columns {sorted(missing)}")
-        for line_no, row in enumerate(reader, start=2):
-            ts = parse_hour_timestamp(row["timestamp"], line_no)
-            sensor_id = row["sensor_id"]
-            if sensor_id not in index_of:
-                raise SchemaError(
-                    f"readings line {line_no}: unknown sensor_id {sensor_id!r}"
-                )
-            key = (ts, sensor_id)
-            if key in seen:
-                raise ParseError(
-                    f"readings line {line_no}: duplicate reading for {sensor_id} at {ts.isoformat()}"
-                )
-            seen.add(key)
-            try:
-                values = [float(row[c]) for c in READINGS_HEADER[2:]]
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{readings_path} line {line_no}: malformed row") from exc
-            bad = [c for c, v in zip(READINGS_HEADER[2:], values) if not math.isfinite(v)]
-            if bad:
-                raise ParseError(
-                    f"{readings_path} line {line_no}: {bad[0]} {row[bad[0]]!r} is not finite"
-                )
-            rows.append((ts, index_of[sensor_id], values[0], values[1:]))
-
-    if not rows:
+    hour_of = {}  # timestamp text -> whole hours since the epoch
+    cells = {}  # hour * n + sensor index of each complete row, in file order
+    values = array("d")  # each complete row's no2 and feature values, row after row
+    try:
+        with _csv_rows(readings_path, "readings", READINGS_HEADER) as (col, reader):
+            ts_col, id_col = col["timestamp"], col["sensor_id"]
+            numbers = itemgetter(*(col[c] for c in _READING_VALUES))
+            width = 1 + max(col[c] for c in READINGS_HEADER)
+            for row in filter(None, reader):
+                if len(row) < width:
+                    raise ParseError(f"{readings_path} line {reader.line_num}: malformed row")
+                text = row[ts_col]
+                hour = hour_of.get(text)
+                if hour is None:
+                    ts = parse_hour_timestamp(text, reader.line_num)
+                    hour = hour_of[text] = (ts - _EPOCH) // _HOUR
+                sensor_id = row[id_col]
+                s = index_of.get(sensor_id)
+                if s is None:
+                    raise SchemaError(
+                        f"readings line {reader.line_num}: unknown sensor_id {sensor_id!r}"
+                    )
+                key = hour * n + s
+                if key in cells:
+                    raise ParseError(
+                        f"readings line {reader.line_num}: duplicate reading for {sensor_id} at "
+                        f"{(_EPOCH + hour * _HOUR).isoformat()}"
+                    )
+                try:
+                    values.extend(map(float, numbers(row)))
+                except ValueError as exc:
+                    raise ParseError(
+                        f"{readings_path} line {reader.line_num}: malformed row"
+                    ) from exc
+                cells[key] = None
+    except (ParseError, SchemaError):
+        # A non-finite number on an earlier row is the first error in the file.
+        _raise_first_nonfinite(readings_path, values, len(cells))
+        raise
+    _raise_first_nonfinite(readings_path, values, len(cells))
+    if not cells:
         raise ParseError(f"{readings_path}: no readings")
 
-    start = min(r[0] for r in rows)
-    end = max(r[0] for r in rows)
-    n_hours = int((end - start).total_seconds() // 3600) + 1
-    n = len(locations)
+    hours, sensor = np.divmod(np.fromiter(cells, dtype=np.int64, count=len(cells)), n)
+    first = int(hours.min())
+    start = _EPOCH + first * _HOUR
+    n_hours = int(hours.max()) - first + 1
     d = schema.width
 
     features = np.full((n_hours, n, d), np.nan)
@@ -311,11 +366,11 @@ def load_dataset(locations_path, readings_path) -> Dataset:
     dist_col = schema.index("dist_road")
     features[:, :, dist_col] = [loc.dist_road for loc in locations]
 
-    for ts, s, no2, values in rows:
-        t = int((ts - start).total_seconds() // 3600)
-        features[t, s, : len(values)] = values
-        targets[t, s] = no2
-        present[t, s] = True
+    data = np.frombuffer(values).reshape(len(cells), len(_READING_VALUES))
+    t = hours - first
+    features[t, sensor, : len(READING_FEATURE_COLUMNS)] = data[:, 1:]
+    targets[t, sensor] = data[:, 0]
+    present[t, sensor] = True
 
     return Dataset(
         locations=locations,
@@ -391,6 +446,9 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     When a sensor was absent at t-1, the most recent past observation at the
     same hour-of-day is used; sensors with no prior same-hour observation get
     the dataset-wide mean. Frame 0 gets the dataset-wide mean (no prior hour).
+    A present but non-finite target also reads as the mean. Hour-of-day
+    repeats every 24 frames, so this is a forward fill down each hour's
+    frames: a running maximum of present frame indices, then a gather.
     """
     if ds.stats is not None:
         raise SchemaError("fill_prev_no2 expects an unstandardized dataset")
@@ -402,15 +460,15 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     ar_col = ds.schema.prev_no2_index
     features = ds.features.copy()
     features[0, :, ar_col] = fallback_mean
-    # last_by_hour[h, s]: most recent observed NO2 at hour-of-day h, strictly
-    # before the frame currently being consulted.
-    last_by_hour = np.full((24, n), np.nan)
-    for t in range(1, T):
-        h = ds.timestamp(t - 1).hour
-        prev = np.where(ds.present[t - 1], ds.targets[t - 1], last_by_hour[h])
-        prev = np.where(np.isfinite(prev), prev, fallback_mean)
-        features[t, :, ar_col] = prev
-        last_by_hour[h] = np.where(ds.present[t - 1], ds.targets[t - 1], last_by_hour[h])
+    # latest[t, s]: the last frame j <= t with j % 24 == t % 24 at which sensor
+    # s was present, or -1. Padded to whole days and viewed as [day, 24, n],
+    # frame j + 24 sits right below frame j.
+    days = -(-T // 24)
+    latest = np.full((days * 24, n), -1)
+    latest[:T] = np.where(ds.present, np.arange(T)[:, None], -1)
+    latest = np.maximum.accumulate(latest.reshape(days, 24, n), axis=0).reshape(-1, n)[: T - 1]
+    prev = np.take_along_axis(ds.targets, latest, axis=0)
+    features[1:, :, ar_col] = np.where((latest >= 0) & np.isfinite(prev), prev, fallback_mean)
     return replace(ds, features=features)
 
 

@@ -3,13 +3,26 @@ checker over the autodiff tape, the nodes a tape records, a counter of the
 `Var`s a block constructs, and the raw
 aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
-them."""
+them; and, as references for the array code that replaced them, the
+row-by-row readings loader and the hour-by-hour autoregressive fill."""
 
 import contextlib
+import csv
+import math
+from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 
-from virtualsensor.errors import SchemaError
+from virtualsensor.dataset import (
+    READINGS_HEADER,
+    Dataset,
+    default_schema,
+    encode_time,
+    load_locations,
+    parse_hour_timestamp,
+)
+from virtualsensor.errors import ParseError, SchemaError
 from virtualsensor.nncore import Var, collect_grads, constant, wrap_params
 from virtualsensor.sage import AggregatorKind, _attention, _pool
 
@@ -104,3 +117,104 @@ def aggregate(kind: AggregatorKind, self_feat: np.ndarray,
     else:
         mask = np.ones((1, neigh.shape[0]))
     return _pool(kind, params, layer, self_feat[None], neigh[None], mask)[0]
+
+
+def reference_load_dataset(locations_path, readings_path) -> Dataset:
+    """The row-by-row `csv.DictReader` loader `load_dataset` replaced.
+
+    It numbers rows, not physical lines, so after a blank line its line
+    numbers run short, and a row missing its timestamp field raises
+    AttributeError.
+    """
+    locations = load_locations(locations_path)
+    schema = default_schema()
+    index_of = {loc.id: i for i, loc in enumerate(locations)}
+
+    rows = []  # (timestamp, sensor index, no2, feature values)
+    seen = set()
+    with open(readings_path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(READINGS_HEADER) - set(reader.fieldnames or ())
+        if missing:
+            raise ParseError(f"{readings_path}: readings header missing columns {sorted(missing)}")
+        for line_no, row in enumerate(reader, start=2):
+            ts = parse_hour_timestamp(row["timestamp"], line_no)
+            sensor_id = row["sensor_id"]
+            if sensor_id not in index_of:
+                raise SchemaError(
+                    f"readings line {line_no}: unknown sensor_id {sensor_id!r}"
+                )
+            key = (ts, sensor_id)
+            if key in seen:
+                raise ParseError(
+                    f"readings line {line_no}: duplicate reading for {sensor_id} at {ts.isoformat()}"
+                )
+            seen.add(key)
+            try:
+                values = [float(row[c]) for c in READINGS_HEADER[2:]]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{readings_path} line {line_no}: malformed row") from exc
+            bad = [c for c, v in zip(READINGS_HEADER[2:], values) if not math.isfinite(v)]
+            if bad:
+                raise ParseError(
+                    f"{readings_path} line {line_no}: {bad[0]} {row[bad[0]]!r} is not finite"
+                )
+            rows.append((ts, index_of[sensor_id], values[0], values[1:]))
+
+    if not rows:
+        raise ParseError(f"{readings_path}: no readings")
+
+    start = min(r[0] for r in rows)
+    end = max(r[0] for r in rows)
+    n_hours = int((end - start).total_seconds() // 3600) + 1
+    n = len(locations)
+    d = schema.width
+
+    features = np.full((n_hours, n, d), np.nan)
+    targets = np.full((n_hours, n), np.nan)
+    present = np.zeros((n_hours, n), dtype=bool)
+
+    time_lo = schema.index("hour_sin")
+    for t in range(n_hours):
+        features[t, :, time_lo : time_lo + 6] = encode_time(start + timedelta(hours=t))
+    dist_col = schema.index("dist_road")
+    features[:, :, dist_col] = [loc.dist_road for loc in locations]
+
+    for ts, s, no2, values in rows:
+        t = int((ts - start).total_seconds() // 3600)
+        features[t, s, : len(values)] = values
+        targets[t, s] = no2
+        present[t, s] = True
+
+    return Dataset(
+        locations=locations,
+        schema=schema,
+        start=start,
+        features=features,
+        targets=targets,
+        present=present,
+    )
+
+
+def reference_fill_prev_no2(ds: Dataset) -> Dataset:
+    """The hour-by-hour autoregressive fill `fill_prev_no2` replaced."""
+    if ds.stats is not None:
+        raise SchemaError("fill_prev_no2 expects an unstandardized dataset")
+    observed = ds.targets[ds.present]
+    observed = observed[np.isfinite(observed)]
+    fallback_mean = float(observed.mean()) if observed.size else 0.0
+
+    T, n = ds.targets.shape
+    ar_col = ds.schema.prev_no2_index
+    features = ds.features.copy()
+    features[0, :, ar_col] = fallback_mean
+    # last_by_hour[h, s]: most recent observed NO2 at hour-of-day h, strictly
+    # before the frame currently being consulted.
+    last_by_hour = np.full((24, n), np.nan)
+    for t in range(1, T):
+        h = ds.timestamp(t - 1).hour
+        prev = np.where(ds.present[t - 1], ds.targets[t - 1], last_by_hour[h])
+        prev = np.where(np.isfinite(prev), prev, fallback_mean)
+        features[t, :, ar_col] = prev
+        last_by_hour[h] = np.where(ds.present[t - 1], ds.targets[t - 1], last_by_hour[h])
+    return replace(ds, features=features)

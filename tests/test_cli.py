@@ -339,6 +339,25 @@ def _plot(tmp, data, pred_rows, *extra):
             "--location", "S00", "--out", str(tmp / "x.svg"), *extra]
 
 
+def _edit_bytes(tmp, data, name, edit):
+    """A copy of the data dir whose `name` CSV has its bytes passed through `edit`."""
+    out = tmp / "edited"
+    out.mkdir()
+    for csv_name in ("locations.csv", "readings.csv"):
+        raw = (data / csv_name).read_bytes()
+        (out / csv_name).write_bytes(edit(raw) if csv_name == name else raw)
+    return out
+
+
+def _train_on_edited(tmp, data, name, edit):
+    return ["train", "--data", str(_edit_bytes(tmp, data, name, edit)),
+            "--out", str(tmp / "m.vsck"), "--epochs", "1"]
+
+
+def _latin1_sensor_id(raw: bytes) -> bytes:
+    return raw.replace(b"S01", b"S\xe901", 1)  # a lone 0xE9 is not UTF-8
+
+
 TS = "2019-01-01T02:00:00Z"
 
 # Each case maps (tmp_path, data dir) to (argv, a text the error line holds).
@@ -361,6 +380,17 @@ MALFORMED_CLI_INPUTS = {
                                             "line 3"),
     "plot-not-a-number": lambda tmp, data: (_plot(tmp, data, [f"{TS},abc"]), "line 2"),
     "plot-nan": lambda tmp, data: (_plot(tmp, data, [f"{TS},nan"]), "line 2"),
+    "plot-pred-not-utf8": lambda tmp, data: (
+        ["plot", "--data", str(data),
+         "--pred", str(_write(tmp / "p.csv", f"timestamp,v\n{TS},1.0\xe9\n".encode("latin-1"))),
+         "--location", "S00", "--out", str(tmp / "x.svg")], "p.csv"),
+    "readings-not-utf8": lambda tmp, data: (
+        _train_on_edited(tmp, data, "readings.csv", _latin1_sensor_id), "readings.csv"),
+    "locations-not-utf8": lambda tmp, data: (
+        _train_on_edited(tmp, data, "locations.csv", _latin1_sensor_id), "locations.csv"),
+    "readings-field-over-csv-limit": lambda tmp, data: (
+        _train_on_edited(tmp, data, "readings.csv", lambda raw: raw + b"x" * 200_000 + b"\n"),
+        "readings.csv"),
     "plot-bad-start": lambda tmp, data: (
         _plot(tmp, data, [f"{TS},1.0"], "--start", "notadate"), "--start"),
     "synth-zero-hours": lambda tmp, data: (

@@ -2,6 +2,7 @@
 autoregressive fill, and road distance."""
 
 import math
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,7 +29,14 @@ from virtualsensor.dataset import (
     write_locations_csv,
     write_readings_csv,
 )
-from virtualsensor.errors import DegenerateFeatureError, ParseError, SchemaError
+from virtualsensor.errors import (
+    DegenerateFeatureError,
+    ParseError,
+    SchemaError,
+    VirtualSensorError,
+)
+
+from probes import reference_fill_prev_no2, reference_load_dataset
 
 UTC = timezone.utc
 
@@ -230,6 +238,72 @@ def test_load_dataset_nonfinite_value_reports_line(tmp_path, row, column):
     )
     with pytest.raises(ParseError, match=f"line 3: {column}"):
         load_dataset(lp, rp)
+
+
+def test_load_dataset_reports_physical_line_after_blank_lines(tmp_path):
+    lp, rp = write_pair(
+        tmp_path,
+        "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\n",
+        READINGS_HEAD
+        + "\n\n"
+        + f"2021-06-01T00:00:00Z,A,30.0,{FEAT_TAIL}\n"
+        + f"2021-06-01T01:00:00Z,A,oops,{FEAT_TAIL}\n",
+    )
+    with pytest.raises(ParseError, match="line 5: malformed row"):
+        load_dataset(lp, rp)
+
+
+def test_load_dataset_nonfinite_reports_physical_line_after_blank_lines(tmp_path):
+    lp, rp = write_pair(
+        tmp_path,
+        "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\n",
+        READINGS_HEAD
+        + f"2021-06-01T00:00:00Z,A,30.0,{FEAT_TAIL}\n\n"
+        + f"2021-06-01T01:00:00Z,A,NaN,{FEAT_TAIL}\n"
+        + "2021-06-01T02:00:00Z,GHOST\n",
+    )
+    with pytest.raises(ParseError, match="line 4: no2_ugm3 'NaN' is not finite"):
+        load_dataset(lp, rp)
+
+
+def test_load_locations_reports_physical_line_after_blank_lines(tmp_path):
+    lp = tmp_path / "locations.csv"
+    lp.write_text("sensor_id,lat,lon,dist_road_m\n\nA,51.0,-2.0,1.0\n\nB,north,-2.0,1.0\n")
+    with pytest.raises(ParseError, match="line 5: malformed row"):
+        load_locations(lp)
+
+
+@pytest.mark.parametrize("row", ["A", f"A,2021-06-01T01:00:00Z,30.0,{FEAT_TAIL[:-5]}"])
+def test_load_dataset_short_row_reordered_header(tmp_path, row):
+    head = READINGS_HEAD.replace("timestamp,sensor_id,", "sensor_id,timestamp,")
+    lp, rp = write_pair(
+        tmp_path,
+        "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\n",
+        head + f"A,2021-06-01T00:00:00Z,30.0,{FEAT_TAIL}\n" + row + "\n",
+    )
+    with pytest.raises(ParseError, match="line 3: malformed row"):
+        load_dataset(lp, rp)
+
+
+def test_load_locations_short_row(tmp_path):
+    lp = tmp_path / "locations.csv"
+    lp.write_text("lat,lon,dist_road_m,sensor_id\n51.0,-2.0,1.0,A\n51.0,-2.0,1.0\n")
+    with pytest.raises(ParseError, match="line 3: malformed row"):
+        load_locations(lp)
+
+
+def test_load_dataset_accepts_rows_missing_only_unused_columns(tmp_path):
+    # A header may carry columns the loader ignores; a row that stops after
+    # the last required column still loads.
+    lp, rp = write_pair(
+        tmp_path,
+        "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\n",
+        READINGS_HEAD.replace("\n", ",note\n")
+        + f"2021-06-01T00:00:00Z,A,30.0,{FEAT_TAIL},ok\n"
+        + f"2021-06-01T01:00:00Z,A,31.0,{FEAT_TAIL}\n",
+    )
+    ds = load_dataset(lp, rp)
+    assert list(ds.targets[:, 0]) == [30.0, 31.0]
 
 
 def test_load_locations_nonfinite_dist_road(tmp_path):
@@ -486,3 +560,93 @@ def test_sensor_index_lookup():
     with pytest.raises(SchemaError):
         ds.sensor_index("nope")
 
+
+
+# ---------------------------------------------------------------- loader and AR fill equivalence
+
+
+PROPERTY_LOCATIONS = "sensor_id,lat,lon,dist_road_m\nA,51.45,-2.58,25.0\nB,51.46,-2.59,80.0\n"
+BAD_VALUES = ("nan", "inf", "-Infinity", " NaN", "1e999", "oops", "", "-0.0", "7")
+ODD_TIMESTAMPS = (
+    "not-a-time", "2021-06-01T03:30:00Z", "2021-06-01T04:00:00+00:00",
+    "2021-06-01T05:00:00+01:00", "2021-06-01T09:00:00", "2021-05-31T22:00:00Z",
+)
+
+
+@st.composite
+def edited_readings(draw):
+    """A small valid readings.csv with drawn edits: (text, whether it has blank lines)."""
+    header = list(READINGS_HEAD.strip().split(","))
+    rows = [
+        [f"2021-06-01T{h:02d}:00:00Z", sensor, f"{20.0 + h}", *FEAT_TAIL.split(",")]
+        for h in range(5) for sensor in "AB" if (h, sensor) != (1, "B")
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("value", "timestamp", "duplicate", "sensor")))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "value":
+            rows[i][draw(st.integers(2, len(header) - 1))] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "timestamp":
+            rows[i][0] = draw(st.sampled_from(ODD_TIMESTAMPS))
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+        else:
+            rows[i][1] = draw(st.sampled_from(("GHOST", "a", "")))
+    if draw(st.booleans()):  # an extra column in the header and every row
+        j = draw(st.integers(0, len(header)))
+        header.insert(j, "note")
+        for row in rows:
+            row.insert(j, "x")
+    if draw(st.booleans()):  # the columns in another order
+        order = draw(st.permutations(range(len(header))))
+        header = [header[k] for k in order]
+        rows = [[row[k] for k in order] for row in rows]
+    if draw(st.booleans()):  # a row with fields beyond the header
+        rows[draw(st.integers(0, len(rows) - 1))].append("spare")
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    blanks = draw(st.lists(st.integers(1, len(lines)), max_size=2))
+    for pos in sorted(blanks, reverse=True):
+        lines.insert(pos, "")
+    return "\n".join(lines) + "\n", bool(blanks)
+
+
+def _hex(a: np.ndarray) -> list[str]:
+    return [float(v).hex() for v in a.ravel().tolist()]
+
+
+def _load_outcome(load, lp, rp, mask_lines: bool):
+    """A load's arrays in float.hex form, or its error class and message."""
+    try:
+        ds = load(lp, rp)
+    except VirtualSensorError as exc:
+        message = re.sub(r"line \d+", "line N", str(exc)) if mask_lines else str(exc)
+        return type(exc), message
+    return ds.start, ds.locations, _hex(ds.features), _hex(ds.targets), ds.present.tolist()
+
+
+@given(edited_readings())
+@settings(max_examples=150, deadline=None)
+def test_load_dataset_matches_row_loop(tmp_path_factory, edited):
+    text, has_blank_lines = edited
+    root = tmp_path_factory.getbasetemp() / "loader-property"
+    root.mkdir(exist_ok=True)
+    lp, rp = write_pair(root, PROPERTY_LOCATIONS, text)
+    # The row loop numbers rows, not lines; after a blank line only the
+    # numbers may differ.
+    assert (_load_outcome(load_dataset, lp, rp, has_blank_lines)
+            == _load_outcome(reference_load_dataset, lp, rp, has_blank_lines))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fill_prev_no2_matches_hourly_loop(data):
+    T = data.draw(st.integers(1, 75))
+    n = data.draw(st.integers(1, 3))
+    present = np.array(data.draw(st.lists(st.booleans(), min_size=T * n, max_size=T * n)))
+    values = data.draw(st.lists(
+        st.one_of(st.floats(-50.0, 200.0), st.sampled_from((math.nan, math.inf, -0.0))),
+        min_size=T * n, max_size=T * n,
+    ))
+    start = datetime(2021, 3, 1, data.draw(st.integers(0, 23)), tzinfo=UTC)
+    ds = make_dataset(np.reshape(values, (T, n)), present=present.reshape(T, n), start=start)
+    assert _hex(fill_prev_no2(ds).features) == _hex(reference_fill_prev_no2(ds).features)
