@@ -8,11 +8,8 @@ city generator for desk-scale experiments.
 
 from .dataset import (
     Dataset,
-    FeatureSchema,
     SensorLocation,
     StandardizationStats,
-    default_schema,
-    distance_to_road,
     encode_time,
     fill_prev_no2,
     load_dataset,
@@ -40,7 +37,6 @@ __all__ = [
     "CityConfig",
     "Dataset",
     "EvalReport",
-    "FeatureSchema",
     "InitScheme",
     "SageConfig",
     "SampleBudget",
@@ -51,8 +47,6 @@ __all__ = [
     "TransferConfig",
     "build_knn_graph",
     "closed_loop_predict",
-    "default_schema",
-    "distance_to_road",
     "encode_time",
     "fill_prev_no2",
     "generate_city",

@@ -1,10 +1,12 @@
-"""Sensor dataset handling: schema, CSV ingestion, standardization, time
-encoding, autoregressive gap filling, and road proximity.
+"""Sensor dataset handling: the feature layout, CSV ingestion,
+standardization, time encoding, and autoregressive gap filling.
 
-The feature layout is fixed: 2 satellite columns, 9 meteorological columns,
-6 cyclical time columns, 1 static distance-to-road column, and 1
-autoregressive previous-NO2 column (19 columns total). Targets are hourly
-NO2 concentrations in ug/m3 and are never standardized.
+The feature layout is fixed and lives only here, in FEATURE_COLUMNS: 2
+satellite columns, 9 meteorological columns, 6 cyclical time columns, 1
+static distance-to-road column, and 1 autoregressive previous-NO2 column
+(19 columns total). The first 11 are the readings.csv feature columns, in
+READING_FEATURE_COLUMNS order. Targets are hourly NO2 concentrations in ug/m3
+and are never standardized.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateFeatureError, ParseError, SchemaError
-
-EARTH_RADIUS_M = 6_371_000.0
 
 # readings.csv columns after (timestamp, sensor_id, no2_ugm3), in order.
 READING_FEATURE_COLUMNS = (
@@ -42,6 +42,32 @@ READING_FEATURE_COLUMNS = (
 
 READINGS_HEADER = ("timestamp", "sensor_id", "no2_ugm3") + READING_FEATURE_COLUMNS
 LOCATIONS_HEADER = ("sensor_id", "lat", "lon", "dist_road_m")
+
+# The model's input columns as (name, unit, group) triples, in order.
+FEATURE_COLUMNS = (
+    ("sat_no2", "mol/m2", "satellite"),
+    ("aerosol_idx", "1", "satellite"),
+    ("wind_speed", "m/s", "meteorological"),
+    ("wind_gust", "m/s", "meteorological"),
+    ("wind_dir", "deg", "meteorological"),
+    ("vpd", "kPa", "meteorological"),
+    ("temp", "degC", "meteorological"),
+    ("pressure", "Pa", "meteorological"),
+    ("rel_humidity", "%", "meteorological"),
+    ("dewpoint", "degC", "meteorological"),
+    ("cloud_cover", "%", "meteorological"),
+    ("hour_sin", "1", "time"),
+    ("hour_cos", "1", "time"),
+    ("dow_sin", "1", "time"),
+    ("dow_cos", "1", "time"),
+    ("week_sin", "1", "time"),
+    ("week_cos", "1", "time"),
+    ("dist_road", "m", "static"),
+    ("prev_no2", "ug/m3", "autoregressive"),
+)
+FEATURE_NAMES = tuple(name for name, _, _ in FEATURE_COLUMNS)
+N_FEATURES = len(FEATURE_COLUMNS)
+PREV_NO2 = FEATURE_NAMES.index("prev_no2")
 
 
 @dataclass(frozen=True)
@@ -62,67 +88,6 @@ class SensorLocation:
             raise SchemaError(
                 f"sensor {self.id!r}: dist_road {self.dist_road} is not a finite, non-negative distance"
             )
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered feature columns as (name, unit, group) triples.
-
-    Groups: satellite, meteorological, time, static, autoregressive.
-    """
-
-    columns: tuple[tuple[str, str, str], ...]
-
-    def __post_init__(self):
-        counts = {}
-        for _, _, group in self.columns:
-            counts[group] = counts.get(group, 0) + 1
-        expected = {
-            "satellite": 2,
-            "meteorological": 9,
-            "time": 6,
-            "static": 1,
-            "autoregressive": 1,
-        }
-        if counts != expected:
-            raise SchemaError(f"bad feature group counts: {counts} (expected {expected})")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.columns)
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
-    @property
-    def prev_no2_index(self) -> int:
-        return self.index("prev_no2")
-
-
-def default_schema() -> FeatureSchema:
-    sat = (("sat_no2", "mol/m2", "satellite"), ("aerosol_idx", "1", "satellite"))
-    met = (
-        ("wind_speed", "m/s", "meteorological"),
-        ("wind_gust", "m/s", "meteorological"),
-        ("wind_dir", "deg", "meteorological"),
-        ("vpd", "kPa", "meteorological"),
-        ("temp", "degC", "meteorological"),
-        ("pressure", "Pa", "meteorological"),
-        ("rel_humidity", "%", "meteorological"),
-        ("dewpoint", "degC", "meteorological"),
-        ("cloud_cover", "%", "meteorological"),
-    )
-    time_cols = tuple(
-        (name, "1", "time")
-        for name in ("hour_sin", "hour_cos", "dow_sin", "dow_cos", "week_sin", "week_cos")
-    )
-    static = (("dist_road", "m", "static"),)
-    ar = (("prev_no2", "ug/m3", "autoregressive"),)
-    return FeatureSchema(sat + met + time_cols + static + ar)
 
 
 @dataclass(frozen=True)
@@ -158,9 +123,8 @@ class Dataset:
     """
 
     locations: tuple[SensorLocation, ...]
-    schema: FeatureSchema
     start: datetime
-    features: np.ndarray  # [T, n, d]
+    features: np.ndarray  # [T, n, N_FEATURES]
     targets: np.ndarray  # [T, n]
     present: np.ndarray  # [T, n] bool
     stats: StandardizationStats | None = None
@@ -169,8 +133,8 @@ class Dataset:
         T, n, d = self.features.shape
         if self.targets.shape != (T, n) or self.present.shape != (T, n):
             raise SchemaError("dataset array shapes disagree")
-        if d != self.schema.width:
-            raise SchemaError(f"feature width {d} != schema width {self.schema.width}")
+        if d != N_FEATURES:
+            raise SchemaError(f"feature width {d} != {N_FEATURES}")
         ids = [loc.id for loc in self.locations]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate sensor ids")
@@ -187,10 +151,6 @@ class Dataset:
 
     def timestamp(self, t: int) -> datetime:
         return self.start + timedelta(hours=int(t))
-
-    @property
-    def timestamps(self) -> list[datetime]:
-        return [self.timestamp(t) for t in range(self.n_frames)]
 
     def sensor_index(self, sensor_id: str) -> int:
         for i, loc in enumerate(self.locations):
@@ -216,14 +176,26 @@ def encode_time(ts: datetime) -> np.ndarray:
     )
 
 
+def layout_features(locations: Sequence[SensorLocation], start: datetime,
+                    n_hours: int) -> np.ndarray:
+    """The [n_hours, n, N_FEATURES] feature array of the hours from `start`:
+    time-encoding and dist_road columns filled, every other entry NaN."""
+    features = np.full((n_hours, len(locations), N_FEATURES), np.nan)
+    time = FEATURE_NAMES.index("hour_sin")  # first of the 6 encode_time columns
+    for t in range(n_hours):
+        features[t, :, time : time + 6] = encode_time(start + timedelta(hours=t))
+    features[:, :, FEATURE_NAMES.index("dist_road")] = [loc.dist_road for loc in locations]
+    return features
+
+
 def parse_hour_timestamp(text: str, line_no: int) -> datetime:
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        ts = ts.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:  # OverflowError: UTC time out of range
         raise ParseError(f"readings line {line_no}: bad timestamp {text!r}") from exc
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    ts = ts.astimezone(timezone.utc)
     if ts.minute or ts.second or ts.microsecond:
         raise ParseError(f"readings line {line_no}: timestamp {text!r} not hour-aligned")
     return ts
@@ -303,7 +275,6 @@ def load_dataset(locations_path, readings_path) -> Dataset:
     name the file's physical line.
     """
     locations = load_locations(locations_path)
-    schema = default_schema()
     n = len(locations)
     index_of = {loc.id: i for i, loc in enumerate(locations)}
 
@@ -354,17 +325,10 @@ def load_dataset(locations_path, readings_path) -> Dataset:
     first = int(hours.min())
     start = _EPOCH + first * _HOUR
     n_hours = int(hours.max()) - first + 1
-    d = schema.width
 
-    features = np.full((n_hours, n, d), np.nan)
+    features = layout_features(locations, start, n_hours)
     targets = np.full((n_hours, n), np.nan)
     present = np.zeros((n_hours, n), dtype=bool)
-
-    time_lo = schema.index("hour_sin")
-    for t in range(n_hours):
-        features[t, :, time_lo : time_lo + 6] = encode_time(start + timedelta(hours=t))
-    dist_col = schema.index("dist_road")
-    features[:, :, dist_col] = [loc.dist_road for loc in locations]
 
     data = np.frombuffer(values).reshape(len(cells), len(_READING_VALUES))
     t = hours - first
@@ -372,14 +336,7 @@ def load_dataset(locations_path, readings_path) -> Dataset:
     targets[t, sensor] = data[:, 0]
     present[t, sensor] = True
 
-    return Dataset(
-        locations=locations,
-        schema=schema,
-        start=start,
-        features=features,
-        targets=targets,
-        present=present,
-    )
+    return Dataset(locations, start, features, targets, present)
 
 
 def write_locations_csv(locations: Sequence[SensorLocation], path) -> None:
@@ -414,16 +371,15 @@ def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
     """
     if ds.stats is not None:
         raise SchemaError("dataset is already standardized")
-    d = ds.schema.width
-    mean = np.empty(d)
-    std = np.empty(d)
+    mean = np.empty(N_FEATURES)
+    std = np.empty(N_FEATURES)
     mask = ds.present
-    for j in range(d):
+    for j in range(N_FEATURES):
         col = ds.features[:, :, j][mask]
         col = col[np.isfinite(col)]
         if col.size < 2:
             raise DegenerateFeatureError(
-                f"feature {ds.schema.names[j]!r} has {col.size} present observations (< 2)"
+                f"feature {FEATURE_NAMES[j]!r} has {col.size} present observations (< 2)"
             )
         mean[j] = col.mean()
         s = col.std()
@@ -457,9 +413,8 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     fallback_mean = float(observed.mean()) if observed.size else 0.0
 
     T, n = ds.targets.shape
-    ar_col = ds.schema.prev_no2_index
     features = ds.features.copy()
-    features[0, :, ar_col] = fallback_mean
+    features[0, :, PREV_NO2] = fallback_mean
     # latest[t, s]: the last frame j <= t with j % 24 == t % 24 at which sensor
     # s was present, or -1. Padded to whole days and viewed as [day, 24, n],
     # frame j + 24 sits right below frame j.
@@ -468,39 +423,5 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     latest[:T] = np.where(ds.present, np.arange(T)[:, None], -1)
     latest = np.maximum.accumulate(latest.reshape(days, 24, n), axis=0).reshape(-1, n)[: T - 1]
     prev = np.take_along_axis(ds.targets, latest, axis=0)
-    features[1:, :, ar_col] = np.where((latest >= 0) & np.isfinite(prev), prev, fallback_mean)
+    features[1:, :, PREV_NO2] = np.where((latest >= 0) & np.isfinite(prev), prev, fallback_mean)
     return replace(ds, features=features)
-
-
-def _local_plane(origin_lat: float, origin_lon: float, lat: float, lon: float):
-    # Equirectangular projection around the query point; good to well under
-    # 1% at the few-km scales dist-to-road operates on.
-    x = math.radians(lon - origin_lon) * math.cos(math.radians(origin_lat)) * EARTH_RADIUS_M
-    y = math.radians(lat - origin_lat) * EARTH_RADIUS_M
-    return x, y
-
-
-def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    seg_len2 = vx * vx + vy * vy
-    if seg_len2 == 0.0:
-        return math.hypot(wx, wy)
-    u = max(0.0, min(1.0, (wx * vx + wy * vy) / seg_len2))
-    return math.hypot(px - (ax + u * vx), py - (ay + u * vy))
-
-
-def distance_to_road(loc: SensorLocation, roads: Iterable[Sequence[tuple[float, float]]]) -> float:
-    """Minimum distance in meters from a sensor to any road polyline."""
-    roads = list(roads)
-    if not roads:
-        raise SchemaError("empty road list")
-    px, py = 0.0, 0.0
-    best = math.inf
-    for polyline in roads:
-        if len(polyline) < 2:
-            raise SchemaError("road polyline needs at least 2 vertices")
-        pts = [_local_plane(loc.lat, loc.lon, lat, lon) for lat, lon in polyline]
-        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-            best = min(best, _point_segment_distance(px, py, ax, ay, bx, by))
-    return best

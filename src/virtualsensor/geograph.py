@@ -9,8 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import EARTH_RADIUS_M, SensorLocation
+from .dataset import SensorLocation
 from .errors import SchemaError
+
+EARTH_RADIUS_M = 6_371_000.0
 
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -21,6 +23,17 @@ def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
         + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
     )
     return float(2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0))))
+
+
+def distance_matrix(locations: Sequence[SensorLocation]) -> np.ndarray:
+    """[n, n] haversine distances in meters between the sensors."""
+    coords = [(loc.lat, loc.lon) for loc in locations]
+    n = len(coords)
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = haversine(coords[i], coords[j])
+    return dist
 
 
 @dataclass(frozen=True)
@@ -62,9 +75,6 @@ class SpatialGraph:
                 if u not in self.adjacency[v]:
                     raise SchemaError(f"asymmetric edge {u}->{v}")
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
 
 def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialGraph:
     """Symmetrized k-nearest-neighbor graph over haversine distances.
@@ -78,14 +88,10 @@ def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialG
     if n < 2:
         raise SchemaError("need at least 2 locations")
 
-    coords = [(loc.lat, loc.lon) for loc in locations]
-    if len(set(coords)) < n:
+    if len({(loc.lat, loc.lon) for loc in locations}) < n:
         warnings.warn("duplicate coordinates among sensors; ties broken by sensor id")
 
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = haversine(coords[i], coords[j])
+    dist = distance_matrix(locations)
 
     edges: set[tuple[int, int]] = set()
     for u in range(n):

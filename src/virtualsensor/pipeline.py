@@ -16,10 +16,11 @@ import numpy as np
 
 from .baselines import CnnConfig, GbtConfig, GbtModel, MlpConfig
 from .dataset import (
+    FEATURE_COLUMNS,
+    N_FEATURES,
+    PREV_NO2,
     Dataset,
-    FeatureSchema,
     StandardizationStats,
-    default_schema,
     fill_prev_no2,
     standardize,
 )
@@ -195,7 +196,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
     params = (
         {k: v.copy() for k, v in init_params.items()}
         if init_params is not None
-        else model_cfg.init_params(ds.schema.width, rng)
+        else model_cfg.init_params(N_FEATURES, rng)
     )
     adam = AdamState(lr=cfg.lr)
 
@@ -261,8 +262,6 @@ def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph,
     `tcfg.freeze` prefix names on the target, at the (lower) fine-tune
     learning rate with a fresh optimizer. With no fine-tune epochs the
     pretrained model, source config and source stats included, is returned."""
-    if source_ds.schema.names != target_ds.schema.names:
-        raise SchemaError("source/target feature schemas differ")
     g_src, g_tgt = graphs
     pretrained = train(source_ds, g_src, tcfg.source, model_cfg)
     if tcfg.finetune_epochs == 0:
@@ -294,12 +293,11 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
         rng = np.random.default_rng(0)
     model_cfg = trained.model_config
     nodes = np.array([target_node])
-    ar = ds.schema.prev_no2_index
     prev = resolve_init(init, ds, target_node)
     preds = np.empty(ds.n_frames - 1)
     for t in range(1, ds.n_frames):
         feats = feats_all[t].copy()
-        feats[target_node, ar] = ds.stats.transform_column(ar, prev)
+        feats[target_node, PREV_NO2] = ds.stats.transform_column(PREV_NO2, prev)
         out = model_cfg.predict(trained.params, g, feats, nodes, "eval", rng)
         prev = preds[t - 1] = float(out[0])
     return preds
@@ -459,9 +457,10 @@ def config_hash(cfg: TrainConfig, model_cfg) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def schema_hash(schema: FeatureSchema) -> int:
-    digest = hashlib.sha256("|".join(",".join(c) for c in schema.columns).encode()).digest()
-    return struct.unpack("<Q", digest[:8])[0]
+# Written into every checkpoint; a checkpoint of another feature layout fails to load.
+SCHEMA_HASH = struct.unpack(
+    "<Q", hashlib.sha256("|".join(",".join(c) for c in FEATURE_COLUMNS).encode()).digest()[:8]
+)[0]
 
 
 def save_checkpoint(path, trained: TrainedModel) -> None:
@@ -486,7 +485,7 @@ def save_checkpoint(path, trained: TrainedModel) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", schema_hash(default_schema())))
+        fh.write(struct.pack("<Q", SCHEMA_HASH))
         fh.write(struct.pack("<I", len(config_bytes)))
         fh.write(config_bytes)
         fh.write(struct.pack("<I", len(blocks)))
@@ -507,7 +506,6 @@ def load_checkpoint(path) -> TrainedModel:
     bytes, an undecodable config, non-finite values, or blocks whose names
     and shapes differ from the config's parameters plus the stats.
     """
-    schema = default_schema()
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -516,7 +514,7 @@ def load_checkpoint(path) -> TrainedModel:
         version, stored_hash, config_len = struct.unpack_from("<HQI", data, 4)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        if stored_hash != schema_hash(schema):
+        if stored_hash != SCHEMA_HASH:
             raise CheckpointError("checkpoint schema hash does not match")
         pos = 18 + config_len
         config = json.loads(data[18:pos].decode())
@@ -542,11 +540,11 @@ def load_checkpoint(path) -> TrainedModel:
 
     train_cfg, model_cfg = _decode_config(config)
     try:
-        expected = model_cfg.init_params(schema.width, np.random.default_rng(0))
+        expected = model_cfg.init_params(N_FEATURES, np.random.default_rng(0))
     except (TypeError, ValueError, SchemaError) as exc:
         raise CheckpointError(f"bad {train_cfg.model} checkpoint config: {exc}") from exc
     shapes = {name: arr.shape for name, arr in expected.items()}
-    shapes["stats.mean"] = shapes["stats.std"] = (1, schema.width)
+    shapes["stats.mean"] = shapes["stats.std"] = (1, N_FEATURES)
     if {name: arr.shape for name, arr in blocks.items()} != shapes:
         raise CheckpointError(f"checkpoint blocks do not fit its {train_cfg.model} config")
     try:

@@ -3,20 +3,22 @@
 Produces hourly NO2 datasets with the statistical signatures the modeling
 pipeline relies on: strong lag-1 autocorrelation, diurnal and weekly cycles,
 spatially correlated fields, wind-driven suppression, and daily-constant
-satellite columns.
+satellite columns. It generates the NO2 targets and the 11 readings.csv
+feature columns; `dataset.layout_features` fills the time and dist_road
+columns, as it does for a loaded city.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
-from .dataset import Dataset, SensorLocation, default_schema, encode_time
+from .dataset import READINGS_HEADER, Dataset, SensorLocation, layout_features
 from .errors import SchemaError
-from .geograph import haversine
+from .geograph import distance_matrix
 
 START = datetime(2019, 1, 1, 0, 0, tzinfo=timezone.utc)
 
@@ -35,6 +37,10 @@ class CityConfig:
     scale_spread: float = 0.4  # +-40% per-sensor scale, makes high/low sites
 
     def __post_init__(self):
+        for name in ("bbox", "lag1_target", "diurnal_amplitude", "base_level",
+                     "spatial_length_scale", "noise_std", "scale_spread"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SchemaError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_sensors < 2:
             raise SchemaError("need at least 2 sensors")
         if self.n_hours < 1:
@@ -58,9 +64,11 @@ def _smooth_series(rng, n, rho, std):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised as SchemaError below
 def generate_city(cfg: CityConfig) -> Dataset:
     """Build a fully observed synthetic Dataset (autoregressive column left
-    NaN; run fill_prev_no2 before modeling)."""
+    NaN; run fill_prev_no2 before modeling). A config whose targets or
+    readings come out non-finite raises SchemaError."""
     rng = np.random.default_rng(cfg.seed)
     lat_lo, lat_hi, lon_lo, lon_hi = cfg.bbox
     n, T = cfg.n_sensors, cfg.n_hours
@@ -85,12 +93,7 @@ def generate_city(cfg: CityConfig) -> Dataset:
     scale = 1.0 + rng.uniform(-cfg.scale_spread, cfg.scale_spread, size=n)
 
     # Spatially correlated AR(1) Gaussian field over the sensor layout.
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = haversine(
-                (locations[i].lat, locations[i].lon), (locations[j].lat, locations[j].lon)
-            )
+    dist = distance_matrix(locations)
     field_std = 8.0
     cov = field_std**2 * np.exp(-0.5 * (dist / cfg.spatial_length_scale) ** 2)
     cov += 1e-6 * np.eye(n)
@@ -160,32 +163,17 @@ def generate_city(cfg: CityConfig) -> Dataset:
         sat_no2[lo:hi] = daily
         aerosol[lo:hi] = rng.normal(1.0, 0.3, size=n)
 
-    schema = default_schema()
-    features = np.full((T, n, schema.width), np.nan)
-    features[:, :, schema.index("sat_no2")] = sat_no2
-    features[:, :, schema.index("aerosol_idx")] = aerosol
-    features[:, :, schema.index("wind_speed")] = wind
-    features[:, :, schema.index("wind_gust")] = gust
-    features[:, :, schema.index("wind_dir")] = wind_dir
-    features[:, :, schema.index("vpd")] = vpd
-    features[:, :, schema.index("temp")] = temp
-    features[:, :, schema.index("pressure")] = pressure
-    features[:, :, schema.index("rel_humidity")] = rh
-    features[:, :, schema.index("dewpoint")] = dewpoint
-    features[:, :, schema.index("cloud_cover")] = cloud
-    time_lo = schema.index("hour_sin")
-    for t in range(T):
-        features[t, :, time_lo : time_lo + 6] = encode_time(START + timedelta(hours=t))
-    features[:, :, schema.index("dist_road")] = [loc.dist_road for loc in locations]
+    # The targets, then the readings.csv feature columns in their order.
+    readings = (no2, sat_no2, aerosol, wind, gust, wind_dir, vpd, temp, pressure, rh,
+                dewpoint, cloud)
+    for name, values in zip(READINGS_HEADER[2:], readings):
+        if not np.all(np.isfinite(values)):
+            raise SchemaError(f"generated {name} is not finite; check the city config")
+    features = layout_features(locations, START, T)
+    for j, values in enumerate(readings[1:]):
+        features[:, :, j] = values
 
-    return Dataset(
-        locations=locations,
-        schema=schema,
-        start=START,
-        features=features,
-        targets=no2,
-        present=np.ones((T, n), dtype=bool),
-    )
+    return Dataset(locations, START, features, no2, np.ones((T, n), dtype=bool))
 
 
 def lag_autocorr(series: np.ndarray, lag: int = 1) -> float:

@@ -15,9 +15,11 @@ from datetime import timedelta
 import numpy as np
 
 from virtualsensor.dataset import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    PREV_NO2,
     READINGS_HEADER,
     Dataset,
-    default_schema,
     encode_time,
     load_locations,
     parse_hour_timestamp,
@@ -127,7 +129,6 @@ def reference_load_dataset(locations_path, readings_path) -> Dataset:
     AttributeError.
     """
     locations = load_locations(locations_path)
-    schema = default_schema()
     index_of = {loc.id: i for i, loc in enumerate(locations)}
 
     rows = []  # (timestamp, sensor index, no2, feature values)
@@ -168,16 +169,16 @@ def reference_load_dataset(locations_path, readings_path) -> Dataset:
     end = max(r[0] for r in rows)
     n_hours = int((end - start).total_seconds() // 3600) + 1
     n = len(locations)
-    d = schema.width
+    d = N_FEATURES
 
     features = np.full((n_hours, n, d), np.nan)
     targets = np.full((n_hours, n), np.nan)
     present = np.zeros((n_hours, n), dtype=bool)
 
-    time_lo = schema.index("hour_sin")
+    time_lo = FEATURE_NAMES.index("hour_sin")
     for t in range(n_hours):
         features[t, :, time_lo : time_lo + 6] = encode_time(start + timedelta(hours=t))
-    dist_col = schema.index("dist_road")
+    dist_col = FEATURE_NAMES.index("dist_road")
     features[:, :, dist_col] = [loc.dist_road for loc in locations]
 
     for ts, s, no2, values in rows:
@@ -188,7 +189,6 @@ def reference_load_dataset(locations_path, readings_path) -> Dataset:
 
     return Dataset(
         locations=locations,
-        schema=schema,
         start=start,
         features=features,
         targets=targets,
@@ -205,7 +205,7 @@ def reference_fill_prev_no2(ds: Dataset) -> Dataset:
     fallback_mean = float(observed.mean()) if observed.size else 0.0
 
     T, n = ds.targets.shape
-    ar_col = ds.schema.prev_no2_index
+    ar_col = PREV_NO2
     features = ds.features.copy()
     features[0, :, ar_col] = fallback_mean
     # last_by_hour[h, s]: most recent observed NO2 at hour-of-day h, strictly

@@ -17,7 +17,6 @@ from virtualsensor import (
     SensorLocation,
     TrainConfig,
     build_knn_graph,
-    default_schema,
     fill_prev_no2,
     generate_city,
     grad_rmse,
@@ -279,13 +278,12 @@ def test_criterion_09_metric_unit_oracles():
     from datetime import datetime, timezone
 
     from virtualsensor import Dataset
+    from virtualsensor.dataset import N_FEATURES
 
-    schema = default_schema()
-    features = np.zeros((3, 1, schema.width))
+    features = np.zeros((3, 1, N_FEATURES))
     features[:, 0, 0] = [2.0, 4.0, 6.0]
     ds = Dataset(
         locations=(SensorLocation("a", 51.0, -2.0, 10.0),),
-        schema=schema,
         start=datetime(2021, 1, 1, tzinfo=timezone.utc),
         features=features,
         targets=np.ones((3, 1)),

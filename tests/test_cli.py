@@ -393,6 +393,25 @@ MALFORMED_CLI_INPUTS = {
         "readings.csv"),
     "plot-bad-start": lambda tmp, data: (
         _plot(tmp, data, [f"{TS},1.0"], "--start", "notadate"), "--start"),
+    "readings-timestamp-utc-before-year-1": lambda tmp, data: (
+        _train_on_edited(tmp, data, "readings.csv",
+                         lambda raw: raw.replace(b"2019-01-01T00:00:00Z",
+                                                 b"0001-01-01T00:00:00+01:00", 1)),
+        "line 2"),
+    "readings-timestamp-utc-after-year-9999": lambda tmp, data: (
+        _train_on_edited(tmp, data, "readings.csv",
+                         lambda raw: raw.replace(b"2019-01-01T00:00:00Z",
+                                                 b"9999-12-31T23:00:00-01:00", 1)),
+        "line 2"),
+    "synth-nan-base": lambda tmp, data: (
+        ["synth", "--sensors", "2", "--hours", "24", "--base", "nan", "--out", str(tmp / "c")],
+        "base_level"),
+    "synth-inf-base": lambda tmp, data: (
+        ["synth", "--sensors", "2", "--hours", "24", "--base", "inf", "--out", str(tmp / "c")],
+        "base_level"),
+    "synth-base-overflows-satellite-column": lambda tmp, data: (
+        ["synth", "--sensors", "2", "--hours", "24", "--base", "1e308", "--out", str(tmp / "c")],
+        "sat_no2_molm2 is not finite"),
     "synth-zero-hours": lambda tmp, data: (
         ["synth", "--hours", "0", "--out", str(tmp / "c")], "hour"),
     "train-negative-lr": lambda tmp, data: (

@@ -1,5 +1,5 @@
-"""Dataset layer: schema, CSV round trips, standardization, time encoding,
-autoregressive fill, and road distance."""
+"""Dataset layer: feature layout, CSV round trips, standardization, time
+encoding, and autoregressive fill."""
 
 import math
 import re
@@ -12,17 +12,18 @@ from hypothesis import strategies as st
 
 from virtualsensor import (
     Dataset,
-    FeatureSchema,
     SensorLocation,
     StandardizationStats,
-    default_schema,
-    distance_to_road,
     encode_time,
     fill_prev_no2,
     load_dataset,
     standardize,
 )
 from virtualsensor.dataset import (
+    FEATURE_COLUMNS,
+    FEATURE_NAMES,
+    N_FEATURES,
+    PREV_NO2,
     apply_standardization,
     load_locations,
     parse_hour_timestamp,
@@ -45,11 +46,10 @@ def make_dataset(targets, present=None, features=None, start=None):
     """Small helper: build a valid Dataset around given target array [T, n]."""
     targets = np.asarray(targets, dtype=np.float64)
     T, n = targets.shape
-    schema = default_schema()
     if features is None:
         rng = np.random.default_rng(0)
-        features = rng.normal(10.0, 3.0, size=(T, n, schema.width))
-        features[:, :, schema.prev_no2_index] = np.nan
+        features = rng.normal(10.0, 3.0, size=(T, n, N_FEATURES))
+        features[:, :, PREV_NO2] = np.nan
     if present is None:
         present = np.isfinite(targets)
     locs = tuple(
@@ -58,7 +58,6 @@ def make_dataset(targets, present=None, features=None, start=None):
     )
     return Dataset(
         locations=locs,
-        schema=schema,
         start=start or datetime(2021, 3, 1, 0, tzinfo=UTC),
         features=features,
         targets=targets,
@@ -66,25 +65,18 @@ def make_dataset(targets, present=None, features=None, start=None):
     )
 
 
-# ---------------------------------------------------------------- schema
+# ---------------------------------------------------------------- feature layout
 
 
 def test_default_schema_shape():
-    schema = default_schema()
-    assert schema.width == 19
-    assert schema.names[:2] == ("sat_no2", "aerosol_idx")
-    assert schema.prev_no2_index == 18
+    assert N_FEATURES == 19
+    assert FEATURE_NAMES[:2] == ("sat_no2", "aerosol_idx")
+    assert PREV_NO2 == 18
     # fixed ordering: satellite, meteorological, time, static, autoregressive
-    groups = [g for _, _, g in schema.columns]
+    groups = [g for _, _, g in FEATURE_COLUMNS]
     assert groups == (
         ["satellite"] * 2 + ["meteorological"] * 9 + ["time"] * 6 + ["static"] + ["autoregressive"]
     )
-
-
-def test_schema_rejects_wrong_group_counts():
-    cols = default_schema().columns
-    with pytest.raises(SchemaError):
-        FeatureSchema(cols[:-1])  # drop the autoregressive column
 
 
 def test_sensor_location_validation():
@@ -183,10 +175,10 @@ def test_load_dataset_dense_timeline_with_gap(tmp_path):
     assert ds.targets[0, 0] == 30.0
     assert np.isnan(ds.targets[1, 0])
     # absent rows: satellite/met features NaN, time + static populated
-    assert np.isnan(ds.features[1, 0, ds.schema.index("wind_speed")])
-    assert np.isfinite(ds.features[1, 0, ds.schema.index("hour_sin")])
-    assert ds.features[1, 0, ds.schema.index("dist_road")] == 25.0
-    assert ds.features[1, 1, ds.schema.index("dist_road")] == 80.0
+    assert np.isnan(ds.features[1, 0, FEATURE_NAMES.index("wind_speed")])
+    assert np.isfinite(ds.features[1, 0, FEATURE_NAMES.index("hour_sin")])
+    assert ds.features[1, 0, FEATURE_NAMES.index("dist_road")] == 25.0
+    assert ds.features[1, 1, FEATURE_NAMES.index("dist_road")] == 80.0
     assert ds.timestamp(2) == datetime(2021, 6, 1, 2, tzinfo=UTC)
 
 
@@ -331,7 +323,7 @@ def test_csv_round_trip(tmp_path):
     assert back.n_frames == ds.n_frames
     assert np.array_equal(back.present, ds.present)
     assert np.allclose(back.targets[ds.present], ds.targets[ds.present])
-    met_cols = [i for i, (_, _, g) in enumerate(ds.schema.columns) if g in ("satellite", "meteorological")]
+    met_cols = [i for i, (_, _, g) in enumerate(FEATURE_COLUMNS) if g in ("satellite", "meteorological")]
     for j in met_cols:
         assert np.allclose(back.features[:, :, j][ds.present], ds.features[:, :, j][ds.present])
 
@@ -430,7 +422,7 @@ def test_fill_prev_no2_basic_shift():
     targets = np.array([[10.0], [20.0], [30.0]])
     ds = make_dataset(targets)
     out = fill_prev_no2(ds)
-    ar = out.features[:, 0, out.schema.prev_no2_index]
+    ar = out.features[:, 0, PREV_NO2]
     assert ar[0] == pytest.approx(20.0)  # dataset mean for the cold start
     assert ar[1] == pytest.approx(10.0)
     assert ar[2] == pytest.approx(20.0)
@@ -448,7 +440,7 @@ def test_fill_prev_no2_same_hour_fallback():
     present[52, 0] = True
     ds = make_dataset(targets, present=present)
     out = fill_prev_no2(ds)
-    ar = out.features[:, 0, out.schema.prev_no2_index]
+    ar = out.features[:, 0, PREV_NO2]
     assert ar[4] == pytest.approx(22.0)  # direct previous hour
     assert ar[28] == pytest.approx(22.0)  # absent at t-1=27(h3): same-hour fallback
     assert ar[1] == pytest.approx(31.0)  # nothing recorded yet: dataset mean
@@ -462,7 +454,7 @@ def test_fill_prev_no2_prefers_latest_same_hour():
         targets[t, 0] = v
         present[t, 0] = True
     ds = make_dataset(targets, present=present)
-    ar = fill_prev_no2(ds).features[:, 0, ds.schema.prev_no2_index]
+    ar = fill_prev_no2(ds).features[:, 0, PREV_NO2]
     assert ar[54] == pytest.approx(17.0)  # t-1 = 53 (hour 5) absent -> latest obs at hour 5
 
 
@@ -478,62 +470,18 @@ def test_fill_prev_no2_idempotent_on_targets():
     out = fill_prev_no2(ds)
     assert np.array_equal(out.targets, ds.targets)
     assert np.array_equal(out.present, ds.present)
-    ar = ds.schema.prev_no2_index
+    ar = PREV_NO2
     again = fill_prev_no2(out)
     assert np.allclose(again.features[:, :, ar], out.features[:, :, ar])
-
-
-# ---------------------------------------------------------------- road distance
-
-
-def test_distance_to_road_meridian_segment():
-    # Sensor 0.01 deg of latitude away from an east-west road through the
-    # equator origin: 0.01 deg * (pi/180) * 6371000 = 1111.9 m.
-    loc = SensorLocation("s", 0.01, 0.0, 0.0)
-    road = [(0.0, -0.1), (0.0, 0.1)]
-    assert distance_to_road(loc, [road]) == pytest.approx(1111.9492664455873, rel=1e-9)
-
-
-def test_distance_to_road_endpoint_clamp():
-    # Road entirely east of the sensor: nearest point is the segment endpoint.
-    loc = SensorLocation("s", 0.0, 0.0, 0.0)
-    road = [(0.0, 0.1), (0.0, 0.2)]
-    d = distance_to_road(loc, [road])
-    expected = math.radians(0.1) * 6_371_000.0
-    assert d == pytest.approx(expected, rel=1e-6)
-
-
-def test_distance_to_road_picks_nearest_polyline():
-    loc = SensorLocation("s", 0.0, 0.0, 0.0)
-    far = [(1.0, -1.0), (1.0, 1.0)]
-    near = [(0.001, -1.0), (0.001, 1.0)]
-    d = distance_to_road(loc, [far, near])
-    assert d == pytest.approx(math.radians(0.001) * 6_371_000.0, rel=1e-6)
-
-
-def test_distance_to_road_on_road_is_zero():
-    loc = SensorLocation("s", 0.0, 0.05, 0.0)
-    road = [(0.0, 0.0), (0.0, 0.1)]
-    assert distance_to_road(loc, [road]) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_distance_to_road_rejects_bad_input():
-    loc = SensorLocation("s", 0.0, 0.0, 0.0)
-    with pytest.raises(SchemaError):
-        distance_to_road(loc, [])
-    with pytest.raises(SchemaError):
-        distance_to_road(loc, [[(0.0, 0.0)]])
 
 
 # ---------------------------------------------------------------- dataset invariants
 
 
 def test_dataset_shape_validation():
-    schema = default_schema()
     with pytest.raises(SchemaError):
         Dataset(
             locations=(SensorLocation("a", 0, 0, 1), SensorLocation("b", 0, 0, 1)),
-            schema=schema,
             start=datetime(2021, 1, 1, tzinfo=UTC),
             features=np.zeros((4, 2, 19)),
             targets=np.zeros((4, 3)),  # wrong sensor count
@@ -542,11 +490,9 @@ def test_dataset_shape_validation():
 
 
 def test_dataset_duplicate_ids_rejected():
-    schema = default_schema()
     with pytest.raises(SchemaError):
         Dataset(
             locations=(SensorLocation("a", 0, 0, 1), SensorLocation("a", 0, 0, 1)),
-            schema=schema,
             start=datetime(2021, 1, 1, tzinfo=UTC),
             features=np.zeros((4, 2, 19)),
             targets=np.zeros((4, 2)),

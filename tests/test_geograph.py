@@ -102,7 +102,7 @@ def test_build_knn_every_node_has_at_least_k_or_all():
     locs = grid_locations(9)
     g = build_knn_graph(locs, k=3)
     for u in range(9):
-        assert g.degree(u) >= 3  # symmetrization can only add edges
+        assert len(g.adjacency[u]) >= 3  # symmetrization can only add edges
 
 
 def test_build_knn_two_nodes():

@@ -22,7 +22,6 @@ from virtualsensor import (
     TransferConfig,
     build_knn_graph,
     closed_loop_predict,
-    default_schema,
     fill_prev_no2,
     generate_city,
     grad_rmse,
@@ -35,6 +34,7 @@ from virtualsensor import (
     transfer,
 )
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
+from virtualsensor.dataset import N_FEATURES
 from virtualsensor.errors import CheckpointError, SchemaError
 from virtualsensor.geograph import SampleBudget
 from virtualsensor.nncore import wrap_params
@@ -46,8 +46,8 @@ from virtualsensor.pipeline import (
     fold_dataset,
     improvement_table,
     load_checkpoint,
+    SCHEMA_HASH,
     save_checkpoint,
-    schema_hash,
 )
 from virtualsensor.sage import AggregatorKind
 
@@ -174,7 +174,7 @@ def test_train_zero_lr_keeps_params_at_init():
     _, prepared, _, g = prepared_city()
     cfg = TrainConfig(epochs=2, patience=2, lr=0.0, seed=0, val_fraction=0.0)
     model_cfg = SageConfig()
-    init = model_cfg.init_params(prepared.schema.width, np.random.default_rng(cfg.seed))
+    init = model_cfg.init_params(N_FEATURES, np.random.default_rng(cfg.seed))
     trained = train(prepared, g, cfg, model_cfg)
     for name in init:
         assert np.allclose(trained.params[name], init[name]), name
@@ -298,20 +298,6 @@ def test_transfer_config_rejects_bad_finetune_settings(bad):
     # Checked before any pretraining runs, and for every finetune_epochs.
     with pytest.raises(SchemaError, match="finetune"):
         TransferConfig(source=TrainConfig(), **bad)
-
-
-def test_transfer_schema_mismatch_rejected():
-    from dataclasses import replace as dc_replace
-
-    _, src, _, g_src = prepared_city(seed=1)
-    _, tgt, _, g_tgt = prepared_city(seed=2)
-    cols = list(default_schema().columns)
-    cols[0] = ("renamed", "mol/m2", "satellite")
-    from virtualsensor.dataset import FeatureSchema
-
-    bad = dc_replace(tgt, schema=FeatureSchema(tuple(cols)))
-    with pytest.raises(SchemaError):
-        transfer(src, bad, (g_src, g_tgt), TransferConfig(source=FAST))
 
 
 # ---------------------------------------------------------------- rollout dispatch
@@ -575,14 +561,9 @@ def test_checkpoint_rejects_schema_mismatch(tmp_path):
     model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
     save_checkpoint(path, model)
-    from virtualsensor.dataset import FeatureSchema
-
-    # A checkpoint written for another feature layout carries its hash.
-    cols = list(default_schema().columns)
-    cols[0] = ("sat_no2_alt", "mol/m2", "satellite")
+    # A checkpoint written for another feature layout carries another hash.
     data = path.read_bytes()
-    path.write_bytes(data[:6] + struct.pack("<Q", schema_hash(FeatureSchema(tuple(cols))))
-                     + data[14:])
+    path.write_bytes(data[:6] + struct.pack("<Q", SCHEMA_HASH ^ 1) + data[14:])
     with pytest.raises(CheckpointError, match="schema"):
         load_checkpoint(path)
 
@@ -713,13 +694,9 @@ def test_checkpoint_truncations_and_byte_flips(tmp_path_factory, checkpoint_byte
 
 
 def test_schema_hash_stable_and_sensitive():
-    a = schema_hash(default_schema())
-    assert a == schema_hash(default_schema())
-    from virtualsensor.dataset import FeatureSchema
-
-    cols = list(default_schema().columns)
-    cols[3] = ("wind_speed", "knots", "meteorological")  # unit change
-    assert a != schema_hash(FeatureSchema(tuple(cols)))
+    # Pinned: every checkpoint written so far carries this layout hash, and
+    # any change to a column's name, unit or group would change it.
+    assert SCHEMA_HASH == 0x5e706bbd5e5b3e45
 
 
 # ---------------------------------------------------------------- config codecs

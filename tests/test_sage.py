@@ -15,11 +15,11 @@ from virtualsensor import (
     SampleBudget,
     SensorLocation,
     SpatialGraph,
-    default_schema,
     closed_loop_predict,
     fill_prev_no2,
     standardize,
 )
+from virtualsensor.dataset import N_FEATURES, PREV_NO2
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import mse_loss, wrap_params
 from virtualsensor.pipeline import (
@@ -68,8 +68,7 @@ def triangle_graph(n=3):
 
 def small_dataset(T=30, n=3, seed=0, censor=None):
     rng = np.random.default_rng(seed)
-    schema = default_schema()
-    features = rng.normal(0.0, 1.0, size=(T, n, schema.width))
+    features = rng.normal(0.0, 1.0, size=(T, n, N_FEATURES))
     targets = rng.uniform(10.0, 40.0, size=(T, n))
     present = np.ones((T, n), dtype=bool)
     if censor is not None:
@@ -80,7 +79,6 @@ def small_dataset(T=30, n=3, seed=0, censor=None):
     )
     ds = Dataset(
         locations=locs,
-        schema=schema,
         start=datetime(2021, 1, 1, tzinfo=UTC),
         features=features,
         targets=targets,
@@ -400,7 +398,7 @@ def test_rollout_first_step_matches_manual_forward():
     g = triangle_graph()
     init = 30.0
     preds = closed_loop(params, cfg, g, ds, 1, InitScheme.fixed(init))
-    ar = ds.schema.prev_no2_index
+    ar = PREV_NO2
     feats = ds.features[1].copy()
     feats[1, ar] = ds.stats.transform_column(ar, init)
     manual = forward_one(params, cfg, g, feats, 1, np.random.default_rng(0))

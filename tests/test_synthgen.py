@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from virtualsensor import CityConfig, generate_city, lag_autocorr
+from virtualsensor.dataset import FEATURE_NAMES, PREV_NO2
 from virtualsensor.errors import SchemaError
 
 
@@ -35,6 +36,17 @@ def test_config_validation():
         CityConfig(spatial_length_scale=0.0)
     with pytest.raises(SchemaError, match="hour"):
         CityConfig(n_hours=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_level", float("nan")), ("base_level", float("inf")),
+    ("diurnal_amplitude", float("-inf")), ("noise_std", float("inf")),
+    ("spatial_length_scale", float("inf")), ("scale_spread", float("nan")),
+    ("lag1_target", float("nan")), ("bbox", (51.42, float("nan"), -2.65, -2.52)),
+])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(SchemaError, match=f"{field} must be finite"):
+        CityConfig(**{field: value})
 
 
 # ---------------------------------------------------------------- determinism
@@ -71,19 +83,19 @@ def test_sensors_inside_bbox(city):
 
 
 def test_autoregressive_column_left_unfilled(city):
-    ar = city.schema.prev_no2_index
+    ar = PREV_NO2
     assert np.all(np.isnan(city.features[:, :, ar]))
 
 
 def test_time_and_static_columns_populated(city):
-    hour_sin = city.schema.index("hour_sin")
+    hour_sin = FEATURE_NAMES.index("hour_sin")
     assert np.all(np.isfinite(city.features[:, :, hour_sin]))
-    dist = city.features[:, :, city.schema.index("dist_road")]
+    dist = city.features[:, :, FEATURE_NAMES.index("dist_road")]
     assert np.allclose(dist, dist[0])  # static per sensor
 
 
 def test_satellite_daily_constant(city):
-    sat = city.features[:, :, city.schema.index("sat_no2")]
+    sat = city.features[:, :, FEATURE_NAMES.index("sat_no2")]
     for day in range(3):
         block = sat[day * 24 : (day + 1) * 24]
         assert np.allclose(block, block[0])
@@ -112,7 +124,7 @@ def test_lag1_autocorrelation_band():
 
 
 def test_wind_suppresses_no2(city):
-    w = city.features[:, :, city.schema.index("wind_speed")]
+    w = city.features[:, :, FEATURE_NAMES.index("wind_speed")]
     for s in range(city.n_sensors):
         r = np.corrcoef(w[:, s], city.targets[:, s])[0, 1]
         assert r < -0.1
