@@ -1,7 +1,13 @@
 """Non-graph comparator models: MLP, 1-D CNN, and least-squares gradient
 boosted regression trees. Each baseline sees only the node's own row of the
 same standardized, finite features the graph model reads, so the comparison
-isolates neighbor aggregation."""
+isolates neighbor aggregation.
+
+The trees use exact greedy split search on presorted columns (Chen &
+Guestrin 2016, arXiv:1603.02754, section 4.1): `gbt_fit` argsorts each
+feature once, and each node's sorted block of row ids is split stably into
+its children's. Sums over a node's targets run in ascending row order, so
+every tree is bit-identical to one grown by sorting each node's rows afresh."""
 
 from __future__ import annotations
 
@@ -174,74 +180,110 @@ class GbtModel:
     train_mse: list[float] = field(default_factory=list)  # after each tree
 
 
-def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1):
+def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarray | None = None):
     """Exhaustive least-squares split search over all features at once
     (exact greedy search: every midpoint between distinct neighbouring values).
+
+    `order` is an [m, d] block of row ids of `x` and `y`: the rows of one
+    node, sorted by each feature column in turn with ties in ascending row
+    order. The search then covers only those m rows, exactly as
+    `best_split(x[rows], y[rows], min_leaf)` with `rows` ascending would.
+    By default it is the stable argsort of all of `x`. The node's target sum
+    is taken over its rows in ascending row order, the order `y[rows].sum()`
+    sums in, because numpy's pairwise summation depends on element order.
 
     Returns (gain, feature, threshold) with gain measured as the reduction
     in sum of squared errors, or None when no split gains more than 1e-12.
     Each side keeps at least `min_leaf` rows. Ties go to the lowest feature,
     then to the lowest split position in that feature's stable sort order.
     """
-    n = len(y)
-    total = y.sum()
-    base = total * total / n
-    order = np.argsort(x, axis=0, kind="stable")
-    xs = np.take_along_axis(x, order, axis=0)
-    csum = np.cumsum(y[order], axis=0)  # sequential, so equal to a per-column cumsum
-    pos = np.arange(min_leaf - 1, n - min_leaf)  # last row of the left side
-    if len(pos) == 0:
+    if order is None:
+        order = np.argsort(x, axis=0, kind="stable")
+        total = y.sum()
+    else:
+        total = y[np.sort(order[:, 0])].sum()
+    n, d = order.shape
+    lo, hi = min_leaf - 1, n - min_leaf  # positions of the left side's last row
+    if hi <= lo:
         return None
-    lcnt = (pos + 1)[:, None]
+    base = total * total / n
+    xs = x[order, np.arange(d)]
+    csum = y[order].cumsum(axis=0)  # sequential, so equal to a per-column cumsum
+    lcnt = np.arange(lo + 1, hi + 1)[:, None]
     rcnt = n - lcnt
-    lsum = csum[pos]
+    lsum = csum[lo:hi]
     rsum = total - lsum
     gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base  # [positions, features]
-    ok = (xs[pos] != xs[pos + 1]) & (gain > 1e-12)
+    ok = (xs[lo:hi] != xs[lo + 1:hi + 1]) & (gain > 1e-12)
     if not ok.any():
         return None
     # argmax takes the first maximum, so scan feature-major for the tie rule.
-    j, k = divmod(int(np.argmax(np.where(ok, gain, -np.inf).T)), len(pos))
-    i = pos[k]
+    j, k = divmod(int(np.where(ok, gain, -np.inf).T.argmax()), hi - lo)
+    i = lo + k
     return gain[k, j], j, 0.5 * (xs[i, j] + xs[i + 1, j])
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig) -> tuple[Tree, np.ndarray]:
+def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,
+               order: np.ndarray) -> tuple[Tree, np.ndarray]:
     """Grow one tree on (x, y), depth first; also return the value of the
-    leaf that each training row reached."""
+    leaf that each training row reached. `order` is the stable argsort of
+    `x` by columns; each node's block of it is split stably into its
+    children's, so no node sorts `x` again."""
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
     fitted = np.empty(len(y))
-    stack = [(0, np.arange(len(y)), 0)]  # (node, its training rows, depth)
+    left = np.zeros(len(y), dtype=bool)  # marks one node's left rows at a time
+    # (node, its rows as [d, m] ids sorted within each feature, depth); a
+    # node that will not be scanned carries its rows in one feature's order.
+    stack = [(0, np.ascontiguousarray(order.T), 0)]
+
+    def scanned(m, depth):
+        return depth < cfg.max_depth and m >= 2 * cfg.min_leaf
+
     while stack:
-        node, rows, depth = stack.pop()
-        ys = y[rows]
-        value = nodes[node][4] = float(ys.mean())
+        node, block, depth = stack.pop()
+        rows = np.sort(block[0])
+        value = nodes[node][4] = float(y[rows].sum() / len(rows))  # bit-equal to y[rows].mean()
         split = None
-        if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_leaf:
-            split = best_split(x[rows], ys, cfg.min_leaf)
+        if scanned(len(rows), depth):
+            split = best_split(x, y, cfg.min_leaf, block.T)
         if split is None:
             fitted[rows] = value
             continue
         _, j, thr = split
-        mask = x[rows, j] < thr
+        col = block[j]
+        k = int(x[col, j].searchsorted(thr))  # rows with x < thr lead `col`
+        scan_lo, scan_hi = scanned(k, depth + 1), scanned(len(col) - k, depth + 1)
+        if scan_lo or scan_hi:
+            left[col[:k]] = True
+            goes_left = left[block]
+            left[col[:k]] = False
         lo, hi = len(nodes), len(nodes) + 1
         nodes[node][:4] = j, float(thr), lo, hi
         nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
-        stack.append((hi, rows[~mask], depth + 1))
-        stack.append((lo, rows[mask], depth + 1))
+        # Compressing each feature's row keeps it sorted; ties stay in row order.
+        d = len(block)
+        stack.append((hi, block[~goes_left].reshape(d, -1) if scan_hi else col[None, k:],
+                      depth + 1))
+        stack.append((lo, block[goes_left].reshape(d, -1) if scan_lo else col[None, :k],
+                      depth + 1))
     return Tree(*(np.array(column) for column in zip(*nodes))), fitted
 
 
 def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtModel:
-    """Fit a least-squares boosted ensemble to squared-error residuals."""
+    """Fit a least-squares boosted ensemble to squared-error residuals. Each
+    feature column is sorted once; every tree reuses that order."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 2:
         raise SchemaError("gbt_fit needs at least 2 rows")
+    if x.ndim != 2 or x.shape[0] != len(y) or x.shape[1] < 1:
+        raise SchemaError(f"gbt_fit needs one row of at least one feature per target, "
+                          f"got x of shape {x.shape} for {len(y)} targets")
     model = GbtModel(config=cfg, init_value=float(y.mean()))
+    order = np.argsort(x, axis=0, kind="stable")
     pred = np.full(len(y), model.init_value)
     for _ in range(cfg.n_trees):
-        tree, fitted = _grow_tree(x, y - pred, cfg)
+        tree, fitted = _grow_tree(x, y - pred, cfg, order)
         model.trees.append(tree)
         pred = pred + cfg.learning_rate * fitted
         model.train_mse.append(float(np.mean((y - pred) ** 2)))

@@ -367,23 +367,31 @@ def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
     """Standardize every feature column to mean 0, std 1 over present entries.
 
     Targets are left in physical units. Zero-variance columns get std 1 so
-    the inverse transform stays total. Population std is used.
+    the inverse transform stays total. Population std is used. A column whose
+    values are finite but so large that its mean or std overflows raises
+    DegenerateFeatureError.
     """
     if ds.stats is not None:
         raise SchemaError("dataset is already standardized")
     mean = np.empty(N_FEATURES)
     std = np.empty(N_FEATURES)
     mask = ds.present
-    for j in range(N_FEATURES):
-        col = ds.features[:, :, j][mask]
-        col = col[np.isfinite(col)]
-        if col.size < 2:
-            raise DegenerateFeatureError(
-                f"feature {FEATURE_NAMES[j]!r} has {col.size} present observations (< 2)"
-            )
-        mean[j] = col.mean()
-        s = col.std()
-        std[j] = s if s > 0 else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        for j in range(N_FEATURES):
+            col = ds.features[:, :, j][mask]
+            col = col[np.isfinite(col)]
+            if col.size < 2:
+                raise DegenerateFeatureError(
+                    f"feature {FEATURE_NAMES[j]!r} has {col.size} present observations (< 2)"
+                )
+            mean[j] = col.mean()
+            s = col.std()
+            if not (math.isfinite(mean[j]) and math.isfinite(s)):
+                raise DegenerateFeatureError(
+                    f"feature {FEATURE_NAMES[j]!r} is too large to standardize: "
+                    f"its mean or std overflows"
+                )
+            std[j] = s if s > 0 else 1.0
     stats = StandardizationStats(mean=mean, std=std)
     out = replace(ds, features=stats.transform(ds.features), stats=stats)
     return out, stats
@@ -410,7 +418,9 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
         raise SchemaError("fill_prev_no2 expects an unstandardized dataset")
     observed = ds.targets[ds.present]
     observed = observed[np.isfinite(observed)]
-    fallback_mean = float(observed.mean()) if observed.size else 0.0
+    # Targets whose mean overflows overflow the AR column's too, which `standardize` rejects.
+    with np.errstate(over="ignore"):
+        fallback_mean = float(observed.mean()) if observed.size else 0.0
 
     T, n = ds.targets.shape
     features = ds.features.copy()

@@ -52,6 +52,8 @@ class CityConfig:
             raise SchemaError("degenerate bounding box")
         if self.spatial_length_scale <= 0 or self.noise_std < 0:
             raise SchemaError("scales must be positive")
+        if not 0.0 <= self.scale_spread < 1.0:  # keeps every sensor's 1 +- spread scale positive
+            raise SchemaError(f"scale_spread must lie in [0, 1), got {self.scale_spread}")
 
 
 def _smooth_series(rng, n, rho, std):

@@ -4,7 +4,8 @@ checker over the autodiff tape, the nodes a tape records, a counter of the
 aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
 them; and, as references for the array code that replaced them, the
-row-by-row readings loader and the hour-by-hour autoregressive fill."""
+row-by-row readings loader, the hour-by-hour autoregressive fill and the
+regression-tree grower that sorts every node's rows afresh."""
 
 import contextlib
 import csv
@@ -14,6 +15,7 @@ from datetime import timedelta
 
 import numpy as np
 
+from virtualsensor.baselines import Tree, best_split
 from virtualsensor.dataset import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -218,3 +220,30 @@ def reference_fill_prev_no2(ds: Dataset) -> Dataset:
         features[t, :, ar_col] = prev
         last_by_hour[h] = np.where(ds.present[t - 1], ds.targets[t - 1], last_by_hour[h])
     return replace(ds, features=features)
+
+
+def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[Tree, np.ndarray]:
+    """The depth-first grower `baselines._grow_tree` replaced: every node
+    hands `best_split` its own rows, which sorts them again. Returns the tree
+    and the value of the leaf that each training row reached."""
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
+    fitted = np.empty(len(y))
+    stack = [(0, np.arange(len(y)), 0)]  # (node, its training rows, depth)
+    while stack:
+        node, rows, depth = stack.pop()
+        ys = y[rows]
+        value = nodes[node][4] = float(ys.mean())
+        split = None
+        if depth < cfg.max_depth and len(rows) >= 2 * cfg.min_leaf:
+            split = best_split(x[rows], ys, cfg.min_leaf)
+        if split is None:
+            fitted[rows] = value
+            continue
+        _, j, thr = split
+        mask = x[rows, j] < thr
+        lo, hi = len(nodes), len(nodes) + 1
+        nodes[node][:4] = j, float(thr), lo, hi
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        stack.append((hi, rows[~mask], depth + 1))
+        stack.append((lo, rows[mask], depth + 1))
+    return Tree(*(np.array(column) for column in zip(*nodes))), fitted

@@ -9,6 +9,7 @@ from virtualsensor.baselines import (
     CnnConfig,
     GbtConfig,
     MlpConfig,
+    _grow_tree,
     best_split,
     cnn_forward_batch,
     gbt_fit,
@@ -18,7 +19,7 @@ from virtualsensor.baselines import (
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import mse_loss, wrap_params
 
-from probes import grad_check
+from probes import grad_check, reference_grow_tree
 
 
 # ---------------------------------------------------------------- MLP
@@ -240,6 +241,42 @@ def test_best_split_matches_reference_scan(seed, n, d, min_leaf):
             float(want[0]).hex(), want[1], float(want[2]).hex())
 
 
+def _split_hex(split):
+    return None if split is None else (float(split[0]).hex(), split[1], float(split[2]).hex())
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=60),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_presorted_grower_matches_reference(seed, n, d, min_leaf, max_depth):
+    # The grower sorts x once and splits each node's sorted block into its
+    # children's; the reference sorts every node's rows afresh. Coarse
+    # rounding makes equal values, and so ties in the sort, common.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 0)
+    y = np.round(rng.normal(size=n), 1)
+    cfg = GbtConfig(max_depth=max_depth, min_leaf=min_leaf)
+    order = np.argsort(x, axis=0, kind="stable")
+    tree, fitted = _grow_tree(x, y, cfg, order)
+    want_tree, want_fitted = reference_grow_tree(x, y, cfg)
+    for got, want in zip(tree, want_tree, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert fitted.tobytes() == want_fitted.tobytes()
+    # gbt_fit sorts x itself and grows its first tree on the residual from the mean.
+    first = gbt_fit(x, y, GbtConfig(n_trees=1, max_depth=max_depth, min_leaf=min_leaf)).trees[0]
+    for got, want in zip(first, reference_grow_tree(x, y - float(y.mean()), cfg)[0], strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # A presorted block of a random row subset scans like the subset itself.
+    member = np.zeros(n, dtype=bool)
+    member[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = True
+    block = np.stack([column[member[column]] for column in order.T], axis=1)
+    rows = np.flatnonzero(member)
+    assert _split_hex(best_split(x, y, min_leaf, order=block)) == _split_hex(
+        best_split(x[rows], y[rows], min_leaf))
+
+
 # ---------------------------------------------------------------- GBT boosting
 
 
@@ -318,6 +355,12 @@ def test_gbt_predict_matches_training_trajectory():
 def test_gbt_needs_two_rows():
     with pytest.raises(SchemaError):
         gbt_fit(np.zeros((1, 2)), np.zeros(1))
+
+
+@pytest.mark.parametrize("shape", [(4, 0), (3, 2), (4,), (4, 2, 1)])
+def test_gbt_needs_one_row_of_features_per_target(shape):
+    with pytest.raises(SchemaError, match="one row of at least one feature per target"):
+        gbt_fit(np.zeros(shape), np.arange(4.0))
 
 
 def test_gbt_predict_single_row():

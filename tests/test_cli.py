@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,13 @@ def _train_on_edited(tmp, data, name, edit):
             "--out", str(tmp / "m.vsck"), "--epochs", "1"]
 
 
+def _huge_city(tmp):
+    """A city whose readings are finite but so large that their squares overflow."""
+    assert run("synth", "--sensors", "3", "--hours", "48", "--base", "1e200",
+               "--out", str(tmp / "huge")) == 0
+    return str(tmp / "huge")
+
+
 def _latin1_sensor_id(raw: bytes) -> bytes:
     return raw.replace(b"S01", b"S\xe901", 1)  # a lone 0xE9 is not UTF-8
 
@@ -412,6 +420,15 @@ MALFORMED_CLI_INPUTS = {
     "synth-base-overflows-satellite-column": lambda tmp, data: (
         ["synth", "--sensors", "2", "--hours", "24", "--base", "1e308", "--out", str(tmp / "c")],
         "sat_no2_molm2 is not finite"),
+    "train-sage-huge-values": lambda tmp, data: (
+        ["train", "--data", _huge_city(tmp), "--out", str(tmp / "m.vsck"), "--epochs", "1"],
+        "'sat_no2' is too large"),
+    "train-mlp-huge-values": lambda tmp, data: (
+        ["train", "--data", _huge_city(tmp), "--out", str(tmp / "m.vsck"), "--epochs", "1",
+         "--model", "mlp"], "'sat_no2' is too large"),
+    "eval-gbt-huge-values": lambda tmp, data: (
+        ["eval", "--data", _huge_city(tmp), "--model", "gbt", "--out", str(tmp / "rep")],
+        "'sat_no2' is too large"),
     "synth-zero-hours": lambda tmp, data: (
         ["synth", "--hours", "0", "--out", str(tmp / "c")], "hour"),
     "train-negative-lr": lambda tmp, data: (
@@ -431,8 +448,12 @@ MALFORMED_CLI_INPUTS = {
 def test_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
     _, data, _ = workspace
     argv, named = MALFORMED_CLI_INPUTS[case](tmp_path, data)
-    code = run(*argv)
+    # pytest's own warning capture keeps numpy warnings out of capsys; record them here.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
     err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err

@@ -3,6 +3,7 @@ encoding, and autoregressive fill."""
 
 import math
 import re
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -370,6 +371,22 @@ def test_standardize_too_few_observations():
     ds = make_dataset(targets, features=features)
     with pytest.raises(DegenerateFeatureError):
         standardize(ds)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e306])
+def test_huge_finite_column_raises_without_warnings(scale):
+    # Finite values whose squares (1e200) or sum (1e306) overflow: the AR fill and
+    # standardize stay silent and the overflowing column is named in the error.
+    rng = np.random.default_rng(4)
+    targets = scale * rng.uniform(1.0, 2.0, size=(200, 3))
+    features = rng.normal(size=(200, 3, 19))
+    features[:, :, 4] = scale * rng.uniform(1.0, 2.0, size=(200, 3))
+    ds = make_dataset(targets, features=features)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DegenerateFeatureError, match=f"{FEATURE_NAMES[4]!r} is too large"):
+            standardize(fill_prev_no2(ds))
+    assert [str(w.message) for w in caught] == []
 
 
 def test_standardize_round_trip():

@@ -38,6 +38,18 @@ def test_config_validation():
         CityConfig(n_hours=0)
 
 
+@pytest.mark.parametrize("spread", [1e308, 1.0, 1.5, -0.1])
+def test_config_rejects_scale_spread_outside_unit_interval(spread):
+    # A per-sensor scale of 1 +- spread must stay positive (and rng.uniform finite).
+    with pytest.raises(SchemaError, match="scale_spread"):
+        CityConfig(scale_spread=spread)
+
+
+def test_config_accepts_zero_scale_spread():
+    ds = generate_city(CityConfig(n_sensors=3, n_hours=48, scale_spread=0.0))
+    assert np.all(np.isfinite(ds.targets))
+
+
 @pytest.mark.parametrize("field,value", [
     ("base_level", float("nan")), ("base_level", float("inf")),
     ("diurnal_amplitude", float("-inf")), ("noise_std", float("inf")),
