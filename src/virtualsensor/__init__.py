@@ -15,7 +15,7 @@ from .dataset import (
     load_dataset,
     standardize,
 )
-from .geograph import SampleBudget, SpatialGraph, build_knn_graph, haversine, sample_neighborhood
+from .geograph import SampleBudget, SpatialGraph, build_knn_graph, haversine
 from .pipeline import (
     EvalReport,
     TrainConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "load_dataset",
     "nrmse",
     "rmse",
-    "sample_neighborhood",
     "standardize",
     "train",
     "transfer",

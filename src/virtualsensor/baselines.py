@@ -182,7 +182,8 @@ class GbtModel:
 
 def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarray | None = None):
     """Exhaustive least-squares split search over all features at once
-    (exact greedy search: every midpoint between distinct neighbouring values).
+    (exact greedy search: every threshold between distinct neighbouring
+    values, see `_split_threshold`).
 
     `order` is an [m, d] block of row ids of `x` and `y`: the rows of one
     node, sorted by each feature column in turn with ties in ascending row
@@ -220,7 +221,16 @@ def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarra
     # argmax takes the first maximum, so scan feature-major for the tie rule.
     j, k = divmod(int(np.where(ok, gain, -np.inf).T.argmax()), hi - lo)
     i = lo + k
-    return gain[k, j], j, 0.5 * (xs[i, j] + xs[i + 1, j])
+    return gain[k, j], j, _split_threshold(xs[i, j], xs[i + 1, j])
+
+
+def _split_threshold(a: float, b: float) -> float:
+    """The threshold between neighbouring distinct values a < b: their
+    midpoint, or b when the midpoint does not lie in (a, b] (it rounds to a
+    when b is the next double after a, and overflows for huge a and b), so
+    that `x < threshold` always separates a from b."""
+    mid = 0.5 * (a + b)
+    return mid if a < mid <= b else b
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,

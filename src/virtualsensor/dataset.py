@@ -363,6 +363,23 @@ def write_readings_csv(ds: Dataset, path) -> None:
                 writer.writerow(row)
 
 
+def _column_moments(ds: Dataset, j: int) -> tuple[int, float, float]:
+    """Count, mean and population std of feature column j over its present,
+    finite entries. Raises DegenerateFeatureError when the values are finite
+    but so large that their mean or std overflows."""
+    col = ds.features[:, :, j][ds.present]
+    col = col[np.isfinite(col)]
+    if col.size == 0:
+        return 0, math.nan, math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        mean, std = float(col.mean()), float(col.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DegenerateFeatureError(
+            f"feature {FEATURE_NAMES[j]!r} is too large to standardize: its mean or std overflows"
+        )
+    return col.size, mean, std
+
+
 def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
     """Standardize every feature column to mean 0, std 1 over present entries.
 
@@ -375,32 +392,26 @@ def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
         raise SchemaError("dataset is already standardized")
     mean = np.empty(N_FEATURES)
     std = np.empty(N_FEATURES)
-    mask = ds.present
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        for j in range(N_FEATURES):
-            col = ds.features[:, :, j][mask]
-            col = col[np.isfinite(col)]
-            if col.size < 2:
-                raise DegenerateFeatureError(
-                    f"feature {FEATURE_NAMES[j]!r} has {col.size} present observations (< 2)"
-                )
-            mean[j] = col.mean()
-            s = col.std()
-            if not (math.isfinite(mean[j]) and math.isfinite(s)):
-                raise DegenerateFeatureError(
-                    f"feature {FEATURE_NAMES[j]!r} is too large to standardize: "
-                    f"its mean or std overflows"
-                )
-            std[j] = s if s > 0 else 1.0
+    for j in range(N_FEATURES):
+        count, mean[j], s = _column_moments(ds, j)
+        if count < 2:
+            raise DegenerateFeatureError(
+                f"feature {FEATURE_NAMES[j]!r} has {count} present observations (< 2)"
+            )
+        std[j] = s if s > 0 else 1.0
     stats = StandardizationStats(mean=mean, std=std)
     out = replace(ds, features=stats.transform(ds.features), stats=stats)
     return out, stats
 
 
 def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
-    """Standardize with externally supplied stats (e.g. transfer-source stats)."""
+    """Standardize with externally supplied stats (e.g. transfer-source
+    stats). Like `standardize`, it rejects a column whose values are finite
+    but so large that their mean or std overflows."""
     if ds.stats is not None:
         raise SchemaError("dataset is already standardized")
+    for j in range(N_FEATURES):
+        _column_moments(ds, j)
     return replace(ds, features=stats.transform(ds.features), stats=stats)
 
 

@@ -1,10 +1,11 @@
 """Spatial sensor graph: haversine distances, symmetrized k-NN construction,
-and per-hop neighborhood sampling."""
+the per-hop sample budget, and the padded neighbor table that
+`sage.sample_batch` draws from."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,12 +57,19 @@ class SampleBudget:
 class SpatialGraph:
     """Undirected sensor adjacency.
 
-    Neighbor lists are sorted ascending; the structure is immutable after
-    construction and safe for concurrent reads.
+    Neighbor lists are sorted ascending, and the structure is immutable
+    after construction. Construction also derives `neighbors`, the
+    adjacency as an [n, max_degree] integer table whose row u holds u's
+    neighbors followed by zeros, `degree`, the [n] neighbor counts, and
+    `pad_keys`, an [n, max_degree] table that is 0 at each neighbor and +inf
+    at each padded slot, the sampler's sort-key offsets.
     """
 
     n_nodes: int
     adjacency: tuple[tuple[int, ...], ...]
+    neighbors: np.ndarray = field(init=False, repr=False, compare=False)
+    degree: np.ndarray = field(init=False, repr=False, compare=False)
+    pad_keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.adjacency) != self.n_nodes:
@@ -74,6 +82,16 @@ class SpatialGraph:
             for v in nbrs:
                 if u not in self.adjacency[v]:
                     raise SchemaError(f"asymmetric edge {u}->{v}")
+        degree = np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.intp)
+        shape = (self.n_nodes, int(degree.max(initial=0)))
+        neighbors = np.zeros(shape, dtype=np.intp)
+        pad_keys = np.full(shape, np.inf)
+        for u, nbrs in enumerate(self.adjacency):
+            neighbors[u, : len(nbrs)] = nbrs
+            pad_keys[u, : len(nbrs)] = 0.0
+        for name, table in (("neighbors", neighbors), ("degree", degree), ("pad_keys", pad_keys)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
 
 def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialGraph:
@@ -106,28 +124,3 @@ def build_knn_graph(locations: Sequence[SensorLocation], k: int = 3) -> SpatialG
         adj[v].add(u)
 
     return SpatialGraph(n_nodes=n, adjacency=tuple(tuple(sorted(s)) for s in adj))
-
-
-def sample_neighborhood(
-    g: SpatialGraph, node: int, budget: SampleBudget, rng: np.random.Generator
-) -> tuple[list[int], list[list[int]]]:
-    """Sample hop-1 neighbors of `node` and hop-2 neighbors of each sample.
-
-    Sampling is uniform without replacement and unpadded: nodes with degree
-    below the budget contribute all their neighbors. Isolated nodes yield
-    empty lists. Deterministic for a given generator state.
-    """
-    if not 0 <= node < g.n_nodes:
-        raise SchemaError(f"node index {node} out of range")
-    adjacency, k2 = g.adjacency, budget[1]
-    hop1 = _sample(adjacency[node], budget[0], rng)
-    return hop1, [_sample(adjacency[u], k2, rng) for u in hop1]
-
-
-def _sample(neighbors: tuple[int, ...], budget: int, rng: np.random.Generator) -> list[int]:
-    if not neighbors:
-        return []
-    if len(neighbors) <= budget:
-        return list(neighbors)
-    picked = rng.choice(len(neighbors), size=budget, replace=False)
-    return [neighbors[i] for i in picked.tolist()]

@@ -1,6 +1,8 @@
 """GraphSAGE virtual-sensor model: four neighbor aggregators computed by one
 pooling function (`_pool`), a two-layer sampled forward pass (`sample_batch`
-then `sage_forward_batch`), the model kind's hooks on `SageConfig`, and the
+draws each hop's fixed-size uniform samples for the whole batch at once, then
+`sage_forward_batch` runs layer 1 once over the targets and their hop-1
+samples together), the model kind's hooks on `SageConfig`, and the
 rollout-start seeding (`InitScheme`, `resolve_init`) that
 `pipeline.closed_loop_predict` uses.
 """
@@ -8,14 +10,16 @@ rollout-start seeding (`InitScheme`, `resolve_init`) that
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import SchemaError
-from .geograph import SampleBudget, SpatialGraph, sample_neighborhood
+from .geograph import SampleBudget, SpatialGraph
 from .nncore import (
     affine,
     dropout,
@@ -180,40 +184,70 @@ def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x,
     return pooled @ p[f"l{layer}.w_neigh"]
 
 
-@dataclass(frozen=True)
-class NeighborhoodBatch:
-    """Padded per-hop sample indices and masks for a batch of target nodes."""
+class NeighborhoodBatch(NamedTuple):
+    """A batch's sampled two-hop neighborhoods, laid out for one layer-1 pass.
 
-    nodes: np.ndarray  # [B]
-    idx1: np.ndarray  # [B, k1]
+    Self row 0 of each target is the target itself and rows 1..k1 are its
+    hop-1 slots. `neighbors[b, r]` holds the sampled neighbors of self row r
+    (up to k1 for the target, up to k2 for a hop-1 slot), padded to
+    K = max(k1, k2). `mask1` marks the live hop-1 slots. A padded slot has
+    mask 0, and so does every neighbor of a padded hop-1 slot; the ids under
+    a zero mask are valid node ids that the aggregators ignore.
+    """
+
+    rows: np.ndarray  # [B, 1+k1]
+    neighbors: np.ndarray  # [B, 1+k1, K]
+    mask: np.ndarray  # [B, 1+k1, K]
     mask1: np.ndarray  # [B, k1]
-    idx2: np.ndarray  # [B, k1, k2]
-    mask2: np.ndarray  # [B, k1, k2]
+
+
+@functools.cache
+def _hop_masks(max_degree: int, k: int, width: int) -> np.ndarray:
+    """[max_degree + 1, width] table whose row d marks the first min(d, k)
+    slots: the mask of a node of degree d drawn with budget k."""
+    table = np.zeros((max_degree + 1, width))
+    for d in range(max_degree + 1):
+        table[d, : min(d, k)] = 1.0
+    table.flags.writeable = False
+    return table
+
+
+def _draw(g: SpatialGraph, nodes: np.ndarray, keys: np.ndarray, k: int, width: int):
+    """Up to `k` distinct neighbors of every node in `nodes`, uniform without
+    replacement: each neighbor-table slot gets a uniform key, padded slots
+    +inf, and the min(degree, k) lowest keys win. Returns the drawn ids
+    [..., min(max_degree, k)] and their mask padded to `width`."""
+    cols = (keys + g.pad_keys.take(nodes, axis=0)).argsort(axis=-1)[..., :k]
+    masks = _hop_masks(g.neighbors.shape[1], k, width)
+    return g.neighbors[nodes[..., None], cols], masks.take(g.degree[nodes], axis=0)
 
 
 def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
                  rng: np.random.Generator) -> NeighborhoodBatch:
-    """Sample every target's neighborhood in order and pad each hop to its
-    budget; padded slots hold index 0 and mask 0."""
-    nodes = np.asarray(list(nodes), dtype=int)
-    b, k1, k2 = len(nodes), budget[0], budget[1]
-    idx1, mask1, idx2, mask2 = [], [], [], []
-    for v in nodes.tolist():
-        hop1, hop2 = sample_neighborhood(g, v, budget, rng)
-        pad1 = k1 - len(hop1)
-        idx1 += hop1 + [0] * pad1
-        mask1 += [1.0] * len(hop1) + [0.0] * pad1
-        for hop in hop2 + [[]] * pad1:
-            pad2 = k2 - len(hop)
-            idx2 += hop + [0] * pad2
-            mask2 += [1.0] * len(hop) + [0.0] * pad2
-    return NeighborhoodBatch(
-        nodes,
-        np.array(idx1, dtype=int).reshape(b, k1),
-        np.array(mask1).reshape(b, k1),
-        np.array(idx2, dtype=int).reshape(b, k1, k2),
-        np.array(mask2).reshape(b, k1, k2),
-    )
+    """Sample every target's hop-1 neighbors, then every hop-1 slot's hop-2
+    neighbors, each hop at once for the whole batch (GraphSAGE's fixed-size
+    uniform sampling, Hamilton et al. 2017, section 3.1); one `rng.random`
+    call draws the sort keys of both hops. A node whose degree is within its
+    hop's budget contributes all its neighbors, in random order; an isolated
+    node contributes none. A node id outside [0, n_nodes) raises SchemaError."""
+    nodes = np.asarray(nodes, dtype=np.intp)
+    ids = nodes.tolist()
+    if ids and (min(ids) < 0 or max(ids) >= g.n_nodes):
+        raise SchemaError(f"node index outside [0, {g.n_nodes})")
+    k1, k2 = budget.per_hop
+    b, width = len(ids), max(k1, k2)
+    keys = rng.random((b, 1 + k1, g.neighbors.shape[1]))
+    rows = np.zeros((b, 1 + k1), dtype=np.intp)
+    neighbors = np.zeros((b, 1 + k1, width), dtype=np.intp)
+    mask = np.empty((b, 1 + k1, width))
+    rows[:, 0] = nodes
+    hop1, mask[:, 0] = _draw(g, nodes, keys[:, 0], k1, width)
+    rows[:, 1 : 1 + hop1.shape[1]] = neighbors[:, 0, : hop1.shape[1]] = hop1
+    hop2, mask2 = _draw(g, rows[:, 1:], keys[:, 1:], k2, width)
+    neighbors[:, 1:, : hop2.shape[2]] = hop2
+    # A padded hop-1 slot has no hop-2 neighbors.
+    np.multiply(mask2, mask[:, 0, :k1, None], out=mask[:, 1:])
+    return NeighborhoodBatch(rows, neighbors, mask, mask[:, 0, :k1])
 
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
@@ -222,26 +256,24 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     """Two-layer sampled forward pass for a batch of target nodes.
 
     `feats` is the finite [n_nodes, d] feature matrix for one frame (or one
-    assembled state). Returns the predicted NO2 in ug/m3, shape [B]: a tape
-    node when `pvars` are `wrap_params` leaves, a plain array when they are
-    the parameter arrays themselves.
+    assembled state). Layer 1 runs once over every self row of the batch,
+    the targets and their hop-1 slots together (Hamilton et al. 2017,
+    Algorithm 2); layer 2 combines each target's layer-1 state with those of
+    its live hop-1 slots. Returns the predicted NO2 in ug/m3, shape [B]: a
+    tape node when `pvars` are `wrap_params` leaves, a plain array when they
+    are the parameter arrays themselves.
     """
     kind = cfg.aggregator
     if not np.isfinite(feats).all():
         raise SchemaError("forward pass requires finite node features")
-    xv = feats[batch.nodes]  # [B, d]
-    x1 = feats[batch.idx1]  # [B, k1, d]
-    x2 = feats[batch.idx2]  # [B, k1, k2, d]
+    x = feats[batch.rows]  # [B, 1+k1, d]
+    xn = feats[batch.neighbors]  # [B, 1+k1, K, d]
 
-    # Layer 1: refresh hop-1 nodes from their hop-2 samples, and the target
-    # from its hop-1 samples.
-    pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, batch.mask2)
-    h1_u = relu(dropout(pre_u, cfg.dropout, mode, rng))  # [B, k1, h1]
-    pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
-    h1_v = relu(dropout(pre_v, cfg.dropout, mode, rng))  # [B, h1]
+    pre1 = x @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x, xn, batch.mask)
+    h1 = relu(dropout(pre1, cfg.dropout, mode, rng))  # [B, 1+k1, h1]
+    h1_v = slice_axis(h1, 1, 0, 1).reshape(h1.shape[0], h1.shape[2])  # [B, h1]
+    h1_u = slice_axis(h1, 1, 1, h1.shape[1])  # [B, k1, h1]
 
-    # Layer 2: combine the target's refreshed state with its refreshed hop-1
-    # neighborhood.
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
     h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
 

@@ -4,8 +4,9 @@ checker over the autodiff tape, the nodes a tape records, a counter of the
 aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
 them; and, as references for the array code that replaced them, the
-row-by-row readings loader, the hour-by-hour autoregressive fill and the
-regression-tree grower that sorts every node's rows afresh."""
+row-by-row readings loader, the hour-by-hour autoregressive fill, the
+regression-tree grower that sorts every node's rows afresh, the
+per-element neighbor sampler and the two-pass layer 1 of the graph model."""
 
 import contextlib
 import csv
@@ -27,8 +28,16 @@ from virtualsensor.dataset import (
     parse_hour_timestamp,
 )
 from virtualsensor.errors import ParseError, SchemaError
-from virtualsensor.nncore import Var, collect_grads, constant, wrap_params
-from virtualsensor.sage import AggregatorKind, _attention, _pool
+from virtualsensor.nncore import (
+    Var,
+    affine,
+    collect_grads,
+    constant,
+    dropout,
+    relu,
+    wrap_params,
+)
+from virtualsensor.sage import AggregatorKind, NeighborhoodBatch, _attention, _neighbor_term, _pool
 
 
 def grad_check(f, params: dict, h: float = 1e-5) -> float:
@@ -247,3 +256,62 @@ def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[Tree, np.nda
         stack.append((hi, rows[~mask], depth + 1))
         stack.append((lo, rows[mask], depth + 1))
     return Tree(*(np.array(column) for column in zip(*nodes))), fitted
+
+
+def reference_sample_neighborhood(g, node: int, budget, rng: np.random.Generator
+                                  ) -> tuple[list[int], list[list[int]]]:
+    """The per-element sampler `sage.sample_batch` replaced: hop-1 neighbors
+    of `node` and hop-2 neighbors of each, uniform without replacement by one
+    `rng.choice` per node whose degree exceeds its hop's budget, unpadded."""
+    if not 0 <= node < g.n_nodes:
+        raise SchemaError(f"node index {node} out of range")
+
+    def pick(neighbors, k):
+        if len(neighbors) <= k:
+            return list(neighbors)
+        return [neighbors[i] for i in rng.choice(len(neighbors), size=k, replace=False).tolist()]
+
+    hop1 = pick(g.adjacency[node], budget[0])
+    return hop1, [pick(g.adjacency[u], budget[1]) for u in hop1]
+
+
+def reference_sample_batch(g, nodes, budget, rng: np.random.Generator) -> NeighborhoodBatch:
+    """`reference_sample_neighborhood` for each target in turn, laid out as
+    `sample_batch` lays out its batch; every padded slot holds node 0."""
+    k1, k2 = budget[0], budget[1]
+    width = max(k1, k2)
+    b = len(nodes)
+    rows = np.zeros((b, 1 + k1), dtype=np.intp)
+    neighbors = np.zeros((b, 1 + k1, width), dtype=np.intp)
+    mask = np.zeros((b, 1 + k1, width))
+    for i, v in enumerate(nodes):
+        hop1, hop2 = reference_sample_neighborhood(g, int(v), budget, rng)
+        rows[i, 0] = v
+        rows[i, 1 : 1 + len(hop1)] = neighbors[i, 0, : len(hop1)] = hop1
+        mask[i, 0, : len(hop1)] = 1.0
+        for j, hop in enumerate(hop2, start=1):
+            neighbors[i, j, : len(hop)] = hop
+            mask[i, j, : len(hop)] = 1.0
+    return NeighborhoodBatch(rows, neighbors, mask, mask[:, 0, :k1])
+
+
+def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: NeighborhoodBatch,
+                               mode: str = "eval", rng: np.random.Generator | None = None):
+    """The forward pass that ran layer 1 twice, first over the hop-1 slots
+    from their hop-2 samples, then over the targets from their hop-1
+    samples, on the hop-1 and hop-2 blocks of `batch`."""
+    kind, k1, k2 = cfg.aggregator, cfg.budget[0], cfg.budget[1]
+    xv = feats[batch.rows[:, 0]]  # [B, d]
+    x1 = feats[batch.rows[:, 1:]]  # [B, k1, d]
+    x2 = feats[batch.neighbors[:, 1:, :k2]]  # [B, k1, k2, d]
+    mask2 = batch.mask[:, 1:, :k2]
+
+    pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, mask2)
+    h1_u = relu(dropout(pre_u, cfg.dropout, mode, rng))  # [B, k1, h1]
+    pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
+    h1_v = relu(dropout(pre_v, cfg.dropout, mode, rng))  # [B, h1]
+
+    pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
+    h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
+    out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
+    return out.reshape(out.shape[0])

@@ -10,6 +10,7 @@ from virtualsensor.baselines import (
     GbtConfig,
     MlpConfig,
     _grow_tree,
+    _split_threshold,
     best_split,
     cnn_forward_batch,
     gbt_fit,
@@ -197,6 +198,25 @@ def test_best_split_perfect_step():
     assert gain == pytest.approx(16.0)  # SSE drops from 16 to 0
 
 
+def test_best_split_between_adjacent_doubles_separates_them():
+    # 0.5 * (a + b) rounds to a when b = nextafter(a); the threshold is then b.
+    a = 1.0
+    b = np.nextafter(a, 2.0)
+    gain, j, thr = best_split(np.array([[a], [b]]), np.array([0.0, 1.0]))
+    assert (j, thr) == (0, b) and a < thr <= b
+
+
+def test_gbt_split_between_adjacent_doubles_leaves_no_empty_leaf():
+    a = 1.0
+    b = 1.0 + 2.0**-52
+    x = np.array([[a, 0.0], [a, 0.0], [a, 5.0], [b, 5.0], [a, 5.0], [b, 5.0]])
+    y = np.array([0.0, 0.0, 10.0, 12.0, 10.0, 12.0])
+    model = gbt_fit(x, y, GbtConfig(n_trees=1, max_depth=2))
+    (tree,) = model.trees
+    assert np.all(np.isfinite(tree.value))
+    assert np.all(np.isfinite(gbt_predict(model, np.array([[0.5, 5.0], [2.0, 5.0]]))))
+
+
 def _best_split_reference(x, y, min_leaf=1):
     """The per-feature, per-row split scan that `best_split` vectorises; it
     must agree with it bit for bit, ties included."""
@@ -217,7 +237,7 @@ def _best_split_reference(x, y, min_leaf=1):
             rsum = total - lsum
             gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base
             if gain > 1e-12 and (best is None or gain > best[0]):
-                best = (gain, j, 0.5 * (xs[i] + xs[i + 1]))
+                best = (gain, j, _split_threshold(xs[i], xs[i + 1]))
     return best
 
 

