@@ -1,9 +1,12 @@
 """Bit-identity guards for the training step and the graph sampler.
 
-The pinned digests were computed before the training step, and later the
-rollout and validation forwards, were optimised; any change to the tape,
-the optimizer, the sampler or the forward passes that moves a single bit
-of a trained parameter or a rollout fails here. The per-element sampler
+The MLP, CNN and GBT digests were computed before the training step, and
+later the rollout and validation forwards, were optimised; the sage
+digests were re-pinned once, when the sampler moved to one draw of sort
+keys per batch and layer 1 to one pass over the targets and their hop-1
+samples, which changed the RNG stream and the rounding on purpose. Any
+change to the tape, the optimizer, the sampler or the forward passes that
+moves a single bit of a trained parameter or a rollout fails here. The per-element sampler
 of tests/probes.py is the reference for `sample_batch`'s layout, padding
 and masks.
 """
@@ -64,13 +67,13 @@ MODELS = {
 # trained by gradient.
 PINNED_PARAMS = {
     "sage-mean":
-        "53be8e70b0930e9ddf9d4339102b2df123dc3d889dcb7d02d4a0949f5c53c44d",
+        "3aee23ace68b59c4f5ce32282fc6f243303d42735939763efc2c3b93704f9c0f",
     "sage-max_pool":
-        "ecdd145cd9385b89f07480c9ce3ea090dd3ce5c5262e0f92ce32f0221490febe",
+        "0c120d63140c2db161ead4775a7f0c3c1a3884d0422cd6830ead0681262e921f",
     "sage-mean_pool":
-        "125018fd4c359438ba1e203dac111a433db4d4603cb8768ad2e216d5fbaa5a6d",
+        "b8affecd61414ad41ae1140cf21615058506ceaa632f04edbdf2632397b682dc",
     "sage-attentional":
-        "22f141f71354f43f2d18ff9edae0ba97d6c67e7da9ad58b0bcbe7cba6a9b19c8",
+        "307e81deaa05f0dcb070c2856ad61835097a5ebfbf991582533cc87e1c4575f0",
     "mlp":
         "391d9a4b50e32312d2299bbcd721d85ff37e81e1bbc7010e88bcf3cfa6491651",
     "cnn":
@@ -78,13 +81,13 @@ PINNED_PARAMS = {
 }
 PINNED_HISTORY = {
     "sage-mean":
-        "85d3b45e7d3de8312fac21670eb1c094ec6a05fbac8de599a9ff3702d6c1e472",
+        "0196f192478f60febd79659a5d2219b2b0976cb4b02d5378ef76d2af92dcb536",
     "sage-max_pool":
-        "57a56bf343c4b2e462c82b7fccdb0f6a63cf434bdd4b831f3c7401fd9a5cdfe9",
+        "31c5f6ee9629f3b9fa464e45cd50daccc1613c1fedc44fac14f74732be0f38cd",
     "sage-mean_pool":
-        "98b0257448bf7238d40401b1acfdfc3d1d68e1f7ebe1a113a7ffb64d9826c17d",
+        "ace9f3c8c94b211f4ec06faa619b52feef6da47623c62e087a071330626cf6d3",
     "sage-attentional":
-        "dafb979aecc5c77ecc2d54d92a5a17e15c14b0817b08033cea316297d71ac252",
+        "15dd2863aee3cac9fe8dae03a61e64ec437ff4ec19ca94a621dbe43b5208093d",
     "mlp":
         "3b9d427ad25180175488971455b430f8dcb593cc271244e5b741f603c65fca9e",
     "cnn":
@@ -93,13 +96,13 @@ PINNED_HISTORY = {
 # sha256 of the closed-loop series of each trained model for node 2.
 PINNED_ROLLOUT = {
     "sage-mean":
-        "f9fbeb40a71ffa0ab7df4479bb67909eb52bed46a87a9e7bf4f84a7837742066",
+        "4e222a7380602f63c1100cec72a041e7966b60c4b0896a4461c29a3a7dc3fab3",
     "sage-max_pool":
-        "8bb7f1d42c933ff43248d5257a4930f312a0477c1e84e6415472547553c95a56",
+        "a1bace3d971839ebc15f5b8d3c2e12b8fbf3dda543da392ba9320074595ba666",
     "sage-mean_pool":
-        "6043a4b3e7beabd534cdf074bb136a614b08dd6078cac76d877b17d69ab42fb5",
+        "43f54aed4b115467f97764552ee20f3869d54045bc540cf49fbfa4984cf36184",
     "sage-attentional":
-        "8c440673fbab80f096edbd1a8c3bcf5170b250b7f15447f37bf3e2787b079027",
+        "fdb284d0a54676bcd8c01484d05c639e7e33f1c398a6d16f656c47a59d18b26e",
     "mlp":
         "29f94413e028034bbb2b2f0aaf8290bada9cfa961faf00014a685a1b07c8c91f",
     "cnn":
