@@ -12,7 +12,6 @@ import numpy as np
 
 from virtualsensor import (
     CityConfig,
-    InitScheme,
     TrainConfig,
     build_knn_graph,
     closed_loop_predict,
@@ -73,8 +72,7 @@ print(f"training loss: {model.history['train'][0]:.1f} -> {model.history['train'
 # Each hour's prediction becomes the next hour's autoregressive input; the
 # real monitors keep feeding their actual readings through the graph.
 preds = closed_loop_predict(
-    model, graph, prepared, holdout, InitScheme.fixed(init_value),
-    rng=np.random.default_rng(0),
+    model, graph, prepared, holdout, init_value, rng=np.random.default_rng(0),
 )
 preds = np.clip(preds, 0.0, None)
 

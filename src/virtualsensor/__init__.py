@@ -15,7 +15,7 @@ from .dataset import (
     load_dataset,
     standardize,
 )
-from .geograph import SampleBudget, SpatialGraph, build_knn_graph, haversine
+from .geograph import SpatialGraph, build_knn_graph, haversine
 from .pipeline import (
     EvalReport,
     TrainConfig,
@@ -29,7 +29,7 @@ from .pipeline import (
     train,
     transfer,
 )
-from .sage import AggregatorKind, InitScheme, SageConfig
+from .sage import AggregatorKind, SageConfig
 from .synthgen import CityConfig, generate_city, lag_autocorr
 
 __all__ = [
@@ -37,9 +37,7 @@ __all__ = [
     "CityConfig",
     "Dataset",
     "EvalReport",
-    "InitScheme",
     "SageConfig",
-    "SampleBudget",
     "SensorLocation",
     "SpatialGraph",
     "StandardizationStats",

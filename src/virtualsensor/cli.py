@@ -42,7 +42,7 @@ from .pipeline import (
     train,
     transfer,
 )
-from .sage import AggregatorKind, InitScheme
+from .sage import AggregatorKind
 from .synthgen import CityConfig, generate_city
 
 
@@ -81,11 +81,14 @@ def _load_raw(data_dir):
 
 
 def _model_config(args, kind: str):
-    """The kind's default config; --aggregator applies where the kind has one."""
+    """The kind's default config, with --aggregator if given; a kind that has
+    no aggregator rejects the flag rather than ignore it."""
     cfg = DEFAULT_MODEL_CONFIGS[kind]()
-    if getattr(args, "aggregator", None) and hasattr(cfg, "aggregator"):
-        cfg = replace(cfg, aggregator=AggregatorKind(args.aggregator))
-    return cfg
+    if args.aggregator is None:
+        return cfg
+    if not hasattr(cfg, "aggregator"):
+        raise VirtualSensorError(f"{kind} has no aggregator; drop --aggregator")
+    return replace(cfg, aggregator=AggregatorKind(args.aggregator))
 
 
 def _require_checkpointable(kind: str) -> None:
@@ -130,10 +133,11 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     _require_checkpointable(args.model)
     cfg = _train_config(args)
+    model_cfg = _model_config(args, args.model)
     raw = _load_raw(args.data)
     prepared, _ = standardize(fill_prev_no2(raw))
     g = build_knn_graph(raw.locations, k=args.k)
-    save_checkpoint(args.out, train(prepared, g, cfg, _model_config(args, args.model)))
+    save_checkpoint(args.out, train(prepared, g, cfg, model_cfg))
     loc_path, read_path = _data_paths(args.data)
     _write_manifest(
         str(args.out) + ".manifest.json", "train",
@@ -146,6 +150,7 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     started = time.monotonic()
     _require_checkpointable(args.model)
+    model_cfg = _model_config(args, args.model)
     source_raw = _load_raw(args.source)
     target_raw = _load_raw(args.target)
     source_ds, _ = standardize(fill_prev_no2(source_raw))
@@ -157,7 +162,7 @@ def cmd_transfer(args) -> int:
         source=base_cfg, finetune_epochs=args.finetune_epochs,
         finetune_lr=args.finetune_lr,
     )
-    tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, _model_config(args, args.model))
+    tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, model_cfg)
     save_checkpoint(args.out, tuned)
     inputs = [*_data_paths(args.source), *_data_paths(args.target)]
     _write_manifest(
@@ -253,14 +258,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_init(text: str) -> InitScheme:
+def _init_value(text: str, ds, node: int) -> float:
+    """The rollout's start value in ug/m3 that --init names: the node's first
+    reading (actual), the mean of every reading in `ds` (mean, 0 if there is
+    none), or VALUE (fixed:VALUE)."""
     if text == "actual":
-        return InitScheme.actual_first()
+        observed = ds.present[:, node] & np.isfinite(ds.targets[:, node])
+        if not observed.any():
+            raise SchemaError("--init actual: the location has no readings")
+        return float(ds.targets[np.argmax(observed), node])
     if text == "mean":
-        return InitScheme.dataset_mean()
+        readings = ds.targets[ds.present]
+        readings = readings[np.isfinite(readings)]
+        return float(readings.mean()) if readings.size else 0.0
     if text.startswith("fixed:"):
         try:
-            return InitScheme.fixed(float(text.split(":", 1)[1]))
+            return float(text.split(":", 1)[1])
         except ValueError:
             pass
     raise VirtualSensorError(f"bad --init value {text!r} (actual|mean|fixed:VALUE)")
@@ -274,9 +287,8 @@ def cmd_predict(args) -> int:
     prepared = apply_standardization(fill_prev_no2(raw), trained.stats)
     g = build_knn_graph(raw.locations, k=args.k)
     node = raw.sensor_index(args.location)
-    preds = closed_loop_predict(
-        trained, g, prepared, node, _parse_init(args.init), rng=np.random.default_rng(seed),
-    )
+    preds = closed_loop_predict(trained, g, prepared, node, _init_value(args.init, raw, node),
+                                rng=np.random.default_rng(seed))
     preds = np.clip(preds, 0.0, None)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("timestamp,predicted_no2_ugm3\n")

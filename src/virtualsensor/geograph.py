@@ -1,6 +1,5 @@
 """Spatial sensor graph: haversine distances, symmetrized k-NN construction,
-the per-hop sample budget, and the padded neighbor table that
-`sage.sample_batch` draws from."""
+and the padded neighbor table that `sage.sample_batch` draws from."""
 
 from __future__ import annotations
 
@@ -35,22 +34,6 @@ def distance_matrix(locations: Sequence[SensorLocation]) -> np.ndarray:
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = haversine(coords[i], coords[j])
     return dist
-
-
-@dataclass(frozen=True)
-class SampleBudget:
-    """Per-hop maximum sample counts for the two aggregation layers."""
-
-    per_hop: tuple[int, ...] = (3, 5)
-
-    def __post_init__(self):
-        if len(self.per_hop) != 2:
-            raise SchemaError("budget must cover exactly 2 hops")
-        if any(b < 1 for b in self.per_hop):
-            raise SchemaError("per-hop budgets must be >= 1")
-
-    def __getitem__(self, i: int) -> int:
-        return self.per_hop[i]
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,17 @@ replace a chain of ops, and their backward runs the chain's numpy calls in
 the chain's order: `affine` (`x @ w + b`), `masked_mean` (a masked sum over
 the neighbor axis divided by the clipped count) and `mse_loss`.
 
-Adam layout. `AdamState.flat` is one [3, n] float64 buffer whose rows hold
-the parameters `adam_step` updates, their first moments and their second
-moments, each row laid out by parameter name in sorted order; `p`, `m` and
-`v` map each name to its view of a row. `adam_step` copies in any parameter
-array that is not already its view and rebinds the `params` entry to the
-view, concatenates the gradients into one vector, checks it once for
-finiteness, and then updates the three rows in place. Every operation is
-elementwise, with the operands of the per-name update, so the result is
-bitwise the same as updating each parameter on its own.
+Adam layout. The first `adam_step` lays `AdamState.flat` out for the
+parameters it updates, and every later step must update the same ones. The
+buffer is one [3, n] float64 array whose rows hold those parameters, their
+first moments and their second moments, each row laid out by parameter name
+in sorted order; `p` maps each name to its view of the first row.
+`adam_step` copies in any parameter array that is not already its view and
+rebinds the `params` entry to the view, concatenates the gradients into one
+vector, checks it once for finiteness, and then updates the three rows in
+place. Every operation is elementwise, with the operands of the per-name
+update, so the result is bitwise the same as updating each parameter on its
+own.
 """
 
 from __future__ import annotations
@@ -269,8 +271,10 @@ def leaky_relu(x, slope: float = 0.2):
 
 
 def sigmoid(x):
-    """The logistic function, elementwise."""
-    y = 1.0 / (1.0 + np.exp(-value_of(x)))
+    """The logistic function, elementwise. Where exp(-x) overflows, the
+    result is its limit 0, without a warning."""
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-value_of(x)))
     if not isinstance(x, Var):
         return y
 
@@ -433,59 +437,39 @@ def mse_loss(pred, actual) -> Var:
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters and state. `adam_step` keeps the parameters it
-    updates, sorted by name (`names`), and their first and second moments as
-    the three rows of one flat buffer; `p`, `m` and `v` map each name to its
-    view of a row."""
+    """Adam hyperparameters and state. The first `adam_step` fixes the names
+    it updates (`names`, sorted) and lays them and their first and second
+    moments out as the three rows of one flat buffer; `p` maps each name to
+    its view of the first row."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
     p: dict = field(default_factory=dict, init=False)
     names: tuple = field(default=(), init=False)
     flat: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)), init=False)
 
 
-def _views(row: np.ndarray, names, shapes) -> dict:
-    """Named reshaped views of consecutive slices of `row`."""
-    out, start = {}, 0
-    for name, shape in zip(names, shapes):
-        stop = start + math.prod(shape)
-        out[name] = row[start:stop].reshape(shape)
-        start = stop
-    return out
-
-
-def _relayout(state: AdamState, names: tuple, params: dict) -> None:
-    """Lay the state out for `names`. Moments carry over for names seen
-    before and start at zero for new ones; the moments of names left out
-    stay in `m`/`v` as they were. `adam_step` copies the parameters in."""
-    shapes = [np.shape(params[n]) for n in names]
-    flat = np.zeros((3, sum(math.prod(shape) for shape in shapes)))
-    state.p = _views(flat[0], names, shapes)
-    for row, key in ((1, "m"), (2, "v")):
-        old = getattr(state, key)
-        views = _views(flat[row], names, shapes)
-        for n in names:
-            if n in old:
-                views[n][...] = old[n]
-        setattr(state, key, {**old, **views})
-    state.names, state.flat = names, flat
-
-
 def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamState]:
     """One Adam update of the parameters named in `grads`; the others keep
-    their values. The update runs once over the flat vector of those
+    their values. Every step of one state must name the parameters its first
+    step named. The update runs once over the flat vector of those
     parameters, sorted by name: each updated `params` entry becomes its view
     of that vector, which later steps update in place. Arrays passed in are
     copied, never written."""
     names = tuple(sorted(grads))
-    if names != state.names:
-        _relayout(state, names, params)
+    if state.step == 0:
+        state.flat = np.zeros((3, sum(np.size(params[n]) for n in names)))
+        state.p, start = {}, 0
+        for n in names:
+            stop = start + np.size(params[n])
+            state.p[n] = state.flat[0, start:stop].reshape(np.shape(params[n]))
+            start = stop
+        state.names = names
+    elif names != state.names:
+        raise SchemaError(f"this Adam state updates {list(state.names)}, not {list(names)}")
     p, m, v = state.flat
     g = np.concatenate([grads[n].ravel() for n in names]) if names else np.zeros(0)
     if g.size != p.size:

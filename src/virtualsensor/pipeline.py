@@ -27,7 +27,7 @@ from .dataset import (
 from .errors import CheckpointError, SchemaError
 from .geograph import SpatialGraph
 from .nncore import AdamState, adam_step, collect_grads, mse_loss, wrap_params
-from .sage import InitScheme, SageConfig, resolve_init
+from .sage import SageConfig
 
 CHECKPOINT_MAGIC = b"VSCK"
 CHECKPOINT_VERSION = 1
@@ -278,22 +278,24 @@ def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph,
 
 
 def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
-                        target_node: int, init: InitScheme,
+                        target_node: int, init_value: float,
                         rng: np.random.Generator | None = None) -> np.ndarray:
     """Autoregressive rollout for one node, frames t = 1..T-1, in ug/m3.
 
-    The target's autoregressive slot holds the init value at t=1 and the
-    model's own previous prediction afterwards; monitored neighbors keep
-    their actual readings.
+    The target's autoregressive slot holds `init_value` (ug/m3, finite) at
+    t=1 and the model's own previous prediction afterwards; monitored
+    neighbors keep their actual readings.
     """
     if not 0 <= target_node < ds.n_sensors:
         raise SchemaError(f"unknown node index {target_node}")
+    prev = float(init_value)
+    if not math.isfinite(prev):
+        raise SchemaError(f"rollout init value {prev} is not finite")
     feats_all = _model_inputs(ds, g)
     if rng is None:
         rng = np.random.default_rng(0)
     model_cfg = trained.model_config
     nodes = np.array([target_node])
-    prev = resolve_init(init, ds, target_node)
     preds = np.empty(ds.n_frames - 1)
     for t in range(1, ds.n_frames):
         feats = feats_all[t].copy()
@@ -385,10 +387,8 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
     censored = fold_dataset(ds_raw, holdout)
     prepared, _stats = standardize(fill_prev_no2(censored))
     trained = train(prepared, g, cfg, model_cfg, init_params=init_params)
-    preds = closed_loop_predict(
-        trained, g, prepared, holdout, InitScheme.fixed(init_value),
-        rng=np.random.default_rng(cfg.seed + 1000 + holdout),
-    )
+    preds = closed_loop_predict(trained, g, prepared, holdout, init_value,
+                                rng=np.random.default_rng(cfg.seed + 1000 + holdout))
     pred_series = np.clip(preds[eval_frames - 1], 0.0, None)
     actual = ds_raw.targets[eval_frames, holdout]
     return pred_series, actual, trained

@@ -2,24 +2,21 @@
 pooling function (`_pool`), a two-layer sampled forward pass (`sample_batch`
 draws each hop's fixed-size uniform samples for the whole batch at once, then
 `sage_forward_batch` runs layer 1 once over the targets and their hop-1
-samples together), the model kind's hooks on `SageConfig`, and the
-rollout-start seeding (`InitScheme`, `resolve_init`) that
-`pipeline.closed_loop_predict` uses.
+samples together), and the model kind's hooks on `SageConfig`, whose
+`budget` (k1, k2) holds the sample size of each hop.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset
 from .errors import SchemaError
-from .geograph import SampleBudget, SpatialGraph
+from .geograph import SpatialGraph
 from .nncore import (
     affine,
     dropout,
@@ -47,7 +44,7 @@ class AggregatorKind(enum.Enum):
 class SageConfig:
     aggregator: AggregatorKind = AggregatorKind.MEAN_POOL
     hidden: tuple[int, int] = (32, 32)
-    budget: SampleBudget = field(default_factory=SampleBudget)
+    budget: tuple[int, int] = (3, 5)  # neighbors sampled at hop 1 and hop 2
     dropout: float = 0.5
     seed: int = 0
 
@@ -56,6 +53,9 @@ class SageConfig:
     def __post_init__(self):
         if any(h <= 0 for h in self.hidden):
             raise SchemaError("hidden dims must be positive")
+        if not (len(self.budget) == 2 and all(
+                isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in self.budget)):
+            raise SchemaError(f"budget must be two integers >= 1, got {self.budget!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
@@ -90,7 +90,7 @@ class SageConfig:
         return {
             "aggregator": self.aggregator.value,
             "hidden": list(self.hidden),
-            "budget": list(self.budget.per_hop),
+            "budget": list(self.budget),
             "dropout": self.dropout,
             "seed": self.seed,
         }
@@ -100,33 +100,10 @@ class SageConfig:
         return cls(
             aggregator=AggregatorKind(data["aggregator"]),
             hidden=tuple(data["hidden"]),
-            budget=SampleBudget(tuple(data["budget"])),
+            budget=tuple(data["budget"]),
             dropout=data["dropout"],
             seed=data["seed"],
         )
-
-
-@dataclass(frozen=True)
-class InitScheme:
-    """How the held-out node's autoregressive slot is seeded at rollout start."""
-
-    kind: str  # actual_first | fixed | dataset_mean
-    value: float | None = None
-
-    @classmethod
-    def actual_first(cls):
-        return cls("actual_first")
-
-    @classmethod
-    def fixed(cls, value: float):
-        value = float(value)
-        if not math.isfinite(value):
-            raise SchemaError(f"fixed init value {value} is not finite")
-        return cls("fixed", value)
-
-    @classmethod
-    def dataset_mean(cls):
-        return cls("dataset_mean")
 
 
 def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
@@ -222,10 +199,11 @@ def _draw(g: SpatialGraph, nodes: np.ndarray, keys: np.ndarray, k: int, width: i
     return g.neighbors[nodes[..., None], cols], masks.take(g.degree[nodes], axis=0)
 
 
-def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
+def sample_batch(g: SpatialGraph, nodes, budget: tuple[int, int],
                  rng: np.random.Generator) -> NeighborhoodBatch:
-    """Sample every target's hop-1 neighbors, then every hop-1 slot's hop-2
-    neighbors, each hop at once for the whole batch (GraphSAGE's fixed-size
+    """Sample up to k1 hop-1 neighbors of every target, then up to k2 hop-2
+    neighbors of every hop-1 slot, where `budget` is (k1, k2), each hop at
+    once for the whole batch (GraphSAGE's fixed-size
     uniform sampling, Hamilton et al. 2017, section 3.1); one `rng.random`
     call draws the sort keys of both hops. A node whose degree is within its
     hop's budget contributes all its neighbors, in random order; an isolated
@@ -234,7 +212,7 @@ def sample_batch(g: SpatialGraph, nodes, budget: SampleBudget,
     ids = nodes.tolist()
     if ids and (min(ids) < 0 or max(ids) >= g.n_nodes):
         raise SchemaError(f"node index outside [0, {g.n_nodes})")
-    k1, k2 = budget.per_hop
+    k1, k2 = budget
     b, width = len(ids), max(k1, k2)
     keys = rng.random((b, 1 + k1, g.neighbors.shape[1]))
     rows = np.zeros((b, 1 + k1), dtype=np.intp)
@@ -280,18 +258,3 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])
 
-
-def resolve_init(init: InitScheme, ds: Dataset, target_node: int) -> float:
-    if init.kind == "fixed":
-        return float(init.value)
-    if init.kind == "dataset_mean":
-        obs = ds.targets[ds.present]
-        obs = obs[np.isfinite(obs)]
-        return float(obs.mean()) if obs.size else 0.0
-    if init.kind == "actual_first":
-        col = ds.targets[:, target_node]
-        ok = np.isfinite(col) & ds.present[:, target_node]
-        if not ok.any():
-            raise SchemaError("actual_first init: node has no observed values")
-        return float(col[np.argmax(ok)])
-    raise SchemaError(f"unknown init scheme {init.kind!r}")

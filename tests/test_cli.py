@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -241,6 +242,60 @@ def test_predict_unknown_location(tmp_path, workspace, capsys):
     assert code == 1
 
 
+def _predict_bytes(tmp_path, data, ckpt, init, location="S00"):
+    out = tmp_path / f"{init.replace(':', '_')}.csv"
+    assert run("predict", "--data", str(data), "--ckpt", str(ckpt),
+               "--location", location, "--init", init, "--out", str(out)) == 0
+    return out.read_bytes()
+
+
+def test_predict_init_actual_and_mean_are_their_fixed_values(tmp_path, workspace):
+    _, data, ckpt = workspace
+    raw = load_dataset(data / "locations.csv", data / "readings.csv")
+    node = raw.sensor_index("S01")
+    observed = raw.present & np.isfinite(raw.targets)
+    first = float(raw.targets[np.argmax(observed[:, node]), node])
+    mean = float(raw.targets[observed].mean())
+    for init, value in (("actual", first), ("mean", mean)):
+        assert (_predict_bytes(tmp_path, data, ckpt, init, "S01")
+                == _predict_bytes(tmp_path, data, ckpt, f"fixed:{value!r}", "S01")), init
+
+
+def test_predict_init_actual_needs_a_reading(tmp_path, workspace, capsys):
+    _, data, ckpt = workspace
+    edited = _edit_bytes(tmp_path, data, "readings.csv", lambda raw: b"".join(
+        line for line in raw.splitlines(keepends=True) if b",S01," not in line))
+    assert _predict_bytes(tmp_path, edited, ckpt, "fixed:20", "S01")  # the rollout itself runs
+    code = run("predict", "--data", str(edited), "--ckpt", str(ckpt),
+               "--location", "S01", "--init", "actual", "--out", str(tmp_path / "p.csv"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--init actual" in err
+
+
+@pytest.mark.parametrize("aggregator", ["mean_pool", "max_pool"])
+def test_predict_on_huge_readings_saturates_without_warnings(tmp_path, aggregator):
+    # Readings near 1e100 keep finite moments, so predict standardizes them
+    # with the checkpoint's stats into features near 1e99, far past where the
+    # pooling sigmoid's exp(-x) overflows; the sigmoid saturates at 0 instead.
+    normal, huge, ckpt = tmp_path / "normal", tmp_path / "huge", tmp_path / "m.vsck"
+    assert run("synth", "--sensors", "3", "--hours", "48", "--out", str(normal)) == 0
+    assert run("synth", "--sensors", "3", "--hours", "48", "--base", "1e100",
+               "--out", str(huge)) == 0
+    assert run("train", "--data", str(normal), "--out", str(ckpt), "--epochs", "1",
+               "--aggregator", aggregator) == 0
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("predict", "--data", str(huge), "--ckpt", str(ckpt), "--location", "S00",
+                   "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    assert code == 0
+    values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(values) == 47 and all(np.isfinite(values))
+
+
 def _edit_csv(tmp_path, data, name, row, column, value):
     """A copy of the data dir whose `name` CSV has one field replaced."""
     out = tmp_path / "edited"
@@ -269,12 +324,26 @@ MALFORMED_PREDICT_INPUTS = {
     "unknown-location": lambda tmp, data, ckpt: (data, ckpt, ["--location", "S99"]),
     "bad-init": lambda tmp, data, ckpt: (data, ckpt, ["--init", "fixed:abc"]),
     "nan-init": lambda tmp, data, ckpt: (data, ckpt, ["--init", "fixed:nan"]),
+    "budget-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"budget": [3, 5]', b'"budget": [3.5, 5]'), []),
 }
 
 
 def _write(path, raw: bytes):
     path.write_bytes(raw)
     return path
+
+
+def _edit_config(tmp, ckpt, old: bytes, new: bytes):
+    """A copy of the checkpoint whose JSON config has `old` replaced by `new`,
+    its length re-packed, so that the file is well formed but the config is not."""
+    raw = ckpt.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 14)
+    config = raw[18 : 18 + size]
+    assert config.count(old) == 1
+    config = config.replace(old, new)
+    return _write(tmp / "c.vsck", raw[:14] + struct.pack("<I", len(config)) + config
+                  + raw[18 + size :])
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_PREDICT_INPUTS))
@@ -444,6 +513,19 @@ MALFORMED_CLI_INPUTS = {
     "eval-finetune-without-ckpt": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "mlp", "--epochs", "1", "--finetune-from-ckpt",
          "--out", str(tmp / "rep")], "--finetune-from-ckpt"),
+    "train-mlp-aggregator": lambda tmp, data: (
+        ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--epochs", "1",
+         "--model", "mlp", "--aggregator", "max_pool"], "--aggregator"),
+    "transfer-mlp-aggregator": lambda tmp, data: (
+        ["transfer", "--source", str(data), "--target", str(data), "--out", str(tmp / "m.vsck"),
+         "--epochs", "1", "--finetune-epochs", "0", "--model", "mlp", "--aggregator", "mean"],
+        "--aggregator"),
+    "eval-cnn-aggregator": lambda tmp, data: (
+        ["eval", "--data", str(data), "--model", "cnn", "--epochs", "1",
+         "--aggregator", "max_pool", "--out", str(tmp / "rep")], "--aggregator"),
+    "eval-gbt-aggregator": lambda tmp, data: (
+        ["eval", "--data", str(data), "--model", "gbt", "--aggregator", "attentional",
+         "--out", str(tmp / "rep")], "--aggregator"),
 }
 
 

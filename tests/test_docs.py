@@ -1,0 +1,47 @@
+"""The README's python blocks and the demos import only names the package
+has. Each source is parsed with `ast`; nothing in it runs."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+DOCS = ["README.md", *(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))]
+
+
+def _package_imports(tree: ast.AST):
+    """(module, name) for every name imported from the package; the name is
+    None for a plain `import virtualsensor...`."""
+    def ours(module):
+        return module == "virtualsensor" or module.startswith("virtualsensor.")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and ours(node.module or ""):
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if ours(alias.name):
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_documented_imports_exist(doc):
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    sources = PYTHON_BLOCK.findall(text) if doc.endswith(".md") else [text]
+    imports = [pair for source in sources for pair in _package_imports(ast.parse(source))]
+    assert imports, f"{doc} imports nothing from virtualsensor"
+    missing = []
+    for module, name in imports:
+        try:
+            found = importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+            continue
+        if name not in (None, "*") and not hasattr(found, name):
+            missing.append(f"{module}.{name}")
+    assert missing == [], f"{doc} imports names the package does not have"

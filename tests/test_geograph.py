@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from virtualsensor import (
-    SampleBudget,
     SensorLocation,
     SpatialGraph,
     build_knn_graph,
@@ -200,15 +199,6 @@ def test_knn_permutation_equivariance():
 # are checked against in tests/test_training_bytes.py.
 
 
-def test_sample_budget_defaults_and_validation():
-    b = SampleBudget()
-    assert (b[0], b[1]) == (3, 5)
-    with pytest.raises(SchemaError):
-        SampleBudget((3,))
-    with pytest.raises(SchemaError):
-        SampleBudget((0, 5))
-
-
 def star_graph(n_leaves):
     center_adj = tuple(range(1, n_leaves + 1))
     leaves = tuple((0,) for _ in range(n_leaves))
@@ -217,7 +207,7 @@ def star_graph(n_leaves):
 
 def test_sample_neighborhood_respects_budget():
     g = star_graph(10)
-    hop1, hop2 = sample_neighborhood(g, 0, SampleBudget((3, 5)), np.random.default_rng(42))
+    hop1, hop2 = sample_neighborhood(g, 0, (3, 5), np.random.default_rng(42))
     assert len(hop1) == 3
     assert len(set(hop1)) == 3  # without replacement
     assert all(v in g.adjacency[0] for v in hop1)
@@ -228,29 +218,29 @@ def test_sample_neighborhood_respects_budget():
 
 def test_sample_neighborhood_small_degree_unpadded():
     g = SpatialGraph(n_nodes=3, adjacency=((1, 2), (0,), (0,)))
-    hop1, hop2 = sample_neighborhood(g, 1, SampleBudget((3, 5)), np.random.default_rng(0))
+    hop1, hop2 = sample_neighborhood(g, 1, (3, 5), np.random.default_rng(0))
     assert hop1 == [0]  # degree 1 < budget 3: all neighbors, no padding
     assert hop2 == [[1, 2]]
 
 
 def test_sample_neighborhood_isolated_node():
     g = SpatialGraph(n_nodes=3, adjacency=((1,), (0,), ()))
-    hop1, hop2 = sample_neighborhood(g, 2, SampleBudget(), np.random.default_rng(0))
+    hop1, hop2 = sample_neighborhood(g, 2, (3, 5), np.random.default_rng(0))
     assert hop1 == []
     assert hop2 == []
 
 
 def test_sample_neighborhood_deterministic_seed_42():
     g = star_graph(10)
-    a = sample_neighborhood(g, 0, SampleBudget(), np.random.default_rng(42))
-    b = sample_neighborhood(g, 0, SampleBudget(), np.random.default_rng(42))
+    a = sample_neighborhood(g, 0, (3, 5), np.random.default_rng(42))
+    b = sample_neighborhood(g, 0, (3, 5), np.random.default_rng(42))
     assert a == b
 
 
 def test_sample_neighborhood_node_range_check():
     g = star_graph(3)
     with pytest.raises(SchemaError):
-        sample_neighborhood(g, 99, SampleBudget(), np.random.default_rng(0))
+        sample_neighborhood(g, 99, (3, 5), np.random.default_rng(0))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -259,7 +249,7 @@ def test_sample_neighborhood_always_subset(seed):
     g = build_knn_graph(grid_locations(9), k=3)
     rng = np.random.default_rng(seed)
     for node in range(g.n_nodes):
-        hop1, hop2 = sample_neighborhood(g, node, SampleBudget((2, 3)), rng)
+        hop1, hop2 = sample_neighborhood(g, node, (2, 3), rng)
         assert len(hop1) == len(set(hop1)) <= 2
         assert set(hop1) <= set(g.adjacency[node])
         for u, second in zip(hop1, hop2):

@@ -354,7 +354,7 @@ def test_adam_updates_only_params_with_grads():
         params, state = adam_step(params, {"w": np.array([[0.5]])}, state)
     assert params["frozen"][0, 0] == 2.0
     assert params["w"][0, 0] == pytest.approx(0.7, abs=1e-7)
-    assert set(state.m) == {"w"}
+    assert state.names == ("w",)
 
 
 def test_adam_rejects_nonfinite_grad():
@@ -414,19 +414,31 @@ def test_flat_adam_matches_per_name_loop(seed, n_steps):
     start = {k: rng.normal(size=s) for k, s in shapes.items()}
     flat, ref = dict(start), {k: v.copy() for k, v in start.items()}
     state, ref_state = AdamState(lr=0.01), {"step": 0, "m": {}, "v": {}}
+    # A random subset of names moves, the same one every step, as under freeze.
+    names = [k for k in shapes if rng.random() < 0.7] or ["b"]
     for _ in range(n_steps):
-        # A random subset of names moves each step, as under freeze.
-        names = [k for k in shapes if rng.random() < 0.7] or ["b"]
         grads = {k: rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-3, 3) for k in names}
         flat, state = adam_step(flat, grads, state)
         ref = _adam_per_name(ref, grads, ref_state)
         for k in shapes:
             assert flat[k].shape == shapes[k]
             assert np.array_equal(flat[k], ref[k]), k
-    assert set(state.m) == set(ref_state["m"])
-    for k in ref_state["m"]:
-        assert np.array_equal(state.m[k], ref_state["m"][k])
-        assert np.array_equal(state.v[k], ref_state["v"][k])
+    assert state.names == tuple(sorted(names))
+    for row, key in ((1, "m"), (2, "v")):
+        want = np.concatenate([ref_state[key][k].ravel() for k in state.names])
+        assert np.array_equal(state.flat[row], want), key
+
+
+def test_adam_state_keeps_the_names_of_its_first_step():
+    params = {k: np.zeros((1, 2)) for k in ("a", "b", "c")}
+    state = AdamState()
+    params, state = adam_step(params, {"a": np.ones((1, 2)), "b": np.ones((1, 2))}, state)
+    for other in (("a",), ("a", "b", "c"), ("a", "c")):
+        with pytest.raises(SchemaError, match="Adam state updates"):
+            adam_step(params, {k: np.ones((1, 2)) for k in other}, state)
+    assert state.step == 1 and np.array_equal(params["c"], np.zeros((1, 2)))
+    params, state = adam_step(params, {"b": np.ones((1, 2)), "a": np.ones((1, 2))}, state)
+    assert state.step == 2
 
 
 @pytest.mark.parametrize("bad", [("a.w",), ("c.w", "d"), ("d",)])

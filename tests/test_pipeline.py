@@ -15,7 +15,6 @@ from virtualsensor import (
     CityConfig,
     Dataset,
     EvalReport,
-    InitScheme,
     SageConfig,
     SensorLocation,
     TrainConfig,
@@ -36,7 +35,6 @@ from virtualsensor import (
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
 from virtualsensor.dataset import N_FEATURES
 from virtualsensor.errors import CheckpointError, SchemaError
-from virtualsensor.geograph import SampleBudget
 from virtualsensor.nncore import wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
@@ -316,7 +314,7 @@ def test_closed_loop_predict_all_kinds(kind, model_cfg):
     _, prepared, _, g = prepared_city()
     cfg = TrainConfig(epochs=1, model=kind, seed=0)
     trained = train(prepared, g, cfg, model_cfg)
-    preds = closed_loop_predict(trained, g, prepared, 0, InitScheme.fixed(25.0))
+    preds = closed_loop_predict(trained, g, prepared, 0, 25.0)
     assert preds.shape == (prepared.n_frames - 1,)
     assert np.all(np.isfinite(preds))
 
@@ -354,7 +352,7 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
     assert not any(built["eval"])
     assert all(built["train"]) and len(built["train"]) == 2 * 96 * cls.trains_by_gradient
     with counting_vars() as made:
-        closed_loop_predict(trained, g, prepared, 0, InitScheme.fixed(25.0))
+        closed_loop_predict(trained, g, prepared, 0, 25.0)
     assert made == []
 
 
@@ -702,7 +700,7 @@ def test_schema_hash_stable_and_sensitive():
 # ---------------------------------------------------------------- config codecs
 
 
-NON_DEFAULT_SAGE = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, budget=SampleBudget((4, 2)),
+NON_DEFAULT_SAGE = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, budget=(4, 2),
                               hidden=(8, 16), dropout=0.25, seed=7)
 
 

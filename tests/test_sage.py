@@ -10,9 +10,7 @@ import pytest
 from virtualsensor import (
     AggregatorKind,
     Dataset,
-    InitScheme,
     SageConfig,
-    SampleBudget,
     SensorLocation,
     SpatialGraph,
     closed_loop_predict,
@@ -30,11 +28,7 @@ from virtualsensor.pipeline import (
     _training_rows,
     train,
 )
-from virtualsensor.sage import (
-    resolve_init,
-    sage_forward_batch,
-    sample_batch,
-)
+from virtualsensor.sage import sage_forward_batch, sample_batch
 
 from probes import (
     aggregate,
@@ -60,10 +54,10 @@ def forward_one(params, cfg, g, feats, node, rng):
     return float(sage_forward_batch(wrap_params(params), cfg, feats, batch).value[0])
 
 
-def closed_loop(params, cfg, g, ds, node, init):
+def closed_loop(params, cfg, g, ds, node, init_value):
     """The sage model's closed-loop series for one node, rng seeded with 0."""
     return closed_loop_predict(TrainedModel(TrainConfig(), cfg, params, ds.stats), g, ds,
-                               node, init, rng=np.random.default_rng(0))
+                               node, init_value, rng=np.random.default_rng(0))
 
 
 def triangle_graph(n=3):
@@ -119,6 +113,14 @@ def test_config_validation():
         SageConfig(hidden=(0, 4))
     with pytest.raises(SchemaError):
         SageConfig(dropout=1.0)
+
+
+def test_sage_config_budget_is_two_ints_of_at_least_one():
+    assert SageConfig().budget == (3, 5)
+    assert SageConfig(budget=(1, 4)).to_dict()["budget"] == [1, 4]
+    for budget in [(3,), (3, 5, 7), (0, 5), (3, -1), (3.5, 5), (3, 5.0), (True, 5), ("3", 5)]:
+        with pytest.raises(SchemaError, match="budget"):
+            SageConfig(budget=budget)
 
 
 # ---------------------------------------------------------------- aggregators
@@ -221,7 +223,7 @@ def test_attention_weights_wrong_kind_rejected():
 
 def test_sample_batch_padding_and_masks():
     g = SpatialGraph(n_nodes=4, adjacency=((1, 2, 3), (0,), (0,), (0,)))
-    batch = sample_batch(g, [0, 1], SampleBudget((3, 5)), np.random.default_rng(0))
+    batch = sample_batch(g, [0, 1], (3, 5), np.random.default_rng(0))
     assert batch.rows.shape == (2, 4) and batch.neighbors.shape == batch.mask.shape == (2, 4, 5)
     assert batch.rows[:, 0].tolist() == [0, 1]
     assert batch.mask1.tolist() == [[1, 1, 1], [1, 0, 0]]  # node 1 has 1 neighbor, padded
@@ -240,7 +242,7 @@ def test_sample_batch_budget_saturation():
     # Node with 10 neighbors: exactly budget[0] sampled, all distinct.
     adj0 = tuple(range(1, 11))
     g = SpatialGraph(n_nodes=11, adjacency=(adj0,) + tuple((0,) for _ in range(10)))
-    batch = sample_batch(g, [0], SampleBudget((3, 5)), np.random.default_rng(9))
+    batch = sample_batch(g, [0], (3, 5), np.random.default_rng(9))
     live = batch.rows[0, 1:][batch.mask1[0] == 1.0]
     assert len(live) == 3 == len(set(live.tolist()))
     assert np.array_equal(batch.neighbors[0, 0, :3], batch.rows[0, 1:])
@@ -251,7 +253,7 @@ def test_sample_batch_inclusion_rates_match_budget_over_degree():
     # of a target is drawn at hop 1 with probability 3/7, and each neighbor
     # of a live hop-1 slot at hop 2 with probability 5/7. Over 600 draws per
     # target every per-pair rate stays within 5 binomial standard errors.
-    n, draws, budget = 8, 600, SampleBudget((3, 5))
+    n, draws, budget = 8, 600, (3, 5)
     g = SpatialGraph(n_nodes=n, adjacency=tuple(
         tuple(v for v in range(n) if v != u) for u in range(n)))
     batch = sample_batch(g, np.repeat(np.arange(n), draws), budget, np.random.default_rng(4))
@@ -271,23 +273,23 @@ def test_sample_batch_inclusion_rates_match_budget_over_degree():
 @pytest.mark.parametrize("nodes", [[3], [-1], [0, -3], [99]])
 def test_sample_batch_rejects_node_outside_graph(nodes):
     with pytest.raises(SchemaError):
-        sample_batch(triangle_graph(), nodes, SampleBudget(), np.random.default_rng(0))
+        sample_batch(triangle_graph(), nodes, (3, 5), np.random.default_rng(0))
 
 
 def test_sample_batch_isolated_node_all_zero_mask():
     g = SpatialGraph(n_nodes=3, adjacency=((1,), (0,), ()))
-    batch = sample_batch(g, [2, 0], SampleBudget((2, 3)), np.random.default_rng(0))
+    batch = sample_batch(g, [2, 0], (2, 3), np.random.default_rng(0))
     assert not batch.mask[0].any() and not batch.mask1[0].any()
     assert batch.mask1[1].tolist() == [1, 0] and batch.mask[1, 1].tolist() == [1, 0, 0]
     g_empty = SpatialGraph(n_nodes=2, adjacency=((), ()))
-    batch = sample_batch(g_empty, [0, 1], SampleBudget((2, 3)), np.random.default_rng(0))
+    batch = sample_batch(g_empty, [0, 1], (2, 3), np.random.default_rng(0))
     assert batch.mask.shape == (2, 3, 3) and not batch.mask.any()
 
 
 def test_sample_batch_seeded_draws_repeat():
     g = SpatialGraph(n_nodes=11, adjacency=(tuple(range(1, 11)),) + ((0,),) * 10)
-    a = sample_batch(g, [0, 0, 3], SampleBudget((3, 5)), np.random.default_rng(42))
-    b = sample_batch(g, [0, 0, 3], SampleBudget((3, 5)), np.random.default_rng(42))
+    a = sample_batch(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
+    b = sample_batch(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -342,7 +344,7 @@ def random_graph(n=9, p=0.45, seed=0):
 def test_one_pass_layer1_matches_two_pass_reference(kind, per_hop):
     # Layer 1 over the targets and hop-1 slots together computes what the
     # two separate passes computed, up to rounding.
-    cfg = SageConfig(aggregator=kind, hidden=(4, 3), budget=SampleBudget(per_hop), dropout=0.0)
+    cfg = SageConfig(aggregator=kind, hidden=(4, 3), budget=per_hop, dropout=0.0)
     rng = np.random.default_rng(1)
     params = cfg.init_params(6, rng)
     params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
@@ -434,7 +436,7 @@ def test_graph_size_check(kind):
         train(ds, triangle_graph(4), cfg)
     trained = train(ds, triangle_graph(3), cfg)
     with pytest.raises(SchemaError, match="graph has 4 nodes for 3 sensors"):
-        closed_loop_predict(trained, triangle_graph(4), ds, 0, InitScheme.fixed(1.0))
+        closed_loop_predict(trained, triangle_graph(4), ds, 0, 1.0)
 
 
 def test_model_inputs_finite():
@@ -448,36 +450,13 @@ def test_model_inputs_finite():
     assert np.array_equal(feats[~bad], ds.features[~bad])
 
 
-# ---------------------------------------------------------------- init schemes
-
-
-def test_resolve_init_variants():
-    ds = small_dataset(T=10, n=3)
-    assert resolve_init(InitScheme.fixed(17.5), ds, 0) == 17.5
-    obs = ds.targets[ds.present]
-    assert resolve_init(InitScheme.dataset_mean(), ds, 0) == pytest.approx(obs.mean())
-    assert resolve_init(InitScheme.actual_first(), ds, 1) == ds.targets[0, 1]
-
-
-def test_fixed_init_must_be_finite():
-    for value in (np.nan, np.inf):
-        with pytest.raises(SchemaError, match="not finite"):
-            InitScheme.fixed(value)
-
-
-def test_resolve_init_actual_first_needs_observations():
-    ds = small_dataset(T=10, n=3, censor=0)
-    with pytest.raises(SchemaError):
-        resolve_init(InitScheme.actual_first(), ds, 0)
-
-
 # ---------------------------------------------------------------- rollout (closed_loop_predict)
 
 
 def test_rollout_shape_and_finiteness():
     ds = small_dataset(T=20, n=3, censor=0)
     cfg, params = params_for(AggregatorKind.MEAN_POOL, d=19)
-    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(25.0))
+    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, 25.0)
     assert preds.shape == (19,)
     assert np.all(np.isfinite(preds))
 
@@ -489,7 +468,7 @@ def test_rollout_first_step_matches_manual_forward():
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     g = triangle_graph()
     init = 30.0
-    preds = closed_loop(params, cfg, g, ds, 1, InitScheme.fixed(init))
+    preds = closed_loop(params, cfg, g, ds, 1, init)
     ar = PREV_NO2
     feats = ds.features[1].copy()
     feats[1, ar] = ds.stats.transform_column(ar, init)
@@ -503,13 +482,13 @@ def test_rollout_feeds_back_own_prediction():
     ds = small_dataset(T=15, n=3)
     cfg, params = params_for(AggregatorKind.MEAN_POOL, d=19)
     g = triangle_graph()
-    a = closed_loop(params, cfg, g, ds, 2, InitScheme.fixed(20.0))
+    a = closed_loop(params, cfg, g, ds, 2, 20.0)
     poisoned = ds.targets.copy()
     poisoned[:, 2] = np.nan  # NaN tracer: any read would poison the output
     from dataclasses import replace
 
     ds2 = replace(ds, targets=poisoned)
-    b = closed_loop(params, cfg, g, ds2, 2, InitScheme.fixed(20.0))
+    b = closed_loop(params, cfg, g, ds2, 2, 20.0)
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(b))
 
@@ -522,7 +501,7 @@ def test_rollout_constant_model_fixed_point():
     params = {k: np.zeros_like(v) for k, v in params.items()}
     params["head.b"] = np.array([[7.25]])
     ds = small_dataset(T=12, n=3)
-    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, InitScheme.fixed(99.0))
+    preds = closed_loop(params, cfg, triangle_graph(), ds, 0, 99.0)
     assert np.allclose(preds, 7.25)
 
 
@@ -533,11 +512,19 @@ def test_rollout_requires_standardized_dataset():
     raw = replace(ds, stats=None)
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     with pytest.raises(SchemaError):
-        closed_loop(params, cfg, triangle_graph(), raw, 0, InitScheme.fixed(1.0))
+        closed_loop(params, cfg, triangle_graph(), raw, 0, 1.0)
 
 
 def test_rollout_node_index_check():
     ds = small_dataset(T=8, n=3)
     cfg, params = params_for(AggregatorKind.MEAN, d=19)
     with pytest.raises(SchemaError):
-        closed_loop(params, cfg, triangle_graph(), ds, 7, InitScheme.fixed(1.0))
+        closed_loop(params, cfg, triangle_graph(), ds, 7, 1.0)
+
+
+def test_rollout_rejects_nonfinite_init():
+    ds = small_dataset(T=8, n=3)
+    cfg, params = params_for(AggregatorKind.MEAN, d=19)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SchemaError, match="not finite"):
+            closed_loop(params, cfg, triangle_graph(), ds, 0, value)

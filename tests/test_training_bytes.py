@@ -21,9 +21,7 @@ from hypothesis import strategies as st
 from virtualsensor import (
     AggregatorKind,
     CityConfig,
-    InitScheme,
     SageConfig,
-    SampleBudget,
     SpatialGraph,
     build_knn_graph,
     closed_loop_predict,
@@ -133,7 +131,7 @@ def test_trained_parameters_keep_their_bytes(city, key):
 @pytest.mark.parametrize("key", list(PINNED_ROLLOUT))
 def test_closed_loop_series_keeps_its_bytes(city, key):
     ds, g = city
-    preds = closed_loop_predict(_train(city, key), g, ds, 2, InitScheme.fixed(30.0),
+    preds = closed_loop_predict(_train(city, key), g, ds, 2, 30.0,
                                 rng=np.random.default_rng(11))
     assert hashlib.sha256(preds.astype("<f8").tobytes()).hexdigest() == PINNED_ROLLOUT[key]
 
@@ -152,7 +150,7 @@ def graphs_and_batches(draw):
         adj[v].add(u)
     g = SpatialGraph(n_nodes=n, adjacency=tuple(tuple(sorted(s)) for s in adj))
     nodes = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=8))
-    budget = SampleBudget((draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    budget = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
     return g, nodes, budget, draw(st.integers(0, 2**32 - 1))
 
 
