@@ -13,10 +13,9 @@ from virtualsensor import (
     TrainConfig,
     TransferConfig,
     build_knn_graph,
-    fill_prev_no2,
     generate_city,
     leave_one_out,
-    standardize,
+    prepare,
     train,
     transfer,
 )
@@ -27,7 +26,7 @@ source = generate_city(
     CityConfig(seed=7, n_sensors=40, n_hours=800, bbox=(51.28, 51.70, -0.51, 0.33))
 )
 g_source = build_knn_graph(source.locations, k=3)
-source_prep, _ = standardize(fill_prev_no2(source))
+source_prep = prepare(source)
 
 # Target: 8 monitors, and only ~2 weeks of usable history.
 target = generate_city(CityConfig(seed=1, n_hours=4000))
@@ -61,8 +60,7 @@ print("improvement over from-scratch (%):",
 
 # The full pretrain-then-finetune path (one model, not per-fold) lives in
 # `transfer`; the CLI exposes it as `virtualsensor transfer`.
-tuned = transfer(source_prep, standardize(fill_prev_no2(target))[0],
-                 (g_source, g_target),
+tuned = transfer(source_prep, prepare(target), (g_source, g_target),
                  TransferConfig(source=TrainConfig(epochs=2, seed=0),
                                 finetune_epochs=2, finetune_lr=1e-4))
 print(f"fine-tuned model parameters: {sorted(tuned.params)}")

@@ -15,13 +15,12 @@ from virtualsensor import (
     TrainConfig,
     build_knn_graph,
     closed_loop_predict,
-    fill_prev_no2,
     generate_city,
     grad_rmse,
     lag_autocorr,
     nrmse,
+    prepare,
     rmse,
-    standardize,
     train,
 )
 from virtualsensor.pipeline import fold_dataset
@@ -58,9 +57,9 @@ init_value = float(city.targets[0, holdout])  # the single sanctioned read
 censored = fold_dataset(city, holdout)
 
 # --- 3. Prepare features and the sensor graph -----------------------------
-# fill_prev_no2 populates the autoregressive column (teacher forcing);
-# standardize fits per-feature stats over the *remaining* sensors only.
-prepared, stats = standardize(fill_prev_no2(censored))
+# prepare fills the autoregressive column (teacher forcing), then fits
+# per-feature standardization stats over the *remaining* sensors only.
+prepared = prepare(censored)
 graph = build_knn_graph(city.locations, k=3)
 print(f"graph diameter: {diameter(graph)} hops")
 

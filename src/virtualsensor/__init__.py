@@ -11,9 +11,8 @@ from .dataset import (
     SensorLocation,
     StandardizationStats,
     encode_time,
-    fill_prev_no2,
     load_dataset,
-    standardize,
+    prepare,
 )
 from .geograph import SpatialGraph, build_knn_graph, haversine
 from .pipeline import (
@@ -46,7 +45,6 @@ __all__ = [
     "build_knn_graph",
     "closed_loop_predict",
     "encode_time",
-    "fill_prev_no2",
     "generate_city",
     "grad_rmse",
     "haversine",
@@ -55,8 +53,8 @@ __all__ = [
     "leave_one_out",
     "load_dataset",
     "nrmse",
+    "prepare",
     "rmse",
-    "standardize",
     "train",
     "transfer",
 ]

@@ -45,6 +45,10 @@ class MlpConfig(_FlatConfig):
     dropout: float = 0.5
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise SchemaError("dropout must lie in [0, 1)")
+
     def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
         dims = [in_dim, *self.hidden, 1]
         params = {}
@@ -79,6 +83,10 @@ class CnnConfig(_FlatConfig):
     dense_hidden: int = 32
     dropout: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise SchemaError("dropout must lie in [0, 1)")
 
     def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
         if self.kernel > in_dim:

@@ -19,14 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dataset import (
-    apply_standardization,
-    fill_prev_no2,
-    load_dataset,
-    standardize,
-    write_locations_csv,
-    write_readings_csv,
-)
+from .dataset import load_dataset, prepare, write_locations_csv, write_readings_csv
 from .errors import ParseError, SchemaError, VirtualSensorError
 from .geograph import build_knn_graph
 from .pipeline import (
@@ -135,7 +128,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     model_cfg = _model_config(args, args.model)
     raw = _load_raw(args.data)
-    prepared, _ = standardize(fill_prev_no2(raw))
+    prepared = prepare(raw)
     g = build_knn_graph(raw.locations, k=args.k)
     save_checkpoint(args.out, train(prepared, g, cfg, model_cfg))
     loc_path, read_path = _data_paths(args.data)
@@ -153,8 +146,8 @@ def cmd_transfer(args) -> int:
     model_cfg = _model_config(args, args.model)
     source_raw = _load_raw(args.source)
     target_raw = _load_raw(args.target)
-    source_ds, _ = standardize(fill_prev_no2(source_raw))
-    target_ds, _ = standardize(fill_prev_no2(target_raw))
+    source_ds = prepare(source_raw)
+    target_ds = prepare(target_raw)
     g_src = build_knn_graph(source_raw.locations, k=args.k)
     g_tgt = build_knn_graph(target_raw.locations, k=args.k)
     base_cfg = _train_config(args)
@@ -263,13 +256,12 @@ def _init_value(text: str, ds, node: int) -> float:
     reading (actual), the mean of every reading in `ds` (mean, 0 if there is
     none), or VALUE (fixed:VALUE)."""
     if text == "actual":
-        observed = ds.present[:, node] & np.isfinite(ds.targets[:, node])
+        observed = ds.observed[:, node]
         if not observed.any():
             raise SchemaError("--init actual: the location has no readings")
         return float(ds.targets[np.argmax(observed), node])
     if text == "mean":
-        readings = ds.targets[ds.present]
-        readings = readings[np.isfinite(readings)]
+        readings = ds.targets[ds.observed]
         return float(readings.mean()) if readings.size else 0.0
     if text.startswith("fixed:"):
         try:
@@ -284,7 +276,7 @@ def cmd_predict(args) -> int:
     raw = _load_raw(args.data)
     trained = load_checkpoint(args.ckpt)
     seed = trained.train_cfg.seed
-    prepared = apply_standardization(fill_prev_no2(raw), trained.stats)
+    prepared = prepare(raw, trained.stats)
     g = build_knn_graph(raw.locations, k=args.k)
     node = raw.sensor_index(args.location)
     preds = closed_loop_predict(trained, g, prepared, node, _init_value(args.init, raw, node),

@@ -1,5 +1,6 @@
-"""Sensor dataset handling: the feature layout, CSV ingestion,
-standardization, time encoding, and autoregressive gap filling.
+"""Sensor dataset handling: the feature layout, CSV ingestion, time encoding,
+and `prepare`, which makes model input from raw readings: the autoregressive
+gap fill, then standardization with fitted or given stats.
 
 The feature layout is fixed and lives only here, in FEATURE_COLUMNS: 2
 satellite columns, 9 meteorological columns, 6 cyclical time columns, 1
@@ -106,9 +107,6 @@ class StandardizationStats:
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 
-    def inverse(self, features: np.ndarray) -> np.ndarray:
-        return features * self.std + self.mean
-
     def transform_column(self, index: int, value):
         return (value - self.mean[index]) / self.std[index]
 
@@ -148,6 +146,12 @@ class Dataset:
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def observed(self) -> np.ndarray:
+        """[T, n] mask of the readings: a present sensor with a finite target.
+        A fresh array on each access."""
+        return self.present & np.isfinite(self.targets)
 
     def timestamp(self, t: int) -> datetime:
         return self.start + timedelta(hours=int(t))
@@ -380,13 +384,15 @@ def _column_moments(ds: Dataset, j: int) -> tuple[int, float, float]:
     return col.size, mean, std
 
 
-def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
-    """Standardize every feature column to mean 0, std 1 over present entries.
+def standardize(ds: Dataset, stats: StandardizationStats | None = None) -> Dataset:
+    """Standardize every feature column; the result's `stats` are the ones used.
 
-    Targets are left in physical units. Zero-variance columns get std 1 so
-    the inverse transform stays total. Population std is used. A column whose
-    values are finite but so large that its mean or std overflows raises
-    DegenerateFeatureError.
+    With no `stats`, they are fitted: mean 0, std 1 over present entries,
+    population std, and std 1 for a zero-variance column; a column with fewer
+    than 2 present values raises DegenerateFeatureError. Stats that are given
+    (a checkpoint's, say) are applied as they are. Either way, a column whose
+    values are finite but so large that their mean or std overflows raises
+    DegenerateFeatureError. Targets stay in physical units.
     """
     if ds.stats is not None:
         raise SchemaError("dataset is already standardized")
@@ -394,24 +400,13 @@ def standardize(ds: Dataset) -> tuple[Dataset, StandardizationStats]:
     std = np.empty(N_FEATURES)
     for j in range(N_FEATURES):
         count, mean[j], s = _column_moments(ds, j)
-        if count < 2:
+        if stats is None and count < 2:
             raise DegenerateFeatureError(
                 f"feature {FEATURE_NAMES[j]!r} has {count} present observations (< 2)"
             )
         std[j] = s if s > 0 else 1.0
-    stats = StandardizationStats(mean=mean, std=std)
-    out = replace(ds, features=stats.transform(ds.features), stats=stats)
-    return out, stats
-
-
-def apply_standardization(ds: Dataset, stats: StandardizationStats) -> Dataset:
-    """Standardize with externally supplied stats (e.g. transfer-source
-    stats). Like `standardize`, it rejects a column whose values are finite
-    but so large that their mean or std overflows."""
-    if ds.stats is not None:
-        raise SchemaError("dataset is already standardized")
-    for j in range(N_FEATURES):
-        _column_moments(ds, j)
+    if stats is None:
+        stats = StandardizationStats(mean=mean, std=std)
     return replace(ds, features=stats.transform(ds.features), stats=stats)
 
 
@@ -427,8 +422,7 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     """
     if ds.stats is not None:
         raise SchemaError("fill_prev_no2 expects an unstandardized dataset")
-    observed = ds.targets[ds.present]
-    observed = observed[np.isfinite(observed)]
+    observed = ds.targets[ds.observed]
     # Targets whose mean overflows overflow the AR column's too, which `standardize` rejects.
     with np.errstate(over="ignore"):
         fallback_mean = float(observed.mean()) if observed.size else 0.0
@@ -446,3 +440,9 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     prev = np.take_along_axis(ds.targets, latest, axis=0)
     features[1:, :, PREV_NO2] = np.where((latest >= 0) & np.isfinite(prev), prev, fallback_mean)
     return replace(ds, features=features)
+
+
+def prepare(raw: Dataset, stats: StandardizationStats | None = None) -> Dataset:
+    """Model input from raw readings: `fill_prev_no2`, then `standardize`
+    with `stats` (fitted when None)."""
+    return standardize(fill_prev_no2(raw), stats)

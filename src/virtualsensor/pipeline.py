@@ -21,8 +21,7 @@ from .dataset import (
     PREV_NO2,
     Dataset,
     StandardizationStats,
-    fill_prev_no2,
-    standardize,
+    prepare,
 )
 from .errors import CheckpointError, SchemaError
 from .geograph import SpatialGraph
@@ -87,6 +86,10 @@ class TrainConfig:
     model: str = "sage"  # a key of DEFAULT_MODEL_CONFIGS
 
     def __post_init__(self):
+        for name in ("epochs", "patience", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # no bool, float or numpy integer
+                raise SchemaError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
         if not 0.0 <= self.lr < math.inf:
@@ -162,16 +165,16 @@ def _model_inputs(ds: Dataset, g: SpatialGraph) -> np.ndarray:
 
 
 def _training_rows(ds: Dataset) -> np.ndarray:
-    """[T, n] mask of the teacher-forced training rows: a present sensor with
-    a finite target at a frame t >= 1 (frame 0 has no previous hour)."""
-    ok = ds.present & np.isfinite(ds.targets)
+    """[T, n] mask of the teacher-forced training rows: the readings
+    (`Dataset.observed`) at frames t >= 1 (frame 0 has no previous hour)."""
+    ok = ds.observed
     ok[0] = False
     return ok
 
 
 def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
           init_params: dict | None = None, freeze: tuple[str, ...] = ()) -> TrainedModel:
-    """Teacher-forced training on a standardized, prev-filled dataset.
+    """Teacher-forced training on a dataset made by `prepare`.
 
     Rows are grouped by frame (all present nodes of a frame form one batch);
     frames are shuffled per epoch. Validation uses the chronological last
@@ -372,11 +375,11 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
               init_params, holdout: int):
     """Train with the held-out sensor censored, then roll out on it.
 
-    Returns (predictions over eval frames, actuals, trained model) or None
-    when the sensor has no usable frames. The held-out sensor's actual
-    values are touched exactly once, for the rollout init.
+    Returns (predictions over eval frames, actuals) or None when the sensor
+    has no usable frames. The held-out sensor's actual values are touched
+    exactly once, for the rollout init.
     """
-    observed = ds_raw.present[:, holdout] & np.isfinite(ds_raw.targets[:, holdout])
+    observed = ds_raw.observed[:, holdout]
     eval_frames = np.flatnonzero(observed)
     eval_frames = eval_frames[eval_frames >= 1]
     if eval_frames.size == 0:
@@ -384,14 +387,13 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
         return None
     init_value = float(ds_raw.targets[np.argmax(observed), holdout])
 
-    censored = fold_dataset(ds_raw, holdout)
-    prepared, _stats = standardize(fill_prev_no2(censored))
+    prepared = prepare(fold_dataset(ds_raw, holdout))
     trained = train(prepared, g, cfg, model_cfg, init_params=init_params)
     preds = closed_loop_predict(trained, g, prepared, holdout, init_value,
                                 rng=np.random.default_rng(cfg.seed + 1000 + holdout))
     pred_series = np.clip(preds[eval_frames - 1], 0.0, None)
     actual = ds_raw.targets[eval_frames, holdout]
-    return pred_series, actual, trained
+    return pred_series, actual
 
 
 def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
@@ -414,7 +416,7 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
         result = _run_fold(ds_raw, g, cfg, model_cfg, init_params, holdout)
         if result is None:
             continue
-        pred, actual, _trained = result
+        pred, actual = result
         per_location[ds_raw.locations[holdout].id] = {
             "rmse": rmse(pred, actual),
             "nrmse": nrmse(pred, actual),

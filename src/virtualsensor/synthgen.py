@@ -69,7 +69,7 @@ def _smooth_series(rng, n, rho, std):
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is raised as SchemaError below
 def generate_city(cfg: CityConfig) -> Dataset:
     """Build a fully observed synthetic Dataset (autoregressive column left
-    NaN; run fill_prev_no2 before modeling). A config whose targets or
+    NaN; run `prepare` before modeling). A config whose targets or
     readings come out non-finite raises SchemaError."""
     rng = np.random.default_rng(cfg.seed)
     lat_lo, lat_hi, lon_lo, lon_hi = cfg.bbox

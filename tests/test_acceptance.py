@@ -17,7 +17,6 @@ from virtualsensor import (
     SensorLocation,
     TrainConfig,
     build_knn_graph,
-    fill_prev_no2,
     generate_city,
     grad_rmse,
     haversine,
@@ -25,8 +24,8 @@ from virtualsensor import (
     lag_autocorr,
     leave_one_out,
     nrmse,
+    prepare,
     rmse,
-    standardize,
     train,
 )
 from virtualsensor.baselines import GbtConfig, MlpConfig, best_split, gbt_fit
@@ -182,8 +181,8 @@ def test_criterion_05_leave_one_out_hygiene():
     poisoned_targets = ds.targets.copy()
     poisoned_targets[1:, holdout] = 1e6
     poisoned = replace(ds, targets=poisoned_targets)
-    pred_a, _, _ = _run_fold(ds, g, cfg, SageConfig(), None, holdout)
-    pred_b, _, _ = _run_fold(poisoned, g, cfg, SageConfig(), None, holdout)
+    pred_a, _ = _run_fold(ds, g, cfg, SageConfig(), None, holdout)
+    pred_b, _ = _run_fold(poisoned, g, cfg, SageConfig(), None, holdout)
     ok = np.array_equal(pred_a, pred_b)
     report(5, ok, "predictions identical under post-init target poisoning")
 
@@ -200,8 +199,8 @@ def test_criterion_06_directional_ordering():
             g = build_knn_graph(ds.locations, k=3)
             cfg = TrainConfig(model=model, epochs=4, patience=4, seed=seed)
             holdout = seed % ds.n_sensors
-            pred, actual, _ = _run_fold(ds, g, cfg, DEFAULT_MODEL_CONFIGS[model](),
-                                        None, holdout)
+            pred, actual = _run_fold(ds, g, cfg, DEFAULT_MODEL_CONFIGS[model](),
+                                     None, holdout)
             vals.append(nrmse(pred, actual))
         return float(np.mean(vals)), vals
 
@@ -226,7 +225,7 @@ def test_criterion_07_transfer_benefit():
         src = generate_city(CityConfig(seed=100 + seed, n_sensors=60, n_hours=1000,
                                        bbox=(51.28, 51.70, -0.51, 0.33)))
         g_src = build_knn_graph(src.locations, k=3)
-        src_prep, _ = standardize(fill_prev_no2(src))
+        src_prep = prepare(src)
         pre = train(src_prep, g_src, TrainConfig(epochs=2, patience=5, seed=seed))
 
         tgt = generate_city(CityConfig(seed=seed, n_hours=4000))
@@ -278,7 +277,7 @@ def test_criterion_09_metric_unit_oracles():
     from datetime import datetime, timezone
 
     from virtualsensor import Dataset
-    from virtualsensor.dataset import N_FEATURES
+    from virtualsensor.dataset import N_FEATURES, standardize
 
     features = np.zeros((3, 1, N_FEATURES))
     features[:, 0, 0] = [2.0, 4.0, 6.0]
@@ -289,7 +288,8 @@ def test_criterion_09_metric_unit_oracles():
         targets=np.ones((3, 1)),
         present=np.ones((3, 1), dtype=bool),
     )
-    out, stats = standardize(ds)
+    out = standardize(ds)
+    stats = out.stats
     checks.append(abs(stats.mean[0] - 4.0) < 1e-12)
     checks.append(abs(stats.std[0] - math.sqrt(8.0 / 3.0)) < 1e-12)
     checks.append(np.allclose(out.features[:, 0, 0],

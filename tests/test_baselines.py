@@ -83,6 +83,13 @@ def test_cnn_param_shapes():
     assert p["fc2.w"].shape == (32, 1)
 
 
+@pytest.mark.parametrize("cls", [MlpConfig, CnnConfig])
+@pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, float("nan")])
+def test_flat_configs_reject_dropout_outside_unit_interval(cls, rate):
+    with pytest.raises(SchemaError, match="dropout"):
+        cls(dropout=rate)
+
+
 def test_cnn_kernel_wider_than_input_rejected():
     with pytest.raises(SchemaError):
         CnnConfig(kernel=25).init_params(19, np.random.default_rng(0))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from virtualsensor import fill_prev_no2, load_dataset, standardize
+from virtualsensor import load_dataset, prepare
 from virtualsensor.cli import build_parser, main
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint
 
@@ -107,8 +107,7 @@ def test_transfer_checkpoint_records_returned_model(tmp_path, workspace, finetun
                "--finetune-lr", "1e-4") == 0
     trained = load_checkpoint(out)
     city = source if finetune_epochs == 0 else target
-    _, stats = standardize(fill_prev_no2(load_dataset(city / "locations.csv",
-                                                      city / "readings.csv")))
+    stats = prepare(load_dataset(city / "locations.csv", city / "readings.csv")).stats
     assert (trained.train_cfg.epochs, trained.train_cfg.lr) == (
         (1, 1e-3) if finetune_epochs == 0 else (2, 1e-4))
     assert np.array_equal(trained.stats.mean, stats.mean)
@@ -326,12 +325,29 @@ MALFORMED_PREDICT_INPUTS = {
     "nan-init": lambda tmp, data, ckpt: (data, ckpt, ["--init", "fixed:nan"]),
     "budget-not-int": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, ckpt, b'"budget": [3, 5]', b'"budget": [3.5, 5]'), []),
+    "seed-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"seed": 0, "val', b'"seed": 0.5, "val'), []),
+    "epochs-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"epochs": 1,', b'"epochs": 1.5,'), []),
+    "patience-bool": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"patience": 10,', b'"patience": true,'), []),
+    "mlp-dropout-not-number": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "mlp"), b'"dropout": 0.5', b'"dropout": "0.5"'),
+        []),
 }
 
 
 def _write(path, raw: bytes):
     path.write_bytes(raw)
     return path
+
+
+def _train(tmp, data, kind: str):
+    """A one-epoch checkpoint of model `kind` trained on the city in `data`."""
+    ckpt = tmp / f"{kind}.vsck"
+    assert run("train", "--data", str(data), "--out", str(ckpt), "--model", kind,
+               "--epochs", "1") == 0
+    return ckpt
 
 
 def _edit_config(tmp, ckpt, old: bytes, new: bytes):
@@ -523,6 +539,14 @@ MALFORMED_CLI_INPUTS = {
     "eval-cnn-aggregator": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "cnn", "--epochs", "1",
          "--aggregator", "max_pool", "--out", str(tmp / "rep")], "--aggregator"),
+    "eval-ckpt-epochs-not-int": lambda tmp, data: (
+        ["eval", "--data", str(data), "--out", str(tmp / "rep"), "--ckpt",
+         str(_edit_config(tmp, data.parent / "model.vsck", b'"epochs": 1,', b'"epochs": 1.5,'))],
+        "epochs must be an integer"),
+    "eval-ckpt-cnn-dropout-not-number": lambda tmp, data: (
+        ["eval", "--data", str(data), "--out", str(tmp / "rep"), "--ckpt",
+         str(_edit_config(tmp, _train(tmp, data, "cnn"), b'"dropout": 0.5', b'"dropout": "0.5"'))],
+        "bad cnn checkpoint config"),
     "eval-gbt-aggregator": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "gbt", "--aggregator", "attentional",
          "--out", str(tmp / "rep")], "--aggregator"),

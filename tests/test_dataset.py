@@ -16,18 +16,17 @@ from virtualsensor import (
     SensorLocation,
     StandardizationStats,
     encode_time,
-    fill_prev_no2,
     load_dataset,
-    standardize,
 )
 from virtualsensor.dataset import (
     FEATURE_COLUMNS,
     FEATURE_NAMES,
     N_FEATURES,
     PREV_NO2,
-    apply_standardization,
+    fill_prev_no2,
     load_locations,
     parse_hour_timestamp,
+    standardize,
     write_locations_csv,
     write_readings_csv,
 )
@@ -338,7 +337,8 @@ def test_standardize_population_std():
     features = np.zeros((3, 1, 19))
     features[:, 0, 0] = [2.0, 4.0, 6.0]
     ds = make_dataset(targets, features=features)
-    out, stats = standardize(ds)
+    out = standardize(ds)
+    stats = out.stats
     assert stats.mean[0] == pytest.approx(4.0)
     assert stats.std[0] == pytest.approx(math.sqrt(8.0 / 3.0))
     assert out.features[:, 0, 0] == pytest.approx(
@@ -352,7 +352,7 @@ def test_standardize_excludes_absent_entries():
     features[:, 0, 0] = [2.0, 4.0, 6.0]
     features[:, 1, 0] = 1e9  # absent sensor; must not pollute the stats
     ds = make_dataset(targets, features=features)
-    _, stats = standardize(ds)
+    stats = standardize(ds).stats
     assert stats.mean[0] == pytest.approx(4.0)
 
 
@@ -360,8 +360,8 @@ def test_standardize_zero_variance_column_gets_unit_std():
     targets = np.ones((3, 2))
     features = np.full((3, 2, 19), 7.0)
     ds = make_dataset(targets, features=features)
-    out, stats = standardize(ds)
-    assert np.all(stats.std == 1.0)
+    out = standardize(ds)
+    assert np.all(out.stats.std == 1.0)
     assert np.allclose(out.features, 0.0)
 
 
@@ -393,8 +393,8 @@ def test_standardize_round_trip():
     rng = np.random.default_rng(3)
     targets = rng.uniform(5, 50, size=(20, 3))
     ds = make_dataset(targets, features=rng.normal(0, 5, size=(20, 3, 19)))
-    std_ds, stats = standardize(ds)
-    back = stats.inverse(std_ds.features)
+    std_ds = standardize(ds)
+    back = std_ds.features * std_ds.stats.std + std_ds.stats.mean
     assert np.allclose(back, ds.features, atol=1e-9)
     # targets untouched throughout
     assert np.array_equal(std_ds.targets, ds.targets)
@@ -402,11 +402,66 @@ def test_standardize_round_trip():
 
 def test_standardize_twice_refused():
     ds = fill_prev_no2(make_dataset(np.ones((5, 2)) * 20))
-    std_ds, stats = standardize(ds)
+    std_ds = standardize(ds)
     with pytest.raises(SchemaError):
         standardize(std_ds)
     with pytest.raises(SchemaError):
-        apply_standardization(std_ds, stats)
+        standardize(std_ds, std_ds.stats)
+
+
+def _partly_absent_dataset():
+    """Absent rows (NaN features and targets), a present row whose target is
+    NaN, and a zero-variance feature column."""
+    rng = np.random.default_rng(8)
+    targets = rng.uniform(5, 50, size=(30, 3))
+    targets[4:9, 1] = np.nan
+    present = np.isfinite(targets)
+    targets[12, 2] = np.nan  # present, but its target is not finite
+    present[12, 2] = True
+    features = rng.normal(0, 5, size=(30, 3, N_FEATURES))
+    features[~present] = np.nan
+    features[:, :, 3] = 7.0  # zero variance
+    return fill_prev_no2(make_dataset(targets, present=present, features=features))
+
+
+def test_standardize_with_its_own_stats_is_bit_identical():
+    ds = _partly_absent_dataset()
+    fitted = standardize(ds)
+    assert fitted.stats.std[3] == 1.0
+    applied = standardize(ds, fitted.stats)
+    assert applied.stats is fitted.stats
+    assert _hex(applied.features) == _hex(fitted.features)
+    assert np.array_equal(applied.targets, ds.targets, equal_nan=True)
+
+
+def test_standardize_with_stats_skips_the_count_check():
+    # One present row: too few to fit stats, enough to apply given ones.
+    stats = standardize(_partly_absent_dataset()).stats
+    one = make_dataset(np.array([[20.0, np.nan]]), features=np.ones((1, 2, N_FEATURES)))
+    with pytest.raises(DegenerateFeatureError):
+        standardize(one)
+    assert np.array_equal(standardize(one, stats).features, stats.transform(one.features))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e306])
+def test_standardize_with_stats_names_an_overflowing_column(scale):
+    stats = standardize(_partly_absent_dataset()).stats
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(50, 3, N_FEATURES))
+    features[:, :, 6] = scale * rng.uniform(1.0, 2.0, size=(50, 3))
+    ds = make_dataset(rng.uniform(5, 50, size=(50, 3)), features=features)
+    with pytest.raises(DegenerateFeatureError, match=f"{FEATURE_NAMES[6]!r} is too large"):
+        standardize(ds, stats)
+
+
+def test_observed_is_present_with_finite_target():
+    ds = _partly_absent_dataset()
+    observed = ds.observed
+    assert not observed[4:9, 1].any() and not observed[12, 2]
+    assert observed.sum() == ds.present.sum() - 1
+    assert np.isfinite(ds.targets[observed]).all()
+    observed[:] = False  # a fresh array: writing into it leaves the dataset's alone
+    assert ds.observed.sum() == ds.present.sum() - 1
 
 
 def test_stats_column_transforms_match_full_transform():
@@ -414,7 +469,7 @@ def test_stats_column_transforms_match_full_transform():
     assert stats.transform_column(18, 40.0) == pytest.approx((40.0 - 18.0) / 19.0)
     row = np.full(19, 40.0)
     assert stats.transform(row)[18] == stats.transform_column(18, 40.0)
-    assert stats.inverse(stats.transform(row))[18] == pytest.approx(40.0)
+    assert (stats.transform(row) * stats.std + stats.mean)[18] == pytest.approx(40.0)
 
 
 @given(
@@ -427,8 +482,8 @@ def test_standardize_round_trip_property(values, col):
     features = np.zeros((T, 1, 19))
     features[:, 0, col] = values
     ds = make_dataset(np.ones((T, 1)), features=features)
-    std_ds, stats = standardize(ds)
-    back = stats.inverse(std_ds.features)
+    std_ds = standardize(ds)
+    back = std_ds.features * std_ds.stats.std + std_ds.stats.mean
     assert np.allclose(back[:, 0, col], values, atol=1e-6)
 
 
@@ -477,7 +532,7 @@ def test_fill_prev_no2_prefers_latest_same_hour():
 
 def test_fill_prev_no2_requires_raw_dataset():
     ds = fill_prev_no2(make_dataset(np.full((5, 2), 20.0)))
-    std_ds, _ = standardize(ds)
+    std_ds = standardize(ds)
     with pytest.raises(SchemaError):
         fill_prev_no2(std_ds)
 

@@ -21,19 +21,18 @@ from virtualsensor import (
     TransferConfig,
     build_knn_graph,
     closed_loop_predict,
-    fill_prev_no2,
     generate_city,
     grad_rmse,
     improvement,
     leave_one_out,
     nrmse,
+    prepare,
     rmse,
-    standardize,
     train,
     transfer,
 )
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
-from virtualsensor.dataset import N_FEATURES
+from virtualsensor.dataset import N_FEATURES, fill_prev_no2
 from virtualsensor.errors import CheckpointError, SchemaError
 from virtualsensor.nncore import wrap_params
 from virtualsensor.pipeline import (
@@ -61,8 +60,8 @@ def tiny_city(seed=0, n_hours=120, n_sensors=4):
 def prepared_city(**kw):
     ds = tiny_city(**kw)
     g = build_knn_graph(ds.locations, k=3)
-    prepared, stats = standardize(fill_prev_no2(ds))
-    return ds, prepared, stats, g
+    prepared = prepare(ds)
+    return ds, prepared, prepared.stats, g
 
 
 FAST = TrainConfig(epochs=2, patience=2, seed=0)
@@ -182,6 +181,7 @@ def test_train_zero_lr_keeps_params_at_init():
     {"lr": -1.0}, {"lr": float("nan")}, {"lr": float("inf")},
     {"val_fraction": 1.0}, {"val_fraction": -0.1}, {"val_fraction": float("nan")},
     {"epochs": 0}, {"patience": 0}, {"model": "xyz"},
+    {"epochs": 1.5}, {"patience": True}, {"seed": 0.5}, {"seed": "0"}, {"epochs": np.int64(2)},
 ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(SchemaError):
@@ -407,14 +407,12 @@ def test_leave_one_out_never_reads_holdout_targets():
     poisoned_targets[1:, holdout] = 9999.0  # frame 0 (the init read) untouched
     poisoned = dc_replace(ds, targets=poisoned_targets)
 
-    pred_a, _, _ = _run_fold(ds, g, cfg, SageConfig(), None, holdout)
-    pred_b, _, _ = _run_fold(poisoned, g, cfg, SageConfig(), None, holdout)
+    pred_a, _ = _run_fold(ds, g, cfg, SageConfig(), None, holdout)
+    pred_b, _ = _run_fold(poisoned, g, cfg, SageConfig(), None, holdout)
     assert np.array_equal(pred_a, pred_b)
 
     # and the censored training set physically contains no holdout rows
-    censored = fold_dataset(ds, holdout)
-    prepared, _ = standardize(fill_prev_no2(censored))
-    rows = _training_rows(prepared)
+    rows = _training_rows(prepare(fold_dataset(ds, holdout)))
     assert rows.any() and not rows[:, holdout].any()
 
 

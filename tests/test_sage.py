@@ -14,8 +14,7 @@ from virtualsensor import (
     SensorLocation,
     SpatialGraph,
     closed_loop_predict,
-    fill_prev_no2,
-    standardize,
+    prepare,
 )
 from virtualsensor.dataset import N_FEATURES, PREV_NO2
 from virtualsensor.errors import SchemaError
@@ -85,8 +84,7 @@ def small_dataset(T=30, n=3, seed=0, censor=None):
         targets=targets,
         present=present,
     )
-    ds, _ = standardize(fill_prev_no2(ds))
-    return ds
+    return prepare(ds)
 
 
 # ---------------------------------------------------------------- parameters

@@ -25,9 +25,8 @@ from virtualsensor import (
     SpatialGraph,
     build_knn_graph,
     closed_loop_predict,
-    fill_prev_no2,
     generate_city,
-    standardize,
+    prepare,
 )
 from virtualsensor.pipeline import TrainConfig, train
 from virtualsensor.sage import sample_batch
@@ -46,7 +45,7 @@ def _digest(arrays) -> str:
 @pytest.fixture(scope="module")
 def city():
     raw = generate_city(CityConfig(n_sensors=6, n_hours=40, seed=3))
-    ds, _ = standardize(fill_prev_no2(raw))
+    ds = prepare(raw)
     return ds, build_knn_graph(ds.locations, k=3)
 
 
