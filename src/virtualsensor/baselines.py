@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
-from .nncore import affine, dropout, glorot_uniform, pad_axis, relu, slice_axis
+from .errors import SchemaError, check_types
+from .nncore import Var, _node, _reduce_to, affine, dropout, initialize, relu, value_of
 
 
 class _FlatConfig:
@@ -46,16 +46,23 @@ class MlpConfig(_FlatConfig):
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.hidden, (tuple, list)) and len(self.hidden) == 3
+                and all(type(h) is int and h >= 1 for h in self.hidden)):
+            raise SchemaError(f"hidden must be three integers >= 1, got {self.hidden!r}")
+        check_types(self, ints=("seed",), numbers=("dropout",))
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+    def param_shapes(self, in_dim: int) -> dict:
         dims = [in_dim, *self.hidden, 1]
-        params = {}
+        shapes = {}
         for i, (a, b) in enumerate(zip(dims, dims[1:]), start=1):
-            params[f"fc{i}.w"] = glorot_uniform(rng, a, b)
-            params[f"fc{i}.b"] = np.zeros((1, b))
-        return params
+            shapes[f"fc{i}.w"] = (a, b)
+            shapes[f"fc{i}.b"] = (1, b)
+        return shapes
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return initialize(self.param_shapes(in_dim), rng)
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator):
@@ -85,23 +92,24 @@ class CnnConfig(_FlatConfig):
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, ints=("channels", "kernel", "dense_hidden", "seed"),
+                    numbers=("dropout",))
+        if min(self.channels, self.kernel, self.dense_hidden) < 1:
+            raise SchemaError("channels, kernel and dense_hidden must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+    def param_shapes(self, in_dim: int) -> dict:
         if self.kernel > in_dim:
             raise SchemaError("convolution kernel wider than the feature vector")
-        c = self.channels
-        return {
-            "conv1.w": glorot_uniform(rng, self.kernel * 1, c),
-            "conv1.b": np.zeros((1, c)),
-            "conv2.w": glorot_uniform(rng, self.kernel * c, c),
-            "conv2.b": np.zeros((1, c)),
-            "fc1.w": glorot_uniform(rng, in_dim * c, self.dense_hidden),
-            "fc1.b": np.zeros((1, self.dense_hidden)),
-            "fc2.w": glorot_uniform(rng, self.dense_hidden, 1),
-            "fc2.b": np.zeros((1, 1)),
-        }
+        c, k, d = self.channels, self.kernel, self.dense_hidden
+        return {"conv1.w": (k * 1, c), "conv1.b": (1, c),
+                "conv2.w": (k * c, c), "conv2.b": (1, c),
+                "fc1.w": (in_dim * c, d), "fc1.b": (1, d),
+                "fc2.w": (d, 1), "fc2.b": (1, 1)}
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return initialize(self.param_shapes(in_dim), rng)
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator):
@@ -109,18 +117,34 @@ class CnnConfig(_FlatConfig):
 
 
 def _conv1d(x, w, b, kernel: int, c_in: int):
-    """Same-length stride-1 convolution; x is [B, L, c_in], w is
-    [kernel*c_in, c_out] holding one [c_in, c_out] block per tap."""
-    pad = kernel // 2
-    padded = pad_axis(x, 1, pad, kernel - 1 - pad)
-    length = x.shape[1]
-    out = None
-    for j in range(kernel):
-        window = slice_axis(padded, 1, j, j + length)  # [B, L, c_in]
-        tap = slice_axis(w, 0, j * c_in, (j + 1) * c_in)  # [c_in, c_out]
-        term = window @ tap
-        out = term if out is None else out + term
-    return out + b
+    """Same-length stride-1 convolution as one node, summing over the taps in
+    ascending order; x is [B, L, c_in], w is [kernel*c_in, c_out] holding one
+    [c_in, c_out] block per tap."""
+    pad, length = kernel // 2, value_of(x).shape[1]
+    padded = np.pad(value_of(x), [(0, 0), (pad, kernel - 1 - pad), (0, 0)])
+    windows = [padded[:, j : j + length] for j in range(kernel)]  # [B, L, c_in]
+    taps = [value_of(w)[j * c_in : (j + 1) * c_in] for j in range(kernel)]  # [c_in, c_out]
+    out = sum(map(np.matmul, windows[1:], taps[1:]), np.matmul(windows[0], taps[0]))
+    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
+        return out + b
+    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
+
+    def bwd(g):
+        if b.needs_grad:
+            b._accumulate(_reduce_to(g, b.shape))
+        gx, gw = np.zeros(padded.shape), np.zeros(w.shape)
+        for j, (window, tap) in enumerate(zip(windows, taps)):
+            if x.needs_grad:
+                gx[:, j : j + length] += np.matmul(g, tap.swapaxes(-1, -2))
+            if w.needs_grad:
+                gw[j * c_in : (j + 1) * c_in] += _reduce_to(
+                    np.matmul(window.swapaxes(-1, -2), g), tap.shape)
+        if x.needs_grad:
+            x._accumulate(gx[:, pad : pad + length])
+        if w.needs_grad:
+            w._accumulate(gw)
+
+    return _node(out + b.value, (x, w, b), bwd)
 
 
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",

@@ -6,11 +6,11 @@ Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
 
 Tape rules. The model forwards run on plain `np.ndarray`s and on `Var`s
-alike. When no operand is a `Var`, every op (the operators, `relu`,
-`leaky_relu`, `sigmoid`, `exp`, `slice_axis`, `pad_axis`, `affine`,
-`masked_mean` and `dropout`) returns a plain array computed by the same numpy
-expression as its tape form, so validation and rollout pass the stored
-parameter arrays in, build no `Var` and get the training forward's bits.
+alike. When no operand is a `Var`, every op (the operators, indexing by ints
+and slices, `relu`, `leaky_relu`, `sigmoid`, `exp`, `affine`, `masked_mean`
+and `dropout`) returns a plain array computed by the same numpy expression
+as its tape form, so validation and rollout pass the stored parameter arrays
+in, build no `Var` and get the training forward's bits.
 `Var.__array_ufunc__` is None, so `ndarray <op> Var` falls through to the
 reflected operators, which lift the array to a constant exactly as
 `Var <op> ndarray` does. A `Var` needs a gradient when it is a `wrap_params`
@@ -19,12 +19,15 @@ leaf or a bare `Var(x)`; a lifted array is a constant (`constant`,
 parents and no backward closure; otherwise its parents are only the operands
 that need a gradient, and its closure skips the products and reductions that
 would only feed a constant. `mse_loss` lifts both operands and always
-returns a `Var`. `backward` sorts the nodes that need a gradient
-depth-first; pruning constant subtrees keeps the relative order of the
-rest, so gradients accumulate in the same order. Three fused nodes each
-replace a chain of ops, and their backward runs the chain's numpy calls in
-the chain's order: `affine` (`x @ w + b`), `masked_mean` (a masked sum over
-the neighbor axis divided by the clipped count) and `mse_loss`.
+returns a `Var`. `backward` runs the closures of the nodes reachable from
+the loss in reverse creation order (a Wengert list). A node's parents exist
+before it, so all its consumers have passed it their gradients before its
+own closure runs; and no node has more than two consumers, so those
+gradients add to the same bits in either order (IEEE addition commutes, but
+three addends would not associate). Fused nodes each replace a chain of ops
+and run its numpy calls in its order: `affine` (`x @ w + b`), `masked_mean`
+(a masked sum over the neighbor axis divided by the clipped count) and
+`mse_loss`.
 
 Adam layout. The first `adam_step` lays `AdamState.flat` out for the
 parameters it updates, and every later step must update the same ones. The
@@ -41,6 +44,7 @@ own.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +65,9 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+_creation_counter = itertools.count()  # numbers each Var; `backward` runs in reverse
+
+
 class Var:
     """Node in the reverse-mode graph; wraps a float64 ndarray.
 
@@ -69,7 +76,7 @@ class Var:
     gradient.
     """
 
-    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward", "_created")
     __array_ufunc__ = None  # ndarray <op> Var calls Var's reflected operator
 
     def __init__(self, value, parents=(), backward=None, needs_grad=True):
@@ -78,6 +85,7 @@ class Var:
         self.needs_grad = needs_grad
         self._parents = parents
         self._backward = backward
+        self._created = next(_creation_counter)
 
     @property
     def shape(self):
@@ -87,23 +95,17 @@ class Var:
     def backward(self):
         if self.value.size != 1:
             raise SchemaError("backward() requires a scalar output")
-        topo, seen, stack = [], set(), [(self, False)]
+        tape, stack = {self}, [self]
         while stack:
-            cur, expanded = stack.pop()
-            if expanded:
-                topo.append(cur)
-                continue
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.append((cur, True))
-            for p in cur._parents:
-                stack.append((p, False))
-
-        for node in topo:
+            for p in stack.pop()._parents:
+                if p not in tape:
+                    tape.add(p)
+                    stack.append(p)
+        tape = sorted(tape, key=lambda node: node._created, reverse=True)
+        for node in tape:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        for node in reversed(topo):
+        for node in tape:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
@@ -195,6 +197,20 @@ class Var:
             self._accumulate(g.reshape(orig))
 
         return _node(self.value.reshape(*shape), (self,), bwd)
+
+    def __getitem__(self, key):
+        """Basic indexing by ints and slices; an integer-array key is refused,
+        since `out[key] = g` would drop the gradients of its repeated indices."""
+        keys = key if isinstance(key, tuple) else (key,)
+        if not all(isinstance(k, slice) or type(k) is int for k in keys):
+            raise SchemaError(f"a Var takes only int and slice indices, got {key!r}")
+
+        def bwd(g):
+            out = np.zeros_like(self.value)
+            out[key] = g
+            self._accumulate(out)
+
+        return _node(self.value[key], (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
         def bwd(g):
@@ -296,44 +312,6 @@ def exp(x):
     return _node(y, (x,), bwd)
 
 
-def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    sl = [slice(None)] * ndim
-    sl[axis] = slice(start, stop)
-    return tuple(sl)
-
-
-def slice_axis(x, axis: int, start: int, stop: int):
-    """`x[start:stop]` along `axis`."""
-    v = value_of(x)
-    sl = _axis_slice(v.ndim, axis, start, stop)
-    y = v[sl]
-    if not isinstance(x, Var):
-        return y
-
-    def bwd(g):
-        out = np.zeros_like(v)
-        out[sl] = g
-        x._accumulate(out)
-
-    return _node(y, (x,), bwd)
-
-
-def pad_axis(x, axis: int, before: int, after: int):
-    """`x` with `before` and `after` zeros added along `axis`."""
-    v = value_of(x)
-    pads = [(0, 0)] * v.ndim
-    pads[axis] = (before, after)
-    y = np.pad(v, pads)
-    if not isinstance(x, Var):
-        return y
-    sl = _axis_slice(v.ndim, axis, before, before + v.shape[axis])
-
-    def bwd(g):
-        x._accumulate(g[sl])
-
-    return _node(y, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Fused nodes: each is one tape node whose backward runs the numpy calls of
 # the chain of ops it replaces, in the same order, so gradients keep their bits.
@@ -353,8 +331,6 @@ def affine(x, w, b):
         if w.needs_grad:
             w._accumulate(_reduce_to(np.matmul(x.value.swapaxes(-1, -2), g), w.shape))
 
-    # Parents in operand order, so the backward sort visits them as it
-    # visited the matmul and add nodes this node replaces.
     return _node(np.matmul(x.value, w.value) + b.value, (x, w, b), bwd)
 
 
@@ -393,6 +369,14 @@ def collect_grads(leaves: dict) -> dict:
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def initialize(shapes: dict, rng: np.random.Generator) -> dict:
+    """Parameters of the given `name -> (rows, cols)` shapes, drawn in their
+    order: zeros for a bias (a name whose last part starts with "b"),
+    `glorot_uniform` with fan-in `rows` and fan-out `cols` for a weight."""
+    return {name: np.zeros(shape) if name.rsplit(".", 1)[-1].startswith("b")
+            else glorot_uniform(rng, *shape) for name, shape in shapes.items()}
 
 
 def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None):

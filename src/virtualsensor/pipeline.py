@@ -23,7 +23,7 @@ from .dataset import (
     StandardizationStats,
     prepare,
 )
-from .errors import CheckpointError, SchemaError
+from .errors import CheckpointError, SchemaError, check_types
 from .geograph import SpatialGraph
 from .nncore import AdamState, adam_step, collect_grads, mse_loss, wrap_params
 from .sage import SageConfig
@@ -86,17 +86,14 @@ class TrainConfig:
     model: str = "sage"  # a key of DEFAULT_MODEL_CONFIGS
 
     def __post_init__(self):
-        for name in ("epochs", "patience", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # no bool, float or numpy integer
-                raise SchemaError(f"{name} must be an integer, got {value!r}")
+        check_types(self, ints=("epochs", "patience", "seed"), numbers=("lr", "val_fraction"))
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
         if not 0.0 <= self.lr < math.inf:
             raise SchemaError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise SchemaError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
-        if self.model not in DEFAULT_MODEL_CONFIGS:
+        if not isinstance(self.model, str) or self.model not in DEFAULT_MODEL_CONFIGS:
             raise SchemaError(f"unknown model kind {self.model!r}")
 
 
@@ -119,10 +116,10 @@ class TransferConfig:
 # The one place that knows the model kinds: kind -> config class. Each class
 # carries its kind's hooks: `predict(params, g, feats, nodes, mode, rng)` for
 # one frame, `to_dict` / `from_dict`, and `trains_by_gradient`; gradient kinds
-# add `init_params(in_dim, rng)`, the others `fit(x, y)`. On the stored
-# parameters `predict` returns the [len(nodes)] prediction array and builds
-# no tape, which is how validation and the rollout call it; training passes
-# `wrap_params` leaves and gets a tape node.
+# add `param_shapes(in_dim)` and `init_params(in_dim, rng)`, the others
+# `fit(x, y)`. On the stored parameters `predict` returns the [len(nodes)]
+# prediction array and builds no tape, which is how validation and the
+# rollout call it; training passes `wrap_params` leaves and gets a tape node.
 DEFAULT_MODEL_CONFIGS = {
     "sage": SageConfig,
     "mlp": MlpConfig,
@@ -542,10 +539,9 @@ def load_checkpoint(path) -> TrainedModel:
 
     train_cfg, model_cfg = _decode_config(config)
     try:
-        expected = model_cfg.init_params(N_FEATURES, np.random.default_rng(0))
-    except (TypeError, ValueError, SchemaError) as exc:
+        shapes = model_cfg.param_shapes(N_FEATURES)
+    except SchemaError as exc:
         raise CheckpointError(f"bad {train_cfg.model} checkpoint config: {exc}") from exc
-    shapes = {name: arr.shape for name, arr in expected.items()}
     shapes["stats.mean"] = shapes["stats.std"] = (1, N_FEATURES)
     if {name: arr.shape for name, arr in blocks.items()} != shapes:
         raise CheckpointError(f"checkpoint blocks do not fit its {train_cfg.model} config")

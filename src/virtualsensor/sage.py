@@ -15,18 +15,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, check_types
 from .geograph import SpatialGraph
 from .nncore import (
     affine,
     dropout,
     exp,
-    glorot_uniform,
+    initialize,
     leaky_relu,
     masked_mean,
     relu,
     sigmoid,
-    slice_axis,
     value_of,
 )
 
@@ -51,35 +50,40 @@ class SageConfig:
     trains_by_gradient = True
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.hidden):
-            raise SchemaError("hidden dims must be positive")
-        if not (len(self.budget) == 2 and all(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in self.budget)):
-            raise SchemaError(f"budget must be two integers >= 1, got {self.budget!r}")
+        for name in ("hidden", "budget"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 2
+                    and all(type(k) is int and k >= 1 for k in value)):
+                raise SchemaError(f"{name} must be two integers >= 1, got {value!r}")
+        check_types(self, ints=("seed",), numbers=("dropout",))
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        """All trainable weights, keyed by layer; every array is 2-D."""
-        params = {}
+    def param_shapes(self, in_dim: int) -> dict:
+        """The shape of every trainable weight, keyed by layer; every array
+        is 2-D."""
+        shapes = {}
         d_prev = in_dim
         for layer, h in enumerate(self.hidden, start=1):
-            params[f"l{layer}.w_self"] = glorot_uniform(rng, d_prev, h)
+            shapes[f"l{layer}.w_self"] = (d_prev, h)
             if self.aggregator is AggregatorKind.MEAN:
-                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
+                shapes[f"l{layer}.w_neigh"] = (d_prev, h)
             elif self.aggregator in (AggregatorKind.MAX_POOL, AggregatorKind.MEAN_POOL):
-                params[f"l{layer}.w_pool"] = glorot_uniform(rng, d_prev, h)
-                params[f"l{layer}.b_pool"] = np.zeros((1, h))
-                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, h, h)
+                shapes[f"l{layer}.w_pool"] = (d_prev, h)
+                shapes[f"l{layer}.b_pool"] = (1, h)
+                shapes[f"l{layer}.w_neigh"] = (h, h)
             elif self.aggregator is AggregatorKind.ATTENTIONAL:
-                params[f"l{layer}.w_neigh"] = glorot_uniform(rng, d_prev, h)
-                params[f"l{layer}.attn"] = glorot_uniform(rng, 1, 2 * h)
+                shapes[f"l{layer}.w_neigh"] = (d_prev, h)
+                shapes[f"l{layer}.attn"] = (1, 2 * h)
             else:  # pragma: no cover
                 raise SchemaError(f"unknown aggregator {self.aggregator}")
             d_prev = h
-        params["head.w"] = glorot_uniform(rng, d_prev, 1)
-        params["head.b"] = np.zeros((1, 1))
-        return params
+        shapes["head.w"] = (d_prev, 1)
+        shapes["head.b"] = (1, 1)
+        return shapes
+
+    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
+        return initialize(self.param_shapes(in_dim), rng)
 
     def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
                 mode: str, rng: np.random.Generator):
@@ -97,10 +101,13 @@ class SageConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SageConfig":
+        def listed(key):  # a JSON list becomes a tuple; __post_init__ checks the rest
+            return tuple(data[key]) if isinstance(data[key], list) else data[key]
+
         return cls(
             aggregator=AggregatorKind(data["aggregator"]),
-            hidden=tuple(data["hidden"]),
-            budget=tuple(data["budget"]),
+            hidden=listed("hidden"),
+            budget=listed("budget"),
             dropout=data["dropout"],
             seed=data["seed"],
         )
@@ -112,8 +119,8 @@ def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     w = p[f"l{layer}.w_neigh"]
     h = w.shape[-1]
     attn = p[f"l{layer}.attn"]
-    a_self = slice_axis(attn, 1, 0, h).reshape(h, 1)
-    a_neigh = slice_axis(attn, 1, h, 2 * h).reshape(h, 1)
+    a_self = attn[:, :h].reshape(h, 1)
+    a_neigh = attn[:, h:].reshape(h, 1)
     sp = self_x @ w  # [..., h]
     nj = neigh_x @ w  # [..., K, h]
     e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
@@ -249,8 +256,8 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
 
     pre1 = x @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x, xn, batch.mask)
     h1 = relu(dropout(pre1, cfg.dropout, mode, rng))  # [B, 1+k1, h1]
-    h1_v = slice_axis(h1, 1, 0, 1).reshape(h1.shape[0], h1.shape[2])  # [B, h1]
-    h1_u = slice_axis(h1, 1, 1, h1.shape[1])  # [B, k1, h1]
+    h1_v = h1[:, 0]  # [B, h1]
+    h1_u = h1[:, 1:]  # [B, k1, h1]
 
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
     h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]

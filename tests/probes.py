@@ -6,7 +6,8 @@ aggregation and attentional weights of one neighbor set, computed by
 them; and, as references for the array code that replaced them, the
 row-by-row readings loader, the hour-by-hour autoregressive fill, the
 regression-tree grower that sorts every node's rows afresh, the
-per-element neighbor sampler and the two-pass layer 1 of the graph model."""
+per-element neighbor sampler, the two-pass layer 1 of the graph model and
+the pad-and-slice chain of the CNN's convolution."""
 
 import contextlib
 import csv
@@ -35,6 +36,7 @@ from virtualsensor.nncore import (
     constant,
     dropout,
     relu,
+    value_of,
     wrap_params,
 )
 from virtualsensor.sage import AggregatorKind, NeighborhoodBatch, _attention, _neighbor_term, _pool
@@ -315,3 +317,23 @@ def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: Neigh
     h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])
+
+
+def reference_conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
+    """The chain of ops `baselines._conv1d` replaced: pad `x` along its
+    length axis, then for each tap slice a window of it and a block of `w`,
+    multiply them and add the products up in tap order, then add `b`.
+
+    The windows and blocks are sliced last tap first, so that the backward,
+    which runs in reverse creation order, adds their gradients into the
+    padded input and into `w` first tap first, the order of the chain."""
+    pad, length = kernel // 2, x.shape[1]
+    pads = [(0, 0), (pad, kernel - 1 - pad), (0, 0)]
+    padded = Var(np.pad(value_of(x), pads), (x,),
+                 lambda g: x._accumulate(g[:, pad : pad + length]))
+    windows = [padded[:, j : j + length] for j in reversed(range(kernel))][::-1]
+    taps = [w[j * c_in : (j + 1) * c_in] for j in reversed(range(kernel))][::-1]
+    out = windows[0] @ taps[0]
+    for window, tap in zip(windows[1:], taps[1:]):
+        out = out + window @ tap
+    return out + b

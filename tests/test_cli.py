@@ -334,6 +334,32 @@ MALFORMED_PREDICT_INPUTS = {
     "mlp-dropout-not-number": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, _train(tmp, data, "mlp"), b'"dropout": 0.5', b'"dropout": "0.5"'),
         []),
+    "cnn-dropout-not-number": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "cnn"), b'"dropout": 0.5', b'"dropout": "0.5"'),
+        []),
+    "cnn-channels-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "cnn"), b'"channels": 8', b'"channels": "8"'),
+        []),
+    "sage-hidden-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"hidden": [32, 32]', b'"hidden": ["a", 32]'), []),
+    "lr-not-number": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"lr": 0.001', b'"lr": "x"'), []),
+    # Shapes this large would not fit in memory: the block shapes are
+    # checked against them before any parameter is drawn.
+    "sage-hidden-huge": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"hidden": [32, 32]', b'"hidden": [1000000000000, 32]'),
+        []),
+    "cnn-channels-huge": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "cnn"), b'"channels": 8',
+                           b'"channels": 1000000000000'), []),
+}
+
+# The cases whose error line must name the offending config field.
+NAMED_FIELD = {
+    "budget-not-int": "budget", "seed-not-int": "seed", "epochs-not-int": "epochs",
+    "patience-bool": "patience", "mlp-dropout-not-number": "dropout",
+    "cnn-dropout-not-number": "dropout", "cnn-channels-not-int": "channels",
+    "sage-hidden-not-int": "hidden", "lr-not-number": "lr",
 }
 
 
@@ -372,6 +398,8 @@ def test_predict_malformed_input_one_error_line(tmp_path, workspace, capsys, cas
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if case in NAMED_FIELD:
+        assert f"{NAMED_FIELD[case]} must be" in err
 
 
 @pytest.fixture(scope="module")

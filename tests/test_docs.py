@@ -1,5 +1,6 @@
 """The README's python blocks and the demos import only names the package
-has. Each source is parsed with `ast`; nothing in it runs."""
+has, and the op list in `nncore`'s docstring names only what `nncore` has.
+Each source is parsed with `ast`; nothing in it runs."""
 
 import ast
 import importlib
@@ -7,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from virtualsensor import nncore
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -45,3 +48,22 @@ def test_documented_imports_exist(doc):
         if name not in (None, "*") and not hasattr(found, name):
             missing.append(f"{module}.{name}")
     assert missing == [], f"{doc} imports names the package does not have"
+
+
+def test_tape_rules_name_only_what_nncore_has():
+    # Each backticked name in the "Tape rules" paragraph of nncore's
+    # docstring, dotted or not, resolves from `nncore` or from `nncore.Var`.
+    paragraph = next(p for p in nncore.__doc__.split("\n\n") if p.startswith("Tape rules."))
+    names = [n for n in re.findall(r"`([^`]+)`", paragraph)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", n)]
+    assert names
+
+    def resolves(owner, dotted):
+        for part in dotted.split("."):
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    missing = [n for n in names if not (resolves(nncore, n) or resolves(nncore.Var, n))]
+    assert missing == [], "the Tape rules paragraph names what nncore does not have"

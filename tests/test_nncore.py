@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virtualsensor.baselines import _conv1d
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import (
     AdamState,
@@ -23,14 +24,12 @@ from virtualsensor.nncore import (
     leaky_relu,
     masked_mean,
     mse_loss,
-    pad_axis,
     relu,
     sigmoid,
-    slice_axis,
     wrap_params,
 )
 
-from probes import grad_check, tape_nodes
+from probes import grad_check, reference_conv1d, tape_nodes
 
 
 # ---------------------------------------------------------------- Var basics
@@ -96,19 +95,21 @@ def test_var_max_axis_routes_gradient_to_argmax():
 
 def test_var_reshape_and_slice_grads():
     x = Var(np.arange(8.0).reshape(2, 4))
-    out = slice_axis(x.reshape(4, 2), 0, 1, 3).sum()
+    out = (x.reshape(4, 2)[1:3].sum() + x[1, 2:].sum()) * 2.0
     out.backward()
     want = np.zeros(8)
-    want[2:6] = 1.0
-    assert np.allclose(x.grad, want.reshape(2, 4))
+    want[2:6] = 2.0
+    want[6:] += 2.0
+    assert np.array_equal(x.grad, want.reshape(2, 4))
 
 
-def test_var_pad_axis_grad():
-    x = Var(np.ones((2, 2)))
-    out = pad_axis(x, 1, 1, 2)
-    assert out.shape == (2, 5)
-    out.sum().backward()
-    assert np.allclose(x.grad, np.ones((2, 2)))
+@pytest.mark.parametrize("key", [np.array([0, 0]), [0, 0], (slice(None), np.array([1, 1])),
+                                 np.array([True, False])],
+                         ids=["int-array", "int-list", "int-array-in-tuple", "bool-array"])
+def test_var_refuses_keys_other_than_ints_and_slices(key):
+    # `out[key] = g` would keep one gradient of a repeated index and drop the rest.
+    with pytest.raises(SchemaError):
+        Var(np.ones((2, 3)))[key]
 
 
 def test_var_reused_node_accumulates():
@@ -139,7 +140,8 @@ def test_exp_grad_matches_value(a, b):
 def _every_op(a, b, c):
     """Each op over a [2, 3] `a`, a [3, 1] `b` and a [1, 1] `c`."""
     return [a + 1.0, a * b.reshape(1, 3), relu(a @ b), a.sum(axis=0), -a, exp(a),
-            sigmoid(a), a.max(axis=1), pad_axis(a, 1, 1, 1), slice_axis(a, 1, 0, 2),
+            sigmoid(a), a.max(axis=1), a[:, 1:], a[1], a[:, 0], a[0, 1:2],
+            _conv1d(a.reshape(2, 3, 1), b, c, 3, 1),
             leaky_relu(a), a / 2.0, affine(a, b, c), masked_mean(a.reshape(1, 2, 3),
             np.array([[1.0, 0.0]])), 1.0 - a, 2.0 / a, a - c, dropout(a, 0.5, "eval"),
             dropout(a, 0.5, "train", np.random.default_rng(0))]
@@ -234,6 +236,24 @@ def test_fused_nodes_match_their_op_chains():
 
     for a, b in zip(run(True), run(False)):
         assert np.array_equal(a, b)
+
+    # The convolution node against the pad-and-slice chain, bit for bit, on
+    # an input with the zeros of a relu and an upstream gradient with rows of
+    # zeros of either sign.
+    for kernel, c_in in [(3, 2), (3, 1), (2, 3), (1, 2), (5, 1)]:
+        x0 = np.maximum(rng.normal(size=(3, 6, c_in)), 0.0)
+        w0, b0 = rng.normal(size=(kernel * c_in, 4)), rng.normal(size=(1, 4))
+        upstream = rng.normal(size=(3, 6, 4))
+        upstream[0, 2:] = -0.0
+        upstream[1, :, :2] = 0.0
+        grads = []
+        for conv in (_conv1d, reference_conv1d):
+            x, w, b = Var(x0), Var(w0), Var(b0)
+            out = conv(x, w, b, kernel, c_in)
+            (out * upstream).sum().backward()
+            grads.append([v.tobytes() for v in (out.value, x.grad, w.grad, b.grad)])
+        assert grads[0] == grads[1]
+        assert len(tape_nodes(_conv1d(x, w, b, kernel, c_in))) == 4  # x, w, b and one node
 
 
 # ---------------------------------------------------------------- layers

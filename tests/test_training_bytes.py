@@ -12,6 +12,7 @@ and masks.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from virtualsensor import (
     generate_city,
     prepare,
 )
-from virtualsensor.pipeline import TrainConfig, train
+from virtualsensor.dataset import N_FEATURES
+from virtualsensor.nncore import mse_loss, wrap_params
+from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, TrainConfig, _model_inputs, train
 from virtualsensor.sage import sample_batch
 
-from probes import reference_sample_batch
+from probes import reference_sample_batch, tape_nodes
 
 
 def _digest(arrays) -> str:
@@ -133,6 +136,23 @@ def test_closed_loop_series_keeps_its_bytes(city, key):
     preds = closed_loop_predict(_train(city, key), g, ds, 2, 30.0,
                                 rng=np.random.default_rng(11))
     assert hashlib.sha256(preds.astype("<f8").tobytes()).hexdigest() == PINNED_ROLLOUT[key]
+
+
+@pytest.mark.parametrize("key", [key for key in MODELS if key != "gbt"])
+def test_no_training_tape_node_has_three_consumers(city, key):
+    # The backward adds the gradients that meet at a node in reverse creation
+    # order. Two addends give the same bits in either order, as IEEE addition
+    # commutes; three need not, as it does not associate.
+    ds, g = city
+    kind, model_cfg = MODELS[key]
+    model_cfg = model_cfg or DEFAULT_MODEL_CONFIGS[kind]()
+    rng = np.random.default_rng(0)
+    pvars = wrap_params(model_cfg.init_params(N_FEATURES, rng))
+    nodes = np.flatnonzero(ds.observed[5])
+    pred = model_cfg.predict(pvars, g, _model_inputs(ds, g)[5], nodes, "train", rng)
+    loss = mse_loss(pred, ds.targets[5, nodes])
+    consumers = Counter(id(p) for node in tape_nodes(loss) for p in node._parents)
+    assert max(consumers.values()) <= 2
 
 
 # ---------------------------------------------------------------- sampler
