@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SchemaError, check_types
-from .nncore import Var, _node, _reduce_to, affine, dropout, initialize, relu, value_of
+from .nncore import Var, _node, _reduce_to, affine, dropout, relu, value_of
 
 
 class _FlatConfig:
@@ -60,9 +60,6 @@ class MlpConfig(_FlatConfig):
             shapes[f"fc{i}.w"] = (a, b)
             shapes[f"fc{i}.b"] = (1, b)
         return shapes
-
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return initialize(self.param_shapes(in_dim), rng)
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator):
@@ -107,9 +104,6 @@ class CnnConfig(_FlatConfig):
                 "conv2.w": (k * c, c), "conv2.b": (1, c),
                 "fc1.w": (in_dim * c, d), "fc1.b": (1, d),
                 "fc2.w": (d, 1), "fc2.b": (1, 1)}
-
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return initialize(self.param_shapes(in_dim), rng)
 
     def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 rng: np.random.Generator):

@@ -6,11 +6,12 @@ Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
 
 Tape rules. The model forwards run on plain `np.ndarray`s and on `Var`s
-alike. When no operand is a `Var`, every op (the operators, indexing by ints
-and slices, `relu`, `leaky_relu`, `sigmoid`, `exp`, `affine`, `masked_mean`
-and `dropout`) returns a plain array computed by the same numpy expression
-as its tape form, so validation and rollout pass the stored parameter arrays
-in, build no `Var` and get the training forward's bits.
+alike. When no operand is a `Var`, every op (the operators `+`, `*` and `@`,
+indexing by ints and slices, `relu`, `affine`, `sigmoid_affine`,
+`masked_mean`, `masked_max` and `dropout`) returns a plain array computed
+by the same numpy expression as its tape form, so validation and rollout
+pass the stored parameter arrays in, build no `Var` and get the training
+forward's bits.
 `Var.__array_ufunc__` is None, so `ndarray <op> Var` falls through to the
 reflected operators, which lift the array to a constant exactly as
 `Var <op> ndarray` does. A `Var` needs a gradient when it is a `wrap_params`
@@ -25,9 +26,11 @@ before it, so all its consumers have passed it their gradients before its
 own closure runs; and no node has more than two consumers, so those
 gradients add to the same bits in either order (IEEE addition commutes, but
 three addends would not associate). Fused nodes each replace a chain of ops
-and run its numpy calls in its order: `affine` (`x @ w + b`), `masked_mean`
-(a masked sum over the neighbor axis divided by the clipped count) and
-`mse_loss`.
+and run its numpy calls in its order: `affine` (`x @ w + b`),
+`sigmoid_affine` (the logistic function of `affine`), `masked_mean` (a masked
+sum over the neighbor axis divided by the clipped count), `masked_max` (a max
+over the neighbor axis after shifting masked slots far down, zeroed for a
+row with no live slot) and `mse_loss`.
 
 Adam layout. The first `adam_step` lays `AdamState.flat` out for the
 parameters it updates, and every later step must update the same ones. The
@@ -130,18 +133,6 @@ class Var:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def bwd(g):
-            self._accumulate(-g)
-
-        return _node(-self.value, (self,), bwd)
-
-    def __sub__(self, other):
-        return self + (-Var._lift(other))
-
-    def __rsub__(self, other):
-        return Var._lift(other) + (-self)
-
     def __mul__(self, other):
         other = Var._lift(other)
 
@@ -154,22 +145,6 @@ class Var:
         return _node(self.value * other.value, (self, other), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Var._lift(other)
-
-        def bwd(g):
-            if self.needs_grad:
-                self._accumulate(_reduce_to(g / other.value, self.shape))
-            if other.needs_grad:
-                other._accumulate(
-                    _reduce_to(-g * self.value / (other.value**2), other.shape)
-                )
-
-        return _node(self.value / other.value, (self, other), bwd)
-
-    def __rtruediv__(self, other):
-        return Var._lift(other) / self
 
     def __matmul__(self, other):
         other = Var._lift(other)
@@ -223,17 +198,6 @@ class Var:
 
         return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
-    def max(self, axis: int):
-        def bwd(g):
-            idx = np.argmax(self.value, axis=axis)
-            out = np.zeros_like(self.value)
-            np.put_along_axis(
-                out, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
-            )
-            self._accumulate(out)
-
-        return _node(np.max(self.value, axis=axis), (self,), bwd)
-
 
 def constant(value) -> Var:
     """A Var that needs no gradient: data, masks, counts, lifted arrays."""
@@ -272,49 +236,19 @@ def relu(x):
     return _node(y, (x,), bwd)
 
 
-def leaky_relu(x, slope: float = 0.2):
-    """x where positive, `slope * x` elsewhere."""
-    v = value_of(x)
-    factor = np.where(v > 0, 1.0, slope)
-    y = v * factor
-    if not isinstance(x, Var):
-        return y
-
-    def bwd(g):
-        x._accumulate(g * factor)
-
-    return _node(y, (x,), bwd)
-
-
-def sigmoid(x):
-    """The logistic function, elementwise. Where exp(-x) overflows, the
-    result is its limit 0, without a warning."""
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-value_of(x)))
-    if not isinstance(x, Var):
-        return y
-
-    def bwd(g):
-        x._accumulate(g * y * (1.0 - y))
-
-    return _node(y, (x,), bwd)
-
-
-def exp(x):
-    """e ** x, elementwise."""
-    y = np.exp(value_of(x))
-    if not isinstance(x, Var):
-        return y
-
-    def bwd(g):
-        x._accumulate(g * y)
-
-    return _node(y, (x,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Fused nodes: each is one tape node whose backward runs the numpy calls of
 # the chain of ops it replaces, in the same order, so gradients keep their bits.
+
+
+def _affine_backward(x: Var, w: Var, b: Var, g: np.ndarray) -> None:
+    """Pass the gradient `g` of `x @ w + b` to the operands that need one."""
+    if b.needs_grad:
+        b._accumulate(_reduce_to(g, b.shape))
+    if x.needs_grad:
+        x._accumulate(_reduce_to(np.matmul(g, w.value.swapaxes(-1, -2)), x.shape))
+    if w.needs_grad:
+        w._accumulate(_reduce_to(np.matmul(x.value.swapaxes(-1, -2), g), w.shape))
 
 
 def affine(x, w, b):
@@ -322,16 +256,19 @@ def affine(x, w, b):
     if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
         return np.matmul(x, w) + b
     x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
+    return _node(np.matmul(x.value, w.value) + b.value, (x, w, b),
+                 lambda g: _affine_backward(x, w, b, g))
 
-    def bwd(g):
-        if b.needs_grad:
-            b._accumulate(_reduce_to(g, b.shape))
-        if x.needs_grad:
-            x._accumulate(_reduce_to(np.matmul(g, w.value.swapaxes(-1, -2)), x.shape))
-        if w.needs_grad:
-            w._accumulate(_reduce_to(np.matmul(x.value.swapaxes(-1, -2), g), w.shape))
 
-    return _node(np.matmul(x.value, w.value) + b.value, (x, w, b), bwd)
+def sigmoid_affine(x, w, b):
+    """The logistic function of `x @ w + b`, elementwise, as one node. Where
+    exp(-(x @ w + b)) overflows, the result is its limit 0, without a warning."""
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-(np.matmul(value_of(x), value_of(w)) + value_of(b))))
+    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
+        return y
+    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
+    return _node(y, (x, w, b), lambda g: _affine_backward(x, w, b, g * y * (1.0 - y)))
 
 
 def masked_mean(x, mask: np.ndarray):
@@ -345,6 +282,29 @@ def masked_mean(x, mask: np.ndarray):
 
     def bwd(g):
         x._accumulate(_reduce_to((g / count)[..., None, :] * m, x.shape))
+
+    return _node(y, (x,), bwd)
+
+
+_MASK_NEG = 1e30  # additive shift that keeps masked slots out of masked_max
+
+
+def masked_max(x, mask: np.ndarray):
+    """Max over the second-to-last axis of the mask==1 slots, as one node; a
+    row with no such slot gives zeros. The gradient goes to the first
+    maximal slot."""
+    m = mask[..., None]
+    shifted = value_of(x) * m + (m - 1.0) * _MASK_NEG
+    has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
+    y = shifted.max(axis=-2) * has_any
+    if not isinstance(x, Var):
+        return y
+
+    def bwd(g):
+        out = np.zeros_like(shifted)
+        np.put_along_axis(out, np.expand_dims(np.argmax(shifted, axis=-2), -2),
+                          np.expand_dims(g * has_any, -2), -2)
+        x._accumulate(_reduce_to(out * m, x.shape))
 
     return _node(y, (x,), bwd)
 

@@ -25,7 +25,7 @@ from .dataset import (
 )
 from .errors import CheckpointError, SchemaError, check_types
 from .geograph import SpatialGraph
-from .nncore import AdamState, adam_step, collect_grads, mse_loss, wrap_params
+from .nncore import AdamState, adam_step, collect_grads, initialize, mse_loss, wrap_params
 from .sage import SageConfig
 
 CHECKPOINT_MAGIC = b"VSCK"
@@ -89,6 +89,8 @@ class TrainConfig:
         check_types(self, ints=("epochs", "patience", "seed"), numbers=("lr", "val_fraction"))
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.lr < math.inf:
             raise SchemaError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.val_fraction < 1.0:
@@ -116,10 +118,11 @@ class TransferConfig:
 # The one place that knows the model kinds: kind -> config class. Each class
 # carries its kind's hooks: `predict(params, g, feats, nodes, mode, rng)` for
 # one frame, `to_dict` / `from_dict`, and `trains_by_gradient`; gradient kinds
-# add `param_shapes(in_dim)` and `init_params(in_dim, rng)`, the others
-# `fit(x, y)`. On the stored parameters `predict` returns the [len(nodes)]
-# prediction array and builds no tape, which is how validation and the
-# rollout call it; training passes `wrap_params` leaves and gets a tape node.
+# add `param_shapes(in_dim)`, whose shapes `train` draws with `initialize`,
+# the others `fit(x, y)`. On the stored parameters `predict` returns the
+# [len(nodes)] prediction array and builds no tape, which is how validation
+# and the rollout call it; training passes `wrap_params` leaves and gets a
+# tape node.
 DEFAULT_MODEL_CONFIGS = {
     "sage": SageConfig,
     "mlp": MlpConfig,
@@ -196,7 +199,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
     params = (
         {k: v.copy() for k, v in init_params.items()}
         if init_params is not None
-        else model_cfg.init_params(N_FEATURES, rng)
+        else initialize(model_cfg.param_shapes(N_FEATURES), rng)
     )
     adam = AdamState(lr=cfg.lr)
 

@@ -18,18 +18,17 @@ import numpy as np
 from .errors import SchemaError, check_types
 from .geograph import SpatialGraph
 from .nncore import (
+    Var,
+    _node,
+    _reduce_to,
     affine,
     dropout,
-    exp,
-    initialize,
-    leaky_relu,
+    masked_max,
     masked_mean,
     relu,
-    sigmoid,
+    sigmoid_affine,
     value_of,
 )
-
-_MASK_NEG = 1e30  # additive shift that excludes padded slots from max()
 
 
 class AggregatorKind(enum.Enum):
@@ -82,9 +81,6 @@ class SageConfig:
         shapes["head.b"] = (1, 1)
         return shapes
 
-    def init_params(self, in_dim: int, rng: np.random.Generator) -> dict:
-        return initialize(self.param_shapes(in_dim), rng)
-
     def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
                 mode: str, rng: np.random.Generator):
         batch = sample_batch(g, nodes, self.budget, rng)
@@ -113,6 +109,32 @@ class SageConfig:
         )
 
 
+def _attention_softmax(score, mask: np.ndarray):
+    """The attention weights [..., K, 1] of the scores `score` [..., K, 1]
+    as one node: LeakyReLU(0.2), then a softmax over the K axis in which
+    padded slots and empty rows get 0 (Velickovic et al. 2018)."""
+    m = mask[..., None]
+    s = value_of(score)
+    factor = np.where(s > 0, 1.0, 0.2)
+    # Moderate downshift keeps padded slots out of the stabilizing max
+    # without overflowing exp; the mask multiply makes them exactly zero.
+    e = s * factor + (m - 1.0) * 50.0
+    ex_all = np.exp(e - e.max(axis=-2, keepdims=True))
+    ex = ex_all * m
+    # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
+    # disturb the sum-to-one property, large enough that its square
+    # stays normal in the backward divide.
+    total = ex.sum(axis=-2, keepdims=True) + 1e-30
+    if not isinstance(score, Var):
+        return ex / total
+
+    def bwd(g):
+        g_ex = g / total + _reduce_to(-g * ex / (total**2), total.shape)
+        score._accumulate(g_ex * m * ex_all * factor)
+
+    return _node(ex / total, (score,), bwd)
+
+
 def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     """Attentional softmax weights `alpha` [..., K, 1] over the projected
     neighbors `nj` [..., K, h]; padded slots and empty rows get alpha = 0."""
@@ -124,16 +146,7 @@ def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     sp = self_x @ w  # [..., h]
     nj = neigh_x @ w  # [..., K, h]
     e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
-    # Moderate downshift keeps padded slots out of the stabilizing max
-    # without overflowing exp; the mask multiply makes them exactly zero.
-    e = leaky_relu(e_self + nj @ a_neigh, 0.2) + (mask[..., None] - 1.0) * 50.0
-    stabilizer = value_of(e).max(axis=-2, keepdims=True)
-    ex = exp(e - stabilizer) * mask[..., None]
-    # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
-    # disturb the sum-to-one property, large enough that its square
-    # stays normal in the backward divide.
-    total = ex.sum(axis=-2, keepdims=True) + 1e-30
-    return ex / total, nj
+    return _attention_softmax(e_self + nj @ a_neigh, mask), nj
 
 
 def _pool(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x, mask: np.ndarray):
@@ -151,12 +164,8 @@ def _pool(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x, mask: np.n
     if kind is AggregatorKind.ATTENTIONAL:
         alpha, nj = _attention(p, layer, self_x, neigh_x, mask)
         return (alpha * nj).sum(axis=-2)
-    z = sigmoid(affine(neigh_x, p[f"l{layer}.w_pool"], p[f"l{layer}.b_pool"]))
-    if kind is AggregatorKind.MEAN_POOL:
-        return masked_mean(z, mask)
-    shifted = z * mask[..., None] + (mask[..., None] - 1.0) * _MASK_NEG
-    has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
-    return shifted.max(axis=-2) * has_any
+    z = sigmoid_affine(neigh_x, p[f"l{layer}.w_pool"], p[f"l{layer}.b_pool"])
+    return (masked_mean if kind is AggregatorKind.MEAN_POOL else masked_max)(z, mask)
 
 
 def _neighbor_term(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x,

@@ -45,6 +45,8 @@ class CityConfig:
             raise SchemaError("need at least 2 sensors")
         if self.n_hours < 1:
             raise SchemaError("need at least 1 hour")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lag1_target < 1.0:
             raise SchemaError("lag1_target must lie in (0, 1)")
         lat_lo, lat_hi, lon_lo, lon_hi = self.bbox

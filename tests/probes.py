@@ -3,11 +3,13 @@ checker over the autodiff tape, the nodes a tape records, a counter of the
 `Var`s a block constructs, and the raw
 aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
-them; and, as references for the array code that replaced them, the
-row-by-row readings loader, the hour-by-hour autoregressive fill, the
-regression-tree grower that sorts every node's rows afresh, the
-per-element neighbor sampler, the two-pass layer 1 of the graph model and
-the pad-and-slice chain of the CNN's convolution."""
+them; and, as references for the code that replaced them, the row-by-row
+readings loader, the hour-by-hour autoregressive fill, the regression-tree
+grower that sorts every node's rows afresh, the per-element neighbor
+sampler, the two-pass layer 1 of the graph model, the pad-and-slice chain of
+the CNN's convolution, the tape ops that the fused nodes made redundant
+(subtraction, division, exp, leaky ReLU, sigmoid and max over an axis) and
+the chains of them that `masked_max` and the attention softmax replaced."""
 
 import contextlib
 import csv
@@ -31,6 +33,8 @@ from virtualsensor.dataset import (
 from virtualsensor.errors import ParseError, SchemaError
 from virtualsensor.nncore import (
     Var,
+    _node,
+    _reduce_to,
     affine,
     collect_grads,
     constant,
@@ -337,3 +341,73 @@ def reference_conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
     for window, tap in zip(windows[1:], taps[1:]):
         out = out + window @ tap
     return out + b
+
+
+# The tape ops the fused nodes replaced, as `nncore` had them. `reference_sub`
+# and `reference_div` take a Var or an array on either side, the others a Var.
+
+
+def reference_sub(a, b) -> Var:
+    """`a - b` as the chain `a + (-b)`."""
+    a, b = Var._lift(a), Var._lift(b)
+    return a + _node(-b.value, (b,), lambda g: b._accumulate(-g))
+
+
+def reference_div(a, b) -> Var:
+    """`a / b`, elementwise with broadcasting."""
+    a, b = Var._lift(a), Var._lift(b)
+
+    def bwd(g):
+        if a.needs_grad:
+            a._accumulate(_reduce_to(g / b.value, a.shape))
+        if b.needs_grad:
+            b._accumulate(_reduce_to(-g * a.value / (b.value**2), b.shape))
+
+    return _node(a.value / b.value, (a, b), bwd)
+
+
+def reference_exp(x: Var) -> Var:
+    y = np.exp(x.value)
+    return _node(y, (x,), lambda g: x._accumulate(g * y))
+
+
+def reference_leaky_relu(x: Var, slope: float = 0.2) -> Var:
+    factor = np.where(x.value > 0, 1.0, slope)
+    return _node(x.value * factor, (x,), lambda g: x._accumulate(g * factor))
+
+
+def reference_sigmoid(x: Var) -> Var:
+    with np.errstate(over="ignore"):
+        y = 1.0 / (1.0 + np.exp(-x.value))
+    return _node(y, (x,), lambda g: x._accumulate(g * y * (1.0 - y)))
+
+
+def reference_max(x: Var, axis: int) -> Var:
+    """Max over `axis`; the gradient goes to the first maximal entry."""
+    def bwd(g):
+        out = np.zeros_like(x.value)
+        np.put_along_axis(out, np.expand_dims(np.argmax(x.value, axis=axis), axis),
+                          np.expand_dims(g, axis), axis)
+        x._accumulate(out)
+
+    return _node(np.max(x.value, axis=axis), (x,), bwd)
+
+
+def reference_masked_max(z: Var, mask: np.ndarray) -> Var:
+    """The chain `nncore.masked_max` replaced: shift the masked slots down by
+    1e30, take the max over the neighbor axis, zero the rows with no live
+    slot."""
+    m = mask[..., None]
+    shifted = z * m + (m - 1.0) * 1e30
+    has_any = (mask.sum(axis=-1, keepdims=True) > 0).astype(np.float64)
+    return reference_max(shifted, -2) * has_any
+
+
+def reference_attention_softmax(score: Var, mask: np.ndarray) -> Var:
+    """The chain `sage._attention_softmax` replaced: leaky ReLU, a -50 shift
+    of the padded slots, the stabilizing max, exp, the mask, the sum, the
+    1e-30 and the divide."""
+    m = mask[..., None]
+    e = reference_leaky_relu(score, 0.2) + (m - 1.0) * 50.0
+    ex = reference_exp(reference_sub(e, e.value.max(axis=-2, keepdims=True))) * m
+    return reference_div(ex, ex.sum(axis=-2, keepdims=True) + 1e-30)

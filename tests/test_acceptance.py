@@ -30,7 +30,7 @@ from virtualsensor import (
 )
 from virtualsensor.baselines import GbtConfig, MlpConfig, best_split, gbt_fit
 from virtualsensor.cli import main as cli_main
-from virtualsensor.nncore import mse_loss
+from virtualsensor.nncore import initialize, mse_loss
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, _run_fold
 from virtualsensor.sage import (
     AggregatorKind,
@@ -110,7 +110,7 @@ def test_criterion_03_gradient_correctness():
 
         for kind in AggregatorKind:
             cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5, seed=seed)
-            params = cfg.init_params(5, rng)
+            params = initialize(cfg.param_shapes(5), rng)
             params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
             adj = tuple(tuple(v for v in range(4) if v != u) for u in range(4))
             from virtualsensor.geograph import SpatialGraph
@@ -129,13 +129,13 @@ def test_criterion_03_gradient_correctness():
         from virtualsensor.baselines import CnnConfig, cnn_forward_batch, mlp_forward_batch
 
         mcfg = MlpConfig(hidden=(4, 4, 3))
-        mp = mcfg.init_params(5, rng)
+        mp = initialize(mcfg.param_shapes(5), rng)
         mp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in mp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(mlp_forward_batch(
             p, mcfg, x, mode="train", rng=np.random.default_rng(7)), y), mp))
 
         ccfg = CnnConfig(channels=2, kernel=3, dense_hidden=3)
-        cp = ccfg.init_params(5, rng)
+        cp = initialize(ccfg.param_shapes(5), rng)
         cp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in cp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(cnn_forward_batch(
             p, ccfg, x, mode="train", rng=np.random.default_rng(7)), y), cp))
@@ -152,7 +152,7 @@ def test_criterion_04_aggregator_properties():
     ok = True
     for kind in AggregatorKind:
         cfg = SageConfig(aggregator=kind, hidden=(4, 4), dropout=0.0)
-        params = cfg.init_params(6, np.random.default_rng(1))
+        params = initialize(cfg.param_shapes(6), np.random.default_rng(1))
         self_feat = rng.normal(size=6)
         neighbors = [rng.normal(size=6) for _ in range(5)]
         base = aggregate(kind, self_feat, neighbors, params)
@@ -162,7 +162,7 @@ def test_criterion_04_aggregator_properties():
         ok &= bool(np.allclose(aggregate(kind, self_feat, [], params), 0.0))
 
     acfg = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, hidden=(4, 4))
-    ap = acfg.init_params(6, np.random.default_rng(2))
+    ap = initialize(acfg.param_shapes(6), np.random.default_rng(2))
     alpha = attention_weights(ap, 1, AggregatorKind.ATTENTIONAL,
                               rng.normal(size=(2, 6)), rng.normal(size=(2, 5, 6)),
                               np.ones((2, 5)))

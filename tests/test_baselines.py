@@ -18,7 +18,7 @@ from virtualsensor.baselines import (
     mlp_forward_batch,
 )
 from virtualsensor.errors import SchemaError
-from virtualsensor.nncore import mse_loss, wrap_params
+from virtualsensor.nncore import initialize, mse_loss, wrap_params
 
 from probes import grad_check, reference_grow_tree
 
@@ -28,7 +28,7 @@ from probes import grad_check, reference_grow_tree
 
 def test_mlp_param_shapes():
     cfg = MlpConfig(hidden=(64, 64, 32))
-    p = cfg.init_params(19, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(19), np.random.default_rng(0))
     assert p["fc1.w"].shape == (19, 64)
     assert p["fc2.w"].shape == (64, 64)
     assert p["fc3.w"].shape == (64, 32)
@@ -38,7 +38,7 @@ def test_mlp_param_shapes():
 
 def test_mlp_eval_deterministic():
     cfg = MlpConfig()
-    p = cfg.init_params(19, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(19), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(4, 19))
     a = mlp_forward_batch(wrap_params(p), cfg, x).value
     b = mlp_forward_batch(wrap_params(p), cfg, x).value
@@ -48,7 +48,7 @@ def test_mlp_eval_deterministic():
 
 def test_mlp_dropout_only_in_train_mode():
     cfg = MlpConfig()
-    p = cfg.init_params(10, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(10), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(8, 10))
     ev = mlp_forward_batch(wrap_params(p), cfg, x, mode="eval").value
     tr = mlp_forward_batch(wrap_params(p), cfg, x, mode="train",
@@ -59,7 +59,7 @@ def test_mlp_dropout_only_in_train_mode():
 def test_mlp_gradients():
     cfg = MlpConfig(hidden=(5, 5, 4))
     rng = np.random.default_rng(0)
-    p = cfg.init_params(6, rng)
+    p = initialize(cfg.param_shapes(6), rng)
     p = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in p.items()}
     x = rng.normal(size=(7, 6))
     y = rng.normal(size=7)
@@ -76,7 +76,7 @@ def test_mlp_gradients():
 
 def test_cnn_param_shapes():
     cfg = CnnConfig(channels=8, kernel=3, dense_hidden=32)
-    p = cfg.init_params(19, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(19), np.random.default_rng(0))
     assert p["conv1.w"].shape == (3, 8)  # kernel taps stacked over 1 input channel
     assert p["conv2.w"].shape == (24, 8)
     assert p["fc1.w"].shape == (19 * 8, 32)
@@ -92,12 +92,12 @@ def test_flat_configs_reject_dropout_outside_unit_interval(cls, rate):
 
 def test_cnn_kernel_wider_than_input_rejected():
     with pytest.raises(SchemaError):
-        CnnConfig(kernel=25).init_params(19, np.random.default_rng(0))
+        initialize(CnnConfig(kernel=25).param_shapes(19), np.random.default_rng(0))
 
 
 def test_cnn_eval_deterministic():
     cfg = CnnConfig()
-    p = cfg.init_params(19, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(19), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(5, 19))
     a = cnn_forward_batch(wrap_params(p), cfg, x).value
     b = cnn_forward_batch(wrap_params(p), cfg, x).value
@@ -109,7 +109,7 @@ def test_cnn_convolution_is_translation_local():
     # Zero conv weights except the center tap identity: the network's first
     # conv layer then passes features straight through.
     cfg = CnnConfig(channels=1, kernel=3, dense_hidden=2)
-    p = cfg.init_params(4, np.random.default_rng(0))
+    p = initialize(cfg.param_shapes(4), np.random.default_rng(0))
     p["conv1.w"] = np.array([[0.0], [1.0], [0.0]])  # taps: left, center, right
     p["conv1.b"] = np.zeros((1, 1))
     p["conv2.w"] = np.array([[0.0], [1.0], [0.0]])
@@ -127,7 +127,7 @@ def test_cnn_convolution_is_translation_local():
 def test_cnn_gradients():
     cfg = CnnConfig(channels=3, kernel=3, dense_hidden=4)
     rng = np.random.default_rng(0)
-    p = cfg.init_params(6, rng)
+    p = initialize(cfg.param_shapes(6), rng)
     p = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in p.items()}
     x = rng.normal(size=(4, 6))
     y = rng.normal(size=4)

@@ -327,6 +327,8 @@ MALFORMED_PREDICT_INPUTS = {
         data, _edit_config(tmp, ckpt, b'"budget": [3, 5]', b'"budget": [3.5, 5]'), []),
     "seed-not-int": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, ckpt, b'"seed": 0, "val', b'"seed": 0.5, "val'), []),
+    "seed-negative": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"seed": 0, "val', b'"seed": -1, "val'), []),
     "epochs-not-int": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, ckpt, b'"epochs": 1,', b'"epochs": 1.5,'), []),
     "patience-bool": lambda tmp, data, ckpt: (
@@ -356,8 +358,8 @@ MALFORMED_PREDICT_INPUTS = {
 
 # The cases whose error line must name the offending config field.
 NAMED_FIELD = {
-    "budget-not-int": "budget", "seed-not-int": "seed", "epochs-not-int": "epochs",
-    "patience-bool": "patience", "mlp-dropout-not-number": "dropout",
+    "budget-not-int": "budget", "seed-not-int": "seed", "seed-negative": "seed",
+    "epochs-not-int": "epochs", "patience-bool": "patience", "mlp-dropout-not-number": "dropout",
     "cnn-dropout-not-number": "dropout", "cnn-channels-not-int": "channels",
     "sage-hidden-not-int": "hidden", "lr-not-number": "lr",
 }
@@ -547,6 +549,15 @@ MALFORMED_CLI_INPUTS = {
          "--location", "S00", "--out", str(tmp / "p.csv")], "'sat_no2' is too large"),
     "synth-zero-hours": lambda tmp, data: (
         ["synth", "--hours", "0", "--out", str(tmp / "c")], "hour"),
+    "synth-negative-seed": lambda tmp, data: (
+        ["synth", "--sensors", "2", "--hours", "24", "--seed", "-1", "--out", str(tmp / "c")],
+        "seed must be"),
+    "train-negative-seed": lambda tmp, data: (
+        ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--seed", "-1"],
+        "seed must be"),
+    "eval-negative-seed": lambda tmp, data: (
+        ["eval", "--data", str(data), "--model", "mlp", "--seed", "-1", "--out", str(tmp / "rep")],
+        "seed must be"),
     "train-negative-lr": lambda tmp, data: (
         ["train", "--data", str(data), "--out", str(tmp / "m.vsck"), "--lr", "-1"], "lr"),
     "train-nan-lr": lambda tmp, data: (

@@ -1,9 +1,11 @@
 """The README's python blocks and the demos import only names the package
-has, and the op list in `nncore`'s docstring names only what `nncore` has.
-Each source is parsed with `ast`; nothing in it runs."""
+has, the op list in `nncore`'s docstring names only what `nncore` has, and
+every public function of `nncore` has a caller in `src/`. Each source is
+parsed with `ast`; nothing in it runs."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -67,3 +69,19 @@ def test_tape_rules_name_only_what_nncore_has():
 
     missing = [n for n in names if not (resolves(nncore, n) or resolves(nncore.Var, n))]
     assert missing == [], "the Tape rules paragraph names what nncore does not have"
+
+
+def test_every_nncore_function_is_used_in_src():
+    # No tape op that only tests use: each public module-level function of
+    # `nncore` is named in `src/` by something other than its definition.
+    named = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    public = [name for name, f in vars(nncore).items() if inspect.isfunction(f)
+              and f.__module__ == nncore.__name__ and not name.startswith("_")]
+    assert "affine" in public
+    assert [name for name in public if name not in named] == []

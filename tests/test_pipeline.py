@@ -34,7 +34,7 @@ from virtualsensor import (
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
 from virtualsensor.dataset import N_FEATURES, fill_prev_no2
 from virtualsensor.errors import CheckpointError, SchemaError
-from virtualsensor.nncore import wrap_params
+from virtualsensor.nncore import initialize, wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
     _model_inputs,
@@ -171,7 +171,7 @@ def test_train_zero_lr_keeps_params_at_init():
     _, prepared, _, g = prepared_city()
     cfg = TrainConfig(epochs=2, patience=2, lr=0.0, seed=0, val_fraction=0.0)
     model_cfg = SageConfig()
-    init = model_cfg.init_params(N_FEATURES, np.random.default_rng(cfg.seed))
+    init = initialize(model_cfg.param_shapes(N_FEATURES), np.random.default_rng(cfg.seed))
     trained = train(prepared, g, cfg, model_cfg)
     for name in init:
         assert np.allclose(trained.params[name], init[name]), name

@@ -18,7 +18,7 @@ from virtualsensor import (
 )
 from virtualsensor.dataset import N_FEATURES, PREV_NO2
 from virtualsensor.errors import SchemaError
-from virtualsensor.nncore import mse_loss, wrap_params
+from virtualsensor.nncore import initialize, mse_loss, wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
     TrainConfig,
@@ -44,7 +44,7 @@ UTC = timezone.utc
 
 def params_for(kind, d=6, hidden=(4, 4), seed=0):
     cfg = SageConfig(aggregator=kind, hidden=hidden, dropout=0.0, seed=seed)
-    return cfg, cfg.init_params(d, np.random.default_rng(seed))
+    return cfg, initialize(cfg.param_shapes(d), np.random.default_rng(seed))
 
 
 def forward_one(params, cfg, g, feats, node, rng):
@@ -344,7 +344,7 @@ def test_one_pass_layer1_matches_two_pass_reference(kind, per_hop):
     # two separate passes computed, up to rounding.
     cfg = SageConfig(aggregator=kind, hidden=(4, 3), budget=per_hop, dropout=0.0)
     rng = np.random.default_rng(1)
-    params = cfg.init_params(6, rng)
+    params = initialize(cfg.param_shapes(6), rng)
     params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
     g = random_graph()
     assert g.degree.tolist() == [3, 1, 3, 6, 2, 3, 3, 1, 0]
@@ -363,7 +363,7 @@ def test_forward_over_constant_params_records_no_tape(kind):
     # Over the plain parameter arrays the forward builds no Var at all and
     # returns an array with the bits of the tape forward's value.
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
-    params = cfg.init_params(5, np.random.default_rng(0))
+    params = initialize(cfg.param_shapes(5), np.random.default_rng(0))
     g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
     batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
     for mode in ("eval", "train"):
@@ -382,7 +382,7 @@ def test_training_backward_leaves_data_without_grad(kind):
     # needs a gradient, and its leaves are exactly the parameters, so no
     # feature, mask, count or dropout mask is on it.
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
-    params = cfg.init_params(5, np.random.default_rng(0))
+    params = initialize(cfg.param_shapes(5), np.random.default_rng(0))
     g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
     batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
     pvars = wrap_params(params)
@@ -399,7 +399,7 @@ def test_training_backward_leaves_data_without_grad(kind):
 def test_forward_gradients_finite_difference(kind):
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5, seed=0)
     rng = np.random.default_rng(0)
-    params = cfg.init_params(5, rng)
+    params = initialize(cfg.param_shapes(5), rng)
     # jitter away from the zero-bias relu kink where subgradients are ambiguous
     params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
     g = triangle_graph()
@@ -495,7 +495,7 @@ def test_rollout_constant_model_fixed_point():
     # A model with zero weights predicts bias everywhere; feeding that back
     # keeps the series exactly constant.
     cfg = SageConfig(aggregator=AggregatorKind.MEAN, hidden=(4, 4), dropout=0.0)
-    params = cfg.init_params(19, np.random.default_rng(0))
+    params = initialize(cfg.param_shapes(19), np.random.default_rng(0))
     params = {k: np.zeros_like(v) for k, v in params.items()}
     params["head.b"] = np.array([[7.25]])
     ds = small_dataset(T=12, n=3)

@@ -30,7 +30,7 @@ from virtualsensor import (
     prepare,
 )
 from virtualsensor.dataset import N_FEATURES
-from virtualsensor.nncore import mse_loss, wrap_params
+from virtualsensor.nncore import initialize, mse_loss, wrap_params
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, TrainConfig, _model_inputs, train
 from virtualsensor.sage import sample_batch
 
@@ -138,7 +138,12 @@ def test_closed_loop_series_keeps_its_bytes(city, key):
     assert hashlib.sha256(preds.astype("<f8").tobytes()).hexdigest() == PINNED_ROLLOUT[key]
 
 
-@pytest.mark.parametrize("key", [key for key in MODELS if key != "gbt"])
+# Nodes on one training step's tape, leaves included.
+TAPE_SIZE = {"sage-mean": 22, "sage-max_pool": 29, "sage-mean_pool": 29,
+             "sage-attentional": 47, "mlp": 18, "cnn": 19}
+
+
+@pytest.mark.parametrize("key", list(TAPE_SIZE))
 def test_no_training_tape_node_has_three_consumers(city, key):
     # The backward adds the gradients that meet at a node in reverse creation
     # order. Two addends give the same bits in either order, as IEEE addition
@@ -147,12 +152,14 @@ def test_no_training_tape_node_has_three_consumers(city, key):
     kind, model_cfg = MODELS[key]
     model_cfg = model_cfg or DEFAULT_MODEL_CONFIGS[kind]()
     rng = np.random.default_rng(0)
-    pvars = wrap_params(model_cfg.init_params(N_FEATURES, rng))
+    pvars = wrap_params(initialize(model_cfg.param_shapes(N_FEATURES), rng))
     nodes = np.flatnonzero(ds.observed[5])
     pred = model_cfg.predict(pvars, g, _model_inputs(ds, g)[5], nodes, "train", rng)
     loss = mse_loss(pred, ds.targets[5, nodes])
-    consumers = Counter(id(p) for node in tape_nodes(loss) for p in node._parents)
+    tape = tape_nodes(loss)
+    consumers = Counter(id(p) for node in tape for p in node._parents)
     assert max(consumers.values()) <= 2
+    assert len(tape) == TAPE_SIZE[key]
 
 
 # ---------------------------------------------------------------- sampler
