@@ -12,27 +12,13 @@ every tree is bit-identical to one grown by sorting each node's rows afresh."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, check_types
+from .errors import FlatConfig, SchemaError, check_types
 from .nncore import Var, _node, _reduce_to, affine, dropout, relu, value_of
-
-
-class _FlatConfig:
-    """Model-kind hooks shared by the baseline configs: JSON (de)serialization
-    of flat dataclass fields (lists come back as tuples)."""
-
-    trains_by_gradient = True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict):
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +26,17 @@ class _FlatConfig:
 
 
 @dataclass(frozen=True)
-class MlpConfig(_FlatConfig):
+class MlpConfig(FlatConfig):
     hidden: tuple[int, int, int] = (64, 64, 32)
     dropout: float = 0.5
-    seed: int = 0
+
+    trains_by_gradient = True
 
     def __post_init__(self):
         if not (isinstance(self.hidden, (tuple, list)) and len(self.hidden) == 3
                 and all(type(h) is int and h >= 1 for h in self.hidden)):
             raise SchemaError(f"hidden must be three integers >= 1, got {self.hidden!r}")
-        check_types(self, ints=("seed",), numbers=("dropout",))
+        check_types(self, numbers=("dropout",))
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
@@ -81,16 +68,16 @@ def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "e
 
 
 @dataclass(frozen=True)
-class CnnConfig(_FlatConfig):
+class CnnConfig(FlatConfig):
     channels: int = 8
     kernel: int = 3
     dense_hidden: int = 32
     dropout: float = 0.5
-    seed: int = 0
+
+    trains_by_gradient = True
 
     def __post_init__(self):
-        check_types(self, ints=("channels", "kernel", "dense_hidden", "seed"),
-                    numbers=("dropout",))
+        check_types(self, ints=("channels", "kernel", "dense_hidden"), numbers=("dropout",))
         if min(self.channels, self.kernel, self.dense_hidden) < 1:
             raise SchemaError("channels, kernel and dense_hidden must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -159,7 +146,7 @@ def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "e
 
 
 @dataclass(frozen=True)
-class GbtConfig(_FlatConfig):
+class GbtConfig(FlatConfig):
     n_trees: int = 100
     max_depth: int = 4
     learning_rate: float = 0.1

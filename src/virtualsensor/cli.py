@@ -81,7 +81,7 @@ def _model_config(args, kind: str):
         return cfg
     if not hasattr(cfg, "aggregator"):
         raise VirtualSensorError(f"{kind} has no aggregator; drop --aggregator")
-    return replace(cfg, aggregator=AggregatorKind(args.aggregator))
+    return replace(cfg, aggregator=args.aggregator)
 
 
 def _require_checkpointable(kind: str) -> None:
@@ -114,12 +114,12 @@ def cmd_synth(args) -> int:
 
 # Flags that set the TrainConfig. eval leaves them unset (None), so that it
 # can tell them apart from a checkpoint's config; unset ones take the default.
-_TRAIN_CONFIG_FLAGS = ("model", "seed", "epochs", "lr", "patience")
+_TRAIN_CONFIG_FLAGS = ("model", "seed", "epochs", "lr", "patience", "k")
 
 
 def _train_config(args) -> TrainConfig:
-    given = {name: getattr(args, name) for name in _TRAIN_CONFIG_FLAGS}
-    return TrainConfig(**{name: value for name, value in given.items() if value is not None})
+    return TrainConfig(**{name: getattr(args, name) for name in _TRAIN_CONFIG_FLAGS
+                          if getattr(args, name) is not None})
 
 
 def cmd_train(args) -> int:
@@ -129,12 +129,12 @@ def cmd_train(args) -> int:
     model_cfg = _model_config(args, args.model)
     raw = _load_raw(args.data)
     prepared = prepare(raw)
-    g = build_knn_graph(raw.locations, k=args.k)
+    g = build_knn_graph(raw.locations, k=cfg.k)
     save_checkpoint(args.out, train(prepared, g, cfg, model_cfg))
     loc_path, read_path = _data_paths(args.data)
     _write_manifest(
         str(args.out) + ".manifest.json", "train",
-        {"train": asdict(cfg), "k": args.k}, [args.seed],
+        {"train": asdict(cfg)}, [args.seed],
         [loc_path, read_path], [args.out], started,
     )
     return 0
@@ -148,9 +148,9 @@ def cmd_transfer(args) -> int:
     target_raw = _load_raw(args.target)
     source_ds = prepare(source_raw)
     target_ds = prepare(target_raw)
-    g_src = build_knn_graph(source_raw.locations, k=args.k)
-    g_tgt = build_knn_graph(target_raw.locations, k=args.k)
     base_cfg = _train_config(args)
+    g_src = build_knn_graph(source_raw.locations, k=base_cfg.k)
+    g_tgt = build_knn_graph(target_raw.locations, k=base_cfg.k)
     tcfg = TransferConfig(
         source=base_cfg, finetune_epochs=args.finetune_epochs,
         finetune_lr=args.finetune_lr,
@@ -161,7 +161,7 @@ def cmd_transfer(args) -> int:
     _write_manifest(
         str(args.out) + ".manifest.json", "transfer",
         {"train": asdict(base_cfg), "finetune_epochs": args.finetune_epochs,
-         "finetune_lr": args.finetune_lr, "k": args.k},
+         "finetune_lr": args.finetune_lr},
         [args.seed], inputs, [args.out], started,
     )
     return 0
@@ -183,6 +183,11 @@ def _load_report(path) -> EvalReport:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     if args.compare:
+        extra = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+                 if value is not None and name not in ("command", "func", "compare", "out")]
+        if extra:
+            raise VirtualSensorError(
+                f"eval --compare reads only the two reports; drop {', '.join(extra)}")
         base_path, new_path = args.compare
         base, new = _load_report(base_path), _load_report(new_path)
         table = improvement_table(base, new)
@@ -214,8 +219,8 @@ def cmd_eval(args) -> int:
     init_params = None
     if args.ckpt:
         # Every fold retrains with the checkpoint's config; --seed may override its seed.
-        ignored = [f"--{name}" for name in ("model", "epochs", "lr", "patience", "aggregator")
-                   if getattr(args, name) is not None]
+        ignored = [f"--{name}" for name in (*_TRAIN_CONFIG_FLAGS, "aggregator")
+                   if name != "seed" and getattr(args, name) is not None]
         if ignored:
             raise VirtualSensorError(
                 f"eval --ckpt trains with the checkpoint's config; drop {', '.join(ignored)}")
@@ -233,7 +238,7 @@ def cmd_eval(args) -> int:
         cfg = _train_config(args)
         model_cfg = _model_config(args, args.model)
     raw = _load_raw(args.data)
-    g = build_knn_graph(raw.locations, k=args.k)
+    g = build_knn_graph(raw.locations, k=cfg.k)
     report = leave_one_out(raw, g, cfg, model_cfg, init_params=init_params)
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
@@ -245,7 +250,7 @@ def cmd_eval(args) -> int:
     inputs = list(_data_paths(args.data)) + ([args.ckpt] if args.ckpt else [])
     _write_manifest(
         os.path.join(args.out, "manifest.json"), "eval",
-        {"train": asdict(cfg), "k": args.k}, [cfg.seed], inputs,
+        {"train": asdict(cfg)}, [cfg.seed], inputs,
         [json_path, csv_path], started,
     )
     return 0
@@ -277,7 +282,7 @@ def cmd_predict(args) -> int:
     trained = load_checkpoint(args.ckpt)
     seed = trained.train_cfg.seed
     prepared = prepare(raw, trained.stats)
-    g = build_knn_graph(raw.locations, k=args.k)
+    g = build_knn_graph(raw.locations, k=trained.train_cfg.k)
     node = raw.sensor_index(args.location)
     preds = closed_loop_predict(trained, g, prepared, node, _init_value(args.init, raw, node),
                                 rng=np.random.default_rng(seed))
@@ -289,7 +294,7 @@ def cmd_predict(args) -> int:
             fh.write(f"{ts},{preds[t - 1]:.6f}\n")
     _write_manifest(
         str(args.out) + ".manifest.json", "predict",
-        {"location": args.location, "init": args.init, "k": args.k},
+        {"location": args.location, "init": args.init},
         [seed], [*_data_paths(args.data), args.ckpt], [args.out], started,
     )
     return 0
@@ -403,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float, default=TrainConfig.lr)
         p.add_argument("--patience", type=int, default=TrainConfig.patience)
         p.add_argument("--aggregator", choices=[a.value for a in AggregatorKind])
-        p.add_argument("--k", type=int, default=3, help="k-NN graph degree")
+        p.add_argument("--k", type=int, default=TrainConfig.k, help="k-NN graph degree")
 
     p = sub.add_parser("train", help="train a model on all sensors")
     p.add_argument("--data", required=True)
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed overrides its seed, the other flags are rejected); without, unset
     # flags take TrainConfig's defaults.
     p.set_defaults(**dict.fromkeys(_TRAIN_CONFIG_FLAGS))
-    p.add_argument("--finetune-from-ckpt", action="store_true",
+    p.add_argument("--finetune-from-ckpt", action="store_true", default=None,
                    help="seed each fold's training from the checkpoint parameters")
     p.add_argument("--compare", nargs=2, metavar=("BASE.json", "NEW.json"))
     p.add_argument("--out")
@@ -439,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--location", required=True)
     p.add_argument("--init", default="actual")
-    p.add_argument("--k", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 

@@ -10,7 +10,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,13 +23,13 @@ from .dataset import (
     StandardizationStats,
     prepare,
 )
-from .errors import CheckpointError, SchemaError, check_types
+from .errors import CheckpointError, FlatConfig, SchemaError, check_keys, check_types
 from .geograph import SpatialGraph
 from .nncore import AdamState, adam_step, collect_grads, initialize, mse_loss, wrap_params
 from .sage import SageConfig
 
 CHECKPOINT_MAGIC = b"VSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 METRICS = ("rmse", "nrmse", "grad_rmse")  # every report's per-location metrics
 
 
@@ -77,18 +77,26 @@ def improvement(base: float, new: float) -> float:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(FlatConfig):
+    """How a model is trained, and on which graph: the CLI builds every
+    k-nearest-neighbour graph from `k`, so a checkpoint's `predict` rolls out
+    on the graph it was trained on. Library callers pass their own graph to
+    `train` and `leave_one_out`, which do not read `k`."""
+
     epochs: int = 50
     lr: float = 1e-3
     patience: int = 10  # early stop on validation MSE
     val_fraction: float = 0.1  # chronological tail of training frames
     seed: int = 0
     model: str = "sage"  # a key of DEFAULT_MODEL_CONFIGS
+    k: int = 3  # k-NN graph degree
 
     def __post_init__(self):
-        check_types(self, ints=("epochs", "patience", "seed"), numbers=("lr", "val_fraction"))
+        check_types(self, ints=("epochs", "patience", "seed", "k"), numbers=("lr", "val_fraction"))
         if self.epochs < 1 or self.patience < 1:
             raise SchemaError("epochs and patience must be >= 1")
+        if self.k < 1:
+            raise SchemaError(f"k must be >= 1, got {self.k}")
         if self.seed < 0:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.lr < math.inf:
@@ -451,12 +459,14 @@ def improvement_table(base: EvalReport, new: EvalReport) -> dict[str, float]:
 # Config (de)serialization and checkpoints
 
 
+def _config_json(cfg: TrainConfig, model_cfg) -> bytes:
+    """The canonical JSON config a checkpoint stores and `config_hash` hashes."""
+    return json.dumps({"train": cfg.to_dict(), "model_config": model_cfg.to_dict()},
+                      sort_keys=True).encode()
+
+
 def config_hash(cfg: TrainConfig, model_cfg) -> str:
-    blob = json.dumps(
-        {"train": asdict(cfg), "model": model_cfg.to_dict()},
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(_config_json(cfg, model_cfg)).hexdigest()[:16]
 
 
 # Written into every checkpoint; a checkpoint of another feature layout fails to load.
@@ -478,12 +488,7 @@ def save_checkpoint(path, trained: TrainedModel) -> None:
     for name, arr in blocks.items():
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"refusing to save non-finite parameter {name!r}")
-    config = {
-        "model": train_cfg.model,
-        "train": asdict(train_cfg),
-        "model_config": model_cfg.to_dict(),
-    }
-    config_bytes = json.dumps(config, sort_keys=True).encode()
+    config_bytes = _config_json(train_cfg, model_cfg)
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
@@ -558,23 +563,18 @@ def load_checkpoint(path) -> TrainedModel:
 
 
 def _decode_config(config):
-    """(TrainConfig, model config) from a checkpoint's JSON config; the model
-    kind is decoded through DEFAULT_MODEL_CONFIGS."""
-    if not isinstance(config, dict):
-        raise CheckpointError("checkpoint config is not a JSON object")
-    kind = config.get("model")
-    cls = DEFAULT_MODEL_CONFIGS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise CheckpointError(f"checkpoint names unknown model kind {kind!r}")
-    if not cls.trains_by_gradient:
+    """(TrainConfig, model config) from a checkpoint's JSON config, which
+    holds exactly `train` and `model_config`; `train.model` names the kind."""
+    try:
+        check_keys(config, ("train", "model_config"), "checkpoint config")
+        train_cfg = TrainConfig.from_dict(config["train"])
+    except SchemaError as exc:
+        raise CheckpointError(f"bad checkpoint config: {exc}") from exc
+    kind = train_cfg.model
+    if not DEFAULT_MODEL_CONFIGS[kind].trains_by_gradient:
         raise CheckpointError(f"model kind {kind!r} has no parameter checkpoint")
     try:
-        train_cfg = TrainConfig(**config["train"])
-        if train_cfg.model != kind:
-            raise CheckpointError(
-                f"checkpoint model kind {kind!r} disagrees with train.model {train_cfg.model!r}"
-            )
-        model_cfg = cls.from_dict(config["model_config"])
-    except (AttributeError, KeyError, TypeError, ValueError, SchemaError) as exc:
+        model_cfg = DEFAULT_MODEL_CONFIGS[kind].from_dict(config["model_config"])
+    except SchemaError as exc:
         raise CheckpointError(f"bad {kind} checkpoint config: {exc}") from exc
     return train_cfg, model_cfg

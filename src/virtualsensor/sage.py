@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, check_types
+from .errors import FlatConfig, SchemaError, check_types
 from .geograph import SpatialGraph
 from .nncore import (
     Var,
@@ -31,7 +31,7 @@ from .nncore import (
 )
 
 
-class AggregatorKind(enum.Enum):
+class AggregatorKind(str, enum.Enum):
     MEAN = "mean"
     MAX_POOL = "max_pool"
     MEAN_POOL = "mean_pool"
@@ -39,22 +39,26 @@ class AggregatorKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SageConfig:
-    aggregator: AggregatorKind = AggregatorKind.MEAN_POOL
+class SageConfig(FlatConfig):
+    aggregator: AggregatorKind = AggregatorKind.MEAN_POOL  # or its value, as stored
     hidden: tuple[int, int] = (32, 32)
     budget: tuple[int, int] = (3, 5)  # neighbors sampled at hop 1 and hop 2
     dropout: float = 0.5
-    seed: int = 0
 
     trains_by_gradient = True
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "aggregator", AggregatorKind(self.aggregator))
+        except ValueError:
+            raise SchemaError(f"aggregator must be one of {[a.value for a in AggregatorKind]}, "
+                              f"got {self.aggregator!r}") from None
         for name in ("hidden", "budget"):
             value = getattr(self, name)
             if not (isinstance(value, (tuple, list)) and len(value) == 2
                     and all(type(k) is int and k >= 1 for k in value)):
                 raise SchemaError(f"{name} must be two integers >= 1, got {value!r}")
-        check_types(self, ints=("seed",), numbers=("dropout",))
+        check_types(self, numbers=("dropout",))
         if not 0.0 <= self.dropout < 1.0:
             raise SchemaError("dropout must lie in [0, 1)")
 
@@ -71,11 +75,9 @@ class SageConfig:
                 shapes[f"l{layer}.w_pool"] = (d_prev, h)
                 shapes[f"l{layer}.b_pool"] = (1, h)
                 shapes[f"l{layer}.w_neigh"] = (h, h)
-            elif self.aggregator is AggregatorKind.ATTENTIONAL:
+            else:  # ATTENTIONAL
                 shapes[f"l{layer}.w_neigh"] = (d_prev, h)
                 shapes[f"l{layer}.attn"] = (1, 2 * h)
-            else:  # pragma: no cover
-                raise SchemaError(f"unknown aggregator {self.aggregator}")
             d_prev = h
         shapes["head.w"] = (d_prev, 1)
         shapes["head.b"] = (1, 1)
@@ -85,28 +87,6 @@ class SageConfig:
                 mode: str, rng: np.random.Generator):
         batch = sample_batch(g, nodes, self.budget, rng)
         return sage_forward_batch(pvars, self, feats, batch, mode=mode, rng=rng)
-
-    def to_dict(self) -> dict:
-        return {
-            "aggregator": self.aggregator.value,
-            "hidden": list(self.hidden),
-            "budget": list(self.budget),
-            "dropout": self.dropout,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SageConfig":
-        def listed(key):  # a JSON list becomes a tuple; __post_init__ checks the rest
-            return tuple(data[key]) if isinstance(data[key], list) else data[key]
-
-        return cls(
-            aggregator=AggregatorKind(data["aggregator"]),
-            hidden=listed("hidden"),
-            budget=listed("budget"),
-            dropout=data["dropout"],
-            seed=data["seed"],
-        )
 
 
 def _attention_softmax(score, mask: np.ndarray):

@@ -109,7 +109,7 @@ def test_criterion_03_gradient_correctness():
         y = rng.normal(size=4)
 
         for kind in AggregatorKind:
-            cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5, seed=seed)
+            cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
             params = initialize(cfg.param_shapes(5), rng)
             params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
             adj = tuple(tuple(v for v in range(4) if v != u) for u in range(4))

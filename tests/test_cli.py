@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from virtualsensor import load_dataset, prepare
+from virtualsensor import build_knn_graph, closed_loop_predict, load_dataset, prepare
 from virtualsensor.cli import build_parser, main
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint
 
@@ -155,7 +155,7 @@ def test_eval_gbt_without_checkpoint(tmp_path, workspace):
 
 @pytest.mark.parametrize("flag", [
     ["--model", "mlp"], ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"],
-    ["--aggregator", "max_pool"],
+    ["--aggregator", "max_pool"], ["--k", "5"],
 ])
 def test_eval_ckpt_rejects_the_flags_it_would_ignore(tmp_path, workspace, capsys, flag):
     # With --ckpt every fold retrains with the checkpoint's own config.
@@ -223,6 +223,31 @@ def test_predict_deterministic(tmp_path, workspace):
         assert run("predict", "--data", str(data), "--ckpt", str(ckpt),
                    "--location", "S00", "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_predict_rolls_out_on_the_trained_k(tmp_path):
+    # The checkpoint records k, so a plain predict after `train --k 5` rolls
+    # out on the 5-NN graph, not on the default 3-NN one.
+    data, ckpt, pred = tmp_path / "city", tmp_path / "k5.vsck", tmp_path / "pred.csv"
+    assert run("synth", "--sensors", "8", "--hours", "120", "--seed", "1", "--out", str(data)) == 0
+    assert run("train", "--data", str(data), "--out", str(ckpt), "--epochs", "1", "--k", "5") == 0
+    assert run("predict", "--data", str(data), "--ckpt", str(ckpt), "--location", "S02",
+               "--out", str(pred)) == 0
+    raw = load_dataset(data / "locations.csv", data / "readings.csv")
+    trained = load_checkpoint(ckpt)
+    node = raw.sensor_index("S02")
+    init = float(raw.targets[np.argmax(raw.observed[:, node]), node])
+
+    def csv_on_graph(k):
+        preds = closed_loop_predict(trained, build_knn_graph(raw.locations, k=k),
+                                    prepare(raw, trained.stats), node, init,
+                                    rng=np.random.default_rng(trained.train_cfg.seed))
+        rows = [f"{raw.timestamp(t).strftime('%Y-%m-%dT%H:00:00Z')},{p:.6f}"
+                for t, p in zip(range(1, raw.n_frames), np.clip(preds, 0.0, None))]
+        return "\n".join(["timestamp,predicted_no2_ugm3", *rows]) + "\n"
+
+    assert pred.read_text() == csv_on_graph(5)
+    assert csv_on_graph(5) != csv_on_graph(3)
 
 
 def test_predict_bad_init(tmp_path, workspace, capsys):
@@ -329,6 +354,17 @@ MALFORMED_PREDICT_INPUTS = {
         data, _edit_config(tmp, ckpt, b'"seed": 0, "val', b'"seed": 0.5, "val'), []),
     "seed-negative": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, ckpt, b'"seed": 0, "val', b'"seed": -1, "val'), []),
+    "k-zero": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"k": 3,', b'"k": 0,'), []),
+    "k-not-int": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"k": 3,', b'"k": 2.5,'), []),
+    "k-string": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, ckpt, b'"k": 3,', b'"k": "3",'), []),
+    "mlp-dropout-missing": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "mlp"), b'"dropout": 0.5, ', b''), []),
+    "mlp-seed-leftover": lambda tmp, data, ckpt: (
+        data, _edit_config(tmp, _train(tmp, data, "mlp"), b'"dropout": 0.5',
+                           b'"dropout": 0.5, "seed": 0'), []),
     "epochs-not-int": lambda tmp, data, ckpt: (
         data, _edit_config(tmp, ckpt, b'"epochs": 1,', b'"epochs": 1.5,'), []),
     "patience-bool": lambda tmp, data, ckpt: (
@@ -356,13 +392,16 @@ MALFORMED_PREDICT_INPUTS = {
                            b'"channels": 1000000000000'), []),
 }
 
-# The cases whose error line must name the offending config field.
-NAMED_FIELD = {
+# The cases whose error line must name the offending config field, with the
+# text that names it.
+NAMED_FIELD = {case: f"{name} must be" for case, name in {
     "budget-not-int": "budget", "seed-not-int": "seed", "seed-negative": "seed",
     "epochs-not-int": "epochs", "patience-bool": "patience", "mlp-dropout-not-number": "dropout",
     "cnn-dropout-not-number": "dropout", "cnn-channels-not-int": "channels",
-    "sage-hidden-not-int": "hidden", "lr-not-number": "lr",
-}
+    "sage-hidden-not-int": "hidden", "lr-not-number": "lr", "k-zero": "k", "k-not-int": "k",
+    "k-string": "k",
+}.items()} | {"mlp-dropout-missing": "missing field 'dropout'",
+             "mlp-seed-leftover": "unknown field 'seed'"}
 
 
 def _write(path, raw: bytes):
@@ -401,7 +440,7 @@ def test_predict_malformed_input_one_error_line(tmp_path, workspace, capsys, cas
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
     if case in NAMED_FIELD:
-        assert f"{NAMED_FIELD[case]} must be" in err
+        assert NAMED_FIELD[case] in err
 
 
 @pytest.fixture(scope="module")
@@ -414,8 +453,7 @@ def mlp_checkpoint(workspace):
 
 
 @pytest.mark.parametrize("new_kind,count", [
-    (b"cnn", 1), (b"gbt", 1), (b"xyz", 1),  # top-level "model" only
-    (b"cnn", -1), (b"gbt", -1), (b"xyz", -1),  # train.model too
+    (b"cnn", -1), (b"gbt", -1), (b"xyz", -1),  # train.model, the one record of the kind
 ])
 def test_predict_edited_checkpoint_kind(tmp_path, workspace, mlp_checkpoint, capsys,
                                         new_kind, count):
@@ -589,7 +627,18 @@ MALFORMED_CLI_INPUTS = {
     "eval-gbt-aggregator": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "gbt", "--aggregator", "attentional",
          "--out", str(tmp / "rep")], "--aggregator"),
+    "compare-with-every-flag": lambda tmp, data: (
+        ["eval", "--compare", _report(tmp / "b.json"), _report(tmp / "n.json"),
+         "--data", "/nonexistent", "--ckpt", "/nonexistent.vsck", "--model", "mlp",
+         "--epochs", "3", "--k", "9", "--finetune-from-ckpt"],
+        "--data, --ckpt, --model, --epochs, --k, --finetune-from-ckpt"),
 }
+# eval --compare reads only its two reports: any flag but --out is an error.
+for _flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--seed", "0"],
+              ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"], ["--k", "9"],
+              ["--aggregator", "mean"], ["--finetune-from-ckpt"]):
+    MALFORMED_CLI_INPUTS[f"compare-with{_flag[0][1:]}"] = lambda tmp, data, flag=_flag: (
+        ["eval", "--compare", _report(tmp / "b.json"), _report(tmp / "n.json"), *flag], flag[0])
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CLI_INPUTS))

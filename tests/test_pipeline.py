@@ -546,11 +546,13 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     model = trained_for_checkpoint()
     path = tmp_path / "model.vsck"
     save_checkpoint(path, model)
-    data = bytearray(path.read_bytes())
-    data[4] = 99  # version field
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    for version in (99, 1):  # 1: the format before `k` joined TrainConfig
+        data = bytearray(path.read_bytes())
+        data[4] = version  # version field
+        bad = tmp_path / f"v{version}.vsck"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_rejects_schema_mismatch(tmp_path):
@@ -565,12 +567,9 @@ def test_checkpoint_rejects_schema_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("old,new,count,match", [
-    # top-level "model" only
-    (b'"model": "sage"', b'"model": "mlp" ', 1, "disagrees with train.model"),
-    (b'"model": "sage"', b'"model": "gbt" ', 1, "no parameter checkpoint"),
-    (b'"model": "sage"', b'"model": "xyz" ', 1, "unknown model kind"),
-    # train.model too
+    # train.model, the one record of the kind
     (b'"model": "sage"', b'"model": "mlp" ', -1, "bad mlp checkpoint config"),
+    (b'"model": "sage"', b'"model": "gbt" ', -1, "no parameter checkpoint"),
     (b'"model": "sage"', b'"model": "xyz" ', -1, "unknown model kind"),
     # a model_config the kind's class rejects
     (b'"mean_pool"', b'"mean_poox"', 1, "bad sage checkpoint config"),
@@ -645,6 +644,10 @@ MALFORMED_CHECKPOINTS = {
     "bad-utf8-config": lambda d: edit_config(d, lambda c: b"\xff" + c[1:]),
     "bad-json-config": lambda d: edit_config(d, lambda c: b"}" + c[1:]),
     "config-not-object": lambda d: edit_config(d, lambda c: b"[1, 2]"),
+    "config-top-level-model": lambda d: edit_config(  # the key format 1 also stored
+        d, lambda c: c.replace(b'{"model_config"', b'{"model": "sage", "model_config"')),
+    "config-without-train": lambda d: edit_config(
+        d, lambda c: json.dumps({"model_config": json.loads(c)["model_config"]}).encode()),
     "missing-stats": lambda d: edit_blocks(d, lambda b: b.pop("stats.std")),
     "stats-width": lambda d: edit_blocks(
         d, lambda b: _set(b, "stats.mean", b["stats.mean"][:, :-1])),
@@ -699,26 +702,29 @@ def test_schema_hash_stable_and_sensitive():
 
 
 NON_DEFAULT_SAGE = SageConfig(aggregator=AggregatorKind.ATTENTIONAL, budget=(4, 2),
-                              hidden=(8, 16), dropout=0.25, seed=7)
+                              hidden=(8, 16), dropout=0.25)
 
 
 @pytest.mark.parametrize("kind,cfg", [
     *((kind, cls()) for kind, cls in DEFAULT_MODEL_CONFIGS.items()),
     ("sage", NON_DEFAULT_SAGE),
+    ("train", TrainConfig()),
+    ("train", TrainConfig(epochs=7, lr=0.01, patience=3, val_fraction=0.0, seed=5,
+                          model="cnn", k=5)),
 ])
 def test_model_config_round_trip(kind, cfg):
     data = json.loads(json.dumps(cfg.to_dict()))  # as stored in a checkpoint
-    assert DEFAULT_MODEL_CONFIGS[kind].from_dict(data) == cfg
+    assert {**DEFAULT_MODEL_CONFIGS, "train": TrainConfig}[kind].from_dict(data) == cfg
 
 
 # Pinned values: config_hash lands in every report's metadata, and the same
 # serialized config is written into checkpoints, so neither may drift.
 @pytest.mark.parametrize("kind,cfg,want", [
-    ("sage", SageConfig(), "b333ed1d07c05bf2"),
-    ("sage", NON_DEFAULT_SAGE, "5566d5acc3cac680"),
-    ("mlp", MlpConfig(), "0f5f2f908c587dfe"),
-    ("cnn", CnnConfig(), "f0ae48b2ec9efd1c"),
-    ("gbt", GbtConfig(), "265652df11f7daa5"),
+    ("sage", SageConfig(), "a785c46c7a90d174"),
+    ("sage", NON_DEFAULT_SAGE, "944e2cfca413bda3"),
+    ("mlp", MlpConfig(), "e4a40d38503b31ce"),
+    ("cnn", CnnConfig(), "29bbf7bb7494be6a"),
+    ("gbt", GbtConfig(), "88207d4a37011d20"),
 ])
 def test_config_hash_is_stable(kind, cfg, want):
     assert config_hash(TrainConfig(model=kind), cfg) == want
@@ -728,4 +734,5 @@ def test_config_hash_changes_with_settings():
     a = config_hash(TrainConfig(), SageConfig())
     b = config_hash(TrainConfig(lr=2e-3), SageConfig())
     c = config_hash(TrainConfig(), SageConfig(hidden=(16, 16)))
-    assert len({a, b, c}) == 3
+    d = config_hash(TrainConfig(k=5), SageConfig())
+    assert len({a, b, c, d}) == 4
