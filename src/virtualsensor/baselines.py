@@ -155,6 +155,7 @@ class GbtConfig(FlatConfig):
     trains_by_gradient = False  # fitted in one pass by `fit`; no parameter checkpoint
 
     def __post_init__(self):
+        check_types(self, ints=("n_trees", "max_depth", "min_leaf"), numbers=("learning_rate",))
         if self.n_trees < 0 or self.max_depth < 0 or self.min_leaf < 1:
             raise SchemaError(
                 "gbt needs n_trees >= 0, max_depth >= 0 and min_leaf >= 1, got "

@@ -1,4 +1,4 @@
-"""Command-line front door: synth, train, transfer, eval, predict, plot.
+"""Command-line front door: synth, train, transfer, eval, compare, predict, plot.
 
 Every command is a pure function of (input files, flags, seed) and writes a
 run manifest alongside its outputs; wall-clock timings live only in the
@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -73,15 +73,27 @@ def _load_raw(data_dir):
     return load_dataset(loc_path, read_path)
 
 
-def _model_config(args, kind: str):
-    """The kind's default config, with --aggregator if given; a kind that has
-    no aggregator rejects the flag rather than ignore it."""
-    cfg = DEFAULT_MODEL_CONFIGS[kind]()
+def _from_flags(cls, args, **given):
+    """`cls` built from `given`, and from each set flag whose dest names
+    another of its fields. Flags default to None, so every other field keeps
+    the dataclass's default: no flag holds a copy of one."""
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None and f.name not in given:
+            given[f.name] = value
+    return cls(**given)
+
+
+def _configs(args):
+    """The TrainConfig and model config that the training flags set. A kind
+    that has no aggregator rejects --aggregator rather than ignore it."""
+    cfg = _from_flags(TrainConfig, args)
+    model_cfg = DEFAULT_MODEL_CONFIGS[cfg.model]()
     if args.aggregator is None:
-        return cfg
-    if not hasattr(cfg, "aggregator"):
-        raise VirtualSensorError(f"{kind} has no aggregator; drop --aggregator")
-    return replace(cfg, aggregator=args.aggregator)
+        return cfg, model_cfg
+    if not hasattr(model_cfg, "aggregator"):
+        raise VirtualSensorError(f"{cfg.model} has no aggregator; drop --aggregator")
+    return cfg, replace(model_cfg, aggregator=args.aggregator)
 
 
 def _require_checkpointable(kind: str) -> None:
@@ -93,13 +105,7 @@ def _require_checkpointable(kind: str) -> None:
 
 def cmd_synth(args) -> int:
     started = time.monotonic()
-    cfg = CityConfig(
-        n_sensors=args.sensors,
-        n_hours=args.hours,
-        seed=args.seed,
-        base_level=args.base,
-        lag1_target=args.rho,
-    )
+    cfg = _from_flags(CityConfig, args)
     ds = generate_city(cfg)
     os.makedirs(args.out, exist_ok=True)
     loc_path, read_path = _data_paths(args.out)
@@ -107,26 +113,15 @@ def cmd_synth(args) -> int:
     write_readings_csv(ds, read_path)
     _write_manifest(
         os.path.join(args.out, "manifest.json"),
-        "synth", asdict(cfg), [args.seed], [], [loc_path, read_path], started,
+        "synth", asdict(cfg), [cfg.seed], [], [loc_path, read_path], started,
     )
     return 0
 
 
-# Flags that set the TrainConfig. eval leaves them unset (None), so that it
-# can tell them apart from a checkpoint's config; unset ones take the default.
-_TRAIN_CONFIG_FLAGS = ("model", "seed", "epochs", "lr", "patience", "k")
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(**{name: getattr(args, name) for name in _TRAIN_CONFIG_FLAGS
-                          if getattr(args, name) is not None})
-
-
 def cmd_train(args) -> int:
     started = time.monotonic()
-    _require_checkpointable(args.model)
-    cfg = _train_config(args)
-    model_cfg = _model_config(args, args.model)
+    cfg, model_cfg = _configs(args)
+    _require_checkpointable(cfg.model)
     raw = _load_raw(args.data)
     prepared = prepare(raw)
     g = build_knn_graph(raw.locations, k=cfg.k)
@@ -134,7 +129,7 @@ def cmd_train(args) -> int:
     loc_path, read_path = _data_paths(args.data)
     _write_manifest(
         str(args.out) + ".manifest.json", "train",
-        {"train": asdict(cfg)}, [args.seed],
+        {"train": asdict(cfg)}, [cfg.seed],
         [loc_path, read_path], [args.out], started,
     )
     return 0
@@ -142,27 +137,23 @@ def cmd_train(args) -> int:
 
 def cmd_transfer(args) -> int:
     started = time.monotonic()
-    _require_checkpointable(args.model)
-    model_cfg = _model_config(args, args.model)
+    base_cfg, model_cfg = _configs(args)
+    _require_checkpointable(base_cfg.model)
+    tcfg = _from_flags(TransferConfig, args, source=base_cfg)
     source_raw = _load_raw(args.source)
     target_raw = _load_raw(args.target)
     source_ds = prepare(source_raw)
     target_ds = prepare(target_raw)
-    base_cfg = _train_config(args)
     g_src = build_knn_graph(source_raw.locations, k=base_cfg.k)
     g_tgt = build_knn_graph(target_raw.locations, k=base_cfg.k)
-    tcfg = TransferConfig(
-        source=base_cfg, finetune_epochs=args.finetune_epochs,
-        finetune_lr=args.finetune_lr,
-    )
     tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, model_cfg)
     save_checkpoint(args.out, tuned)
     inputs = [*_data_paths(args.source), *_data_paths(args.target)]
     _write_manifest(
         str(args.out) + ".manifest.json", "transfer",
-        {"train": asdict(base_cfg), "finetune_epochs": args.finetune_epochs,
-         "finetune_lr": args.finetune_lr},
-        [args.seed], inputs, [args.out], started,
+        {"train": asdict(base_cfg), "finetune_epochs": tcfg.finetune_epochs,
+         "finetune_lr": tcfg.finetune_lr},
+        [base_cfg.seed], inputs, [args.out], started,
     )
     return 0
 
@@ -180,47 +171,41 @@ def _load_report(path) -> EvalReport:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+def cmd_compare(args) -> int:
+    started = time.monotonic()
+    base, new = _load_report(args.base), _load_report(args.new)
+    table = improvement_table(base, new)
+    lines = ["model,rmse,nrmse,grad_rmse"]
+    for label, report in (("base", base), ("new", new)):
+        avg = report.averages
+        lines.append(
+            f"{label}:{report.model},{avg['rmse']:.6f},{avg['nrmse']:.6f},{avg['grad_rmse']:.6f}"
+        )
+    lines.append(
+        "improvement_pct,"
+        f"{table['rmse']:.3f},{table['nrmse']:.3f},{table['grad_rmse']:.3f}"
+    )
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        out_path = os.path.join(args.out, "improvement.csv")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _write_manifest(
+            os.path.join(args.out, "manifest.json"), "compare", {},
+            [], [args.base, args.new], [out_path], started,
+        )
+    sys.stdout.write(text)
+    return 0
+
+
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    if args.compare:
-        extra = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
-                 if value is not None and name not in ("command", "func", "compare", "out")]
-        if extra:
-            raise VirtualSensorError(
-                f"eval --compare reads only the two reports; drop {', '.join(extra)}")
-        base_path, new_path = args.compare
-        base, new = _load_report(base_path), _load_report(new_path)
-        table = improvement_table(base, new)
-        lines = ["model,rmse,nrmse,grad_rmse"]
-        for label, report in (("base", base), ("new", new)):
-            avg = report.averages
-            lines.append(
-                f"{label}:{report.model},{avg['rmse']:.6f},{avg['nrmse']:.6f},{avg['grad_rmse']:.6f}"
-            )
-        lines.append(
-            "improvement_pct,"
-            f"{table['rmse']:.3f},{table['nrmse']:.3f},{table['grad_rmse']:.3f}"
-        )
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            out_path = os.path.join(args.out, "improvement.csv")
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            _write_manifest(
-                os.path.join(args.out, "manifest.json"), "eval-compare", {},
-                [], [base_path, new_path], [out_path], started,
-            )
-        sys.stdout.write(text)
-        return 0
-
-    if not args.data or not args.out:
-        raise VirtualSensorError("eval needs --data and --out (or --compare)")
     init_params = None
     if args.ckpt:
         # Every fold retrains with the checkpoint's config; --seed may override its seed.
-        ignored = [f"--{name}" for name in (*_TRAIN_CONFIG_FLAGS, "aggregator")
-                   if name != "seed" and getattr(args, name) is not None]
+        flags = [f.name for f in fields(TrainConfig) if f.name != "seed"] + ["aggregator"]
+        ignored = [f"--{name}" for name in flags if getattr(args, name, None) is not None]
         if ignored:
             raise VirtualSensorError(
                 f"eval --ckpt trains with the checkpoint's config; drop {', '.join(ignored)}")
@@ -235,8 +220,7 @@ def cmd_eval(args) -> int:
             raise VirtualSensorError("eval needs --ckpt or --model")
         if args.finetune_from_ckpt:
             raise VirtualSensorError("eval --finetune-from-ckpt needs --ckpt")
-        cfg = _train_config(args)
-        model_cfg = _model_config(args, args.model)
+        cfg, model_cfg = _configs(args)
     raw = _load_raw(args.data)
     g = build_knn_graph(raw.locations, k=cfg.k)
     report = leave_one_out(raw, g, cfg, model_cfg, init_params=init_params)
@@ -392,23 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic city dataset")
-    p.add_argument("--sensors", type=int, default=8)
-    p.add_argument("--hours", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base", type=float, default=30.0)
-    p.add_argument("--rho", type=float, default=0.9)
+    # Every dest is a CityConfig field; an unset flag keeps the field's default.
+    p.add_argument("--sensors", type=int, dest="n_sensors")
+    p.add_argument("--hours", type=int, dest="n_hours")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--base", type=float, dest="base_level")
+    p.add_argument("--rho", type=float, dest="lag1_target")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
     def add_train_flags(p):
-        p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS),
-                       default=TrainConfig.model)
-        p.add_argument("--seed", type=int, default=TrainConfig.seed)
-        p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-        p.add_argument("--lr", type=float, default=TrainConfig.lr)
-        p.add_argument("--patience", type=int, default=TrainConfig.patience)
+        # TrainConfig fields but --aggregator, a SageConfig one; see _configs.
+        p.add_argument("--model", choices=tuple(DEFAULT_MODEL_CONFIGS))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--patience", type=int)
         p.add_argument("--aggregator", choices=[a.value for a in AggregatorKind])
-        p.add_argument("--k", type=int, default=TrainConfig.k, help="k-NN graph degree")
+        p.add_argument("--k", type=int, help="k-NN graph degree")
 
     p = sub.add_parser("train", help="train a model on all sensors")
     p.add_argument("--data", required=True)
@@ -421,23 +406,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--out", required=True)
     add_train_flags(p)
-    p.add_argument("--finetune-epochs", type=int, default=20)
-    p.add_argument("--finetune-lr", type=float, default=1e-4)
+    p.add_argument("--finetune-epochs", type=int)
+    p.add_argument("--finetune-lr", type=float)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("eval", help="leave-one-location-out evaluation")
-    p.add_argument("--data")
+    p.add_argument("--data", required=True)
     p.add_argument("--ckpt")
     add_train_flags(p)
-    # No defaults: with --ckpt the config comes from the checkpoint (a given
-    # --seed overrides its seed, the other flags are rejected); without, unset
-    # flags take TrainConfig's defaults.
-    p.set_defaults(**dict.fromkeys(_TRAIN_CONFIG_FLAGS))
-    p.add_argument("--finetune-from-ckpt", action="store_true", default=None,
+    p.add_argument("--finetune-from-ckpt", action="store_true",
                    help="seed each fold's training from the checkpoint parameters")
-    p.add_argument("--compare", nargs=2, metavar=("BASE.json", "NEW.json"))
-    p.add_argument("--out")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("compare", help="percentage improvement of one eval report over another")
+    p.add_argument("base", metavar="BASE.json")
+    p.add_argument("new", metavar="NEW.json")
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("predict", help="closed-loop prediction for one location")
     p.add_argument("--data", required=True)

@@ -379,17 +379,20 @@ def mse_loss(pred, actual) -> Var:
 # Adam
 
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam hyperparameters and state. The first `adam_step` fixes the names
+    """Adam's learning rate and state. The first `adam_step` fixes the names
     it updates (`names`, sorted) and lays them and their first and second
     moments out as the three rows of one flat buffer; `p` maps each name to
     its view of the first row."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     p: dict = field(default_factory=dict, init=False)
     names: tuple = field(default=(), init=False)
@@ -430,11 +433,11 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> tuple[dict, AdamSt
     # In place, with the operands of b1 * m + (1 - b1) * g,
     # b2 * v + (1 - b2) * g * g and p - lr * m_hat / (sqrt(v_hat) + eps):
     # every elementwise operation rounds as in a per-name update.
-    m *= state.beta1
-    m += (1 - state.beta1) * g
-    v *= state.beta2
-    v += (1 - state.beta2) * g * g
-    m_hat = m / (1 - state.beta1**t)
-    v_hat = v / (1 - state.beta2**t)
-    p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * g * g
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state

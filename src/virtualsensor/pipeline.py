@@ -115,6 +115,7 @@ class TransferConfig:
     freeze: tuple[str, ...] = ()  # parameter-name prefixes left untouched
 
     def __post_init__(self):
+        check_types(self, ints=("finetune_epochs",), numbers=("finetune_lr",))
         if self.finetune_epochs < 0:
             raise SchemaError(f"finetune_epochs must be >= 0, got {self.finetune_epochs}")
         if not 0.0 <= self.finetune_lr < math.inf:

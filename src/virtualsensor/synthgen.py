@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .dataset import READINGS_HEADER, Dataset, SensorLocation, layout_features
-from .errors import SchemaError
+from .errors import SchemaError, check_types
 from .geograph import distance_matrix
 
 START = datetime(2019, 1, 1, 0, 0, tzinfo=timezone.utc)
@@ -37,6 +37,13 @@ class CityConfig:
     scale_spread: float = 0.4  # +-40% per-sensor scale, makes high/low sites
 
     def __post_init__(self):
+        check_types(self, ints=("n_sensors", "n_hours", "seed"), numbers=(
+            "lag1_target", "diurnal_amplitude", "base_level", "spatial_length_scale",
+            "noise_std", "scale_spread"))
+        if not (isinstance(self.bbox, (tuple, list)) and len(self.bbox) == 4
+                and all(not isinstance(v, bool) and isinstance(v, (int, float))
+                        for v in self.bbox)):
+            raise SchemaError(f"bbox must be four numbers, got {self.bbox!r}")
         for name in ("bbox", "lag1_target", "diurnal_amplitude", "base_level",
                      "spatial_length_scale", "noise_std", "scale_spread"):
             if not np.all(np.isfinite(getattr(self, name))):

@@ -176,7 +176,7 @@ def test_eval_requires_ckpt_or_model(tmp_path, workspace, capsys):
     assert "--ckpt or --model" in capsys.readouterr().err
 
 
-def test_eval_compare_improvement(tmp_path, capsys):
+def test_compare_improvement(tmp_path, capsys):
     def report(path, rmse, nrmse, grad):
         path.write_text(json.dumps({
             "model": "sage",
@@ -189,7 +189,7 @@ def test_eval_compare_improvement(tmp_path, capsys):
     report(base, 17.016, 0.526, 9.426)
     report(new, 15.623, 0.481, 6.354)
     out = tmp_path / "cmp"
-    assert run("eval", "--compare", str(base), str(new), "--out", str(out)) == 0
+    assert run("compare", str(base), str(new), "--out", str(out)) == 0
     text = (out / "improvement.csv").read_text()
     row = [l for l in text.splitlines() if l.startswith("improvement_pct")][0]
     _, r, n, g = row.split(",")
@@ -197,6 +197,18 @@ def test_eval_compare_improvement(tmp_path, capsys):
     assert float(n) == pytest.approx(8.576, abs=0.05)
     assert float(g) == pytest.approx(32.593, abs=0.05)
     assert capsys.readouterr().out == text
+
+
+def test_compare_takes_no_training_flag(tmp_path, capsys):
+    # compare reads only its two reports; argparse knows no other flag of it.
+    reports = [_report(tmp_path / "b.json"), _report(tmp_path / "n.json")]
+    for flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--seed", "0"],
+                 ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"], ["--k", "9"],
+                 ["--aggregator", "mean"], ["--finetune-from-ckpt"]):
+        with pytest.raises(SystemExit) as exc:
+            run("compare", *reports, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- predict
@@ -524,16 +536,16 @@ TS = "2019-01-01T02:00:00Z"
 # Each case maps (tmp_path, data dir) to (argv, a text the error line holds).
 MALFORMED_CLI_INPUTS = {
     "compare-not-json": lambda tmp, data: (
-        ["eval", "--compare", _write_text(tmp / "b.json", "not json"), _report(tmp / "n.json")],
+        ["compare", _write_text(tmp / "b.json", "not json"), _report(tmp / "n.json")],
         "b.json"),
     "compare-not-object": lambda tmp, data: (
-        ["eval", "--compare", _report(tmp / "b.json"), _write_text(tmp / "n.json", "[1]")],
+        ["compare", _report(tmp / "b.json"), _write_text(tmp / "n.json", "[1]")],
         "n.json"),
     "compare-no-per-location": lambda tmp, data: (
-        ["eval", "--compare", _report(tmp / "b.json", per_location=None), _report(tmp / "n.json")],
+        ["compare", _report(tmp / "b.json", per_location=None), _report(tmp / "n.json")],
         "per_location"),
     "compare-average-not-number": lambda tmp, data: (
-        ["eval", "--compare", _report(tmp / "b.json"),
+        ["compare", _report(tmp / "b.json"),
          _report(tmp / "n.json", averages={"rmse": "x", "nrmse": 0.5, "grad_rmse": 5.0})],
         "averages"),
     "plot-one-field": lambda tmp, data: (_plot(tmp, data, [TS]), "line 2"),
@@ -627,18 +639,7 @@ MALFORMED_CLI_INPUTS = {
     "eval-gbt-aggregator": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "gbt", "--aggregator", "attentional",
          "--out", str(tmp / "rep")], "--aggregator"),
-    "compare-with-every-flag": lambda tmp, data: (
-        ["eval", "--compare", _report(tmp / "b.json"), _report(tmp / "n.json"),
-         "--data", "/nonexistent", "--ckpt", "/nonexistent.vsck", "--model", "mlp",
-         "--epochs", "3", "--k", "9", "--finetune-from-ckpt"],
-        "--data, --ckpt, --model, --epochs, --k, --finetune-from-ckpt"),
 }
-# eval --compare reads only its two reports: any flag but --out is an error.
-for _flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--seed", "0"],
-              ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"], ["--k", "9"],
-              ["--aggregator", "mean"], ["--finetune-from-ckpt"]):
-    MALFORMED_CLI_INPUTS[f"compare-with{_flag[0][1:]}"] = lambda tmp, data, flag=_flag: (
-        ["eval", "--compare", _report(tmp / "b.json"), _report(tmp / "n.json"), *flag], flag[0])
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CLI_INPUTS))

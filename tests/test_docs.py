@@ -1,20 +1,24 @@
 """The README's python blocks and the demos import only names the package
-has, the op list in `nncore`'s docstring names only what `nncore` has, and
-every public function of `nncore` has a caller in `src/`. Each source is
-parsed with `ast`; nothing in it runs."""
+has, the README's `virtualsensor` command lines parse, the op list in
+`nncore`'s docstring names only what `nncore` has, and every public function
+of `nncore` has a caller in `src/`. Each source is parsed with `ast` or the
+CLI's parser; nothing in it runs."""
 
 import ast
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from virtualsensor import nncore
+from virtualsensor.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+BASH_BLOCK = re.compile(r"^```bash\n(.*?)^```", re.MULTILINE | re.DOTALL)
 DOCS = ["README.md", *(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))]
 
 
@@ -50,6 +54,22 @@ def test_documented_imports_exist(doc):
         if name not in (None, "*") and not hasattr(found, name):
             missing.append(f"{module}.{name}")
     assert missing == [], f"{doc} imports names the package does not have"
+
+
+README_COMMANDS = [line for block in BASH_BLOCK.findall((ROOT / "README.md").read_text("utf-8"))
+                   for line in block.splitlines() if line.startswith("virtualsensor ")]
+
+
+def test_readme_shows_every_cli_command():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {shlex.split(line)[1] for line in README_COMMANDS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_lines_parse(line):
+    # argparse exits (SystemExit) on an unknown command or flag, or a missing one.
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert callable(args.func)
 
 
 def test_tape_rules_name_only_what_nncore_has():

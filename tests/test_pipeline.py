@@ -3,6 +3,7 @@ leave-one-location-out, reports, and checkpoint persistence."""
 
 import json
 import struct
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -298,6 +299,20 @@ def test_transfer_config_rejects_bad_finetune_settings(bad):
         TransferConfig(source=TrainConfig(), **bad)
 
 
+@pytest.mark.parametrize("cls,field,value", [
+    (GbtConfig, "n_trees", 2.5), (GbtConfig, "n_trees", "3"), (GbtConfig, "max_depth", 2.0),
+    (GbtConfig, "min_leaf", True), (GbtConfig, "learning_rate", "0.1"),
+    (TransferConfig, "finetune_epochs", 1.5), (TransferConfig, "finetune_lr", "1"),
+    (CityConfig, "n_hours", "10"), (CityConfig, "seed", 1.5), (CityConfig, "n_sensors", 3.0),
+    (CityConfig, "base_level", "30"), (CityConfig, "noise_std", None),
+    (CityConfig, "bbox", (51.4, 51.5, -2.6)), (CityConfig, "bbox", (51.4, "51.5", -2.6, -2.5)),
+    (CityConfig, "bbox", "abcd"),
+])
+def test_config_rejects_a_wrong_type_naming_the_field(cls, field, value):
+    with pytest.raises(SchemaError, match=f"{field} must be"):
+        cls(**{field: value})
+
+
 # ---------------------------------------------------------------- rollout dispatch
 
 
@@ -414,6 +429,32 @@ def test_leave_one_out_never_reads_holdout_targets():
     # and the censored training set physically contains no holdout rows
     rows = _training_rows(prepare(fold_dataset(ds, holdout)))
     assert rows.any() and not rows[:, holdout].any()
+
+
+def _leave_one_out_warnings(ds, k):
+    """leave_one_out of a 2-tree GBT on `ds`, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = leave_one_out(ds, build_knn_graph(ds.locations, k=k),
+                               TrainConfig(model="gbt"), GbtConfig(n_trees=2))
+    return report, [(w.category, str(w.message)) for w in caught]
+
+
+def test_leave_one_out_skips_a_location_with_no_reading_after_frame_0():
+    # Today the fold is skipped with a UserWarning, and the report tells it
+    # only through a smaller n_locations.
+    ds = tiny_city(n_sensors=3, n_hours=48)
+    present = ds.present.copy()
+    present[1:, 1] = False
+    report, caught = _leave_one_out_warnings(replace(ds, present=present), k=2)
+    assert caught == [(UserWarning, "holdout sensor S01 has no present frames; skipped")]
+    assert list(report.per_location) == ["S00", "S02"]
+    assert report.metadata["n_locations"] == 2
+
+
+def test_leave_one_out_with_no_evaluable_location_raises():
+    with pytest.raises(SchemaError, match="^no location produced evaluable predictions$"):
+        _leave_one_out_warnings(tiny_city(n_sensors=2, n_hours=1), k=1)
 
 
 def test_leave_one_out_transfer_flag():
