@@ -199,18 +199,6 @@ def test_compare_improvement(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_compare_takes_no_training_flag(tmp_path, capsys):
-    # compare reads only its two reports; argparse knows no other flag of it.
-    reports = [_report(tmp_path / "b.json"), _report(tmp_path / "n.json")]
-    for flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--seed", "0"],
-                 ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"], ["--k", "9"],
-                 ["--aggregator", "mean"], ["--finetune-from-ckpt"]):
-        with pytest.raises(SystemExit) as exc:
-            run("compare", *reports, *flag)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------- predict
 
 
@@ -639,7 +627,22 @@ MALFORMED_CLI_INPUTS = {
     "eval-gbt-aggregator": lambda tmp, data: (
         ["eval", "--data", str(data), "--model", "gbt", "--aggregator", "attentional",
          "--out", str(tmp / "rep")], "--aggregator"),
+    "compare-with-every-flag": lambda tmp, data: (
+        ["compare", _report(tmp / "b.json"), _report(tmp / "n.json"),
+         "--data", "/nonexistent", "--ckpt", "/nonexistent.vsck", "--model", "mlp",
+         "--epochs", "3", "--k", "9", "--finetune-from-ckpt"],
+        "unrecognized arguments: --data /nonexistent --ckpt /nonexistent.vsck --model mlp"
+        " --epochs 3 --k 9 --finetune-from-ckpt"),
 }
+# compare reads only its two reports: argparse knows no training flag of it.
+for _flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--seed", "0"],
+              ["--epochs", "3"], ["--lr", "0.01"], ["--patience", "2"], ["--k", "9"],
+              ["--aggregator", "mean"], ["--finetune-from-ckpt"]):
+    MALFORMED_CLI_INPUTS[f"compare-with{_flag[0][1:]}"] = lambda tmp, data, flag=_flag: (
+        ["compare", _report(tmp / "b.json"), _report(tmp / "n.json"), *flag],
+        f"unrecognized arguments: {' '.join(flag)}")
+# The cases argparse rejects: exit code 2, its usage line, then the one error line.
+REJECTED_BY_ARGPARSE = {case for case in MALFORMED_CLI_INPUTS if case.startswith("compare-with")}
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CLI_INPUTS))
@@ -649,10 +652,18 @@ def test_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
     # pytest's own warning capture keeps numpy warnings out of capsys; record them here.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run(*argv)
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
     err = capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
-    assert code == 1
+    if case in REJECTED_BY_ARGPARSE:
+        assert code == 2
+        usage, err = err.split("virtualsensor: ", 1)
+        assert usage.startswith("usage: virtualsensor ")
+    else:
+        assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
 
