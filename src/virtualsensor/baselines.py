@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FlatConfig, SchemaError, check_types
-from .nncore import Var, _node, _reduce_to, affine, dropout, relu, value_of
+from .nncore import Var, _any_var, _node, _reduce_to, affine, dropout, relu, value_of
 
 
 # ---------------------------------------------------------------------------
@@ -101,31 +101,31 @@ def _conv1d(x, w, b, kernel: int, c_in: int):
     """Same-length stride-1 convolution as one node, summing over the taps in
     ascending order; x is [B, L, c_in], w is [kernel*c_in, c_out] holding one
     [c_in, c_out] block per tap."""
-    pad, length = kernel // 2, value_of(x).shape[1]
-    padded = np.pad(value_of(x), [(0, 0), (pad, kernel - 1 - pad), (0, 0)])
+    xv, wv = value_of(x), value_of(w)
+    pad, length = kernel // 2, xv.shape[1]
+    padded = np.pad(xv, [(0, 0), (pad, kernel - 1 - pad), (0, 0)])
     windows = [padded[:, j : j + length] for j in range(kernel)]  # [B, L, c_in]
-    taps = [value_of(w)[j * c_in : (j + 1) * c_in] for j in range(kernel)]  # [c_in, c_out]
-    out = sum(map(np.matmul, windows[1:], taps[1:]), np.matmul(windows[0], taps[0]))
-    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
-        return out + b
-    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
+    taps = [wv[j * c_in : (j + 1) * c_in] for j in range(kernel)]  # [c_in, c_out]
+    out = sum(map(np.matmul, windows[1:], taps[1:]), np.matmul(windows[0], taps[0])) + value_of(b)
+    if not _any_var(x, w, b):
+        return out
 
     def bwd(g):
-        if b.needs_grad:
+        if isinstance(b, Var):
             b._accumulate(_reduce_to(g, b.shape))
-        gx, gw = np.zeros(padded.shape), np.zeros(w.shape)
+        gx, gw = np.zeros(padded.shape), np.zeros(wv.shape)
         for j, (window, tap) in enumerate(zip(windows, taps)):
-            if x.needs_grad:
+            if isinstance(x, Var):
                 gx[:, j : j + length] += np.matmul(g, tap.swapaxes(-1, -2))
-            if w.needs_grad:
+            if isinstance(w, Var):
                 gw[j * c_in : (j + 1) * c_in] += _reduce_to(
                     np.matmul(window.swapaxes(-1, -2), g), tap.shape)
-        if x.needs_grad:
+        if isinstance(x, Var):
             x._accumulate(gx[:, pad : pad + length])
-        if w.needs_grad:
+        if isinstance(w, Var):
             w._accumulate(gw)
 
-    return _node(out + b.value, (x, w, b), bwd)
+    return _node(out, (x, w, b), bwd)
 
 
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
@@ -28,6 +29,7 @@ from .pipeline import (
     EvalReport,
     TrainConfig,
     TransferConfig,
+    _averages_csv,
     closed_loop_predict,
     improvement_table,
     leave_one_out,
@@ -176,17 +178,9 @@ def cmd_compare(args) -> int:
     started = time.monotonic()
     base, new = _load_report(args.base), _load_report(args.new)
     table = improvement_table(base, new)
-    lines = ["model,rmse,nrmse,grad_rmse"]
-    for label, report in (("base", base), ("new", new)):
-        avg = report.averages
-        lines.append(
-            f"{label}:{report.model},{avg['rmse']:.6f},{avg['nrmse']:.6f},{avg['grad_rmse']:.6f}"
-        )
-    lines.append(
-        "improvement_pct,"
-        f"{table['rmse']:.3f},{table['nrmse']:.3f},{table['grad_rmse']:.3f}"
-    )
-    text = "\n".join(lines) + "\n"
+    text = (_averages_csv([(f"base:{base.model}", base.averages),
+                           (f"new:{new.model}", new.averages)])
+            + "improvement_pct" + "".join(f",{v:.3f}" for v in table.values()) + "\n")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, "improvement.csv")
@@ -446,6 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one `warning:` line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # argparse leaves the parser in reference cycles (a formatter per
@@ -453,11 +452,13 @@ def main(argv=None) -> int:
     # collection they pile up across the commands of one process, which
     # raised the peak RSS of a train-then-predict loop by about 1 MB.
     gc.collect(1)
-    try:
-        return args.func(args)
-    except (VirtualSensorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (VirtualSensorError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -6,31 +6,30 @@ Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
 
 Tape rules. The model forwards run on plain `np.ndarray`s and on `Var`s
-alike. When no operand is a `Var`, every op (the operators `+`, `*` and `@`,
-indexing by ints and slices, `relu`, `affine`, `sigmoid_affine`,
-`masked_mean`, `masked_max` and `dropout`) returns a plain array computed
-by the same numpy expression as its tape form, so validation and rollout
-pass the stored parameter arrays in, build no `Var` and get the training
-forward's bits.
+alike. A plain array is the only constant: every `Var` is a node of the
+tape, either a leaf (`wrap_params` or a bare `Var(x)`) or the result of an
+op with at least one `Var` operand. When no operand is a `Var`, every op
+(the operators `+`, `*` and `@`, indexing by ints and slices, `relu`,
+`affine`, `sigmoid_affine`, `masked_mean`, `masked_max`, `dropout` and
+`mse_loss`) returns a plain array computed by the same numpy expression as
+its tape form, so validation and rollout pass the stored parameter arrays
+in, build no `Var` and get the training forward's bits.
 `Var.__array_ufunc__` is None, so `ndarray <op> Var` falls through to the
-reflected operators, which lift the array to a constant exactly as
-`Var <op> ndarray` does. A `Var` needs a gradient when it is a `wrap_params`
-leaf or a bare `Var(x)`; a lifted array is a constant (`constant`,
-`needs_grad=False`). An op over constants only returns a constant with no
-parents and no backward closure; otherwise its parents are only the operands
-that need a gradient, and its closure skips the products and reductions that
-would only feed a constant. `mse_loss` lifts both operands and always
-returns a `Var`. `backward` runs the closures of the nodes reachable from
-the loss in reverse creation order (a Wengert list). A node's parents exist
-before it, so all its consumers have passed it their gradients before its
-own closure runs; and no node has more than two consumers, so those
-gradients add to the same bits in either order (IEEE addition commutes, but
-three addends would not associate). Fused nodes each replace a chain of ops
-and run its numpy calls in its order: `affine` (`x @ w + b`),
-`sigmoid_affine` (the logistic function of `affine`), `masked_mean` (a masked
-sum over the neighbor axis divided by the clipped count), `masked_max` (a max
-over the neighbor axis after shifting masked slots far down, zeroed for a
-row with no live slot) and `mse_loss`.
+reflected operators, which compute what `Var <op> ndarray` computes. An op
+reads its operands through `value_of`; its parents are only the operands
+that are `Var`s, and its closure passes a gradient only to them, skipping
+the products and reductions that would only feed a plain array. `backward`
+runs the closures of the nodes reachable from the loss in reverse creation
+order (a Wengert list). A node's parents exist before it, so all its
+consumers have passed it their gradients before its own closure runs; and
+no node has more than two consumers, so those gradients add to the same
+bits in either order (IEEE addition commutes, but three addends would not
+associate). Fused nodes each replace a chain of ops and run its numpy calls
+in its order: `affine` (`x @ w + b`), `sigmoid_affine` (the logistic
+function of `affine`), `masked_mean` (a masked sum over the neighbor axis
+divided by the clipped count), `masked_max` (a max over the neighbor axis
+after shifting masked slots far down, zeroed for a row with no live slot)
+and `mse_loss`.
 
 Adam layout. The first `adam_step` lays `AdamState.flat` out for the
 parameters it updates, and every later step must update the same ones. The
@@ -72,20 +71,16 @@ _creation_counter = itertools.count()  # numbers each Var; `backward` runs in re
 
 
 class Var:
-    """Node in the reverse-mode graph; wraps a float64 ndarray.
+    """Node in the reverse-mode graph; wraps a float64 ndarray. A bare
+    `Var(x)` is a leaf; an op makes a node whose parents are its `Var`
+    operands."""
 
-    `needs_grad` is False for constants. An op over constants only is a
-    constant itself, and a node's parents are only the operands that need a
-    gradient.
-    """
-
-    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward", "_created")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_created")
     __array_ufunc__ = None  # ndarray <op> Var calls Var's reflected operator
 
-    def __init__(self, value, parents=(), backward=None, needs_grad=True):
+    def __init__(self, value, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.needs_grad = needs_grad
         self._parents = parents
         self._backward = backward
         self._created = next(_creation_counter)
@@ -116,53 +111,35 @@ class Var:
         self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic --------------------------------------------------------
-    @staticmethod
-    def _lift(x) -> "Var":
-        return x if isinstance(x, Var) else constant(x)
-
     def __add__(self, other):
-        other = Var._lift(other)
+        v = value_of(other)
 
         def bwd(g):
-            if self.needs_grad:
-                self._accumulate(_reduce_to(g, self.shape))
-            if other.needs_grad:
+            self._accumulate(_reduce_to(g, self.shape))
+            if isinstance(other, Var):
                 other._accumulate(_reduce_to(g, other.shape))
 
-        return _node(self.value + other.value, (self, other), bwd)
+        return _node(self.value + v, (self, other), bwd)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = Var._lift(other)
+        v = value_of(other)
 
         def bwd(g):
-            if self.needs_grad:
-                self._accumulate(_reduce_to(g * other.value, self.shape))
-            if other.needs_grad:
+            self._accumulate(_reduce_to(g * v, self.shape))
+            if isinstance(other, Var):
                 other._accumulate(_reduce_to(g * self.value, other.shape))
 
-        return _node(self.value * other.value, (self, other), bwd)
+        return _node(self.value * v, (self, other), bwd)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other = Var._lift(other)
-
-        def bwd(g):
-            if self.needs_grad:
-                self._accumulate(
-                    _reduce_to(np.matmul(g, other.value.swapaxes(-1, -2)), self.shape)
-                )
-            if other.needs_grad:
-                other._accumulate(
-                    _reduce_to(np.matmul(self.value.swapaxes(-1, -2), g), other.shape)
-                )
-
-        return _node(np.matmul(self.value, other.value), (self, other), bwd)
+        return _matmul(self, other)
 
     def __rmatmul__(self, other):
-        return Var._lift(other) @ self
+        return _matmul(other, self)
 
     # -- shape ops ---------------------------------------------------------
     def reshape(self, *shape):
@@ -199,22 +176,28 @@ class Var:
         return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
 
-def constant(value) -> Var:
-    """A Var that needs no gradient: data, masks, counts, lifted arrays."""
-    return Var(value, needs_grad=False)
-
-
 def _node(value, operands: tuple, backward) -> Var:
-    """An op's result: a tape node whose parents are the operands that need
-    a gradient, or, when none does, a constant that keeps no parents and no
-    closure."""
-    parents = tuple([x for x in operands if x.needs_grad])
-    return Var(value, parents, backward) if parents else constant(value)
+    """An op's result: a tape node whose parents are its `Var` operands, of
+    which there is at least one."""
+    return Var(value, tuple([x for x in operands if isinstance(x, Var)]), backward)
 
 
 def value_of(x) -> np.ndarray:
     """The array behind `x`: a Var's value, or `x` itself."""
     return x.value if isinstance(x, Var) else x
+
+
+def _matmul(a, b) -> Var:
+    """`a @ b` where `a`, `b` or both are Vars."""
+    av, bv = value_of(a), value_of(b)
+
+    def bwd(g):
+        if isinstance(a, Var):
+            a._accumulate(_reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), a.shape))
+        if isinstance(b, Var):
+            b._accumulate(_reduce_to(np.matmul(av.swapaxes(-1, -2), g), b.shape))
+
+    return _node(np.matmul(av, bv), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -241,23 +224,26 @@ def relu(x):
 # the chain of ops it replaces, in the same order, so gradients keep their bits.
 
 
-def _affine_backward(x: Var, w: Var, b: Var, g: np.ndarray) -> None:
-    """Pass the gradient `g` of `x @ w + b` to the operands that need one."""
-    if b.needs_grad:
+def _affine_backward(x, w, b, g: np.ndarray) -> None:
+    """Pass the gradient `g` of `x @ w + b` to the operands that are Vars."""
+    if isinstance(b, Var):
         b._accumulate(_reduce_to(g, b.shape))
-    if x.needs_grad:
-        x._accumulate(_reduce_to(np.matmul(g, w.value.swapaxes(-1, -2)), x.shape))
-    if w.needs_grad:
-        w._accumulate(_reduce_to(np.matmul(x.value.swapaxes(-1, -2), g), w.shape))
+    if isinstance(x, Var):
+        x._accumulate(_reduce_to(np.matmul(g, value_of(w).swapaxes(-1, -2)), x.shape))
+    if isinstance(w, Var):
+        w._accumulate(_reduce_to(np.matmul(value_of(x).swapaxes(-1, -2), g), w.shape))
+
+
+def _any_var(*xs) -> bool:
+    return any(isinstance(x, Var) for x in xs)
 
 
 def affine(x, w, b):
     """`x @ w + b` as one node."""
-    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
-        return np.matmul(x, w) + b
-    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
-    return _node(np.matmul(x.value, w.value) + b.value, (x, w, b),
-                 lambda g: _affine_backward(x, w, b, g))
+    y = np.matmul(value_of(x), value_of(w)) + value_of(b)
+    if not _any_var(x, w, b):
+        return y
+    return _node(y, (x, w, b), lambda g: _affine_backward(x, w, b, g))
 
 
 def sigmoid_affine(x, w, b):
@@ -265,9 +251,8 @@ def sigmoid_affine(x, w, b):
     exp(-(x @ w + b)) overflows, the result is its limit 0, without a warning."""
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-(np.matmul(value_of(x), value_of(w)) + value_of(b))))
-    if not isinstance(x, Var) and not isinstance(w, Var) and not isinstance(b, Var):
+    if not _any_var(x, w, b):
         return y
-    x, w, b = Var._lift(x), Var._lift(w), Var._lift(b)
     return _node(y, (x, w, b), lambda g: _affine_backward(x, w, b, g * y * (1.0 - y)))
 
 
@@ -355,24 +340,26 @@ def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None):
     return x * (mask / (1.0 - rate))
 
 
-def mse_loss(pred, actual) -> Var:
+def mse_loss(pred, actual):
     """Mean squared error as one node."""
-    pred = Var._lift(pred)
-    actual = Var._lift(actual)
-    if pred.shape != actual.shape:
-        raise SchemaError(f"mse shapes disagree: {pred.shape} vs {actual.shape}")
-    diff = pred.value + -actual.value
+    p, a = value_of(pred), value_of(actual)
+    if np.shape(p) != np.shape(a):
+        raise SchemaError(f"mse shapes disagree: {np.shape(p)} vs {np.shape(a)}")
+    diff = p + -a
     count = np.asarray(float(diff.size))
+    loss = (diff * diff).sum() / count
+    if not _any_var(pred, actual):
+        return loss
 
     def bwd(g):
         half = np.broadcast_to(g / count, diff.shape) * diff
         g_diff = half + half  # d(diff * diff) reaches diff once per operand
-        if pred.needs_grad:
+        if isinstance(pred, Var):
             pred._accumulate(_reduce_to(g_diff, pred.shape))
-        if actual.needs_grad:
+        if isinstance(actual, Var):
             actual._accumulate(-_reduce_to(g_diff, actual.shape))
 
-    return _node((diff * diff).sum() / count, (pred, actual), bwd)
+    return _node(loss, (pred, actual), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -340,11 +340,7 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        avg = self.averages
-        return (
-            "model,rmse,nrmse,grad_rmse\n"
-            f"{self.model},{avg['rmse']:.6f},{avg['nrmse']:.6f},{avg['grad_rmse']:.6f}\n"
-        )
+        return _averages_csv([(self.model, self.averages)])
 
     @classmethod
     def from_dict(cls, data) -> "EvalReport":
@@ -359,8 +355,9 @@ class EvalReport:
                 and all(isinstance(v, dict) for v in per_location.values())):
             raise SchemaError("report 'per_location' must map locations to metric objects")
         if not (isinstance(averages, dict)
-                and all(isinstance(averages.get(m), (int, float)) for m in METRICS)):
-            raise SchemaError(f"report 'averages' must hold a number for each of {METRICS}")
+                and all(type(averages.get(m)) in (int, float)  # a bool is no number here
+                        and math.isfinite(averages[m]) for m in METRICS)):
+            raise SchemaError(f"report 'averages' must hold a finite number for each of {METRICS}")
         if not isinstance(metadata, dict):
             raise SchemaError("report 'metadata' must be an object")
         return cls(
@@ -369,6 +366,14 @@ class EvalReport:
             averages=dict(averages),
             metadata=dict(metadata),
         )
+
+
+def _averages_csv(rows) -> str:
+    """A header, then one `label,rmse,nrmse,grad_rmse` line for each
+    `(label, averages)` row."""
+    lines = ["model," + ",".join(METRICS)]
+    lines += [label + "".join(f",{avg[m]:.6f}" for m in METRICS) for label, avg in rows]
+    return "\n".join(lines) + "\n"
 
 
 def fold_dataset(ds: Dataset, holdout: int) -> Dataset:
@@ -385,14 +390,15 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
     """Train with the held-out sensor censored, then roll out on it.
 
     Returns (predictions over eval frames, actuals) or None when the sensor
-    has no usable frames. The held-out sensor's actual values are touched
-    exactly once, for the rollout init.
+    has no reading after the first hour, so nothing to evaluate. The held-out
+    sensor's actual values are touched exactly once, for the rollout init.
     """
     observed = ds_raw.observed[:, holdout]
     eval_frames = np.flatnonzero(observed)
     eval_frames = eval_frames[eval_frames >= 1]
     if eval_frames.size == 0:
-        warnings.warn(f"holdout sensor {ds_raw.locations[holdout].id} has no present frames; skipped")
+        warnings.warn(f"holdout sensor {ds_raw.locations[holdout].id} has no reading after "
+                      "the first hour; skipped")
         return None
     init_value = float(ds_raw.targets[np.argmax(observed), holdout])
 
@@ -420,10 +426,11 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
     if model_cfg is None:
         model_cfg = DEFAULT_MODEL_CONFIGS[cfg.model]()
 
-    per_location = {}
+    per_location, skipped = {}, []
     for holdout in range(ds_raw.n_sensors):
         result = _run_fold(ds_raw, g, cfg, model_cfg, init_params, holdout)
         if result is None:
+            skipped.append(ds_raw.locations[holdout].id)
             continue
         pred, actual = result
         per_location[ds_raw.locations[holdout].id] = {
@@ -432,7 +439,8 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
             "grad_rmse": grad_rmse(pred, actual),
         }
     if not per_location:
-        raise SchemaError("no location produced evaluable predictions")
+        raise SchemaError("no location produced evaluable predictions; skipped "
+                          + ", ".join(skipped))
 
     ordered = dict(sorted(per_location.items()))
     averages = {

@@ -37,7 +37,6 @@ from virtualsensor.nncore import (
     _reduce_to,
     affine,
     collect_grads,
-    constant,
     dropout,
     relu,
     value_of,
@@ -66,9 +65,9 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = float(f(_constants(params)).value)
+            up = float(value_of(f(_constants(params))))
             flat[i] = orig - h
-            down = float(f(_constants(params)).value)
+            down = float(value_of(f(_constants(params))))
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             a = float(analytic[name].reshape(-1)[i])
@@ -78,7 +77,8 @@ def grad_check(f, params: dict, h: float = 1e-5) -> float:
 
 
 def _constants(params: dict) -> dict:
-    return {name: constant(value) for name, value in params.items()}
+    """The parameters as plain arrays, over which `f` records no tape."""
+    return dict(params)
 
 
 @contextlib.contextmanager
@@ -349,21 +349,22 @@ def reference_conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
 
 def reference_sub(a, b) -> Var:
     """`a - b` as the chain `a + (-b)`."""
-    a, b = Var._lift(a), Var._lift(b)
+    if not isinstance(b, Var):
+        return a + -b
     return a + _node(-b.value, (b,), lambda g: b._accumulate(-g))
 
 
 def reference_div(a, b) -> Var:
     """`a / b`, elementwise with broadcasting."""
-    a, b = Var._lift(a), Var._lift(b)
+    av, bv = value_of(a), value_of(b)
 
     def bwd(g):
-        if a.needs_grad:
-            a._accumulate(_reduce_to(g / b.value, a.shape))
-        if b.needs_grad:
-            b._accumulate(_reduce_to(-g * a.value / (b.value**2), b.shape))
+        if isinstance(a, Var):
+            a._accumulate(_reduce_to(g / bv, a.shape))
+        if isinstance(b, Var):
+            b._accumulate(_reduce_to(-g * av / (bv**2), b.shape))
 
-    return _node(a.value / b.value, (a, b), bwd)
+    return _node(av / bv, (a, b), bwd)
 
 
 def reference_exp(x: Var) -> Var:

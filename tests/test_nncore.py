@@ -18,7 +18,6 @@ from virtualsensor.nncore import (
     adam_step,
     affine,
     collect_grads,
-    constant,
     dropout,
     glorot_uniform,
     masked_max,
@@ -31,6 +30,7 @@ from virtualsensor.nncore import (
 from virtualsensor.sage import _attention_softmax
 
 from probes import (
+    counting_vars,
     grad_check,
     reference_attention_softmax,
     reference_conv1d,
@@ -141,29 +141,26 @@ def _every_op(a, b, c):
 
 
 def test_constants_record_no_tape():
-    # Over constants every op is a constant with no tape; over plain arrays
-    # it is a plain array with the same bits.
+    # A plain array is the only constant: over plain arrays every op returns
+    # a plain array with the bits of its tape form's value, and builds no Var.
     rng = np.random.default_rng(4)
     a, b, c = rng.normal(size=(2, 3)), rng.normal(size=(3, 1)), rng.normal(size=(1, 1))
-    lifted = _every_op(constant(a), constant(b), constant(c)) + [
-        mse_loss(constant(a), constant(a) * 2.0)]
-    for out in lifted:
-        assert not out.needs_grad and out._parents == () and out._backward is None
-    for out, plain in zip(lifted, _every_op(a, b, c)):
-        assert type(plain) is np.ndarray
-        assert plain.dtype == out.value.dtype and plain.shape == out.value.shape
-        assert plain.tobytes() == out.value.tobytes()
-
-
-def test_bare_var_and_leaves_need_grad():
-    assert Var(np.ones(2)).needs_grad
-    assert all(v.needs_grad for v in wrap_params({"w": np.ones((1, 1))}).values())
+    taped = _every_op(Var(a), Var(b), Var(c)) + [mse_loss(Var(a), a * 2.0)]
+    with counting_vars() as made:
+        plain = _every_op(a, b, c) + [mse_loss(a, a * 2.0)]
+    assert made == []
+    assert len(plain) == len(taped)
+    for out, arr in zip(taped, plain):
+        assert isinstance(out, Var) and type(arr) in (np.ndarray, np.float64)
+        assert arr.dtype == out.value.dtype and arr.shape == out.value.shape
+        assert arr.tobytes() == out.value.tobytes()
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.mul, operator.matmul],
                          ids=lambda op: op.__name__)
 def test_reflected_operators_match_the_lifted_form(op):
-    # `ndarray <op> Var` gives the value and gradient of `constant <op> Var`.
+    # `ndarray <op> Var` gives the value and the Var's gradient of the form
+    # with the array lifted to a leaf, `Var <op> Var`.
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 3))
     w0 = rng.normal(size=(3, 2)) if op is operator.matmul else rng.uniform(0.5, 2.0, (1, 3))
@@ -172,11 +169,11 @@ def test_reflected_operators_match_the_lifted_form(op):
     def run(left):
         w = Var(w0)
         out = op(left, w)
-        assert isinstance(out, Var) and out.needs_grad
+        assert isinstance(out, Var) and out._parents[-1] is w
         (out * upstream).sum().backward()
         return [float(v).hex() for v in np.concatenate([out.value.ravel(), w.grad.ravel()])]
 
-    assert run(x) == run(constant(x))
+    assert run(x) == run(Var(x))
 
 
 def test_ndarray_ufuncs_refuse_a_var():
@@ -186,25 +183,32 @@ def test_ndarray_ufuncs_refuse_a_var():
         np.exp(Var(np.ones(2)))
 
 
-def test_parents_are_only_operands_that_need_grad():
+def test_parents_are_only_var_operands():
+    # A bare Var and each `wrap_params` leaf is a leaf; an op's parents are
+    # its Var operands, never a plain array.
     w = Var(np.ones((3, 1)))
-    x = constant(np.ones((2, 3)))
-    out = x @ w
-    assert out._parents == (w,)
-    assert affine(x, w, constant(np.zeros((1, 1))))._parents == (w,)
+    leaves = wrap_params({"w": np.ones((1, 1))})
+    assert w._parents == () and all(v._parents == () for v in leaves.values())
+    x = np.ones((2, 3))
+    assert (x @ w)._parents == (w,) and (x + w.reshape(1, 3))._parents[0]._parents == (w,)
+    assert affine(x, w, np.zeros((1, 1)))._parents == (w,)
+    assert affine(x, w, leaves["w"])._parents == (w, leaves["w"])
 
 
 def test_backward_leaves_constants_without_grad():
+    # Data and masks enter as plain arrays: the tape's leaves are exactly the
+    # Vars, and backward writes to nothing else.
     rng = np.random.default_rng(0)
-    x = constant(rng.normal(size=(4, 3)))
+    x = rng.normal(size=(4, 3))
     w, b = Var(rng.normal(size=(3, 1))), Var(np.zeros((1, 1)))
-    mask = constant(np.array([[1.0], [0.0], [1.0], [1.0]]))
+    mask = np.array([[1.0], [0.0], [1.0], [1.0]])
     y = rng.normal(size=4)
+    x_bytes, mask_bytes = x.tobytes(), mask.tobytes()
     loss = mse_loss((affine(x, w, b) * mask).reshape(4), y)
     loss.backward()
-    assert x.grad is None and mask.grad is None
+    assert x.tobytes() == x_bytes and mask.tobytes() == mask_bytes
     assert w.grad is not None and b.grad is not None
-    assert all(node.needs_grad for node in tape_nodes(loss))
+    assert {id(node) for node in tape_nodes(loss) if not node._parents} == {id(w), id(b)}
 
 
 def _signed_zeros(upstream):
@@ -348,12 +352,12 @@ def test_dropout_validation():
 def test_mse_loss_example():
     # mean of squared errors: ((1)^2 + (3)^2) / 2 = 5
     loss = mse_loss(np.array([[2.0], [7.0]]), np.array([[1.0], [4.0]]))
-    assert loss.value == pytest.approx(5.0)
+    assert loss == pytest.approx(5.0)
 
 
 def test_mse_loss_zero_at_match():
     x = np.array([[1.5, -2.0]])
-    assert mse_loss(x, x.copy()).value == pytest.approx(0.0)
+    assert mse_loss(x, x.copy()) == pytest.approx(0.0)
 
 
 def test_mse_loss_shape_check():
@@ -551,12 +555,11 @@ def test_grad_check_through_reflected_operators():
 def test_grad_check_catches_wrong_gradient():
     params = {"w": np.array([[2.0]])}
 
-    class LyingVar(Var):
-        pass
-
     def f(p):
         # deliberately corrupted op: value of w^2 but gradient of w
         w = p["w"]
+        if not isinstance(w, Var):
+            return (w * w).sum()
         out = Var(w.value * w.value, parents=(w,), backward=None)
 
         def back(grad):

@@ -447,13 +447,15 @@ def test_leave_one_out_skips_a_location_with_no_reading_after_frame_0():
     present = ds.present.copy()
     present[1:, 1] = False
     report, caught = _leave_one_out_warnings(replace(ds, present=present), k=2)
-    assert caught == [(UserWarning, "holdout sensor S01 has no present frames; skipped")]
+    assert caught == [(UserWarning, "holdout sensor S01 has no reading after the first hour; "
+                                    "skipped")]
     assert list(report.per_location) == ["S00", "S02"]
     assert report.metadata["n_locations"] == 2
 
 
 def test_leave_one_out_with_no_evaluable_location_raises():
-    with pytest.raises(SchemaError, match="^no location produced evaluable predictions$"):
+    with pytest.raises(SchemaError,
+                       match="^no location produced evaluable predictions; skipped S00, S01$"):
         _leave_one_out_warnings(tiny_city(n_sensors=2, n_hours=1), k=1)
 
 

@@ -34,7 +34,7 @@ from virtualsensor.nncore import initialize, mse_loss, wrap_params
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, TrainConfig, _model_inputs, train
 from virtualsensor.sage import sample_batch
 
-from probes import reference_sample_batch, tape_nodes
+from probes import counting_vars, reference_sample_batch, tape_nodes
 
 
 def _digest(arrays) -> str:
@@ -143,11 +143,9 @@ TAPE_SIZE = {"sage-mean": 22, "sage-max_pool": 29, "sage-mean_pool": 29,
              "sage-attentional": 47, "mlp": 18, "cnn": 19}
 
 
-@pytest.mark.parametrize("key", list(TAPE_SIZE))
-def test_no_training_tape_node_has_three_consumers(city, key):
-    # The backward adds the gradients that meet at a node in reverse creation
-    # order. Two addends give the same bits in either order, as IEEE addition
-    # commutes; three need not, as it does not associate.
+def _training_step_loss(city, key):
+    """The loss of one training step of `key` on frame 5: `wrap_params`, the
+    model's `predict` and `mse_loss`."""
     ds, g = city
     kind, model_cfg = MODELS[key]
     model_cfg = model_cfg or DEFAULT_MODEL_CONFIGS[kind]()
@@ -155,11 +153,27 @@ def test_no_training_tape_node_has_three_consumers(city, key):
     pvars = wrap_params(initialize(model_cfg.param_shapes(N_FEATURES), rng))
     nodes = np.flatnonzero(ds.observed[5])
     pred = model_cfg.predict(pvars, g, _model_inputs(ds, g)[5], nodes, "train", rng)
-    loss = mse_loss(pred, ds.targets[5, nodes])
-    tape = tape_nodes(loss)
+    return mse_loss(pred, ds.targets[5, nodes])
+
+
+@pytest.mark.parametrize("key", list(TAPE_SIZE))
+def test_no_training_tape_node_has_three_consumers(city, key):
+    # The backward adds the gradients that meet at a node in reverse creation
+    # order. Two addends give the same bits in either order, as IEEE addition
+    # commutes; three need not, as it does not associate.
+    tape = tape_nodes(_training_step_loss(city, key))
     consumers = Counter(id(p) for node in tape for p in node._parents)
     assert max(consumers.values()) <= 2
     assert len(tape) == TAPE_SIZE[key]
+
+
+@pytest.mark.parametrize("key", list(TAPE_SIZE))
+def test_training_step_builds_only_tape_nodes(city, key):
+    # A plain array is the only constant: features, masks, counts and
+    # dropout masks stay plain, so every Var one step builds is on its tape.
+    with counting_vars() as made:
+        _training_step_loss(city, key)
+    assert len(made) == TAPE_SIZE[key]
 
 
 # ---------------------------------------------------------------- sampler
