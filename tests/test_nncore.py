@@ -183,16 +183,25 @@ def test_ndarray_ufuncs_refuse_a_var():
         np.exp(Var(np.ones(2)))
 
 
-def test_parents_are_only_var_operands():
-    # A bare Var and each `wrap_params` leaf is a leaf; an op's parents are
-    # its Var operands, never a plain array.
-    w = Var(np.ones((3, 1)))
-    leaves = wrap_params({"w": np.ones((1, 1))})
+def test_bare_var_and_leaves_need_grad():
+    # A bare Var and each `wrap_params` leaf is a parentless tape node, and
+    # backward through them writes a gradient to every one.
+    w = Var(np.ones(2))
+    leaves = wrap_params({"u": np.ones((1, 1)), "v": np.ones((1, 1))})
     assert w._parents == () and all(v._parents == () for v in leaves.values())
+    ((w * 3.0).sum() + (leaves["u"] * leaves["v"]).sum()).backward()
+    assert w.grad is not None and all(v.grad is not None for v in leaves.values())
+
+
+def test_parents_are_only_operands_that_need_grad():
+    # The operands that need a gradient are the Vars: an op's parents are its
+    # Var operands, never a plain array.
+    w = Var(np.ones((3, 1)))
+    b = wrap_params({"b": np.ones((1, 1))})["b"]
     x = np.ones((2, 3))
     assert (x @ w)._parents == (w,) and (x + w.reshape(1, 3))._parents[0]._parents == (w,)
     assert affine(x, w, np.zeros((1, 1)))._parents == (w,)
-    assert affine(x, w, leaves["w"])._parents == (w, leaves["w"])
+    assert affine(x, w, b)._parents == (w, b)
 
 
 def test_backward_leaves_constants_without_grad():
