@@ -23,6 +23,7 @@ from virtualsensor.dataset import (
     FEATURE_NAMES,
     N_FEATURES,
     PREV_NO2,
+    READING_FEATURE_COLUMNS,
     fill_prev_no2,
     load_locations,
     parse_hour_timestamp,
@@ -36,6 +37,8 @@ from virtualsensor.errors import (
     SchemaError,
     VirtualSensorError,
 )
+from virtualsensor.pipeline import _training_rows
+from virtualsensor.synthgen import CityConfig, generate_city
 
 from probes import reference_fill_prev_no2, reference_load_dataset
 
@@ -326,6 +329,46 @@ def test_csv_round_trip(tmp_path):
     met_cols = [i for i, (_, _, g) in enumerate(FEATURE_COLUMNS) if g in ("satellite", "meteorological")]
     for j in met_cols:
         assert np.allclose(back.features[:, :, j][ds.present], ds.features[:, :, j][ds.present])
+
+
+def test_a_deleted_row_is_an_absent_reading(tmp_path):
+    """README's absence rule on a written city: a deleted row loads with a NaN
+    target and NaN reading features, no stage reads it, and it stays absent
+    when the loaded city is written and read again."""
+    city = generate_city(CityConfig(n_sensors=4, n_hours=48, seed=3))
+    lp, rp = tmp_path / "locations.csv", tmp_path / "readings.csv"
+    write_locations_csv(city.locations, lp)
+    write_readings_csv(city, rp)
+    header, *rows = rp.read_bytes().splitlines(keepends=True)
+    deleted = np.zeros((48, 4), dtype=bool)
+    deleted[1:47] = np.random.default_rng(3).random((46, 4)) < 0.25  # first and last hour kept
+    rp.write_bytes(header + b"".join(row for row, gone in zip(rows, deleted.ravel()) if not gone))
+
+    ds = load_dataset(lp, rp)
+    kept = ~deleted
+    assert ds.n_frames == 48 and deleted.sum() > 0
+    assert np.array_equal(ds.present, kept)
+    assert np.isnan(ds.targets[deleted]).all()
+    assert np.array_equal(ds.targets[kept], city.targets[kept])
+    n_csv = len(READING_FEATURE_COLUMNS)
+    assert np.isnan(ds.features[deleted][:, :n_csv]).all()
+    assert np.array_equal(ds.features[kept][:, :n_csv], city.features[kept][:, :n_csv])
+
+    prepared = standardize(fill_prev_no2(ds))
+    for j in range(n_csv):
+        column = ds.features[:, :, j][kept]
+        assert prepared.stats.mean[j] == column.mean() and prepared.stats.std[j] == column.std()
+    rows_expected = kept.copy()
+    rows_expected[0] = False
+    assert np.array_equal(_training_rows(prepared), rows_expected)
+
+    rp2 = tmp_path / "rewritten.csv"
+    write_readings_csv(ds, rp2)
+    assert rp2.read_bytes() == rp.read_bytes()
+    back = load_dataset(lp, rp2)
+    assert np.array_equal(back.present, kept)
+    assert np.array_equal(back.targets, ds.targets, equal_nan=True)
+    assert np.array_equal(back.features, ds.features, equal_nan=True)
 
 
 # ---------------------------------------------------------------- standardization
