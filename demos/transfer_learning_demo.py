@@ -35,7 +35,6 @@ target = replace(
     target,
     features=target.features[:keep],
     targets=target.targets[:keep],
-    present=target.present[:keep],
 )
 g_target = build_knn_graph(target.locations, k=3)
 print(f"source: {source.n_sensors} sensors x {source.n_frames} h; "

@@ -240,12 +240,12 @@ def _init_value(text: str, ds, node: int) -> float:
     reading (actual), the mean of every reading in `ds` (mean, 0 if there is
     none), or VALUE (fixed:VALUE)."""
     if text == "actual":
-        observed = ds.observed[:, node]
-        if not observed.any():
+        present = ds.present[:, node]
+        if not present.any():
             raise SchemaError("--init actual: the location has no readings")
-        return float(ds.targets[np.argmax(observed), node])
+        return float(ds.targets[np.argmax(present), node])
     if text == "mean":
-        readings = ds.targets[ds.observed]
+        readings = ds.targets[ds.present]
         return float(readings.mean()) if readings.size else 0.0
     if text.startswith("fixed:"):
         try:

@@ -16,7 +16,7 @@ import contextlib
 import csv
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from operator import itemgetter
@@ -116,28 +116,35 @@ class Dataset:
     """Immutable hourly dataset over a fixed sensor set.
 
     The timeline is dense: frame t is `start + t hours`, and gaps appear as
-    all-false rows of `present`, never as skipped timestamps. Feature entries
-    may be NaN where a sensor was absent.
+    all-false rows of `present`, never as skipped timestamps. A reading is a
+    finite target: an absent one is a NaN target, and construction derives
+    `present`, the read-only [T, n] mask `np.isfinite(targets)`, that every
+    stage reads. Feature entries may be NaN where a sensor was absent.
     """
 
     locations: tuple[SensorLocation, ...]
     start: datetime
     features: np.ndarray  # [T, n, N_FEATURES]
-    targets: np.ndarray  # [T, n]
-    present: np.ndarray  # [T, n] bool
+    targets: np.ndarray  # [T, n], NaN where absent
     stats: StandardizationStats | None = None
+    present: np.ndarray = field(init=False, repr=False, compare=False)  # [T, n] bool
 
     def __post_init__(self):
         T, n, d = self.features.shape
-        if self.targets.shape != (T, n) or self.present.shape != (T, n):
+        if self.targets.shape != (T, n):
             raise SchemaError("dataset array shapes disagree")
         if d != N_FEATURES:
             raise SchemaError(f"feature width {d} != {N_FEATURES}")
+        if not isinstance(self.stats, (StandardizationStats, type(None))):
+            raise SchemaError(f"stats must be StandardizationStats or None, got {type(self.stats)}")
         ids = [loc.id for loc in self.locations]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate sensor ids")
         if len(ids) != n:
             raise SchemaError("location count does not match feature columns")
+        present = np.isfinite(self.targets)
+        present.flags.writeable = False
+        object.__setattr__(self, "present", present)
 
     @property
     def n_sensors(self) -> int:
@@ -146,12 +153,6 @@ class Dataset:
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def observed(self) -> np.ndarray:
-        """[T, n] mask of the readings: a present sensor with a finite target.
-        A fresh array on each access."""
-        return self.present & np.isfinite(self.targets)
 
     def timestamp(self, t: int) -> datetime:
         return self.start + timedelta(hours=int(t))
@@ -272,11 +273,11 @@ def load_dataset(locations_path, readings_path) -> Dataset:
 
     One streaming pass over readings.csv: each distinct timestamp text is
     parsed once, and each row's 12 numbers go into one flat float buffer.
-    Every numeric field must be finite (ParseError otherwise). Absent
-    (sensor, hour) rows become present=False entries with NaN
-    satellite/meteorological features; time and static columns are always
-    populated. The first bad row in file order decides the error, and errors
-    name the file's physical line.
+    Every numeric field must be finite (ParseError otherwise). An absent
+    (sensor, hour) row loads as a NaN target, so it is not `present`, with
+    NaN satellite/meteorological features; time and static columns are
+    always populated. The first bad row in file order decides the error,
+    and errors name the file's physical line.
     """
     locations = load_locations(locations_path)
     n = len(locations)
@@ -332,15 +333,13 @@ def load_dataset(locations_path, readings_path) -> Dataset:
 
     features = layout_features(locations, start, n_hours)
     targets = np.full((n_hours, n), np.nan)
-    present = np.zeros((n_hours, n), dtype=bool)
 
     data = np.frombuffer(values).reshape(len(cells), len(_READING_VALUES))
     t = hours - first
     features[t, sensor, : len(READING_FEATURE_COLUMNS)] = data[:, 1:]
     targets[t, sensor] = data[:, 0]
-    present[t, sensor] = True
 
-    return Dataset(locations, start, features, targets, present)
+    return Dataset(locations, start, features, targets)
 
 
 def write_locations_csv(locations: Sequence[SensorLocation], path) -> None:
@@ -352,19 +351,18 @@ def write_locations_csv(locations: Sequence[SensorLocation], path) -> None:
 
 
 def write_readings_csv(ds: Dataset, path) -> None:
-    """Write present readings in the canonical format; absent pairs are skipped."""
-    n_csv = len(READING_FEATURE_COLUMNS)
+    """Write present readings in the canonical format, hour by hour in sensor
+    order; absent pairs are skipped."""
+    values = np.dstack((ds.targets, ds.features[:, :, : len(READING_FEATURE_COLUMNS)]))
+    frames, sensors = np.nonzero(ds.present)
+    stamps = [ds.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z") for t in range(ds.n_frames)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(READINGS_HEADER)
-        for t in range(ds.n_frames):
-            ts = ds.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z")
-            for s in range(ds.n_sensors):
-                if not ds.present[t, s]:
-                    continue
-                row = [ts, ds.locations[s].id, repr(float(ds.targets[t, s]))]
-                row += [repr(float(v)) for v in ds.features[t, s, :n_csv]]
-                writer.writerow(row)
+        writer.writerows(  # csv writes a float as its repr
+            [stamps[t], ds.locations[s].id, *row]
+            for t, s, row in zip(frames.tolist(), sensors.tolist(), values[ds.present].tolist())
+        )
 
 
 def _column_moments(ds: Dataset, j: int) -> tuple[int, float, float]:
@@ -413,19 +411,19 @@ def standardize(ds: Dataset, stats: StandardizationStats | None = None) -> Datas
 def fill_prev_no2(ds: Dataset) -> Dataset:
     """Populate the autoregressive column with the previous hour's NO2.
 
-    When a sensor was absent at t-1, the most recent past observation at the
-    same hour-of-day is used; sensors with no prior same-hour observation get
-    the dataset-wide mean. Frame 0 gets the dataset-wide mean (no prior hour).
-    A present but non-finite target also reads as the mean. Hour-of-day
-    repeats every 24 frames, so this is a forward fill down each hour's
-    frames: a running maximum of present frame indices, then a gather.
+    When a sensor was absent at t-1 (a NaN target, so not `present`), the
+    most recent past reading at the same hour-of-day is used; sensors with
+    no prior same-hour reading get the mean of every reading. Frame 0 gets
+    that mean too (no prior hour). Hour-of-day repeats every 24 frames, so
+    this is a forward fill down each hour's frames: a running maximum of
+    present frame indices, then a gather.
     """
     if ds.stats is not None:
         raise SchemaError("fill_prev_no2 expects an unstandardized dataset")
-    observed = ds.targets[ds.observed]
+    readings = ds.targets[ds.present]
     # Targets whose mean overflows overflow the AR column's too, which `standardize` rejects.
     with np.errstate(over="ignore"):
-        fallback_mean = float(observed.mean()) if observed.size else 0.0
+        fallback_mean = float(readings.mean()) if readings.size else 0.0
 
     T, n = ds.targets.shape
     features = ds.features.copy()
@@ -438,7 +436,7 @@ def fill_prev_no2(ds: Dataset) -> Dataset:
     latest[:T] = np.where(ds.present, np.arange(T)[:, None], -1)
     latest = np.maximum.accumulate(latest.reshape(days, 24, n), axis=0).reshape(-1, n)[: T - 1]
     prev = np.take_along_axis(ds.targets, latest, axis=0)
-    features[1:, :, PREV_NO2] = np.where((latest >= 0) & np.isfinite(prev), prev, fallback_mean)
+    features[1:, :, PREV_NO2] = np.where(latest >= 0, prev, fallback_mean)
     return replace(ds, features=features)
 
 

@@ -175,8 +175,8 @@ def _model_inputs(ds: Dataset, g: SpatialGraph) -> np.ndarray:
 
 def _training_rows(ds: Dataset) -> np.ndarray:
     """[T, n] mask of the teacher-forced training rows: the readings
-    (`Dataset.observed`) at frames t >= 1 (frame 0 has no previous hour)."""
-    ok = ds.observed
+    (`Dataset.present`) at frames t >= 1 (frame 0 has no previous hour)."""
+    ok = ds.present.copy()
     ok[0] = False
     return ok
 
@@ -291,7 +291,7 @@ def transfer(source_ds: Dataset, target_ds: Dataset, graphs: tuple[SpatialGraph,
 
 def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
                         target_node: int, init_value: float,
-                        rng: np.random.Generator | None = None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Autoregressive rollout for one node, frames t = 1..T-1, in ug/m3.
 
     The target's autoregressive slot holds `init_value` (ug/m3, finite) at
@@ -304,8 +304,6 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     if not math.isfinite(prev):
         raise SchemaError(f"rollout init value {prev} is not finite")
     feats_all = _model_inputs(ds, g)
-    if rng is None:
-        rng = np.random.default_rng(0)
     model_cfg = trained.model_config
     nodes = np.array([target_node])
     preds = np.empty(ds.n_frames - 1)
@@ -377,12 +375,11 @@ def _averages_csv(rows) -> str:
 
 
 def fold_dataset(ds: Dataset, holdout: int) -> Dataset:
-    """Censor one sensor: targets erased, presence cleared, features kept."""
+    """Censor one sensor: its targets become NaN, so it is never `present`;
+    features are kept."""
     targets = ds.targets.copy()
-    present = ds.present.copy()
     targets[:, holdout] = np.nan
-    present[:, holdout] = False
-    return replace(ds, targets=targets, present=present)
+    return replace(ds, targets=targets)
 
 
 def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
@@ -393,14 +390,14 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
     has no reading after the first hour, so nothing to evaluate. The held-out
     sensor's actual values are touched exactly once, for the rollout init.
     """
-    observed = ds_raw.observed[:, holdout]
-    eval_frames = np.flatnonzero(observed)
+    present = ds_raw.present[:, holdout]
+    eval_frames = np.flatnonzero(present)
     eval_frames = eval_frames[eval_frames >= 1]
     if eval_frames.size == 0:
         warnings.warn(f"holdout sensor {ds_raw.locations[holdout].id} has no reading after "
                       "the first hour; skipped")
         return None
-    init_value = float(ds_raw.targets[np.argmax(observed), holdout])
+    init_value = float(ds_raw.targets[np.argmax(present), holdout])
 
     prepared = prepare(fold_dataset(ds_raw, holdout))
     trained = train(prepared, g, cfg, model_cfg, init_params=init_params)

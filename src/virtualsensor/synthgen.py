@@ -184,7 +184,7 @@ def generate_city(cfg: CityConfig) -> Dataset:
     for j, values in enumerate(readings[1:]):
         features[:, :, j] = values
 
-    return Dataset(locations, START, features, no2, np.ones((T, n), dtype=bool))
+    return Dataset(locations, START, features, no2)
 
 
 def lag_autocorr(series: np.ndarray, lag: int = 1) -> float:

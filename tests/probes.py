@@ -190,7 +190,6 @@ def reference_load_dataset(locations_path, readings_path) -> Dataset:
 
     features = np.full((n_hours, n, d), np.nan)
     targets = np.full((n_hours, n), np.nan)
-    present = np.zeros((n_hours, n), dtype=bool)
 
     time_lo = FEATURE_NAMES.index("hour_sin")
     for t in range(n_hours):
@@ -202,14 +201,12 @@ def reference_load_dataset(locations_path, readings_path) -> Dataset:
         t = int((ts - start).total_seconds() // 3600)
         features[t, s, : len(values)] = values
         targets[t, s] = no2
-        present[t, s] = True
 
     return Dataset(
         locations=locations,
         start=start,
         features=features,
         targets=targets,
-        present=present,
     )
 
 

@@ -230,8 +230,7 @@ def test_criterion_07_transfer_benefit():
 
         tgt = generate_city(CityConfig(seed=seed, n_hours=4000))
         keep = tgt.n_frames // 10
-        tgt = replace(tgt, features=tgt.features[:keep], targets=tgt.targets[:keep],
-                      present=tgt.present[:keep])
+        tgt = replace(tgt, features=tgt.features[:keep], targets=tgt.targets[:keep])
         g_tgt = build_knn_graph(tgt.locations, k=3)
         cfg = TrainConfig(epochs=4, patience=4, seed=seed)
         r_scratch = leave_one_out(tgt, g_tgt, cfg)
@@ -286,7 +285,6 @@ def test_criterion_09_metric_unit_oracles():
         start=datetime(2021, 1, 1, tzinfo=timezone.utc),
         features=features,
         targets=np.ones((3, 1)),
-        present=np.ones((3, 1), dtype=bool),
     )
     out = standardize(ds)
     stats = out.stats

@@ -270,7 +270,7 @@ def test_predict_rolls_out_on_the_trained_k(tmp_path):
     raw = load_dataset(data / "locations.csv", data / "readings.csv")
     trained = load_checkpoint(ckpt)
     node = raw.sensor_index("S02")
-    init = float(raw.targets[np.argmax(raw.observed[:, node]), node])
+    init = float(raw.targets[np.argmax(raw.present[:, node]), node])
 
     def csv_on_graph(k):
         preds = closed_loop_predict(trained, build_knn_graph(raw.locations, k=k),
@@ -311,9 +311,8 @@ def test_predict_init_actual_and_mean_are_their_fixed_values(tmp_path, workspace
     _, data, ckpt = workspace
     raw = load_dataset(data / "locations.csv", data / "readings.csv")
     node = raw.sensor_index("S01")
-    observed = raw.present & np.isfinite(raw.targets)
-    first = float(raw.targets[np.argmax(observed[:, node]), node])
-    mean = float(raw.targets[observed].mean())
+    first = float(raw.targets[np.argmax(raw.present[:, node]), node])
+    mean = float(raw.targets[raw.present].mean())
     for init, value in (("actual", first), ("mean", mean)):
         assert (_predict_bytes(tmp_path, data, ckpt, init, "S01")
                 == _predict_bytes(tmp_path, data, ckpt, f"fixed:{value!r}", "S01")), init

@@ -45,16 +45,15 @@ from probes import reference_fill_prev_no2, reference_load_dataset
 UTC = timezone.utc
 
 
-def make_dataset(targets, present=None, features=None, start=None):
-    """Small helper: build a valid Dataset around given target array [T, n]."""
+def make_dataset(targets, features=None, start=None):
+    """Small helper: build a valid Dataset around given target array [T, n],
+    NaN where a sensor is absent."""
     targets = np.asarray(targets, dtype=np.float64)
     T, n = targets.shape
     if features is None:
         rng = np.random.default_rng(0)
         features = rng.normal(10.0, 3.0, size=(T, n, N_FEATURES))
         features[:, :, PREV_NO2] = np.nan
-    if present is None:
-        present = np.isfinite(targets)
     locs = tuple(
         SensorLocation(f"S{i:02d}", 51.4 + 0.01 * i, -2.6 + 0.01 * i, 10.0 * (i + 1))
         for i in range(n)
@@ -64,7 +63,6 @@ def make_dataset(targets, present=None, features=None, start=None):
         start=start or datetime(2021, 3, 1, 0, tzinfo=UTC),
         features=features,
         targets=targets,
-        present=np.asarray(present, dtype=bool),
     )
 
 
@@ -453,18 +451,14 @@ def test_standardize_twice_refused():
 
 
 def _partly_absent_dataset():
-    """Absent rows (NaN features and targets), a present row whose target is
-    NaN, and a zero-variance feature column."""
+    """Absent rows (NaN features and targets) and a zero-variance feature column."""
     rng = np.random.default_rng(8)
     targets = rng.uniform(5, 50, size=(30, 3))
     targets[4:9, 1] = np.nan
-    present = np.isfinite(targets)
-    targets[12, 2] = np.nan  # present, but its target is not finite
-    present[12, 2] = True
     features = rng.normal(0, 5, size=(30, 3, N_FEATURES))
-    features[~present] = np.nan
+    features[4:9, 1] = np.nan
     features[:, :, 3] = 7.0  # zero variance
-    return fill_prev_no2(make_dataset(targets, present=present, features=features))
+    return fill_prev_no2(make_dataset(targets, features=features))
 
 
 def test_standardize_with_its_own_stats_is_bit_identical():
@@ -495,16 +489,6 @@ def test_standardize_with_stats_names_an_overflowing_column(scale):
     ds = make_dataset(rng.uniform(5, 50, size=(50, 3)), features=features)
     with pytest.raises(DegenerateFeatureError, match=f"{FEATURE_NAMES[6]!r} is too large"):
         standardize(ds, stats)
-
-
-def test_observed_is_present_with_finite_target():
-    ds = _partly_absent_dataset()
-    observed = ds.observed
-    assert not observed[4:9, 1].any() and not observed[12, 2]
-    assert observed.sum() == ds.present.sum() - 1
-    assert np.isfinite(ds.targets[observed]).all()
-    observed[:] = False  # a fresh array: writing into it leaves the dataset's alone
-    assert ds.observed.sum() == ds.present.sum() - 1
 
 
 def test_stats_column_transforms_match_full_transform():
@@ -548,12 +532,9 @@ def test_fill_prev_no2_same_hour_fallback():
     # 2; the AR input for day 2 hour 4 must fall back to 22.
     T = 53
     targets = np.full((T, 1), np.nan)
-    present = np.zeros((T, 1), dtype=bool)
     targets[3, 0] = 22.0
-    present[3, 0] = True
     targets[52, 0] = 40.0  # need >= 2 observations for a meaningful mean
-    present[52, 0] = True
-    ds = make_dataset(targets, present=present)
+    ds = make_dataset(targets)
     out = fill_prev_no2(ds)
     ar = out.features[:, 0, PREV_NO2]
     assert ar[4] == pytest.approx(22.0)  # direct previous hour
@@ -564,11 +545,9 @@ def test_fill_prev_no2_same_hour_fallback():
 def test_fill_prev_no2_prefers_latest_same_hour():
     T = 73
     targets = np.full((T, 1), np.nan)
-    present = np.zeros((T, 1), dtype=bool)
     for t, v in ((5, 11.0), (29, 17.0)):  # both hour-of-day 5
         targets[t, 0] = v
-        present[t, 0] = True
-    ds = make_dataset(targets, present=present)
+    ds = make_dataset(targets)
     ar = fill_prev_no2(ds).features[:, 0, PREV_NO2]
     assert ar[54] == pytest.approx(17.0)  # t-1 = 53 (hour 5) absent -> latest obs at hour 5
 
@@ -594,14 +573,19 @@ def test_fill_prev_no2_idempotent_on_targets():
 
 
 def test_dataset_shape_validation():
+    locations = (SensorLocation("a", 0, 0, 1), SensorLocation("b", 0, 0, 1))
+    start = datetime(2021, 1, 1, tzinfo=UTC)
     with pytest.raises(SchemaError):
         Dataset(
-            locations=(SensorLocation("a", 0, 0, 1), SensorLocation("b", 0, 0, 1)),
-            start=datetime(2021, 1, 1, tzinfo=UTC),
+            locations=locations,
+            start=start,
             features=np.zeros((4, 2, 19)),
             targets=np.zeros((4, 3)),  # wrong sensor count
-            present=np.ones((4, 2), dtype=bool),
         )
+    # A presence mask passed positionally lands in `stats`, which refuses it.
+    with pytest.raises(SchemaError, match="stats must be StandardizationStats or None"):
+        Dataset(locations, start, np.zeros((4, 2, 19)), np.zeros((4, 2)),
+                np.ones((4, 2), dtype=bool))
 
 
 def test_dataset_duplicate_ids_rejected():
@@ -611,8 +595,17 @@ def test_dataset_duplicate_ids_rejected():
             start=datetime(2021, 1, 1, tzinfo=UTC),
             features=np.zeros((4, 2, 19)),
             targets=np.zeros((4, 2)),
-            present=np.ones((4, 2), dtype=bool),
         )
+
+
+def test_present_is_the_finite_targets_and_read_only():
+    ds = _partly_absent_dataset()
+    assert np.array_equal(ds.present, np.isfinite(ds.targets))
+    assert not ds.present[4:9, 1].any() and ds.present.sum() == 30 * 3 - 5
+    with pytest.raises(ValueError):
+        ds.present[0, 0] = False
+    with pytest.raises(TypeError):
+        Dataset(ds.locations, ds.start, ds.features, ds.targets, present=ds.present)
 
 
 def test_sensor_index_lookup():
@@ -705,9 +698,9 @@ def test_fill_prev_no2_matches_hourly_loop(data):
     n = data.draw(st.integers(1, 3))
     present = np.array(data.draw(st.lists(st.booleans(), min_size=T * n, max_size=T * n)))
     values = data.draw(st.lists(
-        st.one_of(st.floats(-50.0, 200.0), st.sampled_from((math.nan, math.inf, -0.0))),
-        min_size=T * n, max_size=T * n,
+        st.one_of(st.floats(-50.0, 200.0), st.just(-0.0)), min_size=T * n, max_size=T * n,
     ))
+    targets = np.where(present, values, np.nan).reshape(T, n)  # an absent cell is a NaN target
     start = datetime(2021, 3, 1, data.draw(st.integers(0, 23)), tzinfo=UTC)
-    ds = make_dataset(np.reshape(values, (T, n)), present=present.reshape(T, n), start=start)
+    ds = make_dataset(targets, start=start)
     assert _hex(fill_prev_no2(ds).features) == _hex(reference_fill_prev_no2(ds).features)

@@ -329,7 +329,7 @@ def test_closed_loop_predict_all_kinds(kind, model_cfg):
     _, prepared, _, g = prepared_city()
     cfg = TrainConfig(epochs=1, model=kind, seed=0)
     trained = train(prepared, g, cfg, model_cfg)
-    preds = closed_loop_predict(trained, g, prepared, 0, 25.0)
+    preds = closed_loop_predict(trained, g, prepared, 0, 25.0, np.random.default_rng(0))
     assert preds.shape == (prepared.n_frames - 1,)
     assert np.all(np.isfinite(preds))
 
@@ -367,7 +367,7 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
     assert not any(built["eval"])
     assert all(built["train"]) and len(built["train"]) == 2 * 96 * cls.trains_by_gradient
     with counting_vars() as made:
-        closed_loop_predict(trained, g, prepared, 0, 25.0)
+        closed_loop_predict(trained, g, prepared, 0, 25.0, np.random.default_rng(0))
     assert made == []
 
 
@@ -444,9 +444,9 @@ def test_leave_one_out_skips_a_location_with_no_reading_after_frame_0():
     # Today the fold is skipped with a UserWarning, and the report tells it
     # only through a smaller n_locations.
     ds = tiny_city(n_sensors=3, n_hours=48)
-    present = ds.present.copy()
-    present[1:, 1] = False
-    report, caught = _leave_one_out_warnings(replace(ds, present=present), k=2)
+    targets = ds.targets.copy()
+    targets[1:, 1] = np.nan
+    report, caught = _leave_one_out_warnings(replace(ds, targets=targets), k=2)
     assert caught == [(UserWarning, "holdout sensor S01 has no reading after the first hour; "
                                     "skipped")]
     assert list(report.per_location) == ["S00", "S02"]

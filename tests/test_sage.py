@@ -71,10 +71,8 @@ def small_dataset(T=30, n=3, seed=0, censor=None):
     rng = np.random.default_rng(seed)
     features = rng.normal(0.0, 1.0, size=(T, n, N_FEATURES))
     targets = rng.uniform(10.0, 40.0, size=(T, n))
-    present = np.ones((T, n), dtype=bool)
     if censor is not None:
         targets[:, censor] = np.nan
-        present[:, censor] = False
     locs = tuple(
         SensorLocation(f"S{i}", 51.4 + 0.01 * i, -2.6 + 0.01 * i, 10.0) for i in range(n)
     )
@@ -83,7 +81,6 @@ def small_dataset(T=30, n=3, seed=0, censor=None):
         start=datetime(2021, 1, 1, tzinfo=UTC),
         features=features,
         targets=targets,
-        present=present,
     )
     return prepare(ds)
 
@@ -434,7 +431,7 @@ def test_graph_size_check(kind):
         train(ds, triangle_graph(4), cfg)
     trained = train(ds, triangle_graph(3), cfg)
     with pytest.raises(SchemaError, match="graph has 4 nodes for 3 sensors"):
-        closed_loop_predict(trained, triangle_graph(4), ds, 0, 1.0)
+        closed_loop_predict(trained, triangle_graph(4), ds, 0, 1.0, np.random.default_rng(0))
 
 
 def test_model_inputs_finite():

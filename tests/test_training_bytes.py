@@ -151,7 +151,7 @@ def _training_step_loss(city, key):
     model_cfg = model_cfg or DEFAULT_MODEL_CONFIGS[kind]()
     rng = np.random.default_rng(0)
     pvars = wrap_params(initialize(model_cfg.param_shapes(N_FEATURES), rng))
-    nodes = np.flatnonzero(ds.observed[5])
+    nodes = np.flatnonzero(ds.present[5])
     pred = model_cfg.predict(pvars, g, _model_inputs(ds, g)[5], nodes, "train", rng)
     return mse_loss(pred, ds.targets[5, nodes])
 
