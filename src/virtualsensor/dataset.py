@@ -118,7 +118,7 @@ class Dataset:
     The timeline is dense: frame t is `start + t hours`, and gaps appear as
     all-false rows of `present`, never as skipped timestamps. A reading is a
     finite target: an absent one is a NaN target, and construction derives
-    `present`, the read-only [T, n] mask `np.isfinite(targets)`, that every
+    `present`, the read-only [T, n] mask `np.isfinite(targets)` that every
     stage reads. Feature entries may be NaN where a sensor was absent.
     """
 
