@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import N_FEATURES
 from .errors import FlatConfig, SchemaError, check_types
-from .nncore import Var, _any_var, _node, _reduce_to, affine, dropout, relu, value_of
+from .nncore import Var, _any_var, _node, _reduce_to, affine, draw_blocks, dropout, relu, value_of
 
 
 # ---------------------------------------------------------------------------
@@ -48,16 +49,28 @@ class MlpConfig(FlatConfig):
             shapes[f"fc{i}.b"] = (1, b)
         return shapes
 
-    def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator):
-        return mlp_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
+    def draws(self, g, steps, mode: str, rng: np.random.Generator):
+        return _dropout_draws(rng, steps, mode, self.dropout, (self.hidden[1],))
+
+    def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                drawn: tuple):
+        return mlp_forward_batch(pvars, self, feats[nodes], *drawn, mode=mode)
 
 
-def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None):
+def _dropout_draws(rng: np.random.Generator, steps, mode: str, rate: float, row_shape):
+    """Each step's dropout mask, `row_shape` per target, or () unless
+    training with a positive rate."""
+    if mode != "train" or not rate:
+        return [()] * len(steps)
+    blocks = draw_blocks(rng, steps, None, [row_shape], rate)
+    return (keep for _, _, masks in blocks for keep in masks)
+
+
+def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray,
+                      keep: np.ndarray | None = None, mode: str = "eval"):
     h = relu(affine(x, pvars["fc1.w"], pvars["fc1.b"]))
     h = relu(affine(h, pvars["fc2.w"], pvars["fc2.b"]))
-    h = dropout(h, cfg.dropout, mode, rng=rng)
+    h = dropout(h, cfg.dropout, mode, keep)
     h = relu(affine(h, pvars["fc3.w"], pvars["fc3.b"]))
     out = affine(h, pvars["fc4.w"], pvars["fc4.b"])
     return out.reshape(out.shape[0])
@@ -92,9 +105,13 @@ class CnnConfig(FlatConfig):
                 "fc1.w": (in_dim * c, d), "fc1.b": (1, d),
                 "fc2.w": (d, 1), "fc2.b": (1, 1)}
 
-    def predict(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator):
-        return cnn_forward_batch(pvars, self, feats[nodes], mode=mode, rng=rng)
+    def draws(self, g, steps, mode: str, rng: np.random.Generator):
+        # Every model reads rows of N_FEATURES features.
+        return _dropout_draws(rng, steps, mode, self.dropout, (N_FEATURES, self.channels))
+
+    def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                drawn: tuple):
+        return cnn_forward_batch(pvars, self, feats[nodes], *drawn, mode=mode)
 
 
 def _conv1d(x, w, b, kernel: int, c_in: int):
@@ -128,13 +145,13 @@ def _conv1d(x, w, b, kernel: int, c_in: int):
     return _node(out, (x, w, b), bwd)
 
 
-def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray, mode: str = "eval",
-                      rng: np.random.Generator | None = None):
+def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray,
+                      keep: np.ndarray | None = None, mode: str = "eval"):
     n, d = x.shape
     h = x.reshape(n, d, 1)
     h = relu(_conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1))
     h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
-    h = dropout(h, cfg.dropout, mode, rng=rng)
+    h = dropout(h, cfg.dropout, mode, keep)
     h = relu(h).reshape(n, d * cfg.channels)
     h = relu(affine(h, pvars["fc1.w"], pvars["fc1.b"]))
     out = affine(h, pvars["fc2.w"], pvars["fc2.b"])
@@ -166,8 +183,11 @@ class GbtConfig(FlatConfig):
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GbtModel":
         return gbt_fit(x, y, self)
 
-    def predict(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                rng: np.random.Generator) -> np.ndarray:
+    def draws(self, g, steps, mode: str, rng: np.random.Generator) -> list:
+        return [()] * len(steps)  # trees draw nothing
+
+    def forward(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+                drawn: tuple) -> np.ndarray:
         return gbt_predict(model, feats[nodes])
 
 

@@ -1,6 +1,6 @@
 """Dense numerical core: a small reverse-mode autodiff over float64 numpy
-arrays, activations, Glorot initialization, inverted dropout, MSE loss and
-Adam.
+arrays, activations, Glorot initialization, block draws of random inputs
+(`draw_blocks`), inverted dropout on a pre-drawn mask, MSE loss and Adam.
 
 Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
@@ -324,20 +324,62 @@ def initialize(shapes: dict, rng: np.random.Generator) -> dict:
             else glorot_uniform(rng, *shape) for name, shape in shapes.items()}
 
 
-def dropout(x, rate: float, mode: str, rng: np.random.Generator | None = None):
+# The most bytes of uniforms one `draw_blocks` call of `rng.random` draws
+# (2^14 doubles, about 12 sage training steps of 7 targets), so what a block
+# holds does not grow with the number of steps or sensors.
+DRAW_BLOCK_BYTES = 1 << 17
+
+
+def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: float):
+    """Yield (steps, sort keys, each step's dropout masks) for each block of
+    consecutive `steps` (lists of target nodes), drawn by one `rng.random`
+    call of at most DRAW_BLOCK_BYTES (or one step).
+
+    Each target draws `key_shape` sort keys (unless None), then uniforms of
+    each of `mask_shapes`. A generator emits the same doubles however its
+    calls are cut, so each step gets the bits its own draws in turn would.
+    The keys come as one [n_targets, *key_shape] array; a mask is a boolean
+    [len(step), *shape] array, True where the uniform is >= `rate`.
+    """
+    key_size = math.prod(key_shape) if key_shape is not None else 0
+    sizes = [math.prod(shape) for shape in mask_shapes]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    per_row = key_size + sum(sizes)
+    start = 0
+    while start < len(steps):
+        stop, total = start + 1, len(steps[start]) * per_row
+        while stop < len(steps) and (total + len(steps[stop]) * per_row) * 8 <= DRAW_BLOCK_BYTES:
+            total, stop = total + len(steps[stop]) * per_row, stop + 1
+        block, start = steps[start:stop], stop
+        uniforms = rng.random(total) if per_row else np.empty(0)
+        keep = uniforms >= rate if sizes else None
+        keys, masks, pos = [], [], 0
+        for nodes in block:
+            b = len(nodes)
+            keys.append(uniforms[pos : pos + b * key_size])
+            pos += b * key_size
+            masks.append(tuple(keep[pos + b * at : pos + b * (at + size)].reshape(b, *shape)
+                               for at, size, shape in zip(offsets, sizes, mask_shapes)))
+            pos += b * (per_row - key_size)
+        keys = (np.concatenate(keys).reshape(sum(map(len, block)), *key_shape)
+                if key_shape is not None else None)
+        del uniforms  # only the copied keys and the boolean masks outlive it
+        yield block, keys, masks
+
+
+def dropout(x, rate: float, mode: str, keep: np.ndarray | None = None):
     """Inverted dropout: zero with probability `rate` in train mode, scale
-    survivors by 1/(1-rate); identity in eval mode. The mask is drawn from
-    `rng`, so a freshly seeded generator draws the same mask every call."""
+    survivors by 1/(1-rate); identity in eval mode. `keep` is the boolean
+    survivor mask of x's shape, drawn by `draw_blocks`."""
     if not 0.0 <= rate < 1.0:
         raise SchemaError(f"dropout rate {rate} outside [0, 1)")
     if mode == "eval" or rate == 0.0:
         return x
     if mode != "train":
         raise SchemaError(f"unknown dropout mode {mode!r}")
-    if rng is None:
-        raise SchemaError("train-mode dropout needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(np.float64)
-    return x * (mask / (1.0 - rate))
+    if keep is None or keep.shape != x.shape or keep.dtype != np.bool_:
+        raise SchemaError("train-mode dropout needs a boolean mask of the input's shape")
+    return x * (keep / (1.0 - rate))
 
 
 def mse_loss(pred, actual):

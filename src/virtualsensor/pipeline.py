@@ -125,10 +125,14 @@ class TransferConfig:
 
 
 # The one place that knows the model kinds: kind -> config class. Each class
-# carries its kind's hooks: `predict(params, g, feats, nodes, mode, rng)` for
-# one frame, `to_dict` / `from_dict`, and `trains_by_gradient`; gradient kinds
-# add `param_shapes(in_dim)`, whose shapes `train` draws with `initialize`,
-# the others `fit(x, y)`. On the stored parameters `predict` returns the
+# carries its kind's hooks: `draws(g, steps, mode, rng)` and
+# `forward(params, g, feats, nodes, mode, drawn)`, `to_dict` / `from_dict`,
+# and `trains_by_gradient`; gradient kinds add `param_shapes(in_dim)`, whose
+# shapes `train` draws with `initialize`, the others `fit(x, y)`. A training
+# epoch, a validation pass and a rollout list their steps' target nodes;
+# `draws` yields each step's random inputs, drawn a bounded block of steps
+# per `rng.random` call (`nncore.draw_blocks`), and `forward` runs a step on
+# its frame and draws. On the stored parameters `forward` returns the
 # [len(nodes)] prediction array and builds no tape, which is how validation
 # and the rollout call it; training passes `wrap_params` leaves and gets a
 # tape node.
@@ -223,9 +227,9 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
 
     def evaluate(frame_list) -> float:
         total, count = 0.0, 0
-        for t in frame_list:
-            nodes = groups[t]
-            out = model_cfg.predict(params, g, feats[t], nodes, "eval", rng)
+        steps = [groups[t] for t in frame_list]
+        for t, nodes, drawn in zip(frame_list, steps, model_cfg.draws(g, steps, "eval", rng)):
+            out = model_cfg.forward(params, g, feats[t], nodes, "eval", drawn)
             total += float(np.sum((out - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
@@ -238,11 +242,11 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
 
     for _epoch in range(cfg.epochs):
         order = rng.permutation(train_frames)
+        steps = [groups[t] for t in order]
         total, count = 0.0, 0
-        for t in order:
-            nodes = groups[t]
+        for t, nodes, drawn in zip(order, steps, model_cfg.draws(g, steps, "train", rng)):
             pvars = wrap_params(params)
-            pred = model_cfg.predict(pvars, g, feats[t], nodes, "train", rng)
+            pred = model_cfg.forward(pvars, g, feats[t], nodes, "train", drawn)
             loss = mse_loss(pred, targets[t, nodes])
             if not np.isfinite(loss.value):
                 raise SchemaError(f"non-finite training loss at frame {t}")
@@ -307,10 +311,11 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     model_cfg = trained.model_config
     nodes = np.array([target_node])
     preds = np.empty(ds.n_frames - 1)
-    for t in range(1, ds.n_frames):
+    steps = [nodes] * len(preds)
+    for t, drawn in zip(range(1, ds.n_frames), model_cfg.draws(g, steps, "eval", rng)):
         feats = feats_all[t].copy()
         feats[target_node, PREV_NO2] = ds.stats.transform_column(PREV_NO2, prev)
-        out = model_cfg.predict(trained.params, g, feats, nodes, "eval", rng)
+        out = model_cfg.forward(trained.params, g, feats, nodes, "eval", drawn)
         prev = preds[t - 1] = float(out[0])
     return preds
 
@@ -387,14 +392,16 @@ def _run_fold(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg,
     """Train with the held-out sensor censored, then roll out on it.
 
     Returns (predictions over eval frames, actuals) or None when the sensor
-    has no reading after the first hour, so nothing to evaluate. The held-out
-    sensor's actual values are touched exactly once, for the rollout init.
+    has fewer than two readings after the first hour, as Grad-RMSE needs two.
+    The held-out sensor's actual values are touched exactly once, for the
+    rollout init.
     """
     present = ds_raw.present[:, holdout]
     eval_frames = np.flatnonzero(present)
     eval_frames = eval_frames[eval_frames >= 1]
-    if eval_frames.size == 0:
-        warnings.warn(f"holdout sensor {ds_raw.locations[holdout].id} has no reading after "
+    if eval_frames.size < 2:
+        count = "one reading" if eval_frames.size else "no reading"
+        warnings.warn(f"holdout sensor {ds_raw.locations[holdout].id} has {count} after "
                       "the first hour; skipped")
         return None
     init_value = float(ds_raw.targets[np.argmax(present), holdout])
@@ -430,11 +437,15 @@ def leave_one_out(ds_raw: Dataset, g: SpatialGraph, cfg: TrainConfig,
             skipped.append(ds_raw.locations[holdout].id)
             continue
         pred, actual = result
-        per_location[ds_raw.locations[holdout].id] = {
-            "rmse": rmse(pred, actual),
-            "nrmse": nrmse(pred, actual),
-            "grad_rmse": grad_rmse(pred, actual),
-        }
+        location = ds_raw.locations[holdout].id
+        try:
+            per_location[location] = {
+                "rmse": rmse(pred, actual),
+                "nrmse": nrmse(pred, actual),
+                "grad_rmse": grad_rmse(pred, actual),
+            }
+        except SchemaError as exc:
+            raise SchemaError(f"location {location}: {exc}") from None
     if not per_location:
         raise SchemaError("no location produced evaluable predictions; skipped "
                           + ", ".join(skipped))

@@ -1,9 +1,11 @@
 """GraphSAGE virtual-sensor model: four neighbor aggregators computed by one
 pooling function (`_pool`), a two-layer sampled forward pass (`sample_batch`
-draws each hop's fixed-size uniform samples for the whole batch at once, then
-`sage_forward_batch` runs layer 1 once over the targets and their hop-1
-samples together), and the model kind's hooks on `SageConfig`, whose
-`budget` (k1, k2) holds the sample size of each hop.
+draws each hop's fixed-size uniform samples for the whole batch at once from
+pre-drawn sort keys, then `sage_forward_batch` runs layer 1 once over the
+targets and their hop-1 samples together), and the model kind's hooks on
+`SageConfig`, whose `budget` (k1, k2) holds the sample size of each hop:
+`draws` samples a block of steps' targets with one `sample_batch` call, and
+`forward` runs one step.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .nncore import (
     _node,
     _reduce_to,
     affine,
+    draw_blocks,
     dropout,
     masked_max,
     masked_mean,
@@ -83,10 +86,25 @@ class SageConfig(FlatConfig):
         shapes["head.b"] = (1, 1)
         return shapes
 
-    def predict(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
-                mode: str, rng: np.random.Generator):
-        batch = sample_batch(g, nodes, self.budget, rng)
-        return sage_forward_batch(pvars, self, feats, batch, mode=mode, rng=rng)
+    def draws(self, g: SpatialGraph, steps, mode: str, rng: np.random.Generator):
+        """Each step's (batch, and in train mode with dropout the masks of
+        both dropout layers), a step drawing its sampler keys, then each
+        layer's uniforms; one `sample_batch` call per block of steps."""
+        k1 = self.budget[0]
+        shapes = []
+        if mode == "train" and self.dropout:
+            shapes = [(1 + k1, self.hidden[0]), (self.hidden[1],)]
+        key_shape = (1 + k1, g.neighbors.shape[1])
+        for block, keys, masks in draw_blocks(rng, steps, key_shape, shapes, self.dropout):
+            batch = sample_batch(g, np.concatenate(block), self.budget, keys)
+            stop = 0
+            for nodes, keep in zip(block, masks):
+                start, stop = stop, stop + len(nodes)
+                yield batch._make(a[start:stop] for a in batch), *keep
+
+    def forward(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
+                mode: str, drawn: tuple):
+        return sage_forward_batch(pvars, self, feats, *drawn, mode=mode)
 
 
 def _attention_softmax(score, mask: np.ndarray):
@@ -196,21 +214,24 @@ def _draw(g: SpatialGraph, nodes: np.ndarray, keys: np.ndarray, k: int, width: i
 
 
 def sample_batch(g: SpatialGraph, nodes, budget: tuple[int, int],
-                 rng: np.random.Generator) -> NeighborhoodBatch:
+                 keys: np.ndarray) -> NeighborhoodBatch:
     """Sample up to k1 hop-1 neighbors of every target, then up to k2 hop-2
     neighbors of every hop-1 slot, where `budget` is (k1, k2), each hop at
-    once for the whole batch (GraphSAGE's fixed-size
-    uniform sampling, Hamilton et al. 2017, section 3.1); one `rng.random`
-    call draws the sort keys of both hops. A node whose degree is within its
-    hop's budget contributes all its neighbors, in random order; an isolated
-    node contributes none. A node id outside [0, n_nodes) raises SchemaError."""
+    once for the whole batch (GraphSAGE's fixed-size uniform sampling,
+    Hamilton et al. 2017, section 3.1), ranked by the pre-drawn sort keys
+    [len(nodes), 1 + k1, max_degree]. A target reads only its own keys, so
+    one call serves the targets of many steps. A node whose degree is within
+    its hop's budget contributes all its neighbors, in random order; an
+    isolated node contributes none. A node id outside [0, n_nodes) or keys
+    of another shape raise SchemaError."""
     nodes = np.asarray(nodes, dtype=np.intp)
     ids = nodes.tolist()
     if ids and (min(ids) < 0 or max(ids) >= g.n_nodes):
         raise SchemaError(f"node index outside [0, {g.n_nodes})")
     k1, k2 = budget
     b, width = len(ids), max(k1, k2)
-    keys = rng.random((b, 1 + k1, g.neighbors.shape[1]))
+    if keys.shape != (b, 1 + k1, g.neighbors.shape[1]):
+        raise SchemaError(f"sampler keys of shape {keys.shape} for {b} targets")
     rows = np.zeros((b, 1 + k1), dtype=np.intp)
     neighbors = np.zeros((b, 1 + k1, width), dtype=np.intp)
     mask = np.empty((b, 1 + k1, width))
@@ -225,17 +246,19 @@ def sample_batch(g: SpatialGraph, nodes, budget: tuple[int, int],
 
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
-                       batch: NeighborhoodBatch, mode: str = "eval",
-                       rng: np.random.Generator | None = None):
+                       batch: NeighborhoodBatch, keep1: np.ndarray | None = None,
+                       keep2: np.ndarray | None = None, mode: str = "eval"):
     """Two-layer sampled forward pass for a batch of target nodes.
 
     `feats` is the finite [n_nodes, d] feature matrix for one frame (or one
     assembled state). Layer 1 runs once over every self row of the batch,
     the targets and their hop-1 slots together (Hamilton et al. 2017,
     Algorithm 2); layer 2 combines each target's layer-1 state with those of
-    its live hop-1 slots. Returns the predicted NO2 in ug/m3, shape [B]: a
-    tape node when `pvars` are `wrap_params` leaves, a plain array when they
-    are the parameter arrays themselves.
+    its live hop-1 slots. In train mode `keep1` [B, 1+k1, h1] and `keep2`
+    [B, h2] are the boolean masks of the two dropout layers. Returns the
+    predicted NO2 in ug/m3, shape [B]: a tape node when `pvars` are
+    `wrap_params` leaves, a plain array when they are the parameter arrays
+    themselves.
     """
     kind = cfg.aggregator
     if not np.isfinite(feats).all():
@@ -244,12 +267,12 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     xn = feats[batch.neighbors]  # [B, 1+k1, K, d]
 
     pre1 = x @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x, xn, batch.mask)
-    h1 = relu(dropout(pre1, cfg.dropout, mode, rng))  # [B, 1+k1, h1]
+    h1 = relu(dropout(pre1, cfg.dropout, mode, keep1))  # [B, 1+k1, h1]
     h1_v = h1[:, 0]  # [B, h1]
     h1_u = h1[:, 1:]  # [B, k1, h1]
 
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
+    h2 = relu(dropout(pre2, cfg.dropout, mode, keep2))  # [B, h2]
 
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])

@@ -42,15 +42,22 @@ from virtualsensor.nncore import (
     value_of,
     wrap_params,
 )
-from virtualsensor.sage import AggregatorKind, NeighborhoodBatch, _attention, _neighbor_term, _pool
+from virtualsensor.sage import (
+    AggregatorKind,
+    NeighborhoodBatch,
+    _attention,
+    _neighbor_term,
+    _pool,
+    sample_batch,
+)
 
 
 def grad_check(f, params: dict, h: float = 1e-5) -> float:
     """Compare reverse-mode gradients of `f` against central differences.
 
     `f` maps a name->Var dict to a scalar Var and must be deterministic
-    (sample before calling; draw dropout masks from a generator seeded afresh
-    inside `f`). Returns the max relative error with denominator
+    (sample before calling; draw dropout masks from a generator seeded
+    afresh inside `f`). Returns the max relative error with denominator
     max(|analytic|, |numeric|, 1e-8).
     """
     leaves = wrap_params(params)
@@ -278,6 +285,21 @@ def reference_sample_neighborhood(g, node: int, budget, rng: np.random.Generator
     return hop1, [pick(g.adjacency[u], budget[1]) for u in hop1]
 
 
+def sample_with_rng(g, nodes, budget, rng: np.random.Generator) -> NeighborhoodBatch:
+    """`sample_batch` on sort keys drawn from `rng` by one `rng.random` call,
+    as the sage draw hook draws them for a block of one step."""
+    keys = rng.random((len(nodes), 1 + budget[0], g.neighbors.shape[1]))
+    return sample_batch(g, nodes, budget, keys)
+
+
+def sage_dropout_masks(cfg, b: int, rng: np.random.Generator) -> tuple:
+    """The boolean masks of a sage forward's two dropout layers for `b`
+    targets, from uniforms drawn from `rng` in the order a training step
+    draws them."""
+    return (rng.random((b, 1 + cfg.budget[0], cfg.hidden[0])) >= cfg.dropout,
+            rng.random((b, cfg.hidden[1])) >= cfg.dropout)
+
+
 def reference_sample_batch(g, nodes, budget, rng: np.random.Generator) -> NeighborhoodBatch:
     """`reference_sample_neighborhood` for each target in turn, laid out as
     `sample_batch` lays out its batch; every padded slot holds node 0."""
@@ -299,10 +321,11 @@ def reference_sample_batch(g, nodes, budget, rng: np.random.Generator) -> Neighb
 
 
 def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: NeighborhoodBatch,
-                               mode: str = "eval", rng: np.random.Generator | None = None):
+                               mode: str = "eval"):
     """The forward pass that ran layer 1 twice, first over the hop-1 slots
     from their hop-2 samples, then over the targets from their hop-1
-    samples, on the hop-1 and hop-2 blocks of `batch`."""
+    samples, on the hop-1 and hop-2 blocks of `batch`; it draws no dropout
+    uniforms, so train mode needs a zero dropout rate."""
     kind, k1, k2 = cfg.aggregator, cfg.budget[0], cfg.budget[1]
     xv = feats[batch.rows[:, 0]]  # [B, d]
     x1 = feats[batch.rows[:, 1:]]  # [B, k1, d]
@@ -310,12 +333,12 @@ def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: Neigh
     mask2 = batch.mask[:, 1:, :k2]
 
     pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, mask2)
-    h1_u = relu(dropout(pre_u, cfg.dropout, mode, rng))  # [B, k1, h1]
+    h1_u = relu(dropout(pre_u, cfg.dropout, mode))  # [B, k1, h1]
     pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
-    h1_v = relu(dropout(pre_v, cfg.dropout, mode, rng))  # [B, h1]
+    h1_v = relu(dropout(pre_v, cfg.dropout, mode))  # [B, h1]
 
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = relu(dropout(pre2, cfg.dropout, mode, rng))  # [B, h2]
+    h2 = relu(dropout(pre2, cfg.dropout, mode))  # [B, h2]
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])
 

@@ -36,10 +36,9 @@ from virtualsensor.sage import (
     AggregatorKind,
     SageConfig,
     sage_forward_batch,
-    sample_batch,
 )
 
-from probes import aggregate, attention_weights, grad_check
+from probes import aggregate, attention_weights, grad_check, sage_dropout_masks, sample_with_rng
 
 # Published leave-one-out averages (rmse, nrmse, grad_rmse) per model.
 PUBLISHED = {
@@ -116,12 +115,13 @@ def test_criterion_03_gradient_correctness():
             from virtualsensor.geograph import SpatialGraph
 
             g = SpatialGraph(n_nodes=4, adjacency=adj)
-            batch = sample_batch(g, [0, 1, 2, 3], cfg.budget, rng)
+            batch = sample_with_rng(g, [0, 1, 2, 3], cfg.budget, rng)
 
             # A freshly seeded generator draws the same dropout masks each call.
             def f(p, cfg=cfg, batch=batch):
-                out = sage_forward_batch(p, cfg, x, batch, mode="train",
-                                         rng=np.random.default_rng(7))
+                out = sage_forward_batch(p, cfg, x, batch,
+                                         *sage_dropout_masks(cfg, 4, np.random.default_rng(7)),
+                                         mode="train")
                 return mse_loss(out, y)
 
             worst = max(worst, grad_check(f, params))
@@ -132,13 +132,15 @@ def test_criterion_03_gradient_correctness():
         mp = initialize(mcfg.param_shapes(5), rng)
         mp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in mp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(mlp_forward_batch(
-            p, mcfg, x, mode="train", rng=np.random.default_rng(7)), y), mp))
+            p, mcfg, x, np.random.default_rng(7).random((4, 4)) >= mcfg.dropout, mode="train"), y),
+            mp))
 
         ccfg = CnnConfig(channels=2, kernel=3, dense_hidden=3)
         cp = initialize(ccfg.param_shapes(5), rng)
         cp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in cp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(cnn_forward_batch(
-            p, ccfg, x, mode="train", rng=np.random.default_rng(7)), y), cp))
+            p, ccfg, x, np.random.default_rng(7).random((4, 5, 2)) >= ccfg.dropout, mode="train"),
+            y), cp))
 
     elapsed = time.monotonic() - started
     ok = worst < 1e-4 and elapsed < 30.0

@@ -51,8 +51,8 @@ def test_mlp_dropout_only_in_train_mode():
     p = initialize(cfg.param_shapes(10), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(8, 10))
     ev = mlp_forward_batch(wrap_params(p), cfg, x, mode="eval").value
-    tr = mlp_forward_batch(wrap_params(p), cfg, x, mode="train",
-                           rng=np.random.default_rng(2)).value
+    keep = np.random.default_rng(2).random((8, cfg.hidden[1])) >= cfg.dropout
+    tr = mlp_forward_batch(wrap_params(p), cfg, x, keep, mode="train").value
     assert not np.allclose(ev, tr)
 
 
@@ -65,8 +65,8 @@ def test_mlp_gradients():
     y = rng.normal(size=7)
 
     def f(pv):  # a freshly seeded generator draws the same dropout mask each call
-        return mse_loss(mlp_forward_batch(pv, cfg, x, mode="train",
-                                          rng=np.random.default_rng(7)), y)
+        keep = np.random.default_rng(7).random((7, cfg.hidden[1])) >= cfg.dropout
+        return mse_loss(mlp_forward_batch(pv, cfg, x, keep, mode="train"), y)
 
     assert grad_check(f, p) < 1e-4
 
@@ -133,8 +133,8 @@ def test_cnn_gradients():
     y = rng.normal(size=4)
 
     def f(pv):  # a freshly seeded generator draws the same dropout mask each call
-        return mse_loss(cnn_forward_batch(pv, cfg, x, mode="train",
-                                          rng=np.random.default_rng(7)), y)
+        keep = np.random.default_rng(7).random((4, 6, 3)) >= cfg.dropout
+        return mse_loss(cnn_forward_batch(pv, cfg, x, keep, mode="train"), y)
 
     assert grad_check(f, p) < 1e-4
 

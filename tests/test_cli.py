@@ -221,6 +221,52 @@ def test_eval_prints_each_warning_as_one_line(tmp_path, capsys):
         "error: no location produced evaluable predictions; skipped S00, S01\n")
 
 
+def _edit_s01(city, keep_row):
+    """Rewrite readings.csv of `city`, keeping only S01's rows for which
+    `keep_row(hour, fields)` returns the fields to keep (None drops the row)."""
+    path = city / "readings.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    hours = {}
+    out = [header]
+    for row in rows:
+        fields = row.rstrip("\n").split(",")
+        if fields[1] == "S01":
+            hour = hours[fields[1]] = hours.get(fields[1], -1) + 1
+            fields = keep_row(hour, fields)
+            if fields is None:
+                continue
+        out.append(",".join(fields) + "\n")
+    path.write_text("".join(out))
+
+
+def test_eval_skips_a_location_with_one_reading_after_the_first_hour(tmp_path, capsys):
+    # Grad-RMSE needs two points, so the fold is skipped like one with none.
+    city = tmp_path / "city"
+    assert run("synth", "--sensors", "3", "--hours", "48", "--out", str(city)) == 0
+    _edit_s01(city, lambda hour, fields: fields if hour <= 1 else None)
+    capsys.readouterr()
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # the test settings make it an error
+        code = run("eval", "--data", str(city), "--model", "gbt", "--out", str(out))
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: holdout sensor S01 has one reading after the first hour; skipped\n")
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["per_location"]) == ["S00", "S02"]
+
+
+def test_eval_names_a_location_whose_readings_are_all_zero(tmp_path, capsys):
+    city = tmp_path / "city"
+    assert run("synth", "--sensors", "3", "--hours", "48", "--out", str(city)) == 0
+    _edit_s01(city, lambda hour, fields: [*fields[:2], "0.0", *fields[3:]])
+    capsys.readouterr()
+    code = run("eval", "--data", str(city), "--model", "gbt", "--out", str(tmp_path / "r"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: location S01: nrmse: non-positive mean of actual series\n")
+
+
 def test_cli_keeps_the_warning_filters(monkeypatch):
     # The CLI changes only how a warning is shown: under the test settings a
     # RuntimeWarning inside a command still raises.

@@ -1,4 +1,4 @@
-"""Autodiff core: operator gradients, plain-array ops, layers, dropout, Adam,
+"""Autodiff core: operator gradients, plain-array ops, layers, dropout, block draws, Adam,
 grad checking."""
 
 import functools
@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from virtualsensor.baselines import _conv1d
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import (
+    DRAW_BLOCK_BYTES,
     AdamState,
     Var,
     adam_step,
     affine,
     collect_grads,
+    draw_blocks,
     dropout,
     glorot_uniform,
     masked_max,
@@ -137,7 +139,8 @@ def _every_op(a, b, c):
             affine(a, b, c), sigmoid_affine(a, b, c), masked_mean(a.reshape(1, 2, 3), mask),
             masked_max(a.reshape(1, 2, 3), mask),
             _attention_softmax(a.reshape(2, 3, 1), np.array([[1.0, 0.0, 1.0], [0.0] * 3])),
-            dropout(a, 0.5, "eval"), dropout(a, 0.5, "train", np.random.default_rng(0))]
+            dropout(a, 0.5, "eval"),
+            dropout(a, 0.5, "train", np.random.default_rng(0).random((2, 3)) >= 0.5)]
 
 
 def test_constants_record_no_tape():
@@ -314,13 +317,13 @@ def test_dropout_eval_is_identity():
 
 def test_dropout_zero_rate_is_identity():
     x = np.ones((5, 5))
-    out = dropout(x, 0.0, "train", np.random.default_rng(0))
+    out = dropout(x, 0.0, "train")  # draws nothing
     assert out is x
 
 
 def test_dropout_train_scales_survivors():
     x = np.ones((4, 4))
-    out = dropout(x, 0.5, "train", np.random.default_rng(1))
+    out = dropout(x, 0.5, "train", np.random.default_rng(1).random(x.shape) >= 0.5)
     assert type(out) is np.ndarray
     vals = np.unique(out)
     assert set(vals) <= {0.0, 2.0}  # inverted dropout: survivors scaled by 2
@@ -330,15 +333,15 @@ def test_dropout_monte_carlo_mean_preserved():
     # E[dropout(x)] == x: the survivor scaling keeps activations unbiased.
     rng = np.random.default_rng(123)
     x = np.ones(100_000)
-    out = dropout(x, 0.5, "train", rng)
+    out = dropout(x, 0.5, "train", rng.random(x.shape) >= 0.5)
     assert 0.98 <= out.mean() <= 1.02
 
 
 def test_dropout_frozen_mask():
-    # A freshly seeded generator freezes the mask: value and gradient are
-    # mask / (1 - rate) for the mask that seed draws.
+    # A fixed boolean mask freezes dropout: value and gradient are
+    # mask / (1 - rate) for the mask of the uniforms that seed draws.
     x = Var(np.ones((3, 4)))
-    out = dropout(x, 0.25, "train", np.random.default_rng(7))
+    out = dropout(x, 0.25, "train", np.random.default_rng(7).random((3, 4)) >= 0.25)
     mask = (np.random.default_rng(7).random((3, 4)) >= 0.25).astype(np.float64)
     assert 0 < mask.sum() < mask.size
     assert np.array_equal(out.value, mask / 0.75)
@@ -347,12 +350,49 @@ def test_dropout_frozen_mask():
 
 
 def test_dropout_validation():
+    keep = np.random.default_rng(0).random(3) >= 0.5
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
+        dropout(np.ones(3), 1.0, "train", keep)
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "predict", np.random.default_rng(0))
+        dropout(np.ones(3), 0.5, "predict", keep)
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "train")  # no rng
+        dropout(np.ones(3), 0.5, "train")  # no mask
+    with pytest.raises(SchemaError):
+        dropout(np.ones(3), 0.5, "train", np.ones(4, dtype=bool))  # another shape
+    with pytest.raises(SchemaError):
+        dropout(np.ones(3), 0.5, "train", np.random.default_rng(0).random(3))  # not boolean
+
+
+def test_draw_blocks_keep_each_steps_bits():
+    # One call per block emits the doubles that each step's own draws, made
+    # in turn, would emit, after a permutation drawn from the same generator:
+    # the block's keys are its steps' keys in order, and each step's masks
+    # are its uniforms >= rate.
+    sizes = [3, 1, 7, 2, 5] * 40
+    key_shape, shapes, rate = (4, 6), [(4, 32), (32,)], 0.3
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    assert rng.permutation(10).tolist() == ref.permutation(10).tolist()
+    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], key_shape, shapes, rate))
+    assert len(blocks) > 1
+    assert [len(nodes) for block, _, _ in blocks for nodes in block] == sizes
+    step = iter(sizes)
+    for block, keys, masks in blocks:
+        assert len(block) == 1 or sum(map(len, block)) * 184 * 8 <= DRAW_BLOCK_BYTES
+        want_keys = []
+        for parts in masks:
+            b = next(step)
+            want_keys.append(ref.random((b, *key_shape)))
+            want = [ref.random((b, *shape)) >= rate for shape in shapes]
+            assert all(m.dtype == np.bool_ and np.array_equal(m, w) for m, w in zip(parts, want))
+        assert keys.tobytes() == np.concatenate(want_keys).tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_draw_blocks_without_keys_or_masks_draw_nothing():
+    rng = np.random.default_rng(0)
+    blocks = list(draw_blocks(rng, [np.arange(2)] * 3, None, [], 0.5))
+    assert [(keys, masks) for _, keys, masks in blocks] == [(None, [(), (), ()])]
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 # ---------------------------------------------------------------- loss

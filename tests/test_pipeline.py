@@ -35,7 +35,7 @@ from virtualsensor import (
 from virtualsensor.baselines import CnnConfig, GbtConfig, MlpConfig
 from virtualsensor.dataset import N_FEATURES, fill_prev_no2
 from virtualsensor.errors import CheckpointError, SchemaError
-from virtualsensor.nncore import initialize, wrap_params
+from virtualsensor.nncore import DRAW_BLOCK_BYTES, initialize, wrap_params
 from virtualsensor.pipeline import (
     DEFAULT_MODEL_CONFIGS,
     _model_inputs,
@@ -47,7 +47,8 @@ from virtualsensor.pipeline import (
     SCHEMA_HASH,
     save_checkpoint,
 )
-from virtualsensor.sage import AggregatorKind
+from virtualsensor import sage
+from virtualsensor.sage import AggregatorKind, sample_batch
 
 from probes import counting_vars
 
@@ -278,7 +279,8 @@ def test_transfer_freeze_holds_during_finetuning():
     total, count = 0.0, 0
     for t in val_frames:
         nodes = np.flatnonzero(rows[t])
-        pred = out.model_config.predict(pvars, g_tgt, feats[t], nodes, "eval", None)
+        [drawn] = out.model_config.draws(g_tgt, [nodes], "eval", None)
+        pred = out.model_config.forward(pvars, g_tgt, feats[t], nodes, "eval", drawn)
         total += float(np.sum((pred.value - tgt.targets[t, nodes]) ** 2))
         count += nodes.size
     assert total / count == pytest.approx(min(out.history["val"]), rel=1e-12, abs=0.0)
@@ -338,26 +340,26 @@ def test_closed_loop_predict_all_kinds(kind, model_cfg):
 def test_predict_hook_returns_an_array_on_stored_params(kind, model_cfg):
     _, prepared, _, g = prepared_city()
     trained = train(prepared, g, TrainConfig(epochs=1, model=kind, seed=0), model_cfg)
-    feats = _model_inputs(prepared, g)[5]
-    out = trained.model_config.predict(trained.params, g, feats, np.array([0, 2]), "eval",
-                                       np.random.default_rng(0))
+    feats, nodes = _model_inputs(prepared, g)[5], np.array([0, 2])
+    [drawn] = trained.model_config.draws(g, [nodes], "eval", np.random.default_rng(0))
+    out = trained.model_config.forward(trained.params, g, feats, nodes, "eval", drawn)
     assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (2,)
 
 
 @pytest.mark.parametrize("kind,model_cfg", ALL_KINDS)
 def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
-    # Validation and the rollout run `predict` on the stored arrays; only
+    # Validation and the rollout run `forward` on the stored arrays; only
     # the training steps build a tape.
     cls = DEFAULT_MODEL_CONFIGS[kind]
-    predict, built = cls.predict, {"eval": [], "train": []}
+    forward, built = cls.forward, {"eval": [], "train": []}
 
-    def counted(self, params, g, feats, nodes, mode, rng):
+    def counted(self, params, g, feats, nodes, mode, drawn):
         with counting_vars() as made:
-            out = predict(self, params, g, feats, nodes, mode, rng)
+            out = forward(self, params, g, feats, nodes, mode, drawn)
         built[mode].append(len(made))
         return out
 
-    monkeypatch.setattr(cls, "predict", counted)
+    monkeypatch.setattr(cls, "forward", counted)
     _, prepared, _, g = prepared_city()
     trained = train(prepared, g, TrainConfig(epochs=2, model=kind, seed=0, val_fraction=0.2),
                     model_cfg)
@@ -369,6 +371,47 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
     with counting_vars() as made:
         closed_loop_predict(trained, g, prepared, 0, 25.0, np.random.default_rng(0))
     assert made == []
+
+
+def _block_targets(step_sizes, row_uniforms) -> list[int]:
+    """The targets of each block when steps of the given sizes, each target
+    drawing `row_uniforms` uniforms, fill blocks of DRAW_BLOCK_BYTES in turn."""
+    blocks, used = [], 0
+    for b in step_sizes:
+        need = b * row_uniforms * 8
+        if blocks and used + need <= DRAW_BLOCK_BYTES:
+            blocks[-1] += b
+            used += need
+        else:
+            blocks.append(b)
+            used = need
+    return blocks
+
+
+def test_sample_batch_runs_once_per_block(monkeypatch):
+    # An epoch, a validation pass and a rollout each call `sample_batch` once
+    # per block of steps, over all of the block's targets.
+    calls = []
+
+    def counted(g, nodes, budget, keys):
+        calls.append(len(nodes))
+        return sample_batch(g, nodes, budget, keys)
+
+    monkeypatch.setattr(sage, "sample_batch", counted)
+    _, prepared, _, g = prepared_city(n_hours=200, n_sensors=8)
+    assert prepared.present.all()
+    cfg = SageConfig()
+    trained = train(prepared, g, TrainConfig(epochs=1, seed=0, val_fraction=0.1), cfg)
+    keys = (1 + cfg.budget[0]) * g.neighbors.shape[1]
+    epoch = _block_targets([8] * 180, keys + (1 + cfg.budget[0]) * cfg.hidden[0] + cfg.hidden[1])
+    validation = _block_targets([8] * 19, keys)
+    assert len(epoch) > 1 and calls == epoch + validation
+
+    _, long_city, _, g_long = prepared_city(n_hours=2400, n_sensors=8)
+    calls.clear()
+    closed_loop_predict(trained, g_long, long_city, 3, 25.0, np.random.default_rng(0))
+    rollout = _block_targets([1] * 2399, (1 + cfg.budget[0]) * g_long.neighbors.shape[1])
+    assert len(rollout) > 1 and calls == rollout
 
 
 # ---------------------------------------------------------------- leave-one-out
@@ -451,6 +494,25 @@ def test_leave_one_out_skips_a_location_with_no_reading_after_frame_0():
                                     "skipped")]
     assert list(report.per_location) == ["S00", "S02"]
     assert report.metadata["n_locations"] == 2
+
+
+def test_leave_one_out_skips_a_location_with_one_reading_after_frame_0():
+    # Grad-RMSE needs two points, so one reading is skipped like none.
+    ds = tiny_city(n_sensors=3, n_hours=48)
+    targets = ds.targets.copy()
+    targets[2:, 1] = np.nan
+    report, caught = _leave_one_out_warnings(replace(ds, targets=targets), k=2)
+    assert caught == [(UserWarning, "holdout sensor S01 has one reading after the first hour; "
+                                    "skipped")]
+    assert list(report.per_location) == ["S00", "S02"]
+
+
+def test_leave_one_out_names_a_location_with_a_non_positive_mean():
+    ds = tiny_city(n_sensors=3, n_hours=48)
+    targets = ds.targets.copy()
+    targets[:, 2] = 0.0
+    with pytest.raises(SchemaError, match="^location S02: nrmse: non-positive mean"):
+        _leave_one_out_warnings(replace(ds, targets=targets), k=2)
 
 
 def test_leave_one_out_with_no_evaluable_location_raises():

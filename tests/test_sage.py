@@ -36,6 +36,8 @@ from probes import (
     counting_vars,
     grad_check,
     reference_forward_two_pass,
+    sage_dropout_masks,
+    sample_with_rng,
     tape_nodes,
 )
 
@@ -50,7 +52,7 @@ def params_for(kind, d=6, hidden=(4, 4), seed=0):
 
 def forward_one(params, cfg, g, feats, node, rng):
     """Sampled forward pass for a single node, as a float."""
-    batch = sample_batch(g, [node], cfg.budget, rng)
+    batch = sample_with_rng(g, [node], cfg.budget, rng)
     return float(sage_forward_batch(wrap_params(params), cfg, feats, batch).value[0])
 
 
@@ -219,7 +221,7 @@ def test_attention_weights_wrong_kind_rejected():
 
 def test_sample_batch_padding_and_masks():
     g = SpatialGraph(n_nodes=4, adjacency=((1, 2, 3), (0,), (0,), (0,)))
-    batch = sample_batch(g, [0, 1], (3, 5), np.random.default_rng(0))
+    batch = sample_with_rng(g, [0, 1], (3, 5), np.random.default_rng(0))
     assert batch.rows.shape == (2, 4) and batch.neighbors.shape == batch.mask.shape == (2, 4, 5)
     assert batch.rows[:, 0].tolist() == [0, 1]
     assert batch.mask1.tolist() == [[1, 1, 1], [1, 0, 0]]  # node 1 has 1 neighbor, padded
@@ -238,7 +240,7 @@ def test_sample_batch_budget_saturation():
     # Node with 10 neighbors: exactly budget[0] sampled, all distinct.
     adj0 = tuple(range(1, 11))
     g = SpatialGraph(n_nodes=11, adjacency=(adj0,) + tuple((0,) for _ in range(10)))
-    batch = sample_batch(g, [0], (3, 5), np.random.default_rng(9))
+    batch = sample_with_rng(g, [0], (3, 5), np.random.default_rng(9))
     live = batch.rows[0, 1:][batch.mask1[0] == 1.0]
     assert len(live) == 3 == len(set(live.tolist()))
     assert np.array_equal(batch.neighbors[0, 0, :3], batch.rows[0, 1:])
@@ -252,7 +254,7 @@ def test_sample_batch_inclusion_rates_match_budget_over_degree():
     n, draws, budget = 8, 600, (3, 5)
     g = SpatialGraph(n_nodes=n, adjacency=tuple(
         tuple(v for v in range(n) if v != u) for u in range(n)))
-    batch = sample_batch(g, np.repeat(np.arange(n), draws), budget, np.random.default_rng(4))
+    batch = sample_with_rng(g, np.repeat(np.arange(n), draws), budget, np.random.default_rng(4))
     hop1 = np.zeros((n, n))
     np.add.at(hop1, (batch.rows[:, :1], batch.rows[:, 1:]), batch.mask1)
     hop2, seen = np.zeros((n, n)), np.zeros(n)
@@ -269,24 +271,47 @@ def test_sample_batch_inclusion_rates_match_budget_over_degree():
 @pytest.mark.parametrize("nodes", [[3], [-1], [0, -3], [99]])
 def test_sample_batch_rejects_node_outside_graph(nodes):
     with pytest.raises(SchemaError):
-        sample_batch(triangle_graph(), nodes, (3, 5), np.random.default_rng(0))
+        sample_with_rng(triangle_graph(), nodes, (3, 5), np.random.default_rng(0))
 
 
 def test_sample_batch_isolated_node_all_zero_mask():
     g = SpatialGraph(n_nodes=3, adjacency=((1,), (0,), ()))
-    batch = sample_batch(g, [2, 0], (2, 3), np.random.default_rng(0))
+    batch = sample_with_rng(g, [2, 0], (2, 3), np.random.default_rng(0))
     assert not batch.mask[0].any() and not batch.mask1[0].any()
     assert batch.mask1[1].tolist() == [1, 0] and batch.mask[1, 1].tolist() == [1, 0, 0]
     g_empty = SpatialGraph(n_nodes=2, adjacency=((), ()))
-    batch = sample_batch(g_empty, [0, 1], (2, 3), np.random.default_rng(0))
+    batch = sample_with_rng(g_empty, [0, 1], (2, 3), np.random.default_rng(0))
     assert batch.mask.shape == (2, 3, 3) and not batch.mask.any()
 
 
 def test_sample_batch_seeded_draws_repeat():
     g = SpatialGraph(n_nodes=11, adjacency=(tuple(range(1, 11)),) + ((0,),) * 10)
-    a = sample_batch(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
-    b = sample_batch(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
+    a = sample_with_rng(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
+    b = sample_with_rng(g, [0, 0, 3], (3, 5), np.random.default_rng(42))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_sample_batch_rejects_keys_of_another_shape():
+    g = triangle_graph()
+    width = g.neighbors.shape[1]
+    for keys in (np.zeros((2, 4, width + 1)), np.zeros((1, 4, width)), np.zeros((2, 3, width))):
+        with pytest.raises(SchemaError, match="sampler keys"):
+            sample_batch(g, [0, 1], (3, 5), keys)
+
+
+def test_sample_batch_over_many_steps_matches_each_step():
+    # Each target reads only its own keys, so one call over the targets of
+    # several steps gives every step the sample its own call gives.
+    g = random_graph()
+    rng = np.random.default_rng(5)
+    steps = [np.array([0, 3]), np.array([8]), np.array([2, 4, 5, 3])]
+    keys = [rng.random((len(nodes), 4, g.neighbors.shape[1])) for nodes in steps]
+    whole = sample_batch(g, np.concatenate(steps), (3, 5), np.concatenate(keys))
+    start = 0
+    for nodes, step_keys in zip(steps, keys):
+        one = sample_batch(g, nodes, (3, 5), step_keys)
+        assert all(np.array_equal(a[start : start + len(nodes)], b) for a, b in zip(whole, one))
+        start += len(nodes)
 
 
 # ---------------------------------------------------------------- forward pass
@@ -316,7 +341,7 @@ def test_forward_batch_matches_single():
     cfg, params = params_for(AggregatorKind.MEAN_POOL, d=19)
     g = triangle_graph()
     feats = np.random.default_rng(2).normal(size=(3, 19))
-    batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(0))
+    batch = sample_with_rng(g, [0, 1, 2], cfg.budget, np.random.default_rng(0))
     out = sage_forward_batch(wrap_params(params), cfg, feats, batch).value
     for node in range(3):
         single = forward_one(params, cfg, g, feats, node, np.random.default_rng(0))
@@ -347,12 +372,10 @@ def test_one_pass_layer1_matches_two_pass_reference(kind, per_hop):
     g = random_graph()
     assert g.degree.tolist() == [3, 1, 3, 6, 2, 3, 3, 1, 0]
     feats = rng.normal(size=(g.n_nodes, 6))
-    batch = sample_batch(g, np.arange(g.n_nodes), cfg.budget, rng)
+    batch = sample_with_rng(g, np.arange(g.n_nodes), cfg.budget, rng)
     for mode in ("eval", "train"):
-        got = sage_forward_batch(params, cfg, feats, batch, mode=mode,
-                                 rng=np.random.default_rng(3))
-        want = reference_forward_two_pass(params, cfg, feats, batch, mode=mode,
-                                          rng=np.random.default_rng(3))
+        got = sage_forward_batch(params, cfg, feats, batch, mode=mode)
+        want = reference_forward_two_pass(params, cfg, feats, batch, mode=mode)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
@@ -363,13 +386,15 @@ def test_forward_over_constant_params_records_no_tape(kind):
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
     params = initialize(cfg.param_shapes(5), np.random.default_rng(0))
     g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
-    batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
+    batch = sample_with_rng(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
     for mode in ("eval", "train"):
-        taped = sage_forward_batch(wrap_params(params), cfg, feats, batch, mode=mode,
-                                   rng=np.random.default_rng(3))
+        taped = sage_forward_batch(wrap_params(params), cfg, feats, batch,
+                                   *sage_dropout_masks(cfg, 3, np.random.default_rng(3)),
+                                   mode=mode)
         with counting_vars() as made:
-            out = sage_forward_batch(params, cfg, feats, batch, mode=mode,
-                                     rng=np.random.default_rng(3))
+            out = sage_forward_batch(params, cfg, feats, batch,
+                                     *sage_dropout_masks(cfg, 3, np.random.default_rng(3)),
+                                     mode=mode)
         assert made == [] and type(out) is np.ndarray
         assert out.tobytes() == taped.value.tobytes()
 
@@ -382,9 +407,10 @@ def test_training_backward_leaves_data_without_grad(kind):
     cfg = SageConfig(aggregator=kind, hidden=(3, 3), dropout=0.5)
     params = initialize(cfg.param_shapes(5), np.random.default_rng(0))
     g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
-    batch = sample_batch(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
+    batch = sample_with_rng(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
     pvars = wrap_params(params)
-    out = sage_forward_batch(pvars, cfg, feats, batch, mode="train", rng=np.random.default_rng(3))
+    out = sage_forward_batch(pvars, cfg, feats, batch,
+                             *sage_dropout_masks(cfg, 3, np.random.default_rng(3)), mode="train")
     loss = mse_loss(out, np.ones(3))
     loss.backward()
     tape = tape_nodes(loss)
@@ -401,12 +427,13 @@ def test_forward_gradients_finite_difference(kind):
     params = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in params.items()}
     g = triangle_graph()
     feats = rng.normal(size=(3, 5))
-    batch = sample_batch(g, [0, 1], cfg.budget, rng)
+    batch = sample_with_rng(g, [0, 1], cfg.budget, rng)
     y = rng.normal(size=2)
 
     def f(p):  # a freshly seeded generator draws the same dropout masks each call
-        out = sage_forward_batch(p, cfg, feats, batch, mode="train",
-                                 rng=np.random.default_rng(7))
+        out = sage_forward_batch(p, cfg, feats, batch,
+                                 *sage_dropout_masks(cfg, 2, np.random.default_rng(7)),
+                                 mode="train")
         return mse_loss(out, y)
 
     assert grad_check(f, params) < 1e-4

@@ -32,9 +32,8 @@ from virtualsensor import (
 from virtualsensor.dataset import N_FEATURES
 from virtualsensor.nncore import initialize, mse_loss, wrap_params
 from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, TrainConfig, _model_inputs, train
-from virtualsensor.sage import sample_batch
 
-from probes import counting_vars, reference_sample_batch, tape_nodes
+from probes import counting_vars, reference_sample_batch, sample_with_rng, tape_nodes
 
 
 def _digest(arrays) -> str:
@@ -145,14 +144,15 @@ TAPE_SIZE = {"sage-mean": 22, "sage-max_pool": 29, "sage-mean_pool": 29,
 
 def _training_step_loss(city, key):
     """The loss of one training step of `key` on frame 5: `wrap_params`, the
-    model's `predict` and `mse_loss`."""
+    model's draw and forward hooks, and `mse_loss`."""
     ds, g = city
     kind, model_cfg = MODELS[key]
     model_cfg = model_cfg or DEFAULT_MODEL_CONFIGS[kind]()
     rng = np.random.default_rng(0)
     pvars = wrap_params(initialize(model_cfg.param_shapes(N_FEATURES), rng))
     nodes = np.flatnonzero(ds.present[5])
-    pred = model_cfg.predict(pvars, g, _model_inputs(ds, g)[5], nodes, "train", rng)
+    [drawn] = model_cfg.draws(g, [nodes], "train", rng)
+    pred = model_cfg.forward(pvars, g, _model_inputs(ds, g)[5], nodes, "train", drawn)
     return mse_loss(pred, ds.targets[5, nodes])
 
 
@@ -231,7 +231,7 @@ def test_sample_batch_matches_per_element_loop(case):
     # padding and the target rows' masks are the same.
     g, nodes, budget, seed = case
     want = reference_sample_batch(g, nodes, budget, np.random.default_rng(seed))
-    batch = sample_batch(g, nodes, budget, np.random.default_rng(seed))
+    batch = sample_with_rng(g, nodes, budget, np.random.default_rng(seed))
     check_batch_invariants(g, nodes, budget, want)
     check_batch_invariants(g, nodes, budget, batch)
     assert np.array_equal(batch.mask[:, 0], want.mask[:, 0])
