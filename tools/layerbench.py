@@ -16,8 +16,8 @@ Layers, each on fixed seeded inputs:
 Every layer is reached through names both trees share (`sample_batch`,
 `train`, `closed_loop_predict`), so the script runs across a change of the
 model-kind hooks. For each layer it prints the median and interquartile range
-of the per-call time, the number of calls, and a sha256 over the `float.hex`
-of the outputs.
+of the time per step (per sample for `sample_batch`), the number of timed
+calls, and a sha256 over the `float.hex` of the outputs.
 
 With `--against PATH` the `src/virtualsensor` of PATH is loaded into this
 process under a second package name, and so is this tree's, twice. Each block
@@ -70,10 +70,9 @@ class Tree:
 
     def __init__(self, package, hours: int, seed: int):
         self.vs = package
-        pipeline = importlib.import_module(package.__name__ + ".pipeline")
+        self.pipeline = importlib.import_module(package.__name__ + ".pipeline")
         self.sage = importlib.import_module(package.__name__ + ".sage")
         self.baselines = importlib.import_module(package.__name__ + ".baselines")
-        self.pipeline = pipeline
         city = package.generate_city(package.CityConfig(n_sensors=8, n_hours=hours, seed=seed))
         self.prepared = package.prepare(city)
         self.g8 = package.build_knn_graph(city.locations, k=3)
@@ -83,8 +82,8 @@ class Tree:
         # `sample_batch` takes a generator before the draws moved out of it,
         # and pre-drawn sort keys after.
         self.keys_given = "keys" in inspect.signature(self.sage.sample_batch).parameters
-        self.trained = {kind: pipeline.train(self.prepared, self.g8, self.train_cfg(kind),
-                                             self.model_cfg(kind)) for kind in KINDS}
+        self.trained = {kind: self.pipeline.train(self.prepared, self.g8, self.train_cfg(kind),
+                                                  self.model_cfg(kind)) for kind in KINDS}
 
     def train_cfg(self, kind: str):
         return self.pipeline.TrainConfig(epochs=1, val_fraction=0.0, seed=0, model=kind)
@@ -97,18 +96,18 @@ class Tree:
         return None
 
     def layer(self, name: str):
-        """(call, calls per step): `call()` runs the layer once and returns
+        """(call, steps per call): `call()` runs the layer once and returns
         its output arrays."""
         family, arg = name.split("/")
         if family == "sample_batch":
             g = self.g8 if arg == "8" else self.g60
-            nodes, rng = np.arange(g.n_nodes), np.random.default_rng(1)
+            nodes, budget, rng = np.arange(g.n_nodes), (3, 5), np.random.default_rng(1)
 
             def call():
                 source = rng
                 if self.keys_given:
-                    source = rng.random((len(nodes), 4, g.neighbors.shape[1]))
-                batch = self.sage.sample_batch(g, nodes, (3, 5), source)
+                    source = rng.random((len(nodes), 1 + budget[0], g.neighbors.shape[1]))
+                batch = self.sage.sample_batch(g, nodes, budget, source)
                 return [batch.rows, batch.neighbors, batch.mask]
             return call, 1
         if family == "train_step":
