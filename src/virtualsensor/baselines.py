@@ -50,20 +50,12 @@ class MlpConfig(FlatConfig):
         return shapes
 
     def draws(self, g, steps, mode: str, rng: np.random.Generator):
-        return _dropout_draws(rng, steps, mode, self.dropout, (self.hidden[1],))
+        blocks = draw_blocks(rng, steps, None, [(self.hidden[1],)], self.dropout, mode)
+        return (keep for _, _, masks in blocks for keep in masks)
 
     def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 drawn: tuple):
         return mlp_forward_batch(pvars, self, feats[nodes], *drawn, mode=mode)
-
-
-def _dropout_draws(rng: np.random.Generator, steps, mode: str, rate: float, row_shape):
-    """Each step's dropout mask, `row_shape` per target, or () unless
-    training with a positive rate."""
-    if mode != "train" or not rate:
-        return [()] * len(steps)
-    blocks = draw_blocks(rng, steps, None, [row_shape], rate)
-    return (keep for _, _, masks in blocks for keep in masks)
 
 
 def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray,
@@ -107,7 +99,8 @@ class CnnConfig(FlatConfig):
 
     def draws(self, g, steps, mode: str, rng: np.random.Generator):
         # Every model reads rows of N_FEATURES features.
-        return _dropout_draws(rng, steps, mode, self.dropout, (N_FEATURES, self.channels))
+        blocks = draw_blocks(rng, steps, None, [(N_FEATURES, self.channels)], self.dropout, mode)
+        return (keep for _, _, masks in blocks for keep in masks)
 
     def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
                 drawn: tuple):

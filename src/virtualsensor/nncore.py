@@ -330,20 +330,24 @@ def initialize(shapes: dict, rng: np.random.Generator) -> dict:
 DRAW_BLOCK_BYTES = 1 << 17
 
 
-def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: float):
+def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: float,
+                mode: str):
     """Yield (steps, sort keys, each step's dropout masks) for each block of
     consecutive `steps` (lists of target nodes), drawn by one `rng.random`
     call of at most DRAW_BLOCK_BYTES (or one step).
 
-    Each target draws `key_shape` sort keys (unless None), then uniforms of
-    each of `mask_shapes`. A generator emits the same doubles however its
-    calls are cut, so each step gets the bits its own draws in turn would.
-    The keys come as one [n_targets, *key_shape] array; a mask is a boolean
-    [len(step), *shape] array, True where the uniform is >= `rate`.
+    A step draws [len(step), *key_shape] sort keys (none if `key_shape` is
+    None), then [len(step), *shape] uniforms for each of `mask_shapes` in
+    turn, the masks only in train mode at a positive `rate`. A generator
+    emits the same doubles however its calls are cut, so each step gets the
+    bits its own draws in turn would. The keys come as one
+    [n_targets, *key_shape] array; a mask is a boolean [len(step), *shape]
+    array, True where the uniform is >= `rate`.
     """
+    if mode != "train" or not rate:
+        mask_shapes = ()
     key_size = math.prod(key_shape) if key_shape is not None else 0
     sizes = [math.prod(shape) for shape in mask_shapes]
-    offsets = list(itertools.accumulate(sizes, initial=0))
     per_row = key_size + sum(sizes)
     start = 0
     while start < len(steps):
@@ -352,19 +356,22 @@ def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: f
             total, stop = total + len(steps[stop]) * per_row, stop + 1
         block, start = steps[start:stop], stop
         uniforms = rng.random(total) if per_row else np.empty(0)
-        keep = uniforms >= rate if sizes else None
         keys, masks, pos = [], [], 0
         for nodes in block:
             b = len(nodes)
             keys.append(uniforms[pos : pos + b * key_size])
             pos += b * key_size
-            masks.append(tuple(keep[pos + b * at : pos + b * (at + size)].reshape(b, *shape)
-                               for at, size, shape in zip(offsets, sizes, mask_shapes)))
-            pos += b * (per_row - key_size)
-        keys = (np.concatenate(keys).reshape(sum(map(len, block)), *key_shape)
-                if key_shape is not None else None)
-        del uniforms  # only the copied keys and the boolean masks outlive it
-        yield block, keys, masks
+            step_masks = []
+            for size, shape in zip(sizes, mask_shapes):
+                step_masks.append((uniforms[pos : pos + b * size] >= rate).reshape(b, *shape))
+                pos += b * size
+            masks.append(tuple(step_masks))
+        if key_shape is not None:
+            # Without masks the block holds only keys, already in one piece.
+            keys = (np.concatenate(keys) if sizes else uniforms).reshape(
+                sum(map(len, block)), *key_shape)
+        del uniforms  # with masks drawn, only the copied keys and the masks outlive it
+        yield block, keys if key_shape is not None else None, masks
 
 
 def dropout(x, rate: float, mode: str, keep: np.ndarray | None = None):

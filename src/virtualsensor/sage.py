@@ -91,16 +91,16 @@ class SageConfig(FlatConfig):
         both dropout layers), a step drawing its sampler keys, then each
         layer's uniforms; one `sample_batch` call per block of steps."""
         k1 = self.budget[0]
-        shapes = []
-        if mode == "train" and self.dropout:
-            shapes = [(1 + k1, self.hidden[0]), (self.hidden[1],)]
+        shapes = [(1 + k1, self.hidden[0]), (self.hidden[1],)]
         key_shape = (1 + k1, g.neighbors.shape[1])
-        for block, keys, masks in draw_blocks(rng, steps, key_shape, shapes, self.dropout):
+        for block, keys, masks in draw_blocks(rng, steps, key_shape, shapes, self.dropout, mode):
             batch = sample_batch(g, np.concatenate(block), self.budget, keys)
             stop = 0
             for nodes, keep in zip(block, masks):
                 start, stop = stop, stop + len(nodes)
-                yield batch._make(a[start:stop] for a in batch), *keep
+                # From a list: a tuple built from a generator is resized,
+                # and each such tuple, once freed, grows CPython's free list.
+                yield batch._make([a[start:stop] for a in batch]), *keep
 
     def forward(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
                 mode: str, drawn: tuple):

@@ -372,7 +372,8 @@ def test_draw_blocks_keep_each_steps_bits():
     key_shape, shapes, rate = (4, 6), [(4, 32), (32,)], 0.3
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     assert rng.permutation(10).tolist() == ref.permutation(10).tolist()
-    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], key_shape, shapes, rate))
+    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], key_shape, shapes, rate,
+                              "train"))
     assert len(blocks) > 1
     assert [len(nodes) for block, _, _ in blocks for nodes in block] == sizes
     step = iter(sizes)
@@ -388,9 +389,22 @@ def test_draw_blocks_keep_each_steps_bits():
     assert rng.random() == ref.random()
 
 
-def test_draw_blocks_without_keys_or_masks_draw_nothing():
+def test_draw_blocks_draw_masks_only_in_train_mode_at_a_positive_rate():
+    sizes = [3, 1, 7, 2, 5] * 40
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], (4, 6), [(32,)], 0.3, "eval"))
+    assert len(blocks) > 1
+    assert all(masks == [()] * len(block) for block, _, masks in blocks)
+    keys = np.concatenate([keys for _, keys, _ in blocks])
+    assert keys.tobytes() == ref.random((sum(sizes), 4, 6)).tobytes()
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("shapes, rate, mode", [([], 0.5, "train"), ([(3,)], 0.5, "eval"),
+                                                ([(3,)], 0.0, "train")])
+def test_draw_blocks_without_keys_or_masks_draw_nothing(shapes, rate, mode):
     rng = np.random.default_rng(0)
-    blocks = list(draw_blocks(rng, [np.arange(2)] * 3, None, [], 0.5))
+    blocks = list(draw_blocks(rng, [np.arange(2)] * 3, None, shapes, rate, mode))
     assert [(keys, masks) for _, keys, masks in blocks] == [(None, [(), (), ()])]
     assert rng.random() == np.random.default_rng(0).random()
 

@@ -1,8 +1,10 @@
 """Graph model: aggregator algebra, batched forward pass, and closed-loop
 autoregressive rollout through `closed_loop_predict`."""
 
+import gc
 import itertools
 import json
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -312,6 +314,19 @@ def test_sample_batch_over_many_steps_matches_each_step():
         one = sample_batch(g, nodes, (3, 5), step_keys)
         assert all(np.array_equal(a[start : start + len(nodes)], b) for a, b in zip(whole, one))
         start += len(nodes)
+
+
+def test_draws_leave_the_tuple_free_lists_flat():
+    # CPython builds a tuple from a generator by resizing a larger one, and
+    # once freed it joins a free list of up to 2000 tuples per size. Built
+    # that way, each step's batch grew the free list over the first
+    # leave-one-out passes and raised the peak RSS.
+    g, steps = random_graph(), [np.array([0, 3])] * 3000
+    gc.collect()  # a full collection empties the free lists
+    before = sys.getallocatedblocks()
+    for _ in SageConfig().draws(g, steps, "train", np.random.default_rng(0)):
+        pass
+    assert sys.getallocatedblocks() - before < 1000
 
 
 # ---------------------------------------------------------------- forward pass

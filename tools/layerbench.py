@@ -68,15 +68,15 @@ class Tree:
     """One loaded package and the seeded inputs of every layer, built with
     its own functions."""
 
-    def __init__(self, package, hours: int, seed: int):
+    def __init__(self, package, hours: int):
         self.vs = package
         self.pipeline = importlib.import_module(package.__name__ + ".pipeline")
         self.sage = importlib.import_module(package.__name__ + ".sage")
         self.baselines = importlib.import_module(package.__name__ + ".baselines")
-        city = package.generate_city(package.CityConfig(n_sensors=8, n_hours=hours, seed=seed))
+        city = package.generate_city(package.CityConfig(n_sensors=8, n_hours=hours, seed=0))
         self.prepared = package.prepare(city)
         self.g8 = package.build_knn_graph(city.locations, k=3)
-        big = package.generate_city(package.CityConfig(n_sensors=60, n_hours=2, seed=seed))
+        big = package.generate_city(package.CityConfig(n_sensors=60, n_hours=2, seed=0))
         self.g60 = package.build_knn_graph(big.locations, k=3)
         self.steps = hours - 1
         # `sample_batch` takes a generator before the draws moved out of it,
@@ -207,23 +207,17 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3, help="epochs or rollouts per block")
     parser.add_argument("--hours", type=int, default=48, help="frames of the timed city")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--layers", nargs="*", default=None, help="a subset of the layers")
     parser.add_argument("--json", type=Path, help="also write the summary here")
     args = parser.parse_args(argv)
     if args.blocks < 1 or args.repeats < 1 or args.hours < 3:
         parser.error("--blocks and --repeats must be >= 1 and --hours >= 3")
-    names = args.layers or layer_names()
-    unknown = sorted(set(names) - set(layer_names()))
-    if unknown:
-        parser.error(f"unknown layers {unknown}")
 
     packages = {"this": load_tree(ROOT, "vs_layerbench_this")}
     if args.against is not None:
         packages["base"] = load_tree(args.against, "vs_layerbench_base")
         packages["again"] = load_tree(ROOT, "vs_layerbench_again")
-    trees = {label: Tree(pkg, args.hours, args.seed) for label, pkg in packages.items()}
-    summary = summarize(measure(trees, names, args.blocks, args.repeats))
+    trees = {label: Tree(pkg, args.hours) for label, pkg in packages.items()}
+    summary = summarize(measure(trees, layer_names(), args.blocks, args.repeats))
     print(report(summary))
     if args.json is not None:
         args.json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
