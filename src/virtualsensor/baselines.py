@@ -11,6 +11,7 @@ every tree is bit-identical to one grown by sorting each node's rows afresh."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -50,19 +51,17 @@ class MlpConfig(FlatConfig):
         return shapes
 
     def draws(self, g, steps, mode: str, rng: np.random.Generator):
-        blocks = draw_blocks(rng, steps, None, [(self.hidden[1],)], self.dropout, mode)
-        return (keep for _, _, masks in blocks for keep in masks)
+        return draw_blocks(rng, steps, None, [(self.hidden[1],)], self.dropout, mode)
 
-    def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                drawn: tuple):
-        return mlp_forward_batch(pvars, self, feats[nodes], *drawn, mode=mode)
+    def forward(self, pvars: dict, feats: np.ndarray, nodes: np.ndarray, drawn: tuple):
+        return mlp_forward_batch(pvars, self, feats[nodes], *drawn)
 
 
 def mlp_forward_batch(pvars: dict, cfg: MlpConfig, x: np.ndarray,
-                      keep: np.ndarray | None = None, mode: str = "eval"):
+                      keep: np.ndarray | None = None):
     h = relu(affine(x, pvars["fc1.w"], pvars["fc1.b"]))
     h = relu(affine(h, pvars["fc2.w"], pvars["fc2.b"]))
-    h = dropout(h, cfg.dropout, mode, keep)
+    h = dropout(h, cfg.dropout, keep)
     h = relu(affine(h, pvars["fc3.w"], pvars["fc3.b"]))
     out = affine(h, pvars["fc4.w"], pvars["fc4.b"])
     return out.reshape(out.shape[0])
@@ -99,12 +98,10 @@ class CnnConfig(FlatConfig):
 
     def draws(self, g, steps, mode: str, rng: np.random.Generator):
         # Every model reads rows of N_FEATURES features.
-        blocks = draw_blocks(rng, steps, None, [(N_FEATURES, self.channels)], self.dropout, mode)
-        return (keep for _, _, masks in blocks for keep in masks)
+        return draw_blocks(rng, steps, None, [(N_FEATURES, self.channels)], self.dropout, mode)
 
-    def forward(self, pvars: dict, g, feats: np.ndarray, nodes: np.ndarray, mode: str,
-                drawn: tuple):
-        return cnn_forward_batch(pvars, self, feats[nodes], *drawn, mode=mode)
+    def forward(self, pvars: dict, feats: np.ndarray, nodes: np.ndarray, drawn: tuple):
+        return cnn_forward_batch(pvars, self, feats[nodes], *drawn)
 
 
 def _conv1d(x, w, b, kernel: int, c_in: int):
@@ -139,12 +136,12 @@ def _conv1d(x, w, b, kernel: int, c_in: int):
 
 
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray,
-                      keep: np.ndarray | None = None, mode: str = "eval"):
+                      keep: np.ndarray | None = None):
     n, d = x.shape
     h = x.reshape(n, d, 1)
     h = relu(_conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1))
     h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
-    h = dropout(h, cfg.dropout, mode, keep)
+    h = dropout(h, cfg.dropout, keep)
     h = relu(h).reshape(n, d * cfg.channels)
     h = relu(affine(h, pvars["fc1.w"], pvars["fc1.b"]))
     out = affine(h, pvars["fc2.w"], pvars["fc2.b"])
@@ -176,10 +173,10 @@ class GbtConfig(FlatConfig):
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GbtModel":
         return gbt_fit(x, y, self)
 
-    def draws(self, g, steps, mode: str, rng: np.random.Generator) -> list:
-        return [()] * len(steps)  # trees draw nothing
+    def draws(self, g, steps, mode: str, rng: np.random.Generator):
+        return itertools.repeat((), len(steps))  # trees draw nothing
 
-    def forward(self, model: "GbtModel", g, feats: np.ndarray, nodes: np.ndarray, mode: str,
+    def forward(self, model: "GbtModel", feats: np.ndarray, nodes: np.ndarray,
                 drawn: tuple) -> np.ndarray:
         return gbt_predict(model, feats[nodes])
 

@@ -269,8 +269,7 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("timestamp,predicted_no2_ugm3\n")
         for t in range(1, raw.n_frames):
-            ts = raw.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z")
-            fh.write(f"{ts},{preds[t - 1]:.6f}\n")
+            fh.write(f"{raw.hour_stamp(t)},{preds[t - 1]:.6f}\n")
     _write_manifest(
         str(args.out) + ".manifest.json", "predict",
         {"location": args.location, "init": args.init},
@@ -346,7 +345,7 @@ def cmd_plot(args) -> int:
 
     actual, predicted = [], []
     for t in range(start_t, end_t):
-        ts = raw.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z")
+        ts = raw.hour_stamp(t)
         if ts in pred_by_ts and raw.present[t, node]:
             actual.append(float(raw.targets[t, node]))
             predicted.append(pred_by_ts[ts])

@@ -157,6 +157,10 @@ class Dataset:
     def timestamp(self, t: int) -> datetime:
         return self.start + timedelta(hours=int(t))
 
+    def hour_stamp(self, t: int) -> str:
+        """Frame t's time as the readings and prediction files write it."""
+        return self.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z")
+
     def sensor_index(self, sensor_id: str) -> int:
         for i, loc in enumerate(self.locations):
             if loc.id == sensor_id:
@@ -355,7 +359,7 @@ def write_readings_csv(ds: Dataset, path) -> None:
     order; absent pairs are skipped."""
     values = np.dstack((ds.targets, ds.features[:, :, : len(READING_FEATURE_COLUMNS)]))
     frames, sensors = np.nonzero(ds.present)
-    stamps = [ds.timestamp(t).strftime("%Y-%m-%dT%H:00:00Z") for t in range(ds.n_frames)]
+    stamps = [ds.hour_stamp(t) for t in range(ds.n_frames)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(READINGS_HEADER)

@@ -1,6 +1,6 @@
 """Dense numerical core: a small reverse-mode autodiff over float64 numpy
-arrays, activations, Glorot initialization, block draws of random inputs
-(`draw_blocks`), inverted dropout on a pre-drawn mask, MSE loss and Adam.
+arrays, activations, Glorot initialization, block draws of each step's random
+inputs and dropout masks (`draw_blocks`), inverted dropout, MSE loss and Adam.
 
 Every parameter is a 2-D array (vectors are stored as [1, n]) so the
 checkpoint block format stays uniform.
@@ -166,11 +166,10 @@ class Var:
 
     def sum(self, axis=None, keepdims=False):
         def bwd(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
+            if axis is not None and not keepdims:
+                kept = list(self.shape)  # np.expand_dims frees a 1-tuple per call
+                kept[axis] = 1
+                g = g.reshape(kept)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
         return _node(self.value.sum(axis=axis, keepdims=keepdims), (self,), bwd)
@@ -287,8 +286,8 @@ def masked_max(x, mask: np.ndarray):
 
     def bwd(g):
         out = np.zeros_like(shifted)
-        np.put_along_axis(out, np.expand_dims(np.argmax(shifted, axis=-2), -2),
-                          np.expand_dims(g * has_any, -2), -2)
+        np.put_along_axis(out, np.argmax(shifted, axis=-2)[..., None, :],
+                          (g * has_any)[..., None, :], -2)
         x._accumulate(_reduce_to(out * m, x.shape))
 
     return _node(y, (x,), bwd)
@@ -325,24 +324,26 @@ def initialize(shapes: dict, rng: np.random.Generator) -> dict:
 
 
 # The most bytes of uniforms one `draw_blocks` call of `rng.random` draws
-# (2^14 doubles, about 12 sage training steps of 7 targets), so what a block
-# holds does not grow with the number of steps or sensors.
+# (2^14 doubles, about 12 sage training steps of 7 targets; 2^14 and 2^15
+# bytes train 5-14 % slower), so a block does not grow with steps or sensors.
 DRAW_BLOCK_BYTES = 1 << 17
 
 
 def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: float,
-                mode: str):
-    """Yield (steps, sort keys, each step's dropout masks) for each block of
-    consecutive `steps` (lists of target nodes), drawn by one `rng.random`
-    call of at most DRAW_BLOCK_BYTES (or one step).
+                mode: str, sample=None):
+    """Yield the draws of each of `steps` (lists of target nodes), a block of
+    consecutive steps drawn by one `rng.random` call of at most
+    DRAW_BLOCK_BYTES (or one step). Only here is dropout decided: a step has
+    masks only in train mode at a positive `rate`.
 
     A step draws [len(step), *key_shape] sort keys (none if `key_shape` is
     None), then [len(step), *shape] uniforms for each of `mask_shapes` in
-    turn, the masks only in train mode at a positive `rate`. A generator
-    emits the same doubles however its calls are cut, so each step gets the
-    bits its own draws in turn would. The keys come as one
-    [n_targets, *key_shape] array; a mask is a boolean [len(step), *shape]
-    array, True where the uniform is >= `rate`.
+    turn. A generator emits the same doubles however its calls are cut, so
+    each step gets the bits its own draws in turn would. With keys,
+    `sample(targets, keys)` returns a named tuple of arrays once per block,
+    and a step's draws are its rows of that, then its masks; without, its
+    masks alone. A mask is a boolean [len(step), *shape] array, True where
+    the uniform is >= `rate`.
     """
     if mode != "train" or not rate:
         mask_shapes = ()
@@ -365,27 +366,32 @@ def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: f
             for size, shape in zip(sizes, mask_shapes):
                 step_masks.append((uniforms[pos : pos + b * size] >= rate).reshape(b, *shape))
                 pos += b * size
-            masks.append(tuple(step_masks))
-        if key_shape is not None:
-            # Without masks the block holds only keys, already in one piece.
-            keys = (np.concatenate(keys) if sizes else uniforms).reshape(
-                sum(map(len, block)), *key_shape)
+            masks.append(step_masks)
+        if key_shape is None:
+            yield from map(tuple, masks)
+            continue
+        # Without masks the block holds only keys, already in one piece.
+        keys = (np.concatenate(keys) if sizes else uniforms).reshape(
+            sum(map(len, block)), *key_shape)
         del uniforms  # with masks drawn, only the copied keys and the masks outlive it
-        yield block, keys if key_shape is not None else None, masks
+        drawn, row = sample(np.concatenate(block), keys), 0
+        for nodes, step_masks in zip(block, masks):
+            # From a list: a tuple built from a generator is resized, and
+            # each such tuple, once freed, grows CPython's free list.
+            yield drawn._make([a[row : row + len(nodes)] for a in drawn]), *step_masks
+            row += len(nodes)
 
 
-def dropout(x, rate: float, mode: str, keep: np.ndarray | None = None):
-    """Inverted dropout: zero with probability `rate` in train mode, scale
-    survivors by 1/(1-rate); identity in eval mode. `keep` is the boolean
-    survivor mask of x's shape, drawn by `draw_blocks`."""
+def dropout(x, rate: float, keep: np.ndarray | None = None):
+    """Inverted dropout on the boolean survivor mask `keep` of x's shape,
+    drawn by `draw_blocks`: zero where it is False, scale the survivors by
+    1/(1-rate). Without a mask it is the identity."""
     if not 0.0 <= rate < 1.0:
         raise SchemaError(f"dropout rate {rate} outside [0, 1)")
-    if mode == "eval" or rate == 0.0:
+    if keep is None:
         return x
-    if mode != "train":
-        raise SchemaError(f"unknown dropout mode {mode!r}")
-    if keep is None or keep.shape != x.shape or keep.dtype != np.bool_:
-        raise SchemaError("train-mode dropout needs a boolean mask of the input's shape")
+    if keep.shape != x.shape or keep.dtype != np.bool_:
+        raise SchemaError("dropout needs a boolean mask of the input's shape")
     return x * (keep / (1.0 - rate))
 
 

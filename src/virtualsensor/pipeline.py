@@ -126,16 +126,17 @@ class TransferConfig:
 
 # The one place that knows the model kinds: kind -> config class. Each class
 # carries its kind's hooks: `draws(g, steps, mode, rng)` and
-# `forward(params, g, feats, nodes, mode, drawn)`, `to_dict` / `from_dict`,
-# and `trains_by_gradient`; gradient kinds add `param_shapes(in_dim)`, whose
+# `forward(params, feats, nodes, drawn)`, `to_dict` / `from_dict`, and
+# `trains_by_gradient`; gradient kinds add `param_shapes(in_dim)`, whose
 # shapes `train` draws with `initialize`, the others `fit(x, y)`. A training
-# epoch, a validation pass and a rollout list their steps' target nodes;
-# `draws` yields each step's random inputs, drawn a bounded block of steps
-# per `rng.random` call (`nncore.draw_blocks`), and `forward` runs a step on
-# its frame and draws. On the stored parameters `forward` returns the
-# [len(nodes)] prediction array and builds no tape, which is how validation
-# and the rollout call it; training passes `wrap_params` leaves and gets a
-# tape node.
+# epoch ("train" mode), a validation pass and a rollout ("eval") list their
+# steps' target nodes; `draws` yields one item per step, its random inputs,
+# from one `nncore.draw_blocks` call, which draws a bounded block of steps
+# per `rng.random` call and gives a step dropout masks only in train mode.
+# `forward` runs a step on its frame and draws. On the stored parameters it
+# returns the [len(nodes)] prediction array and builds no tape, which is how
+# validation and the rollout call it; training passes `wrap_params` leaves
+# and gets a tape node.
 DEFAULT_MODEL_CONFIGS = {
     "sage": SageConfig,
     "mlp": MlpConfig,
@@ -229,7 +230,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         total, count = 0.0, 0
         steps = [groups[t] for t in frame_list]
         for t, nodes, drawn in zip(frame_list, steps, model_cfg.draws(g, steps, "eval", rng)):
-            out = model_cfg.forward(params, g, feats[t], nodes, "eval", drawn)
+            out = model_cfg.forward(params, feats[t], nodes, drawn)
             total += float(np.sum((out - targets[t, nodes]) ** 2))
             count += nodes.size
         return total / max(count, 1)
@@ -246,7 +247,7 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
         total, count = 0.0, 0
         for t, nodes, drawn in zip(order, steps, model_cfg.draws(g, steps, "train", rng)):
             pvars = wrap_params(params)
-            pred = model_cfg.forward(pvars, g, feats[t], nodes, "train", drawn)
+            pred = model_cfg.forward(pvars, feats[t], nodes, drawn)
             loss = mse_loss(pred, targets[t, nodes])
             if not np.isfinite(loss.value):
                 raise SchemaError(f"non-finite training loss at frame {t}")
@@ -315,7 +316,7 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
     for t, drawn in zip(range(1, ds.n_frames), model_cfg.draws(g, steps, "eval", rng)):
         feats = feats_all[t].copy()
         feats[target_node, PREV_NO2] = ds.stats.transform_column(PREV_NO2, prev)
-        out = model_cfg.forward(trained.params, g, feats, nodes, "eval", drawn)
+        out = model_cfg.forward(trained.params, feats, nodes, drawn)
         prev = preds[t - 1] = float(out[0])
     return preds
 

@@ -4,8 +4,8 @@ draws each hop's fixed-size uniform samples for the whole batch at once from
 pre-drawn sort keys, then `sage_forward_batch` runs layer 1 once over the
 targets and their hop-1 samples together), and the model kind's hooks on
 `SageConfig`, whose `budget` (k1, k2) holds the sample size of each hop:
-`draws` samples a block of steps' targets with one `sample_batch` call, and
-`forward` runs one step.
+`draws` is one `draw_blocks` call that samples each block of steps' targets
+with one `sample_batch` call, and `forward` runs one step on its draws.
 """
 
 from __future__ import annotations
@@ -88,23 +88,15 @@ class SageConfig(FlatConfig):
 
     def draws(self, g: SpatialGraph, steps, mode: str, rng: np.random.Generator):
         """Each step's (batch, and in train mode with dropout the masks of
-        both dropout layers), a step drawing its sampler keys, then each
-        layer's uniforms; one `sample_batch` call per block of steps."""
+        both dropout layers): one `draw_blocks` call, whose sampler runs
+        `sample_batch` once per block."""
         k1 = self.budget[0]
-        shapes = [(1 + k1, self.hidden[0]), (self.hidden[1],)]
-        key_shape = (1 + k1, g.neighbors.shape[1])
-        for block, keys, masks in draw_blocks(rng, steps, key_shape, shapes, self.dropout, mode):
-            batch = sample_batch(g, np.concatenate(block), self.budget, keys)
-            stop = 0
-            for nodes, keep in zip(block, masks):
-                start, stop = stop, stop + len(nodes)
-                # From a list: a tuple built from a generator is resized,
-                # and each such tuple, once freed, grows CPython's free list.
-                yield batch._make([a[start:stop] for a in batch]), *keep
+        return draw_blocks(rng, steps, (1 + k1, g.neighbors.shape[1]),
+                           [(1 + k1, self.hidden[0]), (self.hidden[1],)], self.dropout, mode,
+                           lambda nodes, keys: sample_batch(g, nodes, self.budget, keys))
 
-    def forward(self, pvars: dict, g: SpatialGraph, feats: np.ndarray, nodes: np.ndarray,
-                mode: str, drawn: tuple):
-        return sage_forward_batch(pvars, self, feats, *drawn, mode=mode)
+    def forward(self, pvars: dict, feats: np.ndarray, nodes: np.ndarray, drawn: tuple):
+        return sage_forward_batch(pvars, self, feats, *drawn)
 
 
 def _attention_softmax(score, mask: np.ndarray):
@@ -247,18 +239,18 @@ def sample_batch(g: SpatialGraph, nodes, budget: tuple[int, int],
 
 def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
                        batch: NeighborhoodBatch, keep1: np.ndarray | None = None,
-                       keep2: np.ndarray | None = None, mode: str = "eval"):
+                       keep2: np.ndarray | None = None):
     """Two-layer sampled forward pass for a batch of target nodes.
 
     `feats` is the finite [n_nodes, d] feature matrix for one frame (or one
     assembled state). Layer 1 runs once over every self row of the batch,
     the targets and their hop-1 slots together (Hamilton et al. 2017,
     Algorithm 2); layer 2 combines each target's layer-1 state with those of
-    its live hop-1 slots. In train mode `keep1` [B, 1+k1, h1] and `keep2`
-    [B, h2] are the boolean masks of the two dropout layers. Returns the
-    predicted NO2 in ug/m3, shape [B]: a tape node when `pvars` are
-    `wrap_params` leaves, a plain array when they are the parameter arrays
-    themselves.
+    its live hop-1 slots. `keep1` [B, 1+k1, h1] and `keep2` [B, h2], the
+    boolean masks of the two dropout layers, come only with a training step
+    that drops out. Returns the predicted NO2 in ug/m3, shape [B]: a tape
+    node when `pvars` are `wrap_params` leaves, a plain array when they are
+    the parameter arrays themselves.
     """
     kind = cfg.aggregator
     if not np.isfinite(feats).all():
@@ -267,12 +259,12 @@ def sage_forward_batch(pvars: dict, cfg: SageConfig, feats: np.ndarray,
     xn = feats[batch.neighbors]  # [B, 1+k1, K, d]
 
     pre1 = x @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x, xn, batch.mask)
-    h1 = relu(dropout(pre1, cfg.dropout, mode, keep1))  # [B, 1+k1, h1]
+    h1 = relu(dropout(pre1, cfg.dropout, keep1))  # [B, 1+k1, h1]
     h1_v = h1[:, 0]  # [B, h1]
     h1_u = h1[:, 1:]  # [B, k1, h1]
 
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = relu(dropout(pre2, cfg.dropout, mode, keep2))  # [B, h2]
+    h2 = relu(dropout(pre2, cfg.dropout, keep2))  # [B, h2]
 
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])

@@ -320,12 +320,12 @@ def reference_sample_batch(g, nodes, budget, rng: np.random.Generator) -> Neighb
     return NeighborhoodBatch(rows, neighbors, mask, mask[:, 0, :k1])
 
 
-def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: NeighborhoodBatch,
-                               mode: str = "eval"):
+def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: NeighborhoodBatch):
     """The forward pass that ran layer 1 twice, first over the hop-1 slots
     from their hop-2 samples, then over the targets from their hop-1
-    samples, on the hop-1 and hop-2 blocks of `batch`; it draws no dropout
-    uniforms, so train mode needs a zero dropout rate."""
+    samples, on the hop-1 and hop-2 blocks of `batch`; it takes no dropout
+    masks, so it is the forward of an eval step, or of a training step at a
+    zero dropout rate, which draws none."""
     kind, k1, k2 = cfg.aggregator, cfg.budget[0], cfg.budget[1]
     xv = feats[batch.rows[:, 0]]  # [B, d]
     x1 = feats[batch.rows[:, 1:]]  # [B, k1, d]
@@ -333,12 +333,12 @@ def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: Neigh
     mask2 = batch.mask[:, 1:, :k2]
 
     pre_u = x1 @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, x1, x2, mask2)
-    h1_u = relu(dropout(pre_u, cfg.dropout, mode))  # [B, k1, h1]
+    h1_u = relu(dropout(pre_u, cfg.dropout))  # [B, k1, h1]
     pre_v = xv @ pvars["l1.w_self"] + _neighbor_term(kind, pvars, 1, xv, x1, batch.mask1)
-    h1_v = relu(dropout(pre_v, cfg.dropout, mode))  # [B, h1]
+    h1_v = relu(dropout(pre_v, cfg.dropout))  # [B, h1]
 
     pre2 = h1_v @ pvars["l2.w_self"] + _neighbor_term(kind, pvars, 2, h1_v, h1_u, batch.mask1)
-    h2 = relu(dropout(pre2, cfg.dropout, mode))  # [B, h2]
+    h2 = relu(dropout(pre2, cfg.dropout))  # [B, h2]
     out = affine(h2, pvars["head.w"], pvars["head.b"])  # [B, 1]
     return out.reshape(out.shape[0])
 

@@ -120,8 +120,7 @@ def test_criterion_03_gradient_correctness():
             # A freshly seeded generator draws the same dropout masks each call.
             def f(p, cfg=cfg, batch=batch):
                 out = sage_forward_batch(p, cfg, x, batch,
-                                         *sage_dropout_masks(cfg, 4, np.random.default_rng(7)),
-                                         mode="train")
+                                         *sage_dropout_masks(cfg, 4, np.random.default_rng(7)))
                 return mse_loss(out, y)
 
             worst = max(worst, grad_check(f, params))
@@ -132,14 +131,14 @@ def test_criterion_03_gradient_correctness():
         mp = initialize(mcfg.param_shapes(5), rng)
         mp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in mp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(mlp_forward_batch(
-            p, mcfg, x, np.random.default_rng(7).random((4, 4)) >= mcfg.dropout, mode="train"), y),
+            p, mcfg, x, np.random.default_rng(7).random((4, 4)) >= mcfg.dropout), y),
             mp))
 
         ccfg = CnnConfig(channels=2, kernel=3, dense_hidden=3)
         cp = initialize(ccfg.param_shapes(5), rng)
         cp = {k: v + 0.05 * rng.normal(size=v.shape) for k, v in cp.items()}
         worst = max(worst, grad_check(lambda p: mse_loss(cnn_forward_batch(
-            p, ccfg, x, np.random.default_rng(7).random((4, 5, 2)) >= ccfg.dropout, mode="train"),
+            p, ccfg, x, np.random.default_rng(7).random((4, 5, 2)) >= ccfg.dropout),
             y), cp))
 
     elapsed = time.monotonic() - started

@@ -47,12 +47,13 @@ def test_mlp_eval_deterministic():
 
 
 def test_mlp_dropout_only_in_train_mode():
+    # A training step that drops out gets a mask; an eval step gets none.
     cfg = MlpConfig()
     p = initialize(cfg.param_shapes(10), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(8, 10))
-    ev = mlp_forward_batch(wrap_params(p), cfg, x, mode="eval").value
+    ev = mlp_forward_batch(wrap_params(p), cfg, x).value
     keep = np.random.default_rng(2).random((8, cfg.hidden[1])) >= cfg.dropout
-    tr = mlp_forward_batch(wrap_params(p), cfg, x, keep, mode="train").value
+    tr = mlp_forward_batch(wrap_params(p), cfg, x, keep).value
     assert not np.allclose(ev, tr)
 
 
@@ -66,7 +67,7 @@ def test_mlp_gradients():
 
     def f(pv):  # a freshly seeded generator draws the same dropout mask each call
         keep = np.random.default_rng(7).random((7, cfg.hidden[1])) >= cfg.dropout
-        return mse_loss(mlp_forward_batch(pv, cfg, x, keep, mode="train"), y)
+        return mse_loss(mlp_forward_batch(pv, cfg, x, keep), y)
 
     assert grad_check(f, p) < 1e-4
 
@@ -134,7 +135,7 @@ def test_cnn_gradients():
 
     def f(pv):  # a freshly seeded generator draws the same dropout mask each call
         keep = np.random.default_rng(7).random((4, 6, 3)) >= cfg.dropout
-        return mse_loss(cnn_forward_batch(pv, cfg, x, keep, mode="train"), y)
+        return mse_loss(cnn_forward_batch(pv, cfg, x, keep), y)
 
     assert grad_check(f, p) < 1e-4
 

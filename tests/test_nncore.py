@@ -4,6 +4,7 @@ grad checking."""
 import functools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -139,8 +140,7 @@ def _every_op(a, b, c):
             affine(a, b, c), sigmoid_affine(a, b, c), masked_mean(a.reshape(1, 2, 3), mask),
             masked_max(a.reshape(1, 2, 3), mask),
             _attention_softmax(a.reshape(2, 3, 1), np.array([[1.0, 0.0, 1.0], [0.0] * 3])),
-            dropout(a, 0.5, "eval"),
-            dropout(a, 0.5, "train", np.random.default_rng(0).random((2, 3)) >= 0.5)]
+            dropout(a, 0.5), dropout(a, 0.5, np.random.default_rng(0).random((2, 3)) >= 0.5)]
 
 
 def test_constants_record_no_tape():
@@ -310,20 +310,22 @@ def test_glorot_uniform_bounds():
 
 
 def test_dropout_eval_is_identity():
+    # An eval step gets no mask from `draw_blocks`; without one, dropout is
+    # the identity.
     x = np.random.default_rng(0).normal(size=(10, 4))
-    out = dropout(x, 0.5, "eval")
+    out = dropout(x, 0.5)
     assert out is x
 
 
 def test_dropout_zero_rate_is_identity():
     x = np.ones((5, 5))
-    out = dropout(x, 0.0, "train")  # draws nothing
+    out = dropout(x, 0.0)  # a training step at rate 0 draws no mask
     assert out is x
 
 
 def test_dropout_train_scales_survivors():
     x = np.ones((4, 4))
-    out = dropout(x, 0.5, "train", np.random.default_rng(1).random(x.shape) >= 0.5)
+    out = dropout(x, 0.5, np.random.default_rng(1).random(x.shape) >= 0.5)
     assert type(out) is np.ndarray
     vals = np.unique(out)
     assert set(vals) <= {0.0, 2.0}  # inverted dropout: survivors scaled by 2
@@ -333,7 +335,7 @@ def test_dropout_monte_carlo_mean_preserved():
     # E[dropout(x)] == x: the survivor scaling keeps activations unbiased.
     rng = np.random.default_rng(123)
     x = np.ones(100_000)
-    out = dropout(x, 0.5, "train", rng.random(x.shape) >= 0.5)
+    out = dropout(x, 0.5, rng.random(x.shape) >= 0.5)
     assert 0.98 <= out.mean() <= 1.02
 
 
@@ -341,7 +343,7 @@ def test_dropout_frozen_mask():
     # A fixed boolean mask freezes dropout: value and gradient are
     # mask / (1 - rate) for the mask of the uniforms that seed draws.
     x = Var(np.ones((3, 4)))
-    out = dropout(x, 0.25, "train", np.random.default_rng(7).random((3, 4)) >= 0.25)
+    out = dropout(x, 0.25, np.random.default_rng(7).random((3, 4)) >= 0.25)
     mask = (np.random.default_rng(7).random((3, 4)) >= 0.25).astype(np.float64)
     assert 0 < mask.sum() < mask.size
     assert np.array_equal(out.value, mask / 0.75)
@@ -352,50 +354,62 @@ def test_dropout_frozen_mask():
 def test_dropout_validation():
     keep = np.random.default_rng(0).random(3) >= 0.5
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 1.0, "train", keep)
+        dropout(np.ones(3), 1.0, keep)
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "predict", keep)
+        dropout(np.ones(3), 0.5, np.ones(4, dtype=bool))  # another shape
     with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "train")  # no mask
-    with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "train", np.ones(4, dtype=bool))  # another shape
-    with pytest.raises(SchemaError):
-        dropout(np.ones(3), 0.5, "train", np.random.default_rng(0).random(3))  # not boolean
+        dropout(np.ones(3), 0.5, np.random.default_rng(0).random(3))  # not boolean
+
+
+class Sampled(NamedTuple):
+    """What the test sampler returns: a block's targets and sort keys."""
+
+    targets: np.ndarray
+    keys: np.ndarray
+
+
+def recording_sampler(calls: list):
+    """A `draw_blocks` sampler that records the target count of each call."""
+    def sample(targets, keys):
+        calls.append(len(targets))
+        return Sampled(targets, keys)
+    return sample
 
 
 def test_draw_blocks_keep_each_steps_bits():
     # One call per block emits the doubles that each step's own draws, made
     # in turn, would emit, after a permutation drawn from the same generator:
-    # the block's keys are its steps' keys in order, and each step's masks
-    # are its uniforms >= rate.
+    # the sampler runs once per block on its steps' targets and keys in
+    # order, each step gets its rows of the result, and its masks are its
+    # uniforms >= rate.
     sizes = [3, 1, 7, 2, 5] * 40
     key_shape, shapes, rate = (4, 6), [(4, 32), (32,)], 0.3
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     assert rng.permutation(10).tolist() == ref.permutation(10).tolist()
-    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], key_shape, shapes, rate,
-                              "train"))
-    assert len(blocks) > 1
-    assert [len(nodes) for block, _, _ in blocks for nodes in block] == sizes
-    step = iter(sizes)
-    for block, keys, masks in blocks:
-        assert len(block) == 1 or sum(map(len, block)) * 184 * 8 <= DRAW_BLOCK_BYTES
-        want_keys = []
-        for parts in masks:
-            b = next(step)
-            want_keys.append(ref.random((b, *key_shape)))
-            want = [ref.random((b, *shape)) >= rate for shape in shapes]
-            assert all(m.dtype == np.bool_ and np.array_equal(m, w) for m, w in zip(parts, want))
-        assert keys.tobytes() == np.concatenate(want_keys).tobytes()
+    steps, calls = [np.arange(b) + 10 * i for i, b in enumerate(sizes)], []
+    drawn = list(draw_blocks(rng, steps, key_shape, shapes, rate, "train",
+                             recording_sampler(calls)))
+    assert len(drawn) == len(steps)
+    assert len(calls) > 1 and sum(calls) == sum(sizes)
+    assert all(n * 184 * 8 <= DRAW_BLOCK_BYTES for n in calls)
+    for nodes, (rows, *masks) in zip(steps, drawn):
+        want_keys = ref.random((len(nodes), *key_shape))
+        want = [ref.random((len(nodes), *shape)) >= rate for shape in shapes]
+        assert np.array_equal(rows.targets, nodes) and rows.keys.tobytes() == want_keys.tobytes()
+        assert len(masks) == len(shapes)
+        assert all(m.dtype == np.bool_ and np.array_equal(m, w) for m, w in zip(masks, want))
     assert rng.random() == ref.random()
 
 
 def test_draw_blocks_draw_masks_only_in_train_mode_at_a_positive_rate():
     sizes = [3, 1, 7, 2, 5] * 40
     rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    blocks = list(draw_blocks(rng, [np.arange(b) for b in sizes], (4, 6), [(32,)], 0.3, "eval"))
-    assert len(blocks) > 1
-    assert all(masks == [()] * len(block) for block, _, masks in blocks)
-    keys = np.concatenate([keys for _, keys, _ in blocks])
+    calls = []
+    drawn = list(draw_blocks(rng, [np.arange(b) for b in sizes], (4, 6), [(32,)], 0.3, "eval",
+                             recording_sampler(calls)))
+    assert len(calls) > 1
+    assert [len(d) for d in drawn] == [1] * len(sizes)  # a step's rows, and no mask
+    keys = np.concatenate([rows.keys for rows, in drawn])
     assert keys.tobytes() == ref.random((sum(sizes), 4, 6)).tobytes()
     assert rng.random() == ref.random()
 
@@ -404,8 +418,7 @@ def test_draw_blocks_draw_masks_only_in_train_mode_at_a_positive_rate():
                                                 ([(3,)], 0.0, "train")])
 def test_draw_blocks_without_keys_or_masks_draw_nothing(shapes, rate, mode):
     rng = np.random.default_rng(0)
-    blocks = list(draw_blocks(rng, [np.arange(2)] * 3, None, shapes, rate, mode))
-    assert [(keys, masks) for _, keys, masks in blocks] == [(None, [(), (), ()])]
+    assert list(draw_blocks(rng, [np.arange(2)] * 3, None, shapes, rate, mode)) == [(), (), ()]
     assert rng.random() == np.random.default_rng(0).random()
 
 

@@ -3,6 +3,7 @@ leave-one-location-out, reports, and checkpoint persistence."""
 
 import json
 import struct
+import sys
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -280,7 +281,7 @@ def test_transfer_freeze_holds_during_finetuning():
     for t in val_frames:
         nodes = np.flatnonzero(rows[t])
         [drawn] = out.model_config.draws(g_tgt, [nodes], "eval", None)
-        pred = out.model_config.forward(pvars, g_tgt, feats[t], nodes, "eval", drawn)
+        pred = out.model_config.forward(pvars, feats[t], nodes, drawn)
         total += float(np.sum((pred.value - tgt.targets[t, nodes]) ** 2))
         count += nodes.size
     assert total / count == pytest.approx(min(out.history["val"]), rel=1e-12, abs=0.0)
@@ -342,7 +343,7 @@ def test_predict_hook_returns_an_array_on_stored_params(kind, model_cfg):
     trained = train(prepared, g, TrainConfig(epochs=1, model=kind, seed=0), model_cfg)
     feats, nodes = _model_inputs(prepared, g)[5], np.array([0, 2])
     [drawn] = trained.model_config.draws(g, [nodes], "eval", np.random.default_rng(0))
-    out = trained.model_config.forward(trained.params, g, feats, nodes, "eval", drawn)
+    out = trained.model_config.forward(trained.params, feats, nodes, drawn)
     assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (2,)
 
 
@@ -351,12 +352,13 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
     # Validation and the rollout run `forward` on the stored arrays; only
     # the training steps build a tape.
     cls = DEFAULT_MODEL_CONFIGS[kind]
-    forward, built = cls.forward, {"eval": [], "train": []}
+    forward, built = cls.forward, {"evaluate": [], "train": []}
 
-    def counted(self, params, g, feats, nodes, mode, drawn):
+    def counted(self, params, feats, nodes, drawn):
         with counting_vars() as made:
-            out = forward(self, params, g, feats, nodes, mode, drawn)
-        built[mode].append(len(made))
+            out = forward(self, params, feats, nodes, drawn)
+        # Keyed by the caller: `train`'s steps, its validation `evaluate`, the rollout.
+        built.setdefault(sys._getframe(1).f_code.co_name, []).append(len(made))
         return out
 
     monkeypatch.setattr(cls, "forward", counted)
@@ -365,12 +367,38 @@ def test_rollout_and_validation_build_no_var(kind, model_cfg, monkeypatch):
                     model_cfg)
     # Two epochs over 119 frames: 23 validation and 96 training frames each;
     # gbt is fitted in one pass and validates nothing.
-    assert len(built["eval"]) == 2 * 23 * cls.trains_by_gradient
-    assert not any(built["eval"])
+    assert len(built["evaluate"]) == 2 * 23 * cls.trains_by_gradient
+    assert not any(built["evaluate"])
     assert all(built["train"]) and len(built["train"]) == 2 * 96 * cls.trains_by_gradient
     with counting_vars() as made:
         closed_loop_predict(trained, g, prepared, 0, 25.0, np.random.default_rng(0))
     assert made == []
+
+
+@pytest.mark.parametrize("kind,masks", [("sage", 2), ("mlp", 1), ("cnn", 1), ("gbt", 0)])
+def test_draws_give_dropout_masks_only_to_train_steps_that_drop_out(kind, masks):
+    # The draw hook alone decides dropout: an eval step and a training step
+    # at rate 0 get no mask, a training step at a positive rate one boolean
+    # mask per dropout layer, which its forward takes. Every kind yields one
+    # item per step, across blocks.
+    _, prepared, _, g = prepared_city()
+    feats = _model_inputs(prepared, g)[5]
+    steps = [np.array([0, 2]), np.array([1]), np.arange(prepared.n_sensors)] * 400
+    cls = DEFAULT_MODEL_CONFIGS[kind]
+    off = cls(dropout=0.0) if masks else cls()
+    for cfg, mode, want in [(cls(), "eval", 0), (off, "train", 0), (cls(), "train", masks)]:
+        drawn = list(cfg.draws(g, steps, mode, np.random.default_rng(0)))
+        assert len(drawn) == len(steps)
+        if not cfg.trains_by_gradient:
+            assert drawn == [()] * len(steps)
+            continue
+        params = initialize(cfg.param_shapes(N_FEATURES), np.random.default_rng(1))
+        for nodes, items in zip(steps, drawn):
+            step_masks = items[1:] if kind == "sage" else items
+            assert kind != "sage" or np.array_equal(items[0].rows[:, 0], nodes)
+            assert len(step_masks) == want
+            assert all(m.dtype == np.bool_ and len(m) == len(nodes) for m in step_masks)
+            assert cfg.forward(params, feats, nodes, items).shape == nodes.shape
 
 
 def _block_targets(step_sizes, row_uniforms) -> list[int]:

@@ -329,6 +329,32 @@ def test_draws_leave_the_tuple_free_lists_flat():
     assert sys.getallocatedblocks() - before < 1000
 
 
+@pytest.mark.parametrize("kind", [AggregatorKind.ATTENTIONAL, AggregatorKind.MAX_POOL],
+                         ids=lambda k: k.value)
+def test_training_steps_leave_the_tuple_free_lists_flat(kind):
+    # The backwards of the attentional weighted sum and of max_pool called
+    # np.expand_dims, which left a 1-tuple on CPython's free list per call,
+    # two or four a step, until it held 2000.
+    cfg = SageConfig(aggregator=kind)
+    params = initialize(cfg.param_shapes(N_FEATURES), np.random.default_rng(0))
+    g = random_graph()
+    feats = np.random.default_rng(1).normal(size=(g.n_nodes, N_FEATURES))
+    nodes = np.arange(g.n_nodes)
+    [drawn] = cfg.draws(g, [nodes], "train", np.random.default_rng(2))
+
+    def step():
+        pred = cfg.forward(wrap_params(params), feats, nodes, drawn)
+        mse_loss(pred, np.ones(len(nodes))).backward()
+
+    gc.collect()  # a full collection empties the free lists
+    for _ in range(50):  # which then refill to the size a step keeps them at
+        step()
+    before = sys.getallocatedblocks()
+    for _ in range(300):
+        step()
+    assert sys.getallocatedblocks() - before < 100
+
+
 # ---------------------------------------------------------------- forward pass
 
 
@@ -388,10 +414,9 @@ def test_one_pass_layer1_matches_two_pass_reference(kind, per_hop):
     assert g.degree.tolist() == [3, 1, 3, 6, 2, 3, 3, 1, 0]
     feats = rng.normal(size=(g.n_nodes, 6))
     batch = sample_with_rng(g, np.arange(g.n_nodes), cfg.budget, rng)
-    for mode in ("eval", "train"):
-        got = sage_forward_batch(params, cfg, feats, batch, mode=mode)
-        want = reference_forward_two_pass(params, cfg, feats, batch, mode=mode)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    got = sage_forward_batch(params, cfg, feats, batch)
+    want = reference_forward_two_pass(params, cfg, feats, batch)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -402,14 +427,11 @@ def test_forward_over_constant_params_records_no_tape(kind):
     params = initialize(cfg.param_shapes(5), np.random.default_rng(0))
     g, feats = triangle_graph(), np.random.default_rng(1).normal(size=(3, 5))
     batch = sample_with_rng(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
-    for mode in ("eval", "train"):
-        taped = sage_forward_batch(wrap_params(params), cfg, feats, batch,
-                                   *sage_dropout_masks(cfg, 3, np.random.default_rng(3)),
-                                   mode=mode)
+    # An eval step has no dropout masks, a training step two.
+    for masks in ((), sage_dropout_masks(cfg, 3, np.random.default_rng(3))):
+        taped = sage_forward_batch(wrap_params(params), cfg, feats, batch, *masks)
         with counting_vars() as made:
-            out = sage_forward_batch(params, cfg, feats, batch,
-                                     *sage_dropout_masks(cfg, 3, np.random.default_rng(3)),
-                                     mode=mode)
+            out = sage_forward_batch(params, cfg, feats, batch, *masks)
         assert made == [] and type(out) is np.ndarray
         assert out.tobytes() == taped.value.tobytes()
 
@@ -425,7 +447,7 @@ def test_training_backward_leaves_data_without_grad(kind):
     batch = sample_with_rng(g, [0, 1, 2], cfg.budget, np.random.default_rng(2))
     pvars = wrap_params(params)
     out = sage_forward_batch(pvars, cfg, feats, batch,
-                             *sage_dropout_masks(cfg, 3, np.random.default_rng(3)), mode="train")
+                             *sage_dropout_masks(cfg, 3, np.random.default_rng(3)))
     loss = mse_loss(out, np.ones(3))
     loss.backward()
     tape = tape_nodes(loss)
@@ -447,8 +469,7 @@ def test_forward_gradients_finite_difference(kind):
 
     def f(p):  # a freshly seeded generator draws the same dropout masks each call
         out = sage_forward_batch(p, cfg, feats, batch,
-                                 *sage_dropout_masks(cfg, 2, np.random.default_rng(7)),
-                                 mode="train")
+                                 *sage_dropout_masks(cfg, 2, np.random.default_rng(7)))
         return mse_loss(out, y)
 
     assert grad_check(f, params) < 1e-4

@@ -152,7 +152,7 @@ def _training_step_loss(city, key):
     pvars = wrap_params(initialize(model_cfg.param_shapes(N_FEATURES), rng))
     nodes = np.flatnonzero(ds.present[5])
     [drawn] = model_cfg.draws(g, [nodes], "train", rng)
-    pred = model_cfg.forward(pvars, g, _model_inputs(ds, g)[5], nodes, "train", drawn)
+    pred = model_cfg.forward(pvars, _model_inputs(ds, g)[5], nodes, drawn)
     return mse_loss(pred, ds.targets[5, nodes])
 
 
