@@ -132,7 +132,7 @@ class TransferConfig:
 # epoch ("train" mode), a validation pass and a rollout ("eval") list their
 # steps' target nodes; `draws` yields one item per step, its random inputs,
 # from one `nncore.draw_blocks` call, which draws a bounded block of steps
-# per `rng.random` call and gives a step dropout masks only in train mode.
+# per `rng.random` call and gives masks only to a train step that drops out.
 # `forward` runs a step on its frame and draws. On the stored parameters it
 # returns the [len(nodes)] prediction array and builds no tape, which is how
 # validation and the rollout call it; training passes `wrap_params` leaves
