@@ -11,7 +11,6 @@ every tree is bit-identical to one grown by sorting each node's rows afresh."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -174,7 +173,7 @@ class GbtConfig(FlatConfig):
         return gbt_fit(x, y, self)
 
     def draws(self, g, steps, mode: str, rng: np.random.Generator):
-        return itertools.repeat((), len(steps))  # trees draw nothing
+        return draw_blocks(rng, steps, None, (), 0.0, mode)  # trees draw nothing
 
     def forward(self, model: "GbtModel", feats: np.ndarray, nodes: np.ndarray,
                 drawn: tuple) -> np.ndarray:

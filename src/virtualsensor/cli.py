@@ -1,8 +1,11 @@
 """Command-line front door: synth, train, transfer, eval, compare, predict, plot.
 
-Every command is a pure function of (input files, flags, seed) and writes a
-run manifest alongside its outputs; wall-clock timings live only in the
-manifest so the numeric outputs stay byte-identical across reruns.
+Every command is a pure function of (input files, flags, seed) that writes
+its outputs and returns its run record: (config, seeds, inputs, outputs).
+`main` runs it, times it and writes the record as its manifest: inside --out
+when that is a directory, else beside it as <out>.manifest.json.
+Wall-clock timings live only in the manifest, so the numeric outputs stay
+byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -51,14 +54,14 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(path, command: str, config: dict, seeds: list, inputs: list,
-                    outputs: list, started: float) -> None:
+                    outputs: list, wall_clock_s: float) -> None:
     manifest = {
         "command": command,
         "config": config,
         "seeds": seeds,
         "input_hashes": {str(p): _sha256(p) for p in inputs},
         "output_paths": [str(p) for p in outputs],
-        "wall_clock_s": time.monotonic() - started,
+        "wall_clock_s": wall_clock_s,
     }
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -106,40 +109,28 @@ def _require_checkpointable(kind: str) -> None:
         )
 
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
+def cmd_synth(args) -> tuple:
     cfg = _from_flags(CityConfig, args)
     ds = generate_city(cfg)
     os.makedirs(args.out, exist_ok=True)
     loc_path, read_path = _data_paths(args.out)
     write_locations_csv(ds.locations, loc_path)
     write_readings_csv(ds, read_path)
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "synth", asdict(cfg), [cfg.seed], [], [loc_path, read_path], started,
-    )
-    return 0
+    return asdict(cfg), [cfg.seed], [], [loc_path, read_path]
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
+def cmd_train(args) -> tuple:
     cfg, model_cfg = _configs(args)
     _require_checkpointable(cfg.model)
     raw = _load_raw(args.data)
     prepared = prepare(raw)
     g = build_knn_graph(raw.locations, k=cfg.k)
     save_checkpoint(args.out, train(prepared, g, cfg, model_cfg))
-    loc_path, read_path = _data_paths(args.data)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "train",
-        {"train": asdict(cfg)}, [cfg.seed],
-        [loc_path, read_path], [args.out], started,
-    )
-    return 0
+    return ({"train": asdict(cfg), "model_config": model_cfg.to_dict()}, [cfg.seed],
+            [*_data_paths(args.data)], [args.out])
 
 
-def cmd_transfer(args) -> int:
-    started = time.monotonic()
+def cmd_transfer(args) -> tuple:
     base_cfg, model_cfg = _configs(args)
     _require_checkpointable(base_cfg.model)
     tcfg = _from_flags(TransferConfig, args, source=base_cfg)
@@ -151,14 +142,10 @@ def cmd_transfer(args) -> int:
     g_tgt = build_knn_graph(target_raw.locations, k=base_cfg.k)
     tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, model_cfg)
     save_checkpoint(args.out, tuned)
+    config = {"train": asdict(base_cfg), "model_config": model_cfg.to_dict(),
+              "finetune_epochs": tcfg.finetune_epochs, "finetune_lr": tcfg.finetune_lr}
     inputs = [*_data_paths(args.source), *_data_paths(args.target)]
-    _write_manifest(
-        str(args.out) + ".manifest.json", "transfer",
-        {"train": asdict(base_cfg), "finetune_epochs": tcfg.finetune_epochs,
-         "finetune_lr": tcfg.finetune_lr},
-        [base_cfg.seed], inputs, [args.out], started,
-    )
-    return 0
+    return config, [base_cfg.seed], inputs, [args.out]
 
 
 def _load_report(path) -> EvalReport:
@@ -174,28 +161,24 @@ def _load_report(path) -> EvalReport:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def cmd_compare(args) -> int:
-    started = time.monotonic()
+def cmd_compare(args) -> tuple | None:
     base, new = _load_report(args.base), _load_report(args.new)
     table = improvement_table(base, new)
     text = (_averages_csv([(f"base:{base.model}", base.averages),
                            (f"new:{new.model}", new.averages)])
             + "improvement_pct" + "".join(f",{v:.3f}" for v in table.values()) + "\n")
+    record = None  # without --out compare only prints, and writes no manifest
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, "improvement.csv")
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _write_manifest(
-            os.path.join(args.out, "manifest.json"), "compare", {},
-            [], [args.base, args.new], [out_path], started,
-        )
+        record = {}, [], [args.base, args.new], [out_path]
     sys.stdout.write(text)
-    return 0
+    return record
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> tuple:
     init_params = None
     if args.ckpt:
         # Every fold retrains with the checkpoint's config; --seed may override its seed.
@@ -227,12 +210,8 @@ def cmd_eval(args) -> int:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     inputs = list(_data_paths(args.data)) + ([args.ckpt] if args.ckpt else [])
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"), "eval",
-        {"train": asdict(cfg)}, [cfg.seed], inputs,
-        [json_path, csv_path], started,
-    )
-    return 0
+    return ({"train": asdict(cfg), "model_config": model_cfg.to_dict()}, [cfg.seed], inputs,
+            [json_path, csv_path])
 
 
 def _init_value(text: str, ds, node: int) -> float:
@@ -255,8 +234,7 @@ def _init_value(text: str, ds, node: int) -> float:
     raise VirtualSensorError(f"bad --init value {text!r} (actual|mean|fixed:VALUE)")
 
 
-def cmd_predict(args) -> int:
-    started = time.monotonic()
+def cmd_predict(args) -> tuple:
     raw = _load_raw(args.data)
     trained = load_checkpoint(args.ckpt)
     seed = trained.train_cfg.seed
@@ -270,12 +248,8 @@ def cmd_predict(args) -> int:
         fh.write("timestamp,predicted_no2_ugm3\n")
         for t in range(1, raw.n_frames):
             fh.write(f"{raw.hour_stamp(t)},{preds[t - 1]:.6f}\n")
-    _write_manifest(
-        str(args.out) + ".manifest.json", "predict",
-        {"location": args.location, "init": args.init},
-        [seed], [*_data_paths(args.data), args.ckpt], [args.out], started,
-    )
-    return 0
+    return ({"location": args.location, "init": args.init}, [seed],
+            [*_data_paths(args.data), args.ckpt], [args.out])
 
 
 def _svg_plot(series: list[tuple[str, list[float]]], width=800, height=300) -> str:
@@ -312,8 +286,7 @@ def _svg_plot(series: list[tuple[str, list[float]]], width=800, height=300) -> s
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args) -> int:
-    started = time.monotonic()
+def cmd_plot(args) -> tuple:
     raw = _load_raw(args.data)
     node = raw.sensor_index(args.location)
     try:
@@ -354,12 +327,8 @@ def cmd_plot(args) -> int:
     svg = _svg_plot([("actual", actual), ("predicted", predicted)])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    _write_manifest(
-        str(args.out) + ".manifest.json", "plot",
-        {"location": args.location, "start": args.start, "hours": args.hours},
-        [], [*_data_paths(args.data), args.pred], [args.out], started,
-    )
-    return 0
+    return ({"location": args.location, "start": args.start, "hours": args.hours}, [],
+            [*_data_paths(args.data), args.pred], [args.out])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,11 +422,17 @@ def main(argv=None) -> int:
     gc.collect(1)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
+        started = time.monotonic()
         try:
-            return args.func(args)
+            record = args.func(args)
+            if record is not None:
+                manifest = (os.path.join(args.out, "manifest.json") if os.path.isdir(args.out)
+                            else f"{args.out}.manifest.json")
+                _write_manifest(manifest, args.command, *record, time.monotonic() - started)
         except (VirtualSensorError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    return 0
 
 
 if __name__ == "__main__":

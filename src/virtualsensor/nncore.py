@@ -347,6 +347,9 @@ def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: f
     """
     if mode != "train" or not rate:
         mask_shapes = ()
+    if key_shape is None and not mask_shapes:  # a step that draws nothing gets ()
+        yield from itertools.repeat((), len(steps))
+        return
     key_size = math.prod(key_shape) if key_shape is not None else 0
     sizes = [math.prod(shape) for shape in mask_shapes]
     per_row = key_size + sum(sizes)
@@ -356,7 +359,7 @@ def draw_blocks(rng: np.random.Generator, steps, key_shape, mask_shapes, rate: f
         while stop < len(steps) and (total + len(steps[stop]) * per_row) * 8 <= DRAW_BLOCK_BYTES:
             total, stop = total + len(steps[stop]) * per_row, stop + 1
         block, start = steps[start:stop], stop
-        uniforms = rng.random(total) if per_row else np.empty(0)
+        uniforms = rng.random(total)
         keys, masks, pos = [], [], 0
         for nodes in block:
             b = len(nodes)

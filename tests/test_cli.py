@@ -811,6 +811,97 @@ def test_plot_empty_window_fails(tmp_path, workspace, capsys):
     assert code == 1
 
 
+# ---------------------------------------------------------------- manifests
+
+
+def _files(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def test_every_command_writes_its_manifest(tmp_path, workspace, capsys):
+    # A command whose --out is a directory writes manifest.json inside it;
+    # one whose --out is a file writes <out>.manifest.json beside it.
+    _, data, ckpt = workspace
+    city = [str(data / "locations.csv"), str(data / "readings.csv")]
+    t = tmp_path
+    target = t / "target"
+    target_city = [str(target / "locations.csv"), str(target / "readings.csv")]
+    e1, e2, cmp_dir = t / "e1", t / "e2", t / "cmp"
+    runs = [  # argv, manifest, seeds, input paths, output paths
+        (["synth", "--sensors", "3", "--hours", "60", "--seed", "5", "--out", str(target)],
+         target / "manifest.json", [5], [], target_city),
+        (["train", "--data", str(data), "--out", str(t / "m.vsck"), "--model", "mlp",
+          "--epochs", "1", "--seed", "2"],
+         t / "m.vsck.manifest.json", [2], city, [str(t / "m.vsck")]),
+        (["transfer", "--source", str(data), "--target", str(target), "--out", str(t / "t.vsck"),
+          "--model", "mlp", "--epochs", "1", "--finetune-epochs", "1", "--seed", "4"],
+         t / "t.vsck.manifest.json", [4], city + target_city, [str(t / "t.vsck")]),
+        (["eval", "--data", str(target), "--model", "mlp", "--epochs", "1", "--out", str(e1)],
+         e1 / "manifest.json", [0], target_city,
+         [str(e1 / "report.json"), str(e1 / "report.csv")]),
+        (["eval", "--data", str(target), "--ckpt", str(t / "m.vsck"), "--seed", "6",
+          "--out", str(e2)],
+         e2 / "manifest.json", [6], target_city + [str(t / "m.vsck")],
+         [str(e2 / "report.json"), str(e2 / "report.csv")]),
+        (["compare", str(e1 / "report.json"), str(e2 / "report.json"), "--out", str(cmp_dir)],
+         cmp_dir / "manifest.json", [], [str(e1 / "report.json"), str(e2 / "report.json")],
+         [str(cmp_dir / "improvement.csv")]),
+        (["predict", "--data", str(data), "--ckpt", str(ckpt), "--location", "S01",
+          "--out", str(t / "p.csv")],
+         t / "p.csv.manifest.json", [0], city + [str(ckpt)], [str(t / "p.csv")]),
+        (["plot", "--data", str(data), "--pred", str(t / "p.csv"), "--location", "S01",
+          "--out", str(t / "p.svg")],
+         t / "p.svg.manifest.json", [], city + [str(t / "p.csv")], [str(t / "p.svg")]),
+    ]
+    for argv, path, seeds, inputs, outputs in runs:
+        assert run(*argv) == 0, argv
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["seeds"] == seeds, argv
+        assert sorted(manifest["input_hashes"]) == sorted(inputs), argv
+        assert manifest["output_paths"] == outputs, argv
+        assert isinstance(manifest["wall_clock_s"], float)
+    assert len(_files(t)) == 19  # each command's outputs and one manifest
+
+    # compare without --out only prints; a failed command writes no manifest.
+    before = _files(t)
+    assert run("compare", str(e1 / "report.json"), str(e2 / "report.json")) == 0
+    assert run("predict", "--data", str(data), "--ckpt", str(ckpt), "--location", "S99",
+               "--out", str(t / "bad.csv")) == 1
+    assert run("plot", "--data", str(data), "--pred", str(t / "p.csv"), "--location", "S01",
+               "--start", "2030-01-01T00:00:00Z", "--out", str(t / "bad.svg")) == 1
+    assert run("eval", "--data", str(data), "--model", "mlp", "--aggregator", "mean",
+               "--out", str(t / "bad")) == 1
+    assert _files(t) == before
+    assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_manifest_config_holds_the_model_config(tmp_path, workspace):
+    # Two runs that differ only in the model config record different configs.
+    _, data, _ = workspace
+    t = tmp_path
+    assert run("synth", "--sensors", "3", "--hours", "48", "--seed", "1",
+               "--out", str(t / "city")) == 0
+    configs = {}
+    for aggregator in (None, "attentional"):
+        flags = ["--epochs", "1"] + (["--aggregator", aggregator] if aggregator else [])
+        name = aggregator or "default"
+        ckpt = t / f"{name}.vsck"
+        assert run("train", "--data", str(data), "--out", str(ckpt), *flags) == 0
+        assert run("transfer", "--source", str(data), "--target", str(t / "city"),
+                   "--out", str(t / f"{name}.t.vsck"), "--finetune-epochs", "0", *flags) == 0
+        assert run("eval", "--data", str(t / "city"), "--model", "sage", *flags,
+                   "--out", str(t / name)) == 0
+        manifests = [t / f"{name}.vsck.manifest.json", t / f"{name}.t.vsck.manifest.json",
+                     t / name / "manifest.json"]
+        configs[name] = [json.loads(p.read_text())["config"] for p in manifests]
+        model_config = load_checkpoint(ckpt).model_config.to_dict()
+        assert all(c["model_config"] == json.loads(json.dumps(model_config))
+                   for c in configs[name])
+    for default, attentional in zip(configs["default"], configs["attentional"]):
+        assert default != attentional
+
+
 # ---------------------------------------------------------------- exit codes
 
 
