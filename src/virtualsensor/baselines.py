@@ -5,9 +5,11 @@ isolates neighbor aggregation.
 
 The trees use exact greedy split search on presorted columns (Chen &
 Guestrin 2016, arXiv:1603.02754, section 4.1): `gbt_fit` argsorts each
-feature once, and each node's sorted block of row ids is split stably into
-its children's. Sums over a node's targets run in ascending row order, so
-every tree is bit-identical to one grown by sorting each node's rows afresh."""
+feature once, and each node's feature-major block of sorted row ids, with
+the block of their feature values beside it, is split stably into its
+children's. A node's target sum is taken once, over its rows in ascending
+row order, so every tree is bit-identical to one grown by sorting each
+node's rows afresh. Prediction walks each tree as plain Python lists."""
 
 from __future__ import annotations
 
@@ -197,13 +199,19 @@ class Tree(NamedTuple):
 
 @dataclass
 class GbtModel:
+    """An ensemble fitted to rows of `n_features` features; `walks` holds
+    each of `trees` as plain lists, the form `gbt_predict` walks."""
+
     config: GbtConfig
     init_value: float
+    n_features: int
     trees: list[Tree] = field(default_factory=list)
     train_mse: list[float] = field(default_factory=list)  # after each tree
+    walks: list[tuple[list, ...]] = field(default_factory=list, repr=False)
 
 
-def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarray | None = None):
+def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarray | None = None,
+               values: np.ndarray | None = None, total: float | None = None):
     """Exhaustive least-squares split search over all features at once
     (exact greedy search: every threshold between distinct neighbouring
     values, see `_split_threshold`).
@@ -212,9 +220,12 @@ def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarra
     node, sorted by each feature column in turn with ties in ascending row
     order. The search then covers only those m rows, exactly as
     `best_split(x[rows], y[rows], min_leaf)` with `rows` ascending would.
-    By default it is the stable argsort of all of `x`. The node's target sum
-    is taken over its rows in ascending row order, the order `y[rows].sum()`
-    sums in, because numpy's pairwise summation depends on element order.
+    By default it is the stable argsort of all of `x`. `values` defaults to
+    `x[order, arange(d)]` and `total`, the node's target sum, to the sum over
+    its rows in ascending row order, the order `y[rows].sum()` sums in
+    (numpy's pairwise summation depends on element order). The grower passes
+    both, as transposes of [d, m] blocks, so the feature-major scan runs
+    along contiguous memory.
 
     Returns (gain, feature, threshold) with gain measured as the reduction
     in sum of squared errors, or None when no split gains more than 1e-12.
@@ -223,28 +234,30 @@ def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarra
     """
     if order is None:
         order = np.argsort(x, axis=0, kind="stable")
-        total = y.sum()
-    else:
+    if values is None:
+        values = np.take_along_axis(x, order, axis=0)
+    if total is None:
         total = y[np.sort(order[:, 0])].sum()
-    n, d = order.shape
+    n = len(order)
     lo, hi = min_leaf - 1, n - min_leaf  # positions of the left side's last row
     if hi <= lo:
         return None
-    base = total * total / n
-    xs = x[order, np.arange(d)]
-    csum = y[order].cumsum(axis=0)  # sequential, so equal to a per-column cumsum
-    lcnt = np.arange(lo + 1, hi + 1)[:, None]
-    rcnt = n - lcnt
-    lsum = csum[lo:hi]
-    rsum = total - lsum
-    gain = lsum * lsum / lcnt + rsum * rsum / rcnt - base  # [positions, features]
-    ok = (xs[lo:hi] != xs[lo + 1:hi + 1]) & (gain > 1e-12)
-    if not ok.any():
+    cnt = np.arange(lo + 1, hi + 1)
+    lsum = y[order.T[:, :hi]].cumsum(axis=1)[:, lo:]  # [features, positions]
+    gain = lsum * lsum
+    gain /= cnt
+    rsum = np.subtract(total, lsum, out=lsum)
+    rsum *= rsum
+    rsum /= n - cnt
+    gain += rsum
+    gain -= total * total / n
+    vt = values.T
+    ok = (vt[:, lo:hi] != vt[:, lo + 1:hi + 1]) & (gain > 1e-12)
+    # argmax takes the first maximum in feature-major order: the tie rule.
+    j, k = divmod(int(np.where(ok, gain, -np.inf).argmax()), hi - lo)
+    if not ok[j, k]:
         return None
-    # argmax takes the first maximum, so scan feature-major for the tie rule.
-    j, k = divmod(int(np.where(ok, gain, -np.inf).T.argmax()), hi - lo)
-    i = lo + k
-    return gain[k, j], j, _split_threshold(xs[i, j], xs[i + 1, j])
+    return gain[j, k], j, _split_threshold(vt[j, lo + k], vt[j, lo + k + 1])
 
 
 def _split_threshold(a: float, b: float) -> float:
@@ -260,45 +273,50 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,
                order: np.ndarray) -> tuple[Tree, np.ndarray]:
     """Grow one tree on (x, y), depth first; also return the value of the
     leaf that each training row reached. `order` is the stable argsort of
-    `x` by columns; each node's block of it is split stably into its
-    children's, so no node sorts `x` again."""
+    `x` by columns. A node carries its rows as a [d, m] block of ids sorted
+    within each feature and the block of their values, both split stably
+    into the children's with one mask, so no node sorts or gathers `x`
+    again; its target sum, taken once, serves its value and `best_split`."""
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
     fitted = np.empty(len(y))
     left = np.zeros(len(y), dtype=bool)  # marks one node's left rows at a time
-    # (node, its rows as [d, m] ids sorted within each feature, depth); a
-    # node that will not be scanned carries its rows in one feature's order.
-    stack = [(0, np.ascontiguousarray(order.T), 0)]
+    block = np.ascontiguousarray(order.T)
+    # (node, ids, values, depth); a node that will not be scanned carries
+    # its rows in one feature's order.
+    stack = [(0, block, x[block, np.arange(len(block))[:, None]], 0)]
 
     def scanned(m, depth):
         return depth < cfg.max_depth and m >= 2 * cfg.min_leaf
 
     while stack:
-        node, block, depth = stack.pop()
+        node, block, values, depth = stack.pop()
         rows = np.sort(block[0])
-        value = nodes[node][4] = float(y[rows].sum() / len(rows))  # bit-equal to y[rows].mean()
+        total = y[rows].sum()
+        value = nodes[node][4] = float(total / len(rows))  # bit-equal to y[rows].mean()
         split = None
         if scanned(len(rows), depth):
-            split = best_split(x, y, cfg.min_leaf, block.T)
+            split = best_split(x, y, cfg.min_leaf, block.T, values.T, total)
         if split is None:
             fitted[rows] = value
             continue
         _, j, thr = split
-        col = block[j]
-        k = int(x[col, j].searchsorted(thr))  # rows with x < thr lead `col`
-        scan_lo, scan_hi = scanned(k, depth + 1), scanned(len(col) - k, depth + 1)
-        if scan_lo or scan_hi:
-            left[col[:k]] = True
-            goes_left = left[block]
-            left[col[:k]] = False
+        k = int(values[j].searchsorted(thr))  # rows with x < thr lead feature j's order
         lo, hi = len(nodes), len(nodes) + 1
         nodes[node][:4] = j, float(thr), lo, hi
         nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        scan_lo, scan_hi = scanned(k, depth + 1), scanned(len(rows) - k, depth + 1)
+        if scan_lo or scan_hi:
+            left[block[j, :k]] = True
+            goes_left = left[block]
+            left[block[j, :k]] = False
         # Compressing each feature's row keeps it sorted; ties stay in row order.
-        d = len(block)
-        stack.append((hi, block[~goes_left].reshape(d, -1) if scan_hi else col[None, k:],
-                      depth + 1))
-        stack.append((lo, block[goes_left].reshape(d, -1) if scan_lo else col[None, :k],
-                      depth + 1))
+        for child, scan, part in ((hi, scan_hi, slice(k, None)), (lo, scan_lo, slice(k))):
+            if scan:
+                keep = (goes_left if child == lo else ~goes_left).ravel().nonzero()[0]
+                stack.append((child, block.take(keep).reshape(len(block), -1),
+                              values.take(keep).reshape(len(block), -1), depth + 1))
+            else:
+                stack.append((child, block[j:j + 1, part], values[j:j + 1, part], depth + 1))
     return Tree(*(np.array(column) for column in zip(*nodes))), fitted
 
 
@@ -312,25 +330,33 @@ def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtMo
     if x.ndim != 2 or x.shape[0] != len(y) or x.shape[1] < 1:
         raise SchemaError(f"gbt_fit needs one row of at least one feature per target, "
                           f"got x of shape {x.shape} for {len(y)} targets")
-    model = GbtModel(config=cfg, init_value=float(y.mean()))
+    model = GbtModel(config=cfg, init_value=float(y.mean()), n_features=x.shape[1])
     order = np.argsort(x, axis=0, kind="stable")
     pred = np.full(len(y), model.init_value)
     for _ in range(cfg.n_trees):
         tree, fitted = _grow_tree(x, y - pred, cfg, order)
         model.trees.append(tree)
+        model.walks.append(tuple(column.tolist() for column in tree))
         pred = pred + cfg.learning_rate * fitted
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
     return model
 
 
 def gbt_predict(model: GbtModel, x: np.ndarray) -> np.ndarray:
-    """Predict each row by walking it down every tree, adding
-    `learning_rate * leaf value` to `init_value` in tree order."""
+    """Predict each row of `x` ([n, d], or one [d] row) by walking it down
+    every tree's lists in `model.walks`, adding `learning_rate * leaf value`
+    to `init_value` in tree order. Rows must be finite and as wide as the
+    rows the model was fitted to."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise SchemaError(f"gbt model needs rows of {model.n_features} features, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise SchemaError("gbt prediction requires finite features")
     lr = model.config.learning_rate
     out = []
-    for row in np.atleast_2d(np.asarray(x, dtype=np.float64)).tolist():
+    for row in x.tolist():
         pred = model.init_value
-        for feature, threshold, left, right, value in model.trees:
+        for feature, threshold, left, right, value in model.walks:
             node = 0
             while feature[node] >= 0:
                 node = left[node] if row[feature[node]] < threshold[node] else right[node]

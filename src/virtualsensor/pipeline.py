@@ -204,6 +204,8 @@ def train(ds: Dataset, g: SpatialGraph, cfg: TrainConfig, model_cfg=None,
     rows = _training_rows(ds)
 
     if not model_cfg.trains_by_gradient:
+        if init_params is not None or freeze:
+            raise SchemaError(f"{cfg.model} is fitted in one pass: no init_params or freeze")
         if not rows.any():
             raise SchemaError("no training rows")
         model = model_cfg.fit(feats[rows], ds.targets[rows])

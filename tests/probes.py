@@ -5,7 +5,8 @@ aggregation and attentional weights of one neighbor set, computed by
 `sage._pool` and `sage._attention` exactly as the forward pass computes
 them; and, as references for the code that replaced them, the row-by-row
 readings loader, the hour-by-hour autoregressive fill, the regression-tree
-grower that sorts every node's rows afresh, the per-element neighbor
+grower that sorts every node's rows afresh, the tree walk over numpy arrays
+that GBT prediction replaced, the per-element neighbor
 sampler, the two-pass layer 1 of the graph model, the pad-and-slice chain of
 the CNN's convolution, the tape ops that the fused nodes made redundant
 (subtraction, division, exp, leaky ReLU, sigmoid and max over an axis) and
@@ -266,6 +267,22 @@ def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[Tree, np.nda
         stack.append((hi, rows[~mask], depth + 1))
         stack.append((lo, rows[mask], depth + 1))
     return Tree(*(np.array(column) for column in zip(*nodes))), fitted
+
+
+def reference_gbt_predict(model, x: np.ndarray) -> np.ndarray:
+    """The walk `baselines.gbt_predict` replaced: each row down the numpy
+    arrays of every tree in `model.trees`, with no check of the rows."""
+    lr = model.config.learning_rate
+    out = []
+    for row in np.atleast_2d(np.asarray(x, dtype=np.float64)).tolist():
+        pred = model.init_value
+        for feature, threshold, left, right, value in model.trees:
+            node = 0
+            while feature[node] >= 0:
+                node = left[node] if row[feature[node]] < threshold[node] else right[node]
+            pred = pred + lr * value[node]
+        out.append(pred)
+    return np.array(out, dtype=np.float64)
 
 
 def reference_sample_neighborhood(g, node: int, budget, rng: np.random.Generator

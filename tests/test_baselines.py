@@ -20,7 +20,7 @@ from virtualsensor.baselines import (
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import initialize, mse_loss, wrap_params
 
-from probes import grad_check, reference_grow_tree
+from probes import grad_check, reference_gbt_predict, reference_grow_tree
 
 
 # ---------------------------------------------------------------- MLP
@@ -305,6 +305,45 @@ def test_presorted_grower_matches_reference(seed, n, d, min_leaf, max_depth):
         best_split(x[rows], y[rows], min_leaf))
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_gbt_fit_matches_reference_booster(seed, n, d, n_trees, max_depth, min_leaf):
+    # Every tree, not only the first, is grown on the residual the same
+    # boosting loop leaves, by the grower that sorts each node afresh.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 0)
+    y = np.round(rng.normal(size=n), 1)
+    cfg = GbtConfig(n_trees=n_trees, max_depth=max_depth, learning_rate=0.3, min_leaf=min_leaf)
+    model = gbt_fit(x, y, cfg)
+    pred, want_mse = np.full(n, float(y.mean())), []
+    assert len(model.trees) == n_trees
+    for tree in model.trees:
+        want_tree, fitted = reference_grow_tree(x, y - pred, cfg)
+        for got, want in zip(tree, want_tree, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pred = pred + cfg.learning_rate * fitted
+        want_mse.append(float(np.mean((y - pred) ** 2)))
+    assert [v.hex() for v in model.train_mse] == [v.hex() for v in want_mse]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_gbt_predict_matches_reference_walk(seed, n, d, n_trees, max_depth):
+    # Fitted on whole numbers, every threshold is a whole number or a half;
+    # predicted on halves, many rows sit exactly on a threshold.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, d)), 0)
+    y = np.round(rng.normal(size=n), 1)
+    model = gbt_fit(x, y, GbtConfig(n_trees=n_trees, max_depth=max_depth, learning_rate=0.3))
+    rows = np.round(2 * rng.normal(size=(int(rng.integers(1, 12)), d))) / 2
+    for probe in (rows, rows[0], x):
+        assert gbt_predict(model, probe).tobytes() == reference_gbt_predict(model, probe).tobytes()
+
+
 # ---------------------------------------------------------------- GBT boosting
 
 
@@ -399,6 +438,26 @@ def test_gbt_predict_single_row():
     one = gbt_predict(model, x[0])
     assert one.shape == (1,)
     assert one[0] == pytest.approx(gbt_predict(model, x)[0])
+
+
+@pytest.mark.parametrize("rows", [np.zeros((2, 2)), np.zeros((1, 4)), np.zeros(2), np.zeros(4),
+                                  np.zeros((1, 1, 3)), np.zeros((0, 2))])
+def test_gbt_predict_rejects_rows_of_another_width(rows):
+    x = np.random.default_rng(4).normal(size=(12, 3))
+    model = gbt_fit(x, x[:, 0], GbtConfig(n_trees=3))
+    with pytest.raises(SchemaError, match="3 features"):
+        gbt_predict(model, rows)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gbt_predict_rejects_non_finite_rows(bad):
+    x = np.random.default_rng(5).normal(size=(12, 3))
+    model = gbt_fit(x, x[:, 0], GbtConfig(n_trees=3))
+    rows = x[:2].copy()
+    rows[1, 2] = bad
+    with pytest.raises(SchemaError, match="finite"):
+        gbt_predict(model, rows)
+    assert gbt_predict(model, x[:0]).shape == (0,)
 
 
 @given(st.integers(min_value=0, max_value=1000))

@@ -228,6 +228,22 @@ def test_train_from_init_params_copies():
         assert np.array_equal(base.params[name], before[name])
 
 
+def test_train_of_a_kind_fitted_in_one_pass_rejects_init_params_and_freeze():
+    # gbt has no parameters to start from or to hold fixed, so a warm start
+    # or a freeze that it would ignore is an error, not a silent no-op.
+    ds = tiny_city(n_hours=40)
+    g = build_knn_graph(ds.locations, k=3)
+    cfg, gbt = TrainConfig(model="gbt"), GbtConfig(n_trees=2)
+    with pytest.raises(SchemaError, match="init_params"):
+        leave_one_out(ds, g, cfg, gbt, init_params={"l1.w_self": np.zeros((1, 1))})
+    prepared = prepare(ds)
+    with pytest.raises(SchemaError, match="freeze"):
+        train(prepared, g, cfg, gbt, freeze=("l1.",))
+    with pytest.raises(SchemaError, match="init_params"):
+        transfer(prepared, prepared, (g, g), TransferConfig(source=cfg, finetune_epochs=1), gbt)
+    assert train(prepared, g, cfg, gbt, freeze=()).history["train"]
+
+
 # ---------------------------------------------------------------- transfer
 
 

@@ -12,12 +12,19 @@ Layers, each on fixed seeded inputs:
                                     divided by the frame count
   rollout_step/<kind>               one step of `closed_loop_predict`, divided
                                     the same way
+  best_split/root                   the root split scan of the training rows
+                                    of the 8-sensor city's first fold (sensor 0
+                                    held out), on their presorted columns
+  gbt_fit/10                        a 10-tree `gbt_fit` on those rows
+  gbt_predict/100                   one row through a 100-tree `gbt_predict`
+                                    model fitted to those rows
 
 Every layer is reached through names both trees share (`sample_batch`,
-`train`, `closed_loop_predict`), so the script runs across a change of the
-model-kind hooks. For each layer it prints the median and interquartile range
-of the time per step (per sample for `sample_batch`), the number of timed
-calls, and a sha256 over the `float.hex` of the outputs.
+`train`, `closed_loop_predict`, `best_split`, `gbt_fit`, `gbt_predict`), so
+the script runs across a change of the model-kind hooks or of the trees'
+internals. For each layer it prints the median and interquartile range of
+the time per step (per call for the sample, split, fit and predict layers),
+the number of timed calls, and a sha256 over the `float.hex` of the outputs.
 
 With `--against PATH` the `src/virtualsensor` of PATH is loaded into this
 process under a second package name, and so is this tree's, twice. Each block
@@ -84,6 +91,13 @@ class Tree:
         self.keys_given = "keys" in inspect.signature(self.sage.sample_batch).parameters
         self.trained = {kind: self.pipeline.train(self.prepared, self.g8, self.train_cfg(kind),
                                                   self.model_cfg(kind)) for kind in KINDS}
+        # The rows and targets `train` hands a one-pass kind on the first fold.
+        fold = package.prepare(self.pipeline.fold_dataset(city, 0))
+        rows = fold.present.copy()
+        rows[0] = False
+        self.fold_x, self.fold_y = np.nan_to_num(fold.features)[rows], fold.targets[rows]
+        self.gbt100 = self.baselines.gbt_fit(self.fold_x, self.fold_y,
+                                             self.baselines.GbtConfig(n_trees=100))
 
     def train_cfg(self, kind: str):
         return self.pipeline.TrainConfig(epochs=1, val_fraction=0.0, seed=0, model=kind)
@@ -110,6 +124,20 @@ class Tree:
                 batch = self.sage.sample_batch(g, nodes, budget, source)
                 return [batch.rows, batch.neighbors, batch.mask]
             return call, 1
+        if family == "best_split":
+            x, y = self.fold_x, self.fold_y
+            order = np.argsort(x, axis=0, kind="stable")
+            return (lambda: [self.baselines.best_split(x, y, 1, order) or ()]), 1
+        if family == "gbt_fit":
+            cfg = self.baselines.GbtConfig(n_trees=int(arg))
+
+            def call():
+                model = self.baselines.gbt_fit(self.fold_x, self.fold_y, cfg)
+                return [a for tree in model.trees for a in tree] + [model.train_mse]
+            return call, 1
+        if family == "gbt_predict":
+            row = self.fold_x[len(self.fold_x) // 2]
+            return (lambda: [self.baselines.gbt_predict(self.gbt100, row)]), 1
         if family == "train_step":
             def call():
                 trained = self.pipeline.train(self.prepared, self.g8, self.train_cfg("sage"),
@@ -126,12 +154,15 @@ class Tree:
 
 def layer_names():
     return (["sample_batch/8", "sample_batch/60"]
-            + [f"train_step/{a}" for a in AGGREGATORS] + [f"rollout_step/{k}" for k in KINDS])
+            + [f"train_step/{a}" for a in AGGREGATORS] + [f"rollout_step/{k}" for k in KINDS]
+            + ["best_split/root", "gbt_fit/10", "gbt_predict/100"])
 
 
 def repeats_for(name: str, repeats: int) -> int:
-    """Calls per block: a sample is about 1/100 of an epoch or a rollout."""
-    return repeats * 100 if name.startswith("sample_batch") else repeats
+    """Calls per block: a sample, a root scan or a one-row prediction is
+    about 1/100 of an epoch or a rollout."""
+    quick = name.split("/")[0] in ("sample_batch", "best_split", "gbt_predict")
+    return repeats * 100 if quick else repeats
 
 
 def measure(trees: dict, names, blocks: int, repeats: int) -> dict:
