@@ -96,8 +96,6 @@ class Tree:
         rows = fold.present.copy()
         rows[0] = False
         self.fold_x, self.fold_y = np.nan_to_num(fold.features)[rows], fold.targets[rows]
-        self.gbt100 = self.baselines.gbt_fit(self.fold_x, self.fold_y,
-                                             self.baselines.GbtConfig(n_trees=100))
 
     def train_cfg(self, kind: str):
         return self.pipeline.TrainConfig(epochs=1, val_fraction=0.0, seed=0, model=kind)
@@ -136,8 +134,10 @@ class Tree:
                 return [a for tree in model.trees for a in tree] + [model.train_mse]
             return call, 1
         if family == "gbt_predict":
+            model = self.baselines.gbt_fit(self.fold_x, self.fold_y,
+                                           self.baselines.GbtConfig(n_trees=int(arg)))
             row = self.fold_x[len(self.fold_x) // 2]
-            return (lambda: [self.baselines.gbt_predict(self.gbt100, row)]), 1
+            return (lambda: [self.baselines.gbt_predict(model, row)]), 1
         if family == "train_step":
             def call():
                 trained = self.pipeline.train(self.prepared, self.g8, self.train_cfg("sage"),
