@@ -4,18 +4,18 @@ same standardized, finite features the graph model reads, so the comparison
 isolates neighbor aggregation.
 
 The trees use exact greedy split search on presorted columns (Chen &
-Guestrin 2016, arXiv:1603.02754, section 4.1): `gbt_fit` argsorts each
-feature once, and each node's feature-major block of sorted row ids, with
+Guestrin 2016, arXiv:1603.02754, section 4.1): `gbt_fit` presorts the
+columns once, and each node's feature-major block of sorted row ids, with
 the block of their feature values beside it, is split stably into its
 children's. A node's target sum is taken once, over its rows in ascending
 row order, so every tree is bit-identical to one grown by sorting each
-node's rows afresh. Prediction walks each tree as plain Python lists."""
+node's rows afresh. Each tree is kept once, as the plain tuples prediction
+walks."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -182,68 +182,57 @@ class GbtConfig(FlatConfig):
         return gbt_predict(model, feats[nodes])
 
 
-class Tree(NamedTuple):
-    """One regression tree as parallel arrays indexed by node, the layout of
-    scikit-learn's `Tree`. Node 0 is the root. Internal node i sends a row to
-    `left[i]` when `row[feature[i]] < threshold[i]` and to `right[i]`
-    otherwise. At a leaf, `feature`, `left` and `right` are -1 and `value[i]`
-    is the tree's prediction. `value` holds every node's mean residual over
-    the training rows that reached it."""
-
-    feature: np.ndarray  # int
-    threshold: np.ndarray
-    left: np.ndarray  # int
-    right: np.ndarray  # int
-    value: np.ndarray
-
-
 @dataclass
 class GbtModel:
-    """An ensemble fitted to rows of `n_features` features; `walks` holds
-    each of `trees` as plain lists, the form `gbt_predict` walks."""
+    """An ensemble fitted to rows of `n_features` features. Each of `trees`
+    is a plain tuple of five per-node tuples, `(feature, threshold, left,
+    right, value)`, the layout of scikit-learn's `Tree`. Node 0 is the root.
+    Internal node i sends a row to `left[i]` when `row[feature[i]] <
+    threshold[i]` and to `right[i]` otherwise. At a leaf, `feature`, `left`
+    and `right` are -1 and `value[i]` is the tree's prediction. `value` holds
+    every node's mean residual over the training rows that reached it."""
 
     config: GbtConfig
     init_value: float
     n_features: int
-    trees: list[Tree] = field(default_factory=list)
+    trees: list[tuple] = field(default_factory=list)
     train_mse: list[float] = field(default_factory=list)  # after each tree
-    walks: list[tuple[list, ...]] = field(default_factory=list, repr=False)
 
 
-def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarray | None = None,
-               values: np.ndarray | None = None, total: float | None = None):
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The [d, n] block of `x`'s row ids sorted by each feature in turn, ties
+    in ascending row order, and the [d, n] block of their feature values."""
+    ids = np.argsort(x.T, axis=1, kind="stable")
+    return ids, x[ids, np.arange(len(ids))[:, None]]
+
+
+def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, node: tuple | None = None):
     """Exhaustive least-squares split search over all features at once
     (exact greedy search: every threshold between distinct neighbouring
     values, see `_split_threshold`).
 
-    `order` is an [m, d] block of row ids of `x` and `y`: the rows of one
-    node, sorted by each feature column in turn with ties in ascending row
-    order. The search then covers only those m rows, exactly as
-    `best_split(x[rows], y[rows], min_leaf)` with `rows` ascending would.
-    By default it is the stable argsort of all of `x`. `values` defaults to
-    `x[order, arange(d)]` and `total`, the node's target sum, to the sum over
-    its rows in ascending row order, the order `y[rows].sum()` sums in
-    (numpy's pairwise summation depends on element order). The grower passes
-    both, as transposes of [d, m] blocks, so the feature-major scan runs
-    along contiguous memory.
+    `node` is one node's `(ids, values, total)`, as the grower carries it:
+    `ids` is a [d, m] block of row ids of `x` and `y`, the node's rows sorted
+    by each feature in turn with ties in ascending row order, `values` the
+    block of their feature values, and `total` the node's target sum over its
+    rows in ascending row order, the order `y[rows].sum()` sums in (numpy's
+    pairwise summation depends on element order). The search then covers only
+    those m rows, exactly as `best_split(x[rows], y[rows], min_leaf)` with
+    `rows` ascending would. By default the node is all of `x`: `_presort(x)`
+    and `y.sum()`.
 
     Returns (gain, feature, threshold) with gain measured as the reduction
     in sum of squared errors, or None when no split gains more than 1e-12.
     Each side keeps at least `min_leaf` rows. Ties go to the lowest feature,
     then to the lowest split position in that feature's stable sort order.
     """
-    if order is None:
-        order = np.argsort(x, axis=0, kind="stable")
-    if values is None:
-        values = np.take_along_axis(x, order, axis=0)
-    if total is None:
-        total = y[np.sort(order[:, 0])].sum()
-    n = len(order)
+    ids, values, total = (*_presort(x), y.sum()) if node is None else node
+    n = ids.shape[1]
     lo, hi = min_leaf - 1, n - min_leaf  # positions of the left side's last row
     if hi <= lo:
         return None
     cnt = np.arange(lo + 1, hi + 1)
-    lsum = y[order.T[:, :hi]].cumsum(axis=1)[:, lo:]  # [features, positions]
+    lsum = y[ids[:, :hi]].cumsum(axis=1)[:, lo:]  # [features, positions]
     gain = lsum * lsum
     gain /= cnt
     rsum = np.subtract(total, lsum, out=lsum)
@@ -251,13 +240,12 @@ def best_split(x: np.ndarray, y: np.ndarray, min_leaf: int = 1, order: np.ndarra
     rsum /= n - cnt
     gain += rsum
     gain -= total * total / n
-    vt = values.T
-    ok = (vt[:, lo:hi] != vt[:, lo + 1:hi + 1]) & (gain > 1e-12)
+    ok = (values[:, lo:hi] != values[:, lo + 1:hi + 1]) & (gain > 1e-12)
     # argmax takes the first maximum in feature-major order: the tie rule.
     j, k = divmod(int(np.where(ok, gain, -np.inf).argmax()), hi - lo)
     if not ok[j, k]:
         return None
-    return gain[j, k], j, _split_threshold(vt[j, lo + k], vt[j, lo + k + 1])
+    return gain[j, k], j, _split_threshold(values[j, lo + k], values[j, lo + k + 1])
 
 
 def _split_threshold(a: float, b: float) -> float:
@@ -270,20 +258,19 @@ def _split_threshold(a: float, b: float) -> float:
 
 
 def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,
-               order: np.ndarray) -> tuple[Tree, np.ndarray]:
-    """Grow one tree on (x, y), depth first; also return the value of the
-    leaf that each training row reached. `order` is the stable argsort of
-    `x` by columns. A node carries its rows as a [d, m] block of ids sorted
+               root: tuple[np.ndarray, np.ndarray]) -> tuple[tuple, np.ndarray]:
+    """Grow one tree on (x, y), depth first, in `GbtModel`'s layout; also
+    return the value of the leaf that each training row reached. `root` is
+    `_presort(x)`. A node carries its rows as a [d, m] block of ids sorted
     within each feature and the block of their values, both split stably
-    into the children's with one mask, so no node sorts or gathers `x`
-    again; its target sum, taken once, serves its value and `best_split`."""
+    into the children's with one mask, so no node sorts or gathers `x`; its
+    target sum, taken once, serves its value and `best_split`."""
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
     fitted = np.empty(len(y))
     left = np.zeros(len(y), dtype=bool)  # marks one node's left rows at a time
-    block = np.ascontiguousarray(order.T)
     # (node, ids, values, depth); a node that will not be scanned carries
     # its rows in one feature's order.
-    stack = [(0, block, x[block, np.arange(len(block))[:, None]], 0)]
+    stack = [(0, *root, 0)]
 
     def scanned(m, depth):
         return depth < cfg.max_depth and m >= 2 * cfg.min_leaf
@@ -295,7 +282,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,
         value = nodes[node][4] = float(total / len(rows))  # bit-equal to y[rows].mean()
         split = None
         if scanned(len(rows), depth):
-            split = best_split(x, y, cfg.min_leaf, block.T, values.T, total)
+            split = best_split(x, y, cfg.min_leaf, (block, values, total))
         if split is None:
             fitted[rows] = value
             continue
@@ -317,12 +304,12 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, cfg: GbtConfig,
                               values.take(keep).reshape(len(block), -1), depth + 1))
             else:
                 stack.append((child, block[j:j + 1, part], values[j:j + 1, part], depth + 1))
-    return Tree(*(np.array(column) for column in zip(*nodes))), fitted
+    return tuple(zip(*nodes)), fitted
 
 
 def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtModel:
-    """Fit a least-squares boosted ensemble to squared-error residuals. Each
-    feature column is sorted once; every tree reuses that order."""
+    """Fit a least-squares boosted ensemble to squared-error residuals on
+    finite rows. The columns are presorted once; every tree starts from them."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(y) < 2:
@@ -330,13 +317,14 @@ def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtMo
     if x.ndim != 2 or x.shape[0] != len(y) or x.shape[1] < 1:
         raise SchemaError(f"gbt_fit needs one row of at least one feature per target, "
                           f"got x of shape {x.shape} for {len(y)} targets")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise SchemaError("gbt_fit requires finite features and targets")
     model = GbtModel(config=cfg, init_value=float(y.mean()), n_features=x.shape[1])
-    order = np.argsort(x, axis=0, kind="stable")
+    root = _presort(x)
     pred = np.full(len(y), model.init_value)
     for _ in range(cfg.n_trees):
-        tree, fitted = _grow_tree(x, y - pred, cfg, order)
+        tree, fitted = _grow_tree(x, y - pred, cfg, root)
         model.trees.append(tree)
-        model.walks.append(tuple(column.tolist() for column in tree))
         pred = pred + cfg.learning_rate * fitted
         model.train_mse.append(float(np.mean((y - pred) ** 2)))
     return model
@@ -344,9 +332,9 @@ def gbt_fit(x: np.ndarray, y: np.ndarray, cfg: GbtConfig = GbtConfig()) -> GbtMo
 
 def gbt_predict(model: GbtModel, x: np.ndarray) -> np.ndarray:
     """Predict each row of `x` ([n, d], or one [d] row) by walking it down
-    every tree's lists in `model.walks`, adding `learning_rate * leaf value`
-    to `init_value` in tree order. Rows must be finite and as wide as the
-    rows the model was fitted to."""
+    every tree in `model.trees`, adding `learning_rate * leaf value` to
+    `init_value` in tree order. Rows must be finite and as wide as the rows
+    the model was fitted to."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise SchemaError(f"gbt model needs rows of {model.n_features} features, got {x.shape}")
@@ -356,7 +344,7 @@ def gbt_predict(model: GbtModel, x: np.ndarray) -> np.ndarray:
     out = []
     for row in x.tolist():
         pred = model.init_value
-        for feature, threshold, left, right, value in model.walks:
+        for feature, threshold, left, right, value in model.trees:
             node = 0
             while feature[node] >= 0:
                 node = left[node] if row[feature[node]] < threshold[node] else right[node]

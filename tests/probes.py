@@ -20,7 +20,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from virtualsensor.baselines import Tree, best_split
+from virtualsensor.baselines import best_split
 from virtualsensor.dataset import (
     FEATURE_NAMES,
     N_FEATURES,
@@ -242,9 +242,10 @@ def reference_fill_prev_no2(ds: Dataset) -> Dataset:
     return replace(ds, features=features)
 
 
-def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[Tree, np.ndarray]:
+def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[tuple, np.ndarray]:
     """The depth-first grower `baselines._grow_tree` replaced: every node
     hands `best_split` its own rows, which sorts them again. Returns the tree
+    as a tuple of per-node arrays (feature, threshold, left, right, value)
     and the value of the leaf that each training row reached."""
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # per node: feature, threshold, left, right, value
     fitted = np.empty(len(y))
@@ -266,17 +267,18 @@ def reference_grow_tree(x: np.ndarray, y: np.ndarray, cfg) -> tuple[Tree, np.nda
         nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
         stack.append((hi, rows[~mask], depth + 1))
         stack.append((lo, rows[mask], depth + 1))
-    return Tree(*(np.array(column) for column in zip(*nodes))), fitted
+    return tuple(np.array(column) for column in zip(*nodes)), fitted
 
 
 def reference_gbt_predict(model, x: np.ndarray) -> np.ndarray:
-    """The walk `baselines.gbt_predict` replaced: each row down the numpy
-    arrays of every tree in `model.trees`, with no check of the rows."""
+    """The walk `baselines.gbt_predict` replaced: each row down numpy arrays
+    built from every tree in `model.trees`, with no check of the rows."""
     lr = model.config.learning_rate
+    trees = [[np.array(column) for column in tree] for tree in model.trees]
     out = []
     for row in np.atleast_2d(np.asarray(x, dtype=np.float64)).tolist():
         pred = model.init_value
-        for feature, threshold, left, right, value in model.trees:
+        for feature, threshold, left, right, value in trees:
             node = 0
             while feature[node] >= 0:
                 node = left[node] if row[feature[node]] < threshold[node] else right[node]

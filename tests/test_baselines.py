@@ -221,7 +221,7 @@ def test_gbt_split_between_adjacent_doubles_leaves_no_empty_leaf():
     y = np.array([0.0, 0.0, 10.0, 12.0, 10.0, 12.0])
     model = gbt_fit(x, y, GbtConfig(n_trees=1, max_depth=2))
     (tree,) = model.trees
-    assert np.all(np.isfinite(tree.value))
+    assert np.all(np.isfinite(tree[4]))
     assert np.all(np.isfinite(gbt_predict(model, np.array([[0.5, 5.0], [2.0, 5.0]]))))
 
 
@@ -285,23 +285,25 @@ def test_presorted_grower_matches_reference(seed, n, d, min_leaf, max_depth):
     x = np.round(rng.normal(size=(n, d)), 0)
     y = np.round(rng.normal(size=n), 1)
     cfg = GbtConfig(max_depth=max_depth, min_leaf=min_leaf)
-    order = np.argsort(x, axis=0, kind="stable")
-    tree, fitted = _grow_tree(x, y, cfg, order)
+    ids = np.argsort(x, axis=0, kind="stable").T  # each feature's rows in sorted order
+    tree, fitted = _grow_tree(x, y, cfg, (ids, x[ids, np.arange(d)[:, None]]))
     want_tree, want_fitted = reference_grow_tree(x, y, cfg)
-    for got, want in zip(tree, want_tree, strict=True):
+    for got, want in zip(map(np.array, tree), want_tree, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert fitted.tobytes() == want_fitted.tobytes()
     # gbt_fit sorts x itself and grows its first tree on the residual from the mean.
     first = gbt_fit(x, y, GbtConfig(n_trees=1, max_depth=max_depth, min_leaf=min_leaf)).trees[0]
-    for got, want in zip(first, reference_grow_tree(x, y - float(y.mean()), cfg)[0], strict=True):
+    want_first = reference_grow_tree(x, y - float(y.mean()), cfg)[0]
+    for got, want in zip(map(np.array, first), want_first, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     # A presorted block of a random row subset scans like the subset itself.
     member = np.zeros(n, dtype=bool)
     member[rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)] = True
-    block = np.stack([column[member[column]] for column in order.T], axis=1)
+    block = np.stack([column[member[column]] for column in ids])
     rows = np.flatnonzero(member)
-    assert _split_hex(best_split(x, y, min_leaf, order=block)) == _split_hex(
+    node = (block, x[block, np.arange(d)[:, None]], y[rows].sum())
+    assert _split_hex(best_split(x, y, min_leaf, node)) == _split_hex(
         best_split(x[rows], y[rows], min_leaf))
 
 
@@ -321,7 +323,7 @@ def test_gbt_fit_matches_reference_booster(seed, n, d, n_trees, max_depth, min_l
     assert len(model.trees) == n_trees
     for tree in model.trees:
         want_tree, fitted = reference_grow_tree(x, y - pred, cfg)
-        for got, want in zip(tree, want_tree, strict=True):
+        for got, want in zip(map(np.array, tree), want_tree, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         pred = pred + cfg.learning_rate * fitted
         want_mse.append(float(np.mean((y - pred) ** 2)))
@@ -458,6 +460,18 @@ def test_gbt_predict_rejects_non_finite_rows(bad):
     with pytest.raises(SchemaError, match="finite"):
         gbt_predict(model, rows)
     assert gbt_predict(model, x[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_gbt_fit_rejects_non_finite_rows(where, bad):
+    # A NaN feature used to fit a NaN threshold with train_mse [0.0], and an
+    # infinite target NaN residuals.
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 0.0, 10.0, 10.0])
+    (x if where == "x" else y)[2:] = bad
+    with pytest.raises(SchemaError, match="finite"):
+        gbt_fit(x, y, GbtConfig(n_trees=1))
 
 
 @given(st.integers(min_value=0, max_value=1000))

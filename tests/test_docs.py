@@ -1,8 +1,8 @@
 """The README's python blocks and the demos import only names the package
 has, the README's `virtualsensor` command lines parse, the op list in
 `nncore`'s docstring names only what `nncore` has, and every public function
-of `nncore` has a caller in `src/`. Each source is parsed with `ast` or the
-CLI's parser; nothing in it runs."""
+of each `src` module has a caller in `src/` or `demos/`. Each source is
+parsed with `ast` or the CLI's parser; nothing in it runs."""
 
 import ast
 import importlib
@@ -91,17 +91,23 @@ def test_tape_rules_name_only_what_nncore_has():
     assert missing == [], "the Tape rules paragraph names what nncore does not have"
 
 
-def test_every_nncore_function_is_used_in_src():
-    # No tape op that only tests use: each public module-level function of
-    # `nncore` is named in `src/` by something other than its definition.
+SRC_MODULES = sorted(p.stem for p in (ROOT / "src" / "virtualsensor").glob("[!_]*.py"))
+
+
+@pytest.mark.parametrize("module", SRC_MODULES)
+def test_every_public_function_is_used(module):
+    # No public API that only tests use: each public module-level function
+    # of a `src` module is named in `src/` or `demos/` by something other
+    # than its definition.
     named = set()
-    for path in (ROOT / "src").rglob("*.py"):
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    public = [name for name, f in vars(nncore).items() if inspect.isfunction(f)
-              and f.__module__ == nncore.__name__ and not name.startswith("_")]
-    assert "affine" in public
+    mod = importlib.import_module(f"virtualsensor.{module}")
+    public = [name for name, f in vars(mod).items() if inspect.isfunction(f)
+              and f.__module__ == mod.__name__ and not name.startswith("_")]
+    assert module != "nncore" or "affine" in public
     assert [name for name in public if name not in named] == []

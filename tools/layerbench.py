@@ -14,7 +14,7 @@ Layers, each on fixed seeded inputs:
                                     the same way
   best_split/root                   the root split scan of the training rows
                                     of the 8-sensor city's first fold (sensor 0
-                                    held out), on their presorted columns
+                                    held out), presort included
   gbt_fit/10                        a 10-tree `gbt_fit` on those rows
   gbt_predict/100                   one row through a 100-tree `gbt_predict`
                                     model fitted to those rows
@@ -41,7 +41,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import json
 import statistics
 import sys
@@ -86,9 +85,6 @@ class Tree:
         big = package.generate_city(package.CityConfig(n_sensors=60, n_hours=2, seed=0))
         self.g60 = package.build_knn_graph(big.locations, k=3)
         self.steps = hours - 1
-        # `sample_batch` takes a generator before the draws moved out of it,
-        # and pre-drawn sort keys after.
-        self.keys_given = "keys" in inspect.signature(self.sage.sample_batch).parameters
         self.trained = {kind: self.pipeline.train(self.prepared, self.g8, self.train_cfg(kind),
                                                   self.model_cfg(kind)) for kind in KINDS}
         # The rows and targets `train` hands a one-pass kind on the first fold.
@@ -116,16 +112,13 @@ class Tree:
             nodes, budget, rng = np.arange(g.n_nodes), (3, 5), np.random.default_rng(1)
 
             def call():
-                source = rng
-                if self.keys_given:
-                    source = rng.random((len(nodes), 1 + budget[0], g.neighbors.shape[1]))
-                batch = self.sage.sample_batch(g, nodes, budget, source)
+                keys = rng.random((len(nodes), 1 + budget[0], g.neighbors.shape[1]))
+                batch = self.sage.sample_batch(g, nodes, budget, keys)
                 return [batch.rows, batch.neighbors, batch.mask]
             return call, 1
         if family == "best_split":
             x, y = self.fold_x, self.fold_y
-            order = np.argsort(x, axis=0, kind="stable")
-            return (lambda: [self.baselines.best_split(x, y, 1, order) or ()]), 1
+            return (lambda: [self.baselines.best_split(x, y, 1) or ()]), 1
         if family == "gbt_fit":
             cfg = self.baselines.GbtConfig(n_trees=int(arg))
 
