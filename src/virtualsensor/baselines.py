@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import N_FEATURES
 from .errors import FlatConfig, SchemaError, check_types
-from .nncore import Var, _any_var, _node, _reduce_to, affine, draw_blocks, dropout, relu, value_of
+from .nncore import affine, conv1d, draw_blocks, dropout, relu
 
 
 # ---------------------------------------------------------------------------
@@ -105,43 +105,12 @@ class CnnConfig(FlatConfig):
         return cnn_forward_batch(pvars, self, feats[nodes], *drawn)
 
 
-def _conv1d(x, w, b, kernel: int, c_in: int):
-    """Same-length stride-1 convolution as one node, summing over the taps in
-    ascending order; x is [B, L, c_in], w is [kernel*c_in, c_out] holding one
-    [c_in, c_out] block per tap."""
-    xv, wv = value_of(x), value_of(w)
-    pad, length = kernel // 2, xv.shape[1]
-    padded = np.pad(xv, [(0, 0), (pad, kernel - 1 - pad), (0, 0)])
-    windows = [padded[:, j : j + length] for j in range(kernel)]  # [B, L, c_in]
-    taps = [wv[j * c_in : (j + 1) * c_in] for j in range(kernel)]  # [c_in, c_out]
-    out = sum(map(np.matmul, windows[1:], taps[1:]), np.matmul(windows[0], taps[0])) + value_of(b)
-    if not _any_var(x, w, b):
-        return out
-
-    def bwd(g):
-        if isinstance(b, Var):
-            b._accumulate(_reduce_to(g, b.shape))
-        gx, gw = np.zeros(padded.shape), np.zeros(wv.shape)
-        for j, (window, tap) in enumerate(zip(windows, taps)):
-            if isinstance(x, Var):
-                gx[:, j : j + length] += np.matmul(g, tap.swapaxes(-1, -2))
-            if isinstance(w, Var):
-                gw[j * c_in : (j + 1) * c_in] += _reduce_to(
-                    np.matmul(window.swapaxes(-1, -2), g), tap.shape)
-        if isinstance(x, Var):
-            x._accumulate(gx[:, pad : pad + length])
-        if isinstance(w, Var):
-            w._accumulate(gw)
-
-    return _node(out, (x, w, b), bwd)
-
-
 def cnn_forward_batch(pvars: dict, cfg: CnnConfig, x: np.ndarray,
                       keep: np.ndarray | None = None):
     n, d = x.shape
     h = x.reshape(n, d, 1)
-    h = relu(_conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1))
-    h = _conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
+    h = relu(conv1d(h, pvars["conv1.w"], pvars["conv1.b"], cfg.kernel, 1))
+    h = conv1d(h, pvars["conv2.w"], pvars["conv2.b"], cfg.kernel, cfg.channels)
     h = dropout(h, cfg.dropout, keep)
     h = relu(h).reshape(n, d * cfg.channels)
     h = relu(affine(h, pvars["fc1.w"], pvars["fc1.b"]))

@@ -32,8 +32,9 @@ from .pipeline import (
     EvalReport,
     TrainConfig,
     TransferConfig,
-    _averages_csv,
+    averages_csv,
     closed_loop_predict,
+    config_record,
     improvement_table,
     leave_one_out,
     load_checkpoint,
@@ -126,8 +127,7 @@ def cmd_train(args) -> tuple:
     prepared = prepare(raw)
     g = build_knn_graph(raw.locations, k=cfg.k)
     save_checkpoint(args.out, train(prepared, g, cfg, model_cfg))
-    return ({"train": asdict(cfg), "model_config": model_cfg.to_dict()}, [cfg.seed],
-            [*_data_paths(args.data)], [args.out])
+    return config_record(cfg, model_cfg), [cfg.seed], [*_data_paths(args.data)], [args.out]
 
 
 def cmd_transfer(args) -> tuple:
@@ -142,8 +142,8 @@ def cmd_transfer(args) -> tuple:
     g_tgt = build_knn_graph(target_raw.locations, k=base_cfg.k)
     tuned = transfer(source_ds, target_ds, (g_src, g_tgt), tcfg, model_cfg)
     save_checkpoint(args.out, tuned)
-    config = {"train": asdict(base_cfg), "model_config": model_cfg.to_dict(),
-              "finetune_epochs": tcfg.finetune_epochs, "finetune_lr": tcfg.finetune_lr}
+    config = {**config_record(base_cfg, model_cfg), "finetune_epochs": tcfg.finetune_epochs,
+              "finetune_lr": tcfg.finetune_lr}
     inputs = [*_data_paths(args.source), *_data_paths(args.target)]
     return config, [base_cfg.seed], inputs, [args.out]
 
@@ -164,8 +164,8 @@ def _load_report(path) -> EvalReport:
 def cmd_compare(args) -> tuple | None:
     base, new = _load_report(args.base), _load_report(args.new)
     table = improvement_table(base, new)
-    text = (_averages_csv([(f"base:{base.model}", base.averages),
-                           (f"new:{new.model}", new.averages)])
+    text = (averages_csv([(f"base:{base.model}", base.averages),
+                          (f"new:{new.model}", new.averages)])
             + "improvement_pct" + "".join(f",{v:.3f}" for v in table.values()) + "\n")
     record = None  # without --out compare only prints, and writes no manifest
     if args.out:
@@ -210,8 +210,7 @@ def cmd_eval(args) -> tuple:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     inputs = list(_data_paths(args.data)) + ([args.ckpt] if args.ckpt else [])
-    return ({"train": asdict(cfg), "model_config": model_cfg.to_dict()}, [cfg.seed], inputs,
-            [json_path, csv_path])
+    return config_record(cfg, model_cfg), [cfg.seed], inputs, [json_path, csv_path]
 
 
 def _init_value(text: str, ds, node: int) -> float:

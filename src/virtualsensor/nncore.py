@@ -8,12 +8,12 @@ checkpoint block format stays uniform.
 Tape rules. The model forwards run on plain `np.ndarray`s and on `Var`s
 alike. A plain array is the only constant: every `Var` is a node of the
 tape, either a leaf (`wrap_params` or a bare `Var(x)`) or the result of an
-op with at least one `Var` operand. When no operand is a `Var`, every op
-(the operators `+`, `*` and `@`, indexing by ints and slices, `relu`,
-`affine`, `sigmoid_affine`, `masked_mean`, `masked_max`, `dropout` and
-`mse_loss`) returns a plain array computed by the same numpy expression as
-its tape form, so validation and rollout pass the stored parameter arrays
-in, build no `Var` and get the training forward's bits.
+op with at least one `Var` operand. When no operand is a `Var`, every op (the
+operators `+`, `*` and `@`, indexing by ints and slices, `relu`, `affine`,
+`sigmoid_affine`, `masked_mean`, `masked_max`, `conv1d`, `attention_softmax`,
+`dropout` and `mse_loss`) returns a plain array computed by the same numpy
+expression as its tape form, so validation and rollout pass the stored
+parameter arrays in, build no `Var` and get the training forward's bits.
 `Var.__array_ufunc__` is None, so `ndarray <op> Var` falls through to the
 reflected operators, which compute what `Var <op> ndarray` computes. An op
 reads its operands through `value_of`; its parents are only the operands
@@ -28,8 +28,9 @@ associate). Fused nodes each replace a chain of ops and run its numpy calls
 in its order: `affine` (`x @ w + b`), `sigmoid_affine` (the logistic
 function of `affine`), `masked_mean` (a masked sum over the neighbor axis
 divided by the clipped count), `masked_max` (a max over the neighbor axis
-after shifting masked slots far down, zeroed for a row with no live slot)
-and `mse_loss`.
+after shifting masked slots far down, zeroed for a row with no live slot),
+`conv1d` (the padded input's windows times the weights' taps, summed in tap
+order), `attention_softmax` (leaky ReLU, then a masked softmax) and `mse_loss`.
 
 Adam layout. The first `adam_step` lays `AdamState.flat` out for the
 parameters it updates, and every later step must update the same ones. The
@@ -188,15 +189,8 @@ def value_of(x) -> np.ndarray:
 
 def _matmul(a, b) -> Var:
     """`a @ b` where `a`, `b` or both are Vars."""
-    av, bv = value_of(a), value_of(b)
-
-    def bwd(g):
-        if isinstance(a, Var):
-            a._accumulate(_reduce_to(np.matmul(g, bv.swapaxes(-1, -2)), a.shape))
-        if isinstance(b, Var):
-            b._accumulate(_reduce_to(np.matmul(av.swapaxes(-1, -2), g), b.shape))
-
-    return _node(np.matmul(av, bv), (a, b), bwd)
+    return _node(np.matmul(value_of(a), value_of(b)), (a, b),
+                 lambda g: _affine_backward(a, b, None, g))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +285,63 @@ def masked_max(x, mask: np.ndarray):
         x._accumulate(_reduce_to(out * m, x.shape))
 
     return _node(y, (x,), bwd)
+
+
+def conv1d(x, w, b, kernel: int, c_in: int):
+    """Same-length stride-1 convolution as one node, summing over the taps in
+    ascending order; x is [B, L, c_in], w is [kernel*c_in, c_out] holding one
+    [c_in, c_out] block per tap."""
+    xv, wv = value_of(x), value_of(w)
+    pad, length = kernel // 2, xv.shape[1]
+    padded = np.pad(xv, [(0, 0), (pad, kernel - 1 - pad), (0, 0)])
+    windows = [padded[:, j : j + length] for j in range(kernel)]  # [B, L, c_in]
+    taps = [wv[j * c_in : (j + 1) * c_in] for j in range(kernel)]  # [c_in, c_out]
+    out = sum(map(np.matmul, windows[1:], taps[1:]), np.matmul(windows[0], taps[0])) + value_of(b)
+    if not _any_var(x, w, b):
+        return out
+
+    def bwd(g):
+        if isinstance(b, Var):
+            b._accumulate(_reduce_to(g, b.shape))
+        gx, gw = np.zeros(padded.shape), np.zeros(wv.shape)
+        for j, (window, tap) in enumerate(zip(windows, taps)):
+            if isinstance(x, Var):
+                gx[:, j : j + length] += np.matmul(g, tap.swapaxes(-1, -2))
+            if isinstance(w, Var):
+                gw[j * c_in : (j + 1) * c_in] += _reduce_to(
+                    np.matmul(window.swapaxes(-1, -2), g), tap.shape)
+        if isinstance(x, Var):
+            x._accumulate(gx[:, pad : pad + length])
+        if isinstance(w, Var):
+            w._accumulate(gw)
+
+    return _node(out, (x, w, b), bwd)
+
+
+def attention_softmax(score, mask: np.ndarray):
+    """The attention weights [..., K, 1] of the scores `score` [..., K, 1]
+    as one node: LeakyReLU(0.2), then a softmax over the K axis in which
+    padded slots and empty rows get 0 (Velickovic et al. 2018)."""
+    m = mask[..., None]
+    s = value_of(score)
+    factor = np.where(s > 0, 1.0, 0.2)
+    # Moderate downshift keeps padded slots out of the stabilizing max
+    # without overflowing exp; the mask multiply makes them exactly zero.
+    e = s * factor + (m - 1.0) * 50.0
+    ex_all = np.exp(e - e.max(axis=-2, keepdims=True))
+    ex = ex_all * m
+    # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
+    # disturb the sum-to-one property, large enough that its square
+    # stays normal in the backward divide.
+    total = ex.sum(axis=-2, keepdims=True) + 1e-30
+    if not isinstance(score, Var):
+        return ex / total
+
+    def bwd(g):
+        g_ex = g / total + _reduce_to(-g * ex / (total**2), total.shape)
+        score._accumulate(g_ex * m * ex_all * factor)
+
+    return _node(ex / total, (score,), bwd)
 
 
 def wrap_params(params: dict) -> dict:

@@ -10,7 +10,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -303,7 +303,8 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
 
     The target's autoregressive slot holds `init_value` (ug/m3, finite) at
     t=1 and the model's own previous prediction afterwards; monitored
-    neighbors keep their actual readings.
+    neighbors keep their actual readings. A prediction that is not finite
+    raises SchemaError naming the location and the hour.
     """
     if not 0 <= target_node < ds.n_sensors:
         raise SchemaError(f"unknown node index {target_node}")
@@ -320,6 +321,9 @@ def closed_loop_predict(trained: TrainedModel, g: SpatialGraph, ds: Dataset,
         feats[target_node, PREV_NO2] = ds.stats.transform_column(PREV_NO2, prev)
         out = model_cfg.forward(trained.params, feats, nodes, drawn)
         prev = preds[t - 1] = float(out[0])
+        if not math.isfinite(prev):
+            raise SchemaError(f"rollout at {ds.locations[target_node].id} diverged: "
+                              f"prediction {prev} at {ds.hour_stamp(t)}")
     return preds
 
 
@@ -335,18 +339,13 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "per_location": self.per_location,
-            "averages": self.averages,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        return _averages_csv([(self.model, self.averages)])
+        return averages_csv([(self.model, self.averages)])
 
     @classmethod
     def from_dict(cls, data) -> "EvalReport":
@@ -374,7 +373,7 @@ class EvalReport:
         )
 
 
-def _averages_csv(rows) -> str:
+def averages_csv(rows) -> str:
     """A header, then one `label,rmse,nrmse,grad_rmse` line for each
     `(label, averages)` row."""
     lines = ["model," + ",".join(METRICS)]
@@ -479,10 +478,14 @@ def improvement_table(base: EvalReport, new: EvalReport) -> dict[str, float]:
 # Config (de)serialization and checkpoints
 
 
+def config_record(cfg: TrainConfig, model_cfg) -> dict:
+    """A run's configs, as checkpoints, `config_hash` and manifests record them."""
+    return {"train": cfg.to_dict(), "model_config": model_cfg.to_dict()}
+
+
 def _config_json(cfg: TrainConfig, model_cfg) -> bytes:
     """The canonical JSON config a checkpoint stores and `config_hash` hashes."""
-    return json.dumps({"train": cfg.to_dict(), "model_config": model_cfg.to_dict()},
-                      sort_keys=True).encode()
+    return json.dumps(config_record(cfg, model_cfg), sort_keys=True).encode()
 
 
 def config_hash(cfg: TrainConfig, model_cfg) -> str:

@@ -20,17 +20,14 @@ import numpy as np
 from .errors import FlatConfig, SchemaError, check_types
 from .geograph import SpatialGraph
 from .nncore import (
-    Var,
-    _node,
-    _reduce_to,
     affine,
+    attention_softmax,
     draw_blocks,
     dropout,
     masked_max,
     masked_mean,
     relu,
     sigmoid_affine,
-    value_of,
 )
 
 
@@ -99,32 +96,6 @@ class SageConfig(FlatConfig):
         return sage_forward_batch(pvars, self, feats, *drawn)
 
 
-def _attention_softmax(score, mask: np.ndarray):
-    """The attention weights [..., K, 1] of the scores `score` [..., K, 1]
-    as one node: LeakyReLU(0.2), then a softmax over the K axis in which
-    padded slots and empty rows get 0 (Velickovic et al. 2018)."""
-    m = mask[..., None]
-    s = value_of(score)
-    factor = np.where(s > 0, 1.0, 0.2)
-    # Moderate downshift keeps padded slots out of the stabilizing max
-    # without overflowing exp; the mask multiply makes them exactly zero.
-    e = s * factor + (m - 1.0) * 50.0
-    ex_all = np.exp(e - e.max(axis=-2, keepdims=True))
-    ex = ex_all * m
-    # Epsilon keeps empty neighborhoods at alpha=0; small enough not to
-    # disturb the sum-to-one property, large enough that its square
-    # stays normal in the backward divide.
-    total = ex.sum(axis=-2, keepdims=True) + 1e-30
-    if not isinstance(score, Var):
-        return ex / total
-
-    def bwd(g):
-        g_ex = g / total + _reduce_to(-g * ex / (total**2), total.shape)
-        score._accumulate(g_ex * m * ex_all * factor)
-
-    return _node(ex / total, (score,), bwd)
-
-
 def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     """Attentional softmax weights `alpha` [..., K, 1] over the projected
     neighbors `nj` [..., K, h]; padded slots and empty rows get alpha = 0."""
@@ -136,7 +107,7 @@ def _attention(p: dict, layer: int, self_x, neigh_x, mask: np.ndarray) -> tuple:
     sp = self_x @ w  # [..., h]
     nj = neigh_x @ w  # [..., K, h]
     e_self = (sp @ a_self).reshape(*sp.shape[:-1], 1, 1)
-    return _attention_softmax(e_self + nj @ a_neigh, mask), nj
+    return attention_softmax(e_self + nj @ a_neigh, mask), nj
 
 
 def _pool(kind: AggregatorKind, p: dict, layer: int, self_x, neigh_x, mask: np.ndarray):

@@ -363,7 +363,7 @@ def reference_forward_two_pass(pvars: dict, cfg, feats: np.ndarray, batch: Neigh
 
 
 def reference_conv1d(x: Var, w: Var, b: Var, kernel: int, c_in: int) -> Var:
-    """The chain of ops `baselines._conv1d` replaced: pad `x` along its
+    """The chain of ops `nncore.conv1d` replaced: pad `x` along its
     length axis, then for each tap slice a window of it and a block of `w`,
     multiply them and add the products up in tap order, then add `b`.
 
@@ -444,7 +444,7 @@ def reference_masked_max(z: Var, mask: np.ndarray) -> Var:
 
 
 def reference_attention_softmax(score: Var, mask: np.ndarray) -> Var:
-    """The chain `sage._attention_softmax` replaced: leaky ReLU, a -50 shift
+    """The chain `nncore.attention_softmax` replaced: leaky ReLU, a -50 shift
     of the padded slots, the stabilizing max, exp, the mask, the sum, the
     1e-30 and the divide."""
     m = mask[..., None]

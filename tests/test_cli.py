@@ -12,7 +12,7 @@ import pytest
 from virtualsensor import build_knn_graph, closed_loop_predict, load_dataset, prepare
 from virtualsensor import cli
 from virtualsensor.cli import build_parser, main
-from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint
+from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -397,6 +397,24 @@ def test_predict_on_huge_readings_saturates_without_warnings(tmp_path, aggregato
     assert code == 0
     values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert len(values) == 47 and all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("kind", ["sage", "mlp", "cnn"])
+def test_predict_names_the_hour_a_rollout_diverges(tmp_path, capsys, kind):
+    # Weights scaled by 1e60 give a huge first prediction, which the next
+    # step reads back and turns into a non-finite one: predict fails there.
+    data = tmp_path / "city"
+    assert run("synth", "--sensors", "4", "--hours", "60", "--out", str(data)) == 0
+    trained = load_checkpoint(_train(tmp_path, data, kind))
+    trained.params = {name: value * 1e60 for name, value in trained.params.items()}
+    save_checkpoint(tmp_path / "huge.vsck", trained)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("predict", "--data", str(data), "--ckpt", str(tmp_path / "huge.vsck"),
+                   "--location", "S01", "--out", str(tmp_path / "p.csv"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: rollout")
+    assert "S01" in err and "2019-01-01T02:00:00Z" in err
 
 
 def _edit_csv(tmp_path, data, name, row, column, value):

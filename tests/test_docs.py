@@ -1,8 +1,9 @@
 """The README's python blocks and the demos import only names the package
 has, the README's `virtualsensor` command lines parse, the op list in
-`nncore`'s docstring names only what `nncore` has, and every public function
-of each `src` module has a caller in `src/` or `demos/`. Each source is
-parsed with `ast` or the CLI's parser; nothing in it runs."""
+`nncore`'s docstring names only what `nncore` has, every public function
+of each `src` module has a caller in `src/` or `demos/`, and no `src`
+module imports another's private names. Each source is parsed with `ast` or
+the CLI's parser; nothing in it runs."""
 
 import ast
 import importlib
@@ -111,3 +112,15 @@ def test_every_public_function_is_used(module):
               and f.__module__ == mod.__name__ and not name.startswith("_")]
     assert module != "nncore" or "affine" in public
     assert [name for name in public if name not in named] == []
+
+
+def test_no_module_imports_a_private_name():
+    # A name one module keeps private is its own decision: no other module of
+    # the package imports it (tape nodes, for one, are built only in nncore).
+    private = []
+    for path in sorted((ROOT / "src" / "virtualsensor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.stem}: {node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

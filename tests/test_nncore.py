@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virtualsensor.baselines import _conv1d
 from virtualsensor.errors import SchemaError
 from virtualsensor.nncore import (
     DRAW_BLOCK_BYTES,
@@ -19,7 +18,9 @@ from virtualsensor.nncore import (
     Var,
     adam_step,
     affine,
+    attention_softmax,
     collect_grads,
+    conv1d,
     draw_blocks,
     dropout,
     glorot_uniform,
@@ -30,7 +31,6 @@ from virtualsensor.nncore import (
     sigmoid_affine,
     wrap_params,
 )
-from virtualsensor.sage import _attention_softmax
 
 from probes import (
     counting_vars,
@@ -136,10 +136,10 @@ def _every_op(a, b, c):
     """Each op over a [2, 3] `a`, a [3, 1] `b` and a [1, 1] `c`."""
     mask = np.array([[1.0, 0.0]])
     return [a + 1.0, 1.0 + a, a * b.reshape(1, 3), relu(a @ b), a.sum(axis=0), a[:, 1:],
-            a[1], a[:, 0], a[0, 1:2], _conv1d(a.reshape(2, 3, 1), b, c, 3, 1),
+            a[1], a[:, 0], a[0, 1:2], conv1d(a.reshape(2, 3, 1), b, c, 3, 1),
             affine(a, b, c), sigmoid_affine(a, b, c), masked_mean(a.reshape(1, 2, 3), mask),
             masked_max(a.reshape(1, 2, 3), mask),
-            _attention_softmax(a.reshape(2, 3, 1), np.array([[1.0, 0.0, 1.0], [0.0] * 3])),
+            attention_softmax(a.reshape(2, 3, 1), np.array([[1.0, 0.0, 1.0], [0.0] * 3])),
             dropout(a, 0.5), dropout(a, 0.5, np.random.default_rng(0).random((2, 3)) >= 0.5)]
 
 
@@ -272,7 +272,7 @@ def test_fused_nodes_match_their_op_chains():
          _signed_zeros(rng.normal(size=(6, 8, 5))), 1),
         (lambda x: masked_max(x, mask), lambda x: reference_masked_max(x, mask), (x0,),
          _signed_zeros(rng.normal(size=(6, 3))), 1),
-        (lambda s: _attention_softmax(s, mask), lambda s: reference_attention_softmax(s, mask),
+        (lambda s: attention_softmax(s, mask), lambda s: reference_attention_softmax(s, mask),
          (x0[..., :1],), _signed_zeros(rng.normal(size=(6, 8, 1))), 1),
     ]
     assert (x0[..., :1] > 0).any() and (x0[..., :1] < 0).any()  # scores of both signs
@@ -284,7 +284,7 @@ def test_fused_nodes_match_their_op_chains():
         upstream = rng.normal(size=(3, 6, 4))
         upstream[0, 2:] = -0.0
         upstream[1, :, :2] = 0.0
-        cases.append((functools.partial(_conv1d, kernel=kernel, c_in=c_in),
+        cases.append((functools.partial(conv1d, kernel=kernel, c_in=c_in),
                       functools.partial(reference_conv1d, kernel=kernel, c_in=c_in),
                       inputs, upstream, 1))
     for fused, chain, inputs, upstream, nodes in cases:

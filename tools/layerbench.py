@@ -10,6 +10,9 @@ Layers, each on fixed seeded inputs:
   train_step/<aggregator>           one sage training step, timed as `train`
                                     for one epoch over a fixed set of frames,
                                     divided by the frame count
+  train_step/mlp, train_step/cnn    one MLP or CNN training step, timed the
+                                    same way; only CNN training runs the
+                                    convolution's backward
   rollout_step/<kind>               one step of `closed_loop_predict`, divided
                                     the same way
   best_split/root                   the root split scan of the training rows
@@ -52,6 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 AGGREGATORS = ("mean", "max_pool", "mean_pool", "attentional")
 KINDS = ("sage", "mlp", "cnn", "gbt")
+FLAT_KINDS = ("mlp", "cnn")  # the kinds trained by gradient on a node's own row
 
 
 def load_tree(root: Path, name: str):
@@ -132,9 +136,11 @@ class Tree:
             row = self.fold_x[len(self.fold_x) // 2]
             return (lambda: [self.baselines.gbt_predict(model, row)]), 1
         if family == "train_step":
+            kind = arg if arg in FLAT_KINDS else "sage"
+
             def call():
-                trained = self.pipeline.train(self.prepared, self.g8, self.train_cfg("sage"),
-                                              self.model_cfg("sage", arg))
+                trained = self.pipeline.train(self.prepared, self.g8, self.train_cfg(kind),
+                                              self.model_cfg(kind, arg))
                 return [trained.params[k] for k in sorted(trained.params)]
             return call, self.steps
         trained = self.trained[arg]
@@ -147,7 +153,8 @@ class Tree:
 
 def layer_names():
     return (["sample_batch/8", "sample_batch/60"]
-            + [f"train_step/{a}" for a in AGGREGATORS] + [f"rollout_step/{k}" for k in KINDS]
+            + [f"train_step/{a}" for a in (*AGGREGATORS, *FLAT_KINDS)]
+            + [f"rollout_step/{k}" for k in KINDS]
             + ["best_split/root", "gbt_fit/10", "gbt_predict/100"])
 
 
