@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .dataset import load_dataset, prepare, write_locations_csv, write_readings_csv
+from .dataset import load_dataset, prepare, replacing, write_locations_csv, write_readings_csv
 from .errors import ParseError, SchemaError, VirtualSensorError
 from .geograph import build_knn_graph
 from .pipeline import (
@@ -64,11 +64,9 @@ def _write_manifest(path, command: str, config: dict, seeds: list, inputs: list,
         "output_paths": [str(p) for p in outputs],
         "wall_clock_s": wall_clock_s,
     }
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with replacing(path, encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _data_paths(data_dir):
@@ -171,7 +169,7 @@ def cmd_compare(args) -> tuple | None:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         out_path = os.path.join(args.out, "improvement.csv")
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with replacing(out_path, encoding="utf-8") as fh:
             fh.write(text)
         record = {}, [], [args.base, args.new], [out_path]
     sys.stdout.write(text)
@@ -205,10 +203,10 @@ def cmd_eval(args) -> tuple:
     os.makedirs(args.out, exist_ok=True)
     json_path = os.path.join(args.out, "report.json")
     csv_path = os.path.join(args.out, "report.csv")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
+    with replacing(json_path, encoding="utf-8") as js, replacing(csv_path, encoding="utf-8") as cs:
+        js.write(report.to_json())
+        js.flush()  # a write error surfaces here, before report.csv is replaced
+        cs.write(report.to_csv())
     inputs = list(_data_paths(args.data)) + ([args.ckpt] if args.ckpt else [])
     return config_record(cfg, model_cfg), [cfg.seed], inputs, [json_path, csv_path]
 
@@ -243,7 +241,7 @@ def cmd_predict(args) -> tuple:
     preds = closed_loop_predict(trained, g, prepared, node, _init_value(args.init, raw, node),
                                 rng=np.random.default_rng(seed))
     preds = np.clip(preds, 0.0, None)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replacing(args.out, encoding="utf-8") as fh:
         fh.write("timestamp,predicted_no2_ugm3\n")
         for t in range(1, raw.n_frames):
             fh.write(f"{raw.hour_stamp(t)},{preds[t - 1]:.6f}\n")
@@ -324,7 +322,7 @@ def cmd_plot(args) -> tuple:
     if not actual:
         raise VirtualSensorError("no overlapping (actual, predicted) hours in window")
     svg = _svg_plot([("actual", actual), ("predicted", predicted)])
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replacing(args.out, encoding="utf-8") as fh:
         fh.write(svg)
     return ({"location": args.location, "start": args.start, "hours": args.hours}, [],
             [*_data_paths(args.data), args.pred], [args.out])

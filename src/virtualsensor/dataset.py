@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -234,6 +235,25 @@ def _csv_rows(path, kind: str, required: Sequence[str]):
         raise ParseError(f"{path} line {reader.line_num}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def replacing(path, mode="w", **open_kwargs):
+    """Open `path` for writing so that it changes only as a whole: the block
+    writes `<path>.tmp` beside it, which replaces `path` when the block ends
+    and is removed when it raises. A symlink keeps pointing at the new file,
+    and a FIFO, a device or any other non-regular file is written in place."""
+    path = os.path.realpath(path)
+    tmp = path if os.path.exists(path) and not os.path.isfile(path) else f"{path}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        if tmp != path:
+            os.replace(tmp, path)
+    except BaseException:
+        if tmp != path and os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def load_locations(path) -> tuple[SensorLocation, ...]:
     locations = []
     with _csv_rows(path, "locations", LOCATIONS_HEADER) as (col, reader):
@@ -347,7 +367,7 @@ def load_dataset(locations_path, readings_path) -> Dataset:
 
 
 def write_locations_csv(locations: Sequence[SensorLocation], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOCATIONS_HEADER)
         for loc in locations:
@@ -360,7 +380,7 @@ def write_readings_csv(ds: Dataset, path) -> None:
     values = np.dstack((ds.targets, ds.features[:, :, : len(READING_FEATURE_COLUMNS)]))
     frames, sensors = np.nonzero(ds.present)
     stamps = [ds.hour_stamp(t) for t in range(ds.n_frames)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(READINGS_HEADER)
         writer.writerows(  # csv writes a float as its repr

@@ -22,6 +22,7 @@ from .dataset import (
     Dataset,
     StandardizationStats,
     prepare,
+    replacing,
 )
 from .errors import CheckpointError, FlatConfig, SchemaError, check_keys, check_types
 from .geograph import SpatialGraph
@@ -512,7 +513,7 @@ def save_checkpoint(path, trained: TrainedModel) -> None:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"refusing to save non-finite parameter {name!r}")
     config_bytes = _config_json(train_cfg, model_cfg)
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", SCHEMA_HASH))

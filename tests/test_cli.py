@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
 import re
+import resource
+import signal
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,14 @@ import pytest
 from virtualsensor import build_knn_graph, closed_loop_predict, load_dataset, prepare
 from virtualsensor import cli
 from virtualsensor.cli import build_parser, main
-from virtualsensor.pipeline import DEFAULT_MODEL_CONFIGS, load_checkpoint, save_checkpoint
+from virtualsensor.pipeline import (
+    DEFAULT_MODEL_CONFIGS,
+    EvalReport,
+    load_checkpoint,
+    save_checkpoint,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -754,10 +767,33 @@ for _flag in (["--data", "city"], ["--ckpt", "m.vsck"], ["--model", "mlp"], ["--
 REJECTED_BY_ARGPARSE = {case for case in MALFORMED_CLI_INPUTS if case.startswith("compare-with")}
 
 
+# The files a command whose --out is a directory writes inside it.
+OUT_DIR_FILES = {"synth": ("locations.csv", "readings.csv"),
+                 "eval": ("report.json", "report.csv"), "compare": ("improvement.csv",)}
+
+
+def _plant_outputs(argv):
+    """Give every output path that `argv` names, manifest included, known
+    bytes beforehand. Returns --out, or None when `argv` has none."""
+    if "--out" not in argv:
+        return None
+    out = Path(argv[argv.index("--out") + 1])
+    if argv[0] in OUT_DIR_FILES:
+        out.mkdir()
+        paths = [out / name for name in (*OUT_DIR_FILES[argv[0]], "manifest.json")]
+    else:
+        paths = [out, Path(f"{out}.manifest.json")]
+    for path in paths:
+        path.write_bytes(f"old {path.name}\n".encode())
+    return out
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_CLI_INPUTS))
 def test_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
     _, data, _ = workspace
     argv, named = MALFORMED_CLI_INPUTS[case](tmp_path, data)
+    out = _plant_outputs(argv)
+    planted = out and _outputs_of(out)
     # The CLI shows every warning it lets through as a `warning:` line of its
     # own, so the one-line check below also fails on any numpy warning.
     with warnings.catch_warnings():
@@ -775,6 +811,9 @@ def test_malformed_input_one_error_line(tmp_path, workspace, capsys, case):
         assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+    # A failed run leaves every output it names as it found it.
+    assert out is None or _outputs_of(out) == planted
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------- plot
@@ -918,6 +957,78 @@ def test_manifest_config_holds_the_model_config(tmp_path, workspace):
                    for c in configs[name])
     for default, attentional in zip(configs["default"], configs["attentional"]):
         assert default != attentional
+
+
+# ---------------------------------------------------------------- failed writes
+
+
+def _cli_under_file_size_limit(argv, limit):
+    """The CLI run in a child process whose files may not grow past `limit`
+    bytes. The child ignores SIGXFSZ, so a write past the limit fails with
+    EFBIG; the limit and the signal setting act on that child alone."""
+    def limit_child():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "virtualsensor", *map(str, argv)],
+                          env=env, preexec_fn=limit_child, capture_output=True, text=True,
+                          timeout=300)
+
+
+def _outputs_of(out):
+    """{path: bytes} of `out` and its manifest, or of every file in `out`."""
+    paths = _files(out) if out.is_dir() else [out, Path(f"{out}.manifest.json")]
+    return {p: p.read_bytes() for p in paths}
+
+
+# Each case maps (data dir, checkpoint, tmp) to (argv without --out and the
+# seed-setting flag, --out).
+FILE_SIZE_LIMIT_CASES = {
+    "train": lambda data, ckpt, tmp: (["train", "--data", data, "--epochs", "1"],
+                                      tmp / "m.vsck"),
+    "eval": lambda data, ckpt, tmp: (["eval", "--data", data, "--model", "mlp", "--epochs", "1"],
+                                     tmp / "report"),
+    "predict": lambda data, ckpt, tmp: (["predict", "--data", data, "--ckpt", ckpt], tmp / "p.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(FILE_SIZE_LIMIT_CASES))
+def test_a_write_past_the_file_size_limit_keeps_the_old_outputs(tmp_path, workspace, case):
+    # A second run whose outputs differ from the first fails while writing;
+    # the first run's outputs and manifest keep their bytes.
+    _, data, ckpt = workspace
+    argv, out = FILE_SIZE_LIMIT_CASES[case](data, ckpt, tmp_path)
+    first, second = ((["--location", "S00"], ["--location", "S01"]) if case == "predict"
+                     else (["--seed", "0"], ["--seed", "1"]))
+    assert run(*map(str, argv), *first, "--out", str(out)) == 0
+    old = _outputs_of(out)
+    # Half the largest output: in eval, report.csv fits and report.json does not.
+    limit = max(len(raw) for raw in old.values()) // 2
+    done = _cli_under_file_size_limit([*argv, *second, "--out", out], limit)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+    assert "File too large" in done.stderr
+    assert _outputs_of(out) == old
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_eval_that_fails_writing_its_csv_keeps_both_reports(tmp_path, workspace, capsys,
+                                                            monkeypatch):
+    _, data, _ = workspace
+    out = tmp_path / "report"
+    argv = ["eval", "--data", str(data), "--model", "mlp", "--epochs", "1", "--out", str(out)]
+    assert run(*argv, "--seed", "0") == 0
+    old = _outputs_of(out)
+
+    def failing_to_csv(self):
+        raise OSError("no room for report.csv")
+
+    monkeypatch.setattr(EvalReport, "to_csv", failing_to_csv)
+    assert run(*argv, "--seed", "1") == 1
+    assert capsys.readouterr().err == "error: no room for report.csv\n"
+    assert _outputs_of(out) == old
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------- exit codes

@@ -2,7 +2,10 @@
 encoding, and autoregressive fill."""
 
 import math
+import os
 import re
+import stat
+import threading
 import warnings
 from datetime import datetime, timezone
 
@@ -27,6 +30,7 @@ from virtualsensor.dataset import (
     fill_prev_no2,
     load_locations,
     parse_hour_timestamp,
+    replacing,
     standardize,
     write_locations_csv,
     write_readings_csv,
@@ -367,6 +371,60 @@ def test_a_deleted_row_is_an_absent_reading(tmp_path):
     assert np.array_equal(back.present, kept)
     assert np.array_equal(back.targets, ds.targets, equal_nan=True)
     assert np.array_equal(back.features, ds.features, equal_nan=True)
+
+
+def test_replacing_swaps_the_whole_file_or_nothing(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    with pytest.raises(OSError, match="half written"):
+        with replacing(path) as fh:
+            fh.write("new\n")
+            raise OSError("half written")
+    assert path.read_text() == "old\n"
+    with replacing(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temp file left
+
+
+def test_replacing_keeps_a_symlink_and_writes_its_target(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    with replacing(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_replacing_writes_a_fifo_in_place(tmp_path):
+    # An output that is not a regular file (here a FIFO, as /dev/null is a
+    # device) is written through, not replaced by a regular file.
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    with replacing(fifo, "wb") as fh:
+        fh.write(b"through the pipe\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive() and read == [b"through the pipe\n"]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_replacing_gives_a_new_file_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        with replacing(tmp_path / "replaced") as fh:
+            fh.write("new\n")
+    finally:
+        os.umask(umask)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {0o640}
 
 
 # ---------------------------------------------------------------- standardization

@@ -2,6 +2,7 @@
 
     python tools/layerbench.py                       # this tree alone
     python tools/layerbench.py --against ../parent   # this tree against another
+    python tools/layerbench.py --count               # call and tape-node counts
 
 Layers, each on fixed seeded inputs:
   sample_batch/8, sample_batch/60   one neighbour sample (sort keys drawn
@@ -36,6 +37,13 @@ ratio is this tree's median over the other's. The script prints the median
 block ratio, the range of the block ratios, in how many blocks this tree was
 faster, and the same ratio for this tree against its second copy (A/A), which
 shows how far two runs of identical code drift apart.
+
+With `--count` nothing is timed. Each `train_step/*` and `rollout_step/*`
+layer of this tree runs once to warm up its first-call caches, then once
+under `sys.setprofile`, and the script prints per step the Python-level
+calls (`call` events), the C-level calls (`c_call` events) and the tape nodes
+(calls of `Var.__init__`, that is `Var` constructions). The counts are
+integers of the work done, so two runs print the same numbers on any box.
 """
 
 from __future__ import annotations
@@ -83,6 +91,7 @@ class Tree:
         self.pipeline = importlib.import_module(package.__name__ + ".pipeline")
         self.sage = importlib.import_module(package.__name__ + ".sage")
         self.baselines = importlib.import_module(package.__name__ + ".baselines")
+        self.nncore = importlib.import_module(package.__name__ + ".nncore")
         city = package.generate_city(package.CityConfig(n_sensors=8, n_hours=hours, seed=0))
         self.prepared = package.prepare(city)
         self.g8 = package.build_knn_graph(city.locations, k=3)
@@ -189,6 +198,42 @@ def measure(trees: dict, names, blocks: int, repeats: int) -> dict:
     return results
 
 
+def count_names():
+    return [name for name in layer_names() if name.split("/")[0] in ("train_step", "rollout_step")]
+
+
+def count(tree: Tree, names) -> dict:
+    """Per layer: Python-level calls, C-level calls and tape nodes per step of
+    one call made after a warm-up call."""
+    var_init, results = tree.nncore.Var.__init__.__code__, {}
+    for name in names:
+        call, per = tree.layer(name)
+        call()
+        counts = {"py_calls": 0, "c_calls": 0, "tape_nodes": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts["py_calls"] += 1
+                counts["tape_nodes"] += frame.f_code is var_init
+            elif event == "c_call":
+                counts["c_calls"] += 1
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        results[name] = {key: value / per for key, value in counts.items()}
+    return results
+
+
+def count_report(results: dict) -> str:
+    return "\n".join(f"{name:24s} py_calls/step {row['py_calls']:10.1f}  "
+                     f"c_calls/step {row['c_calls']:10.1f}  "
+                     f"tape_nodes/step {row['tape_nodes']:8.1f}"
+                     for name, row in results.items())
+
+
 def quartiles(values) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return q1, q2, q3
@@ -238,18 +283,26 @@ def main(argv=None) -> int:
     parser.add_argument("--blocks", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3, help="epochs or rollouts per block")
     parser.add_argument("--hours", type=int, default=48, help="frames of the timed city")
+    parser.add_argument("--count", action="store_true",
+                        help="print call and tape-node counts per step instead of timings")
     parser.add_argument("--json", type=Path, help="also write the summary here")
     args = parser.parse_args(argv)
     if args.blocks < 1 or args.repeats < 1 or args.hours < 3:
         parser.error("--blocks and --repeats must be >= 1 and --hours >= 3")
+    if args.count and args.against is not None:
+        parser.error("--count runs on this tree alone")
 
     packages = {"this": load_tree(ROOT, "vs_layerbench_this")}
     if args.against is not None:
         packages["base"] = load_tree(args.against, "vs_layerbench_base")
         packages["again"] = load_tree(ROOT, "vs_layerbench_again")
     trees = {label: Tree(pkg, args.hours) for label, pkg in packages.items()}
-    summary = summarize(measure(trees, layer_names(), args.blocks, args.repeats))
-    print(report(summary))
+    if args.count:
+        summary = count(trees["this"], count_names())
+        print(count_report(summary))
+    else:
+        summary = summarize(measure(trees, layer_names(), args.blocks, args.repeats))
+        print(report(summary))
     if args.json is not None:
         args.json.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0

@@ -23,3 +23,19 @@ def test_layerbench_against_this_tree_at_tiny_sizes(tmp_path, capsys):
         assert row["this"]["median_us"] > 0
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed] == layerbench.layer_names()
+
+
+def test_layerbench_count_mode_prints_the_same_counts_twice(tmp_path, capsys):
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert layerbench.main(["--count", "--hours", "4", "--json", str(out)]) == 0
+    first, second = (json.loads(out.read_text()) for out in outs)
+    assert first == second
+    assert sorted(first) == sorted(layerbench.count_names())
+    for name, row in first.items():
+        assert row["py_calls"] > 0 and row["c_calls"] > 0, name
+        # Training records a tape; a rollout runs the forward on plain arrays.
+        assert (row["tape_nodes"] > 0) == name.startswith("train_step/"), name
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[: len(first)] == printed[len(first):]
+    assert [line.split()[0] for line in printed[: len(first)]] == layerbench.count_names()
